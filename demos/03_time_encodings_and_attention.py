@@ -39,6 +39,7 @@ print(f"\nembeddings at t={t}: shape {emb.shape}")
 scores = enc.score_batch(ad.narrow(emb, 0, 0, 2), ad.narrow(emb, 0, 2, 2))
 print("pair scores (untrained, near 0.5):", np.round(scores.values, 3))
 
-u = enc.encode(index, 0, t)
-v = enc.encode(index, 30, t)
-print(f"single-pair score node 0 -> 30 at t={t}: {enc.score(u, v):.4f}")
+# scoring is batched too: one row per (u, v) pair at the same time
+pair = enc.encode_batch(index, np.array([0, 30]), np.full(2, t))
+single = enc.score_batch(ad.narrow(pair, 0, 0, 1), ad.narrow(pair, 0, 1, 1))
+print(f"single-pair score node 0 -> 30 at t={t}: {single.values[0]:.4f}")

@@ -9,6 +9,7 @@ from tgsl import autodiff as ad
 from tgsl.encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
 from tgsl.graph import NeighborIndex, chronological_split, synth_generate
 from tgsl.structure import StructureLearner, TgslParams, visible_window
+from tgsl.training import RunConfig
 
 store = synth_generate(2, 40, 40, 2500, 0.1, seed=11)
 split = chronological_split(store, mask_frac=0.1, seed=0)
@@ -29,13 +30,12 @@ train_nodes = np.unique(np.concatenate(
     [store.src[split.usable_train_ids], store.dst[split.usable_train_ids]]))
 
 for strategy in ("one-hop", "third-hop", "random"):
-    learner = StructureLearner(tgsl_params, cfg, store, strategy=strategy,
-                               k_select=4, n_can=8, n_rnn=6,
-                               random_pool=train_nodes)
+    run_cfg = RunConfig(strategy=strategy, k=4, n_can=8, n_rnn=6)
+    learner = StructureLearner(tgsl_params, cfg, store, run_cfg, train_nodes)
     with ad.Tape() as tape:
         view, detail = learner.propose(index, sources, t_ref=t0,
                                        t_max=split.t_max_train, seed=5,
-                                       mode="stochastic",
+                                       view_base=index, mode="stochastic",
                                        max_eid=int(batch[0]))
         cands = detail["candidates"]
         rho = detail["rho"]
@@ -52,10 +52,10 @@ for strategy in ("one-hop", "third-hop", "random"):
 # --- the encoder sees added edges as weighted neighbors ----------------------
 enc_params = EncoderParams(16, layers=1, heads=2, d_hidden=24, seed=2)
 enc = TgatEncoder(enc_params, cfg, store, n_nb=10)
-learner = StructureLearner(tgsl_params, cfg, store, strategy="one-hop",
-                           k_select=4, n_can=8, n_rnn=6)
+learner = StructureLearner(tgsl_params, cfg, store,
+                           RunConfig(strategy="one-hop", k=4, n_can=8, n_rnn=6))
 view, _ = learner.propose(index, sources, t_ref=t0,
-                          t_max=split.t_max_train, seed=5,
+                          t_max=split.t_max_train, seed=5, view_base=index,
                           mode="noise-free", max_eid=int(batch[0]))
 plain = enc.encode_batch(index, sources[:6], np.full(6, t0),
                          max_eid=int(batch[0]))

@@ -3,17 +3,20 @@ link-prediction losses (original and augmented view) plus the momentum-
 contrast InfoNCE term, then evaluation under both protocols and the
 inference-graph comparison."""
 
+from dataclasses import replace
+
 from tgsl.graph import chronological_split, synth_generate
-from tgsl.training import TrainConfig, Trainer
+from tgsl.training import RunConfig, Trainer
 
 store = synth_generate(2, 60, 60, 4000, 0.1, seed=7)
 split = chronological_split(store, mask_frac=0.1, seed=1)
 
-cfg = TrainConfig(batch_size=200, lr=1e-2, max_epochs=5, n_nb=10, seed=0,
-                  alpha=0.2, tau_cl=0.2, moco_momentum=0.9,
-                  strategy="one-hop", k_select=6, n_can=10, n_rnn=8)
-trainer = Trainer(store, split, cfg, d_model=16, layers=1, heads=2,
-                  d_hidden=32, etgnn_layers=1, use_tgsl=True)
+cfg = RunConfig(batch_size=200, lr=1e-2, max_epochs=5, n_nb=10, alpha=0.2,
+                tau_cl=0.2, moco_momentum=0.9, strategy="one-hop", k=6,
+                n_can=10, n_rnn=8, d_model=16, layers=1, heads=2, d_hidden=32,
+                etgnn_layers=1)
+cfg.validate()
+trainer = Trainer(store, split, cfg, seed=0)
 
 history = trainer.fit(log=lambda e: print(
     f"epoch {e['epoch']}: task(ori)={e['loss_task_ori']:.4f} "
@@ -30,7 +33,6 @@ print(f"inference on the original graph instead: AP={ogi.ap:.4f} "
       f"(augmented-graph inference should not be worse)")
 
 # the plain-encoder baseline under the same budget
-base = Trainer(store, split, cfg, d_model=16, layers=1, heads=2,
-               d_hidden=32, use_tgsl=False)
+base = Trainer(store, split, replace(cfg, use_tgsl=False), seed=0)
 base.fit()
 print(f"encoder-alone baseline: AP={base.evaluate('transductive', 'test').ap:.4f}")

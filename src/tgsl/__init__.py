@@ -9,20 +9,19 @@ evaluation.
 """
 
 from . import autodiff, encoder, graph, structure, training, verify
-from .autodiff import (AdamState, GradCheckResult, Tape, Tensor, adam_step,
-                       backward, grad_check, no_grad, verification_mode)
-from .encoder import (EncoderParams, NodeEmbedding, TgatEncoder,
-                      TimeEncodingConfig, time_context, time_encode)
-from .graph import (EventStore, NeighborIndex, SplitSpec, TemporalEvent,
-                    chronological_split, khop_sample, load_events,
-                    neighbors_before, sample_negatives, save_events,
+from .autodiff import (AdamState, GradCheckResult, ParamSet, Tape, Tensor,
+                       adam_step, grad_check, no_grad, verification_mode)
+from .encoder import (EncoderParams, TgatEncoder, TimeEncodingConfig,
+                      time_context, time_encode)
+from .graph import (EventStore, NeighborIndex, SplitSpec, chronological_split,
+                    khop_sample, load_events, sample_negatives, save_events,
                     sparsify, synth_generate)
-from .structure import (AugmentedView, CandidateEdge, StructureLearner,
-                        TgslParams, build_augmented_view, context_predict,
+from .structure import (AugmentedView, StructureLearner, TgslParams,
+                        build_augmented_view, context_predict_batch,
                         etgnn_forward, gumbel_topk_select, sample_candidates,
-                        time_map)
-from .training import (EarlyStopState, MetricsReport, MoCoState, Trainer,
-                       TrainConfig, average_precision, bce_link_loss,
-                       early_stop_update, info_nce_loss, moco_step)
+                        time_map_batch)
+from .training import (ConfigError, EarlyStopState, MetricsReport, MoCoState,
+                       RunConfig, Trainer, average_precision, bce_link_loss,
+                       early_stop_update, info_nce_batch, moco_step)
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-A Tape records primitive ops in execution order; backward() replays the
-record in exact reverse order and accumulates gradients additively (fan-out
-sum rule). Training runs in float32, verification suites in float64 —
-gradient checks are unreliable in float32.
+A Tape records primitive ops in execution order; Tape.backward() replays
+the record in exact reverse order and accumulates gradients additively
+(fan-out sum rule). Training runs in float32, verification suites in
+float64 — gradient checks are unreliable in float32.
 """
 
 import math
@@ -11,9 +11,9 @@ import math
 import numpy as np
 
 __all__ = [
-    "Tensor", "Tape", "no_grad", "verification_mode", "backward",
+    "Tensor", "Tape", "no_grad", "verification_mode", "ParamSet",
     "AdamState", "adam_step", "GradCheckResult", "grad_check",
-    "forward_primitives", "param", "constant", "init_uniform",
+    "param", "constant", "init_uniform",
     "add", "sub", "mul", "div", "scale", "matmul", "concat", "narrow",
     "reshape", "take", "segment_sum", "sigmoid", "relu", "tanh", "sin",
     "cos", "exp", "log", "sqrt", "clip", "sum_", "mean", "logsumexp",
@@ -135,25 +135,17 @@ def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def backward(loss):
-    """Backward through the tape that recorded `loss`."""
-    if loss._tape is None:
-        raise ValueError("loss was not produced under an active tape")
-    loss._tape.backward(loss)
-
-
 # ---------------------------------------------------------------------------
 # tensor
 
 class Tensor:
-    __slots__ = ("values", "_grad", "requires_grad", "name", "_tape")
+    __slots__ = ("values", "_grad", "requires_grad", "name")
 
     def __init__(self, values, requires_grad=False, name=None):
         self.values = np.asarray(values)
         self._grad = None
         self.requires_grad = requires_grad
         self.name = name
-        self._tape = None
 
     # -- bookkeeping
 
@@ -245,6 +237,50 @@ def init_uniform(shape, fan_in, rng, dtype=np.float32, name=None):
     return param(rng.uniform(-bound, bound, size=shape).astype(dtype), name=name)
 
 
+class ParamSet:
+    """Named parameter tensors in registration order. Models register their
+    tensors once at construction and look them up by name at use
+    (`params["enc.l0.wq"]`), so tensors swapped in by replace_tensors reach
+    every op. The order is that of parameters(), optimizer state and
+    init draws; the names key state dicts and snapshots."""
+
+    def __init__(self):
+        self._tensors = {}
+
+    def register(self, tensor):
+        self._tensors[tensor.name] = tensor
+
+    def __getitem__(self, name):
+        return self._tensors[name]
+
+    @property
+    def dtype(self):
+        return next(iter(self._tensors.values())).dtype
+
+    def parameters(self):
+        return list(self._tensors.values())
+
+    def replace_tensors(self, tensors):
+        """Swap in externally owned tensors (parameters() order); used by
+        gradient checking to route grads into probe tensors."""
+        tensors = list(tensors)
+        if len(tensors) != len(self._tensors):
+            raise ValueError(f"replace_tensors: {len(tensors)} tensors for "
+                             f"{len(self._tensors)} parameters")
+        self._tensors = dict(zip(self._tensors, tensors))
+
+    def state_dict(self):
+        return {name: t.values.copy() for name, t in self._tensors.items()}
+
+    def load_state_dict(self, d):
+        for name, t in self._tensors.items():
+            t.values[...] = d[name]
+
+    def copy_from(self, other):
+        for p, q in zip(self.parameters(), other.parameters()):
+            p.values[...] = q.values
+
+
 # ---------------------------------------------------------------------------
 # primitive machinery
 
@@ -260,7 +296,6 @@ def _record(op, inputs, out_values, bw):
     rg = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_values, requires_grad=rg)
     if rg:
-        out._tape = tape
         tape.entries.append(_Entry(op, inputs, out, bw))
     return out
 
@@ -530,33 +565,6 @@ def logsumexp(a, axis=None, keepdims=False):
 def softmax(a, axis=-1):
     """exp(a - logsumexp(a)), composed from recorded primitives."""
     return exp(sub(a, logsumexp(a, axis=axis, keepdims=True)))
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "concat": concat,
-    "add": add,
-    "elementwise-multiply": mul,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "sin": sin,
-    "cos": cos,
-    "mean-reduce": mean,
-    "sum-reduce": sum_,
-    "logsumexp": logsumexp,
-    "scale": scale,
-}
-
-
-def forward_primitives(inputs, op, **kwargs):
-    """Dispatch by op name; `concat` takes the whole input list, the rest
-    unpack it as positional operands."""
-    if op not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive {op!r}; have {sorted(_PRIMITIVES)}")
-    fn = _PRIMITIVES[op]
-    if op == "concat":
-        return fn(inputs, **kwargs)
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .graph import (DataError, chronological_split, load_events, save_events,
                     sparsify, synth_generate)
-from .training import Trainer, TrainConfig
+from .training import ConfigError, RunConfig, Trainer
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -30,87 +30,24 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
-class RunConfig:
-    dataset: str = "synth"          # "synth" or a jodie-csv path
-    synth_communities: int = 2
-    synth_users: int = 400
-    synth_items: int = 400
-    synth_events: int = 20000
-    synth_noise: float = 0.1
-    synth_jitter: float = 0.1
-    synth_seed: int = 42
-    mask_frac: float = 0.1
-    split_seed: int = 42
-    sparsify_n: int = 1
-    seeds: str = "0"                # comma-separated training seeds
-    use_tgsl: bool = True
-    strategy: str = "one-hop"
-    k: int = 8
-    n_can: int = 30
-    n_rnn: int = 20
-    alpha: float = 0.5
-    tau_cl: float = 0.2
-    tau_gumbel: float = 1.0
-    moco_momentum: float = 0.999
-    moco_queue: int = 512
-    fanouts: str = "10,3,3"
-    d_model: int = 100
-    layers: int = 2
-    heads: int = 2
-    d_hidden: int = 100
-    etgnn_layers: int = 2
-    n_nb: int = 20
-    lr: float = 1e-4
-    batch_size: int = 200
-    max_epochs: int = 50
-    patience: int = 3
-    tolerance: float = 1e-3
-    out_dir: str = "runs"
-
-    def validate(self):
-        if self.strategy not in ("one-hop", "third-hop", "random"):
-            raise ConfigError(f"strategy must be one of one-hop, third-hop, "
-                              f"random; got {self.strategy!r}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError("alpha must be in [0, 1]")
-        if self.sparsify_n < 1:
-            raise ConfigError("sparsify_n must be >= 1")
-        if not self.seed_list():
-            raise ConfigError("seeds must name at least one seed")
-
-    def seed_list(self):
-        return [int(s) for s in str(self.seeds).split(",") if s.strip() != ""]
-
-    def fanout_list(self):
-        return tuple(int(x) for x in str(self.fanouts).split(","))
-
-    def resolved(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key, raw):
     ftype = _FIELD_TYPES[key]
     raw = raw.strip()
-    if ftype == "bool" or ftype is bool:
+    if ftype is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if ftype == "int" or ftype is int:
-        return int(raw)
-    if ftype == "float" or ftype is float:
-        return float(raw)
+    if ftype in (int, float):
+        try:
+            return ftype(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {ftype.__name__}, "
+                              f"got {raw!r}")
     return raw
 
 
@@ -166,18 +103,7 @@ def build_split(cfg, store):
 
 
 def make_trainer(cfg, store, split, seed):
-    tc = TrainConfig(batch_size=cfg.batch_size, lr=cfg.lr,
-                     max_epochs=cfg.max_epochs, patience=cfg.patience,
-                     tolerance=cfg.tolerance, alpha=cfg.alpha,
-                     tau_cl=cfg.tau_cl, k_select=cfg.k, strategy=cfg.strategy,
-                     seed=seed, n_can=cfg.n_can, n_rnn=cfg.n_rnn,
-                     tau_gumbel=cfg.tau_gumbel,
-                     moco_momentum=cfg.moco_momentum,
-                     moco_queue=cfg.moco_queue, n_nb=cfg.n_nb)
-    return Trainer(store, split, tc, d_model=cfg.d_model, layers=cfg.layers,
-                   heads=cfg.heads, d_hidden=cfg.d_hidden,
-                   etgnn_layers=cfg.etgnn_layers, fanouts=cfg.fanout_list(),
-                   use_tgsl=cfg.use_tgsl)
+    return Trainer(store, split, cfg, seed)
 
 
 def code_fingerprint():
@@ -241,10 +167,14 @@ def _train_one(cfg, store, split, seed):
     t_start = time.time()
 
     trainer = make_trainer(cfg, store, split, seed)
-    history = trainer.fit(log=lambda e: print(
-        f"[{rid}] epoch {e['epoch']}: ori={e['loss_task_ori']:.4f} "
-        f"aug={e['loss_task_aug']:.4f} cl={e['loss_cl']:.4f} "
-        f"val_ap={e['val_ap']:.4f} ({e['wall_seconds']:.1f}s)"))
+    try:
+        history = trainer.fit(log=lambda e: print(
+            f"[{rid}] epoch {e['epoch']}: ori={e['loss_task_ori']:.4f} "
+            f"aug={e['loss_task_aug']:.4f} cl={e['loss_cl']:.4f} "
+            f"val_ap={e['val_ap']:.4f} ({e['wall_seconds']:.1f}s)"))
+    except RuntimeError as e:           # the non-finite loss guard
+        print(f"[{rid}] training failed: {e}", file=sys.stderr)
+        return EXIT_CHECK_FAIL
     trans = trainer.evaluate("transductive", "test", seed=seed)
     try:
         induc = trainer.evaluate("inductive", "test", seed=seed)
@@ -327,9 +257,12 @@ def _train_one(cfg, store, split, seed):
 
 
 def load_run(manifest_path):
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    cfg = RunConfig(**manifest["config"])
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as f:
+            manifest = json.load(f)
+        cfg = RunConfig(**manifest["config"])
+    except (ValueError, TypeError, KeyError) as e:
+        raise ConfigError(f"bad manifest {manifest_path}: {e}")
     cfg.validate()
     store = build_store(cfg)
     store, split = build_split(cfg, store)
@@ -409,8 +342,12 @@ def cmd_sweep(args):
     """Train over a strategy x K grid (one run per cell per seed)."""
     strategies = (args.strategies.split(",") if args.strategies
                   else ["one-hop", "third-hop", "random"])
-    k_grid = ([int(k) for k in args.k_grid.split(",")] if args.k_grid
-              else [2, 4, 8, 16, 32])
+    try:
+        k_grid = ([int(k) for k in args.k_grid.split(",")] if args.k_grid
+                  else [2, 4, 8, 16, 32])
+    except ValueError:
+        raise ConfigError(f"--k-grid expects comma-separated integers, "
+                          f"got {args.k_grid!r}")
     status = EXIT_OK
     for strat in strategies:
         for k in k_grid:

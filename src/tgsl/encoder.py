@@ -8,7 +8,6 @@ edges contribute value vectors scaled by their relaxed selection weight.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .graph import NeighborIndex
 
 __all__ = [
     "TimeEncodingConfig", "time_encode", "time_context",
-    "EncoderParams", "TgatEncoder", "NodeEmbedding", "link_score",
+    "EncoderParams", "TgatEncoder",
 ]
 
 
@@ -53,20 +52,14 @@ def time_context(delta, cfg, dtype=np.float64):
     return (np.sin(d[..., None] * cfg.omega) + 1.0).astype(dtype)
 
 
-@dataclass
-class NodeEmbedding:
-    node: int
-    t: float
-    vector: np.ndarray
-
-
-class EncoderParams:
+class EncoderParams(ad.ParamSet):
     """Attention projections, merge MLPs, and the link-scoring head."""
 
     def __init__(self, d_model, layers=2, heads=2, d_hidden=100, seed=0,
                  dtype=np.float32):
         if d_model % heads:
             raise ValueError(f"d_model {d_model} not divisible by heads {heads}")
+        super().__init__()
         self.d_model = d_model
         self.layers = layers
         self.heads = heads
@@ -75,55 +68,22 @@ class EncoderParams:
         rng = np.random.default_rng(seed)
         dm, hk = d_model, heads * self.d_k
         dq, dkv = 2 * dm, 3 * dm
-        self.layer_params = []
+
+        def add(name, shape, fan_in):
+            self.register(ad.init_uniform(shape, fan_in, rng, dtype, name))
+
         for l in range(layers):
-            self.layer_params.append({
-                "wq": ad.init_uniform((dq, hk), dq, rng, dtype, f"enc.l{l}.wq"),
-                "wk": ad.init_uniform((dkv, hk), dkv, rng, dtype, f"enc.l{l}.wk"),
-                "wv": ad.init_uniform((dkv, hk), dkv, rng, dtype, f"enc.l{l}.wv"),
-                "w1": ad.init_uniform((hk + dm, d_hidden), hk + dm, rng, dtype,
-                                      f"enc.l{l}.w1"),
-                "b1": ad.init_uniform((d_hidden,), hk + dm, rng, dtype,
-                                      f"enc.l{l}.b1"),
-                "w2": ad.init_uniform((d_hidden, dm), d_hidden, rng, dtype,
-                                      f"enc.l{l}.w2"),
-                "b2": ad.init_uniform((dm,), d_hidden, rng, dtype,
-                                      f"enc.l{l}.b2"),
-            })
-        self.score = {
-            "w1": ad.init_uniform((2 * dm, d_hidden), 2 * dm, rng, dtype, "score.w1"),
-            "b1": ad.init_uniform((d_hidden,), 2 * dm, rng, dtype, "score.b1"),
-            "w2": ad.init_uniform((d_hidden, 1), d_hidden, rng, dtype, "score.w2"),
-            "b2": ad.init_uniform((1,), d_hidden, rng, dtype, "score.b2"),
-        }
-
-    def parameters(self):
-        out = []
-        for lp in self.layer_params:
-            out.extend(lp[k] for k in ("wq", "wk", "wv", "w1", "b1", "w2", "b2"))
-        out.extend(self.score[k] for k in ("w1", "b1", "w2", "b2"))
-        return out
-
-    def replace_tensors(self, tensors):
-        """Swap in externally owned tensors (parameters() order); used by
-        gradient checking to route grads into probe tensors."""
-        it = iter(tensors)
-        for lp in self.layer_params:
-            for k in ("wq", "wk", "wv", "w1", "b1", "w2", "b2"):
-                lp[k] = next(it)
-        for k in ("w1", "b1", "w2", "b2"):
-            self.score[k] = next(it)
-
-    def state_dict(self):
-        return {p.name: p.values.copy() for p in self.parameters()}
-
-    def load_state_dict(self, d):
-        for p in self.parameters():
-            p.values[...] = d[p.name]
-
-    def copy_from(self, other):
-        for p, q in zip(self.parameters(), other.parameters()):
-            p.values[...] = q.values
+            add(f"enc.l{l}.wq", (dq, hk), dq)
+            add(f"enc.l{l}.wk", (dkv, hk), dkv)
+            add(f"enc.l{l}.wv", (dkv, hk), dkv)
+            add(f"enc.l{l}.w1", (hk + dm, d_hidden), hk + dm)
+            add(f"enc.l{l}.b1", (d_hidden,), hk + dm)
+            add(f"enc.l{l}.w2", (d_hidden, dm), d_hidden)
+            add(f"enc.l{l}.b2", (dm,), d_hidden)
+        add("score.w1", (2 * dm, d_hidden), 2 * dm)
+        add("score.b1", (d_hidden,), 2 * dm)
+        add("score.w2", (d_hidden, 1), d_hidden)
+        add("score.b2", (1,), d_hidden)
 
 
 def _pad_rows(table, width, what):
@@ -146,52 +106,46 @@ class TgatEncoder:
     features and selection weights for their added edges.
     """
 
-    def __init__(self, params, cfg, store, n_nb=20, uniform_sample_seed=None):
+    def __init__(self, params, cfg, store, n_nb=20):
         if cfg.d != params.d_model:
             raise ValueError("time encoding dim must equal d_model "
                              "(one omega drives TE and the time context)")
         self.params = params
         self.cfg = cfg
         self.n_nb = n_nb
-        self.dtype = params.layer_params[0]["wq"].dtype
+        self.dtype = params.dtype
         self.node_feat = _pad_rows(store.node_features, params.d_model,
                                    "node feature").astype(self.dtype)
         self.edge_feat = _pad_rows(store.edge_features, params.d_model,
                                    "edge feature").astype(self.dtype)
-        self.uniform_sample_seed = uniform_sample_seed
 
     # -- neighbor query over plain or augmented views
 
     def _query(self, view, nodes, ts, max_eid):
         if isinstance(view, NeighborIndex):
             ids, eids, tss, mask = view.batch_neighbors(
-                nodes, ts, self.n_nb, max_eid,
-                uniform_seed=self.uniform_sample_seed)
+                nodes, ts, self.n_nb, max_eid)
             return ids, eids, tss, mask, None, None, None
         ids, eids, tss, mask, aug = view.batch_neighbors(
-            nodes, ts, self.n_nb, max_eid,
-            uniform_seed=self.uniform_sample_seed)
+            nodes, ts, self.n_nb, max_eid)
         return ids, eids, tss, mask, aug, view.cand_features, view.rho
 
     # -- recursive embedding
 
-    def encode_batch(self, view, nodes, ts, depth=None, max_eid=None,
-                     edge_weights=None):
+    def encode_batch(self, view, nodes, ts, max_eid=None):
         """Embeddings for (node, t) pairs; returns a [B, d_model] tensor."""
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= len(self.node_feat)):
             raise ValueError("encode_batch: node id outside the graph")
-        depth = self.params.layers if depth is None else depth
-        if depth > self.params.layers:
-            raise ValueError("depth exceeds configured layer count")
-        return self._embed(view, nodes, ts, depth, max_eid, edge_weights)
+        return self._embed(view, nodes, ts, self.params.layers, max_eid)
 
-    def _embed(self, view, nodes, ts, layer, max_eid, edge_weights):
+    def _embed(self, view, nodes, ts, layer, max_eid):
         if layer == 0:
             return ad.constant(self.node_feat[nodes])
-        p = self.params.layer_params[layer - 1]
-        dm, h, dk = self.params.d_model, self.params.heads, self.params.d_k
+        pre = f"enc.l{layer - 1}."
+        p = self.params
+        dm, h, dk = p.d_model, p.heads, p.d_k
         b = len(nodes)
         ids, eids, tss, mask, aug, cand_feat, rho = self._query(
             view, nodes, ts, max_eid)
@@ -203,13 +157,12 @@ class TgatEncoder:
         all_nodes = np.concatenate([nodes, ids.ravel()])
         all_ts = np.concatenate([ts, tss.ravel()])
         if layer == 1:
-            emb = self._embed(view, all_nodes, all_ts, 0, max_eid,
-                              edge_weights)
+            emb = self._embed(view, all_nodes, all_ts, 0, max_eid)
         else:
             pairs = np.stack([all_nodes.astype(np.float64), all_ts], axis=1)
             uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
             sub = self._embed(view, uniq[:, 0].astype(np.int64), uniq[:, 1],
-                              layer - 1, max_eid, edge_weights)
+                              layer - 1, max_eid)
             emb = ad.take(sub, inverse.reshape(-1))
         h_self = ad.narrow(emb, 0, 0, b)
         h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, dm))
@@ -225,13 +178,9 @@ class TgatEncoder:
             e_slot = ad.add(e_slot, ad.mul(
                 picked, ad.constant(aug_m[:, :, None].astype(self.dtype))))
 
-        # per-slot value weight: 1 (or the given per-event weight) for real
-        # events, the relaxed selection weight for augmented ones, 0 for pads
-        if edge_weights is not None:
-            base_w = edge_weights[np.where(real_m > 0, eids, 0)] * real_m
-        else:
-            base_w = real_m
-        w_slot = ad.constant(base_w.astype(self.dtype))
+        # per-slot value weight: 1 for real events, the relaxed selection
+        # weight for augmented ones, 0 for pads
+        w_slot = ad.constant(real_m.astype(self.dtype))
         if aug_m is not None and np.any(aug_m > 0):
             w_slot = ad.add(w_slot, ad.mul(
                 ad.take(rho, np.maximum(aug, 0)),
@@ -243,9 +192,9 @@ class TgatEncoder:
 
         q_in = ad.concat([h_self, te_self], axis=1)
         kv_in = ad.concat([h_nbr, e_slot, te_nbr], axis=2)
-        q = ad.reshape(ad.matmul(q_in, p["wq"]), (b, 1, h, dk))
-        k = ad.reshape(ad.matmul(kv_in, p["wk"]), (b, n, h, dk))
-        v = ad.reshape(ad.matmul(kv_in, p["wv"]), (b, n, h, dk))
+        q = ad.reshape(ad.matmul(q_in, p[pre + "wq"]), (b, 1, h, dk))
+        k = ad.reshape(ad.matmul(kv_in, p[pre + "wk"]), (b, n, h, dk))
+        v = ad.reshape(ad.matmul(kv_in, p[pre + "wv"]), (b, n, h, dk))
 
         logits = ad.scale(ad.sum_(ad.mul(q, k), axis=3), 1.0 / math.sqrt(dk))
         neg = ((mask - 1.0) * 1e9)[:, :, None].astype(self.dtype)
@@ -254,36 +203,16 @@ class TgatEncoder:
         v_eff = ad.mul(v, ad.reshape(w_slot, (b, n, 1, 1)))
         head = ad.sum_(ad.mul(ad.reshape(attn, (b, n, h, 1)), v_eff), axis=1)
         merged = ad.concat([ad.reshape(head, (b, h * dk)), h_self], axis=1)
-        hid = ad.relu(ad.add(ad.matmul(merged, p["w1"]), p["b1"]))
-        return ad.add(ad.matmul(hid, p["w2"]), p["b2"])
-
-    def encode(self, view, node, t, depth=None, max_eid=None,
-               edge_weights=None):
-        """Single-node convenience wrapper returning a NodeEmbedding."""
-        out = self.encode_batch(view, np.array([node]), np.array([t]),
-                                depth=depth, max_eid=max_eid,
-                                edge_weights=edge_weights)
-        return NodeEmbedding(int(node), float(t), out.values[0].copy())
+        hid = ad.relu(ad.add(ad.matmul(merged, p[pre + "w1"]), p[pre + "b1"]))
+        return ad.add(ad.matmul(hid, p[pre + "w2"]), p[pre + "b2"])
 
     # -- link scoring head
 
     def score_batch(self, emb_u, emb_v):
         """2-layer feed-forward head on concatenated [B, d] embeddings,
         squashed through the logistic; returns a [B] tensor in (0, 1)."""
-        s = self.params.score
+        p = self.params
         x = ad.concat([emb_u, emb_v], axis=1)
-        hid = ad.relu(ad.add(ad.matmul(x, s["w1"]), s["b1"]))
-        out = ad.add(ad.matmul(hid, s["w2"]), s["b2"])
+        hid = ad.relu(ad.add(ad.matmul(x, p["score.w1"]), p["score.b1"]))
+        out = ad.add(ad.matmul(hid, p["score.w2"]), p["score.b2"])
         return ad.reshape(ad.sigmoid(out), (x.shape[0],))
-
-    def score(self, emb_u, emb_v):
-        if emb_u.t != emb_v.t:
-            raise ValueError(
-                f"link score needs one reference time, got {emb_u.t} vs {emb_v.t}")
-        out = self.score_batch(ad.constant(emb_u.vector[None, :]),
-                               ad.constant(emb_v.vector[None, :]))
-        return float(out.values[0])
-
-
-def link_score(encoder, emb_u, emb_v):
-    return encoder.score(emb_u, emb_v)

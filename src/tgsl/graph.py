@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TemporalEvent", "EventStore", "NeighborIndex", "SplitSpec",
-    "load_events", "save_events", "chronological_split", "neighbors_before",
-    "khop_sample", "sparsify", "synth_generate", "sample_negatives",
+    "EventStore", "NeighborIndex", "SplitSpec", "load_events", "save_events",
+    "chronological_split", "khop_sample", "sparsify", "synth_generate",
+    "sample_negatives",
 ]
 
 
@@ -23,19 +23,10 @@ class DataError(ValueError):
     """Malformed input data (bad rows, inconsistent stores)."""
 
 
-@dataclass(frozen=True)
-class TemporalEvent:
-    src: int
-    dst: int
-    timestamp: float
-    edge_feature_id: int
-
-
 class EventStore:
     """Chronologically sorted interaction events plus feature tables.
 
-    Columns are kept as flat numpy arrays; `event(i)` materializes a single
-    TemporalEvent on demand. Immutable after construction.
+    Columns are kept as flat numpy arrays. Immutable after construction.
     """
 
     def __init__(self, src, dst, ts, feat_ids, node_features, edge_features,
@@ -84,14 +75,6 @@ class EventStore:
     def node_dim(self):
         return self.node_features.shape[1]
 
-    def event(self, i):
-        return TemporalEvent(int(self.src[i]), int(self.dst[i]),
-                             float(self.ts[i]), int(self.feat_ids[i]))
-
-    @property
-    def events(self):
-        return [self.event(i) for i in range(len(self))]
-
 
 class NeighborIndex:
     """Per-node, time-sorted adjacency in CSR layout. An event (u, v, t)
@@ -132,28 +115,19 @@ class NeighborIndex:
         lo, hi = self.offsets[node], self.offsets[node + 1]
         return self.nbr[lo:hi], self.eid[lo:hi], self.ts[lo:hi]
 
-    def neighbors_before(self, node, t, n, max_eid=None, uniform_seed=None):
-        """The n most recent entries strictly before time t, ascending.
-        With uniform_seed set, a seeded uniform subset (still ascending)
-        replaces the most-recent rule; the draw depends only on (seed,
-        node, t) so later events cannot perturb it."""
+    def neighbors_before(self, node, t, n, max_eid=None):
+        """The n most recent entries strictly before time t (and before
+        event id max_eid when given), ascending."""
         lo, hi = self.offsets[node], self.offsets[node + 1]
         ts = self.ts[lo:hi]
         cut = int(np.searchsorted(ts, t, side="left"))
         if max_eid is not None:
             cut = min(cut, int(np.searchsorted(self.eid[lo:hi], max_eid, side="left")))
-        if uniform_seed is not None and cut > n:
-            tbits = int(np.float64(t).view(np.int64))
-            rng = np.random.default_rng((uniform_seed, int(node), tbits))
-            pick = rng.choice(cut, size=n, replace=False)
-            pick.sort()
-            idx = lo + pick
-            return self.nbr[idx], self.eid[idx], self.ts[idx]
         start = max(0, cut - n)
         sl = slice(lo + start, lo + cut)
         return self.nbr[sl], self.eid[sl], self.ts[sl]
 
-    def batch_neighbors(self, nodes, ts, n, max_eid=None, uniform_seed=None):
+    def batch_neighbors(self, nodes, ts, n, max_eid=None):
         """Right-padded [B, n] neighbor blocks: ids, event ids, timestamps
         and a {0,1} mask. Padded slots carry node 0 at time 0."""
         b = len(nodes)
@@ -163,7 +137,7 @@ class NeighborIndex:
         mask = np.zeros((b, n), dtype=np.float64)
         for i in range(b):
             nb, ei, tt = self.neighbors_before(int(nodes[i]), float(ts[i]), n,
-                                               max_eid, uniform_seed)
+                                               max_eid)
             k = len(nb)
             if k:
                 ids[i, :k] = nb
@@ -179,10 +153,6 @@ class NeighborIndex:
                 and np.array_equal(self.nbr, other.nbr)
                 and np.array_equal(self.eid, other.eid)
                 and np.array_equal(self.ts, other.ts))
-
-
-def neighbors_before(index, node, t, n, max_eid=None):
-    return index.neighbors_before(node, t, n, max_eid)
 
 
 @dataclass

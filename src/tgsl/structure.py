@@ -10,8 +10,6 @@ weight rho stays attached to each added edge so gradients flow back through
 the encoder's value aggregation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -19,65 +17,41 @@ from .encoder import time_context, time_encode
 from .graph import khop_sample
 
 __all__ = [
-    "TgslParams", "EtgnnOutput", "etgnn_forward", "ContextEmbedding",
-    "context_predict", "context_predict_batch", "CandidateEdge",
-    "CandidateBatch", "sample_candidates", "time_map", "gumbel_topk_select",
-    "AugmentedView", "build_augmented_view", "visible_window",
-    "StructureLearner",
+    "TgslParams", "EtgnnOutput", "etgnn_forward", "context_predict_batch",
+    "CandidateBatch", "sample_candidates", "time_map_batch",
+    "gumbel_topk_select", "AugmentedView", "build_augmented_view",
+    "visible_window", "StructureLearner",
 ]
 
 STRATEGIES = ("one-hop", "third-hop", "random")
 
 
-class TgslParams:
+class TgslParams(ad.ParamSet):
     """ET-GNN layer weights plus the single-layer LSTM of the context
     predictor. Layer dims follow the raw feature dims at layer 1 and the
     model dim afterwards; the time block is d_model wide (shared omega)."""
 
     def __init__(self, d_model, d_node, d_edge, layers=2, seed=0,
                  dtype=np.float32):
+        super().__init__()
         self.d_model = d_model
         self.layers = layers
         rng = np.random.default_rng(seed)
         dm = d_model
-        self.w_h = []
-        self.w_f = []
+
+        def add(name, shape, fan_in):
+            self.register(ad.init_uniform(shape, fan_in, rng, dtype, name))
+
         dh, df = d_node, d_edge
         for l in range(layers):
             in_h = dh + (dh + df + dm)
             in_f = df + 2 * dh + dm
-            self.w_h.append(ad.init_uniform((in_h, dm), in_h, rng, dtype,
-                                            f"tgsl.l{l}.wh"))
-            self.w_f.append(ad.init_uniform((in_f, dm), in_f, rng, dtype,
-                                            f"tgsl.l{l}.wf"))
+            add(f"tgsl.l{l}.wh", (in_h, dm), in_h)
+            add(f"tgsl.l{l}.wf", (in_f, dm), in_f)
             dh = df = dm
-        self.lstm = {
-            "wx": ad.init_uniform((dm, 4 * dm), dm, rng, dtype, "tgsl.lstm.wx"),
-            "wh": ad.init_uniform((dm, 4 * dm), dm, rng, dtype, "tgsl.lstm.wh"),
-            "b": ad.init_uniform((4 * dm,), dm, rng, dtype, "tgsl.lstm.b"),
-        }
-
-    def parameters(self):
-        out = []
-        for wh, wf in zip(self.w_h, self.w_f):
-            out.extend((wh, wf))
-        out.extend(self.lstm[k] for k in ("wx", "wh", "b"))
-        return out
-
-    def replace_tensors(self, tensors):
-        it = iter(tensors)
-        for l in range(self.layers):
-            self.w_h[l] = next(it)
-            self.w_f[l] = next(it)
-        for k in ("wx", "wh", "b"):
-            self.lstm[k] = next(it)
-
-    def state_dict(self):
-        return {p.name: p.values.copy() for p in self.parameters()}
-
-    def load_state_dict(self, d):
-        for p in self.parameters():
-            p.values[...] = d[p.name]
+        add("tgsl.lstm.wx", (dm, 4 * dm), dm)
+        add("tgsl.lstm.wh", (dm, 4 * dm), dm)
+        add("tgsl.lstm.b", (4 * dm,), dm)
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +66,6 @@ class EtgnnOutput:
         self.node_h = node_h
         self.event_ids = event_ids
         self.edge_f = edge_f
-
-    def node_rows(self, nodes):
-        pos = np.searchsorted(self.nodes, nodes)
-        pos = np.clip(pos, 0, max(len(self.nodes) - 1, 0))
-        ok = len(self.nodes) > 0 and np.array_equal(self.nodes[pos], nodes)
-        return pos, ok
 
     def event_rows(self, eids):
         eids = np.asarray(eids, dtype=np.int64)
@@ -115,7 +83,7 @@ def etgnn_forward(event_ids, store, params, cfg):
     concat(neighbor state, edge state, TE(t)); node and edge states pass
     through relu-activated linear maps. Inputs are the raw feature rows."""
     event_ids = np.asarray(event_ids, dtype=np.int64)
-    dtype = params.w_h[0].dtype
+    dtype = params.dtype
     dm = params.d_model
     if len(event_ids) == 0:
         return EtgnnOutput(np.zeros(0, np.int64),
@@ -142,23 +110,16 @@ def etgnn_forward(event_ids, store, params, cfg):
         mean_msg = ad.mul(ad.segment_sum(ad.concat([msg_fwd, msg_bwd], axis=0),
                                          seg, n), inv)
         h_new = ad.relu(ad.matmul(ad.concat([h, mean_msg], axis=1),
-                                  params.w_h[l]))
+                                  params[f"tgsl.l{l}.wh"]))
         f_new = ad.relu(ad.matmul(
             ad.concat([f, ad.take(h, s_l), ad.take(h, d_l), te], axis=1),
-            params.w_f[l]))
+            params[f"tgsl.l{l}.wf"]))
         h, f = h_new, f_new
     return EtgnnOutput(nodes, h, event_ids, f)
 
 
 # ---------------------------------------------------------------------------
 # sequence-predicted context embeddings
-
-@dataclass
-class ContextEmbedding:
-    node: int
-    vector: np.ndarray
-    t_nominal: float
-
 
 def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
                           max_eid=None):
@@ -168,7 +129,7 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
     nodes = np.asarray(nodes, dtype=np.int64)
     s = len(nodes)
     dm = params.d_model
-    dtype = params.lstm["wx"].dtype
+    dtype = params.dtype
     rows = np.zeros((s, n_rnn), dtype=np.int64)
     mask = np.zeros((s, n_rnn), dtype=dtype)
     have = len(et.event_ids) > 0
@@ -185,7 +146,8 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
         return zeros
     start = int(np.flatnonzero(mask.any(axis=0))[0])
     h, c = zeros, zeros
-    wx, wh, b = params.lstm["wx"], params.lstm["wh"], params.lstm["b"]
+    wx, wh, b = (params["tgsl.lstm.wx"], params["tgsl.lstm.wh"],
+                 params["tgsl.lstm.b"])
     for t in range(start, n_rnn):
         x = ad.take(et.edge_f, rows[:, t])
         gates = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
@@ -202,29 +164,8 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
     return h
 
 
-def context_predict(node, et, index, n_rnn, params, t_cut, max_eid=None,
-                    t_nominal=None):
-    """Single-node wrapper returning a ContextEmbedding."""
-    out = context_predict_batch(params, et, index, np.array([node]), t_cut,
-                                n_rnn, max_eid)
-    return ContextEmbedding(int(node), out.values[0].copy(),
-                            float(t_cut if t_nominal is None else t_nominal))
-
-
 # ---------------------------------------------------------------------------
 # candidate construction
-
-@dataclass
-class CandidateEdge:
-    src: int
-    dst: int
-    t_new: float
-    strategy: str
-    feature_event: int          # event id whose embedding is used; -1 = zeros
-    t_sample: float
-    m: float = None             # dot-product logit, set by selection
-    rho: float = None           # relaxed selection weight, set by selection
-
 
 class CandidateBatch:
     """Struct-of-arrays candidate container."""
@@ -239,16 +180,6 @@ class CandidateBatch:
 
     def __len__(self):
         return len(self.src)
-
-    def to_edges(self, m=None, rho=None):
-        out = []
-        for i in range(len(self)):
-            out.append(CandidateEdge(
-                int(self.src[i]), int(self.dst[i]), float(self.t_new[i]),
-                self.strategy, int(self.feat_eid[i]), float(self.t_sample[i]),
-                None if m is None else float(m[i]),
-                None if rho is None else float(rho[i])))
-        return out
 
 
 def sample_candidates(src_nodes, strategy, index, store, n_can, seed, *,
@@ -329,16 +260,7 @@ def time_map_batch(z_rows, f_rows, t_new, t_max, t_sample, cfg):
     return ad.mul(z_rows, s_ctx), ad.mul(f_rows, s_feat)
 
 
-def time_map(ctx, cand, feature_vec, cfg):
-    """Single-candidate wrapper over numpy vectors."""
-    zhat = ctx.vector * time_context(cand.t_new - ctx.t_nominal, cfg,
-                                     dtype=ctx.vector.dtype)
-    fhat = feature_vec * time_context(cand.t_new - cand.t_sample, cfg,
-                                      dtype=feature_vec.dtype)
-    return zhat, fhat
-
-
-def gumbel_topk_select(zhat, fhat, src_of, k_select, tau, seed,
+def gumbel_topk_select(zhat, fhat, src_of, k, tau, seed,
                        mode="stochastic"):
     """Score candidates by the context/feature dot product, perturb with
     seeded logistic noise, squash by temperature, and keep the K largest
@@ -348,7 +270,7 @@ def gumbel_topk_select(zhat, fhat, src_of, k_select, tau, seed,
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if k_select < 1:
+    if k < 1:
         raise ValueError("K must be >= 1")
     if mode not in ("stochastic", "noise-free"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -370,7 +292,7 @@ def gumbel_topk_select(zhat, fhat, src_of, k_select, tau, seed,
     starts = np.flatnonzero(np.concatenate(([True], grp[1:] != grp[:-1])))
     rank = np.arange(c) - np.repeat(starts, np.diff(
         np.concatenate((starts, [c]))))
-    sel = np.sort(order[rank < k_select])
+    sel = np.sort(order[rank < k])
     return m, rho, sel
 
 
@@ -402,9 +324,8 @@ class AugmentedView:
     def num_added(self):
         return 0 if self.cand_features is None else self.cand_features.shape[0]
 
-    def batch_neighbors(self, nodes, ts, n, max_eid=None, uniform_seed=None):
-        ids, eids, tss, mask = self.base.batch_neighbors(
-            nodes, ts, n, max_eid, uniform_seed)
+    def batch_neighbors(self, nodes, ts, n, max_eid=None):
+        ids, eids, tss, mask = self.base.batch_neighbors(nodes, ts, n, max_eid)
         aug = np.full(ids.shape, -1, dtype=np.int64)
         if not self._per_node:
             return ids, eids, tss, mask, aug
@@ -503,55 +424,49 @@ def visible_window(index, nodes, t_ref, levels=2, max_eid=None):
 
 class StructureLearner:
     """End-to-end proposer: window -> edge embeddings -> contexts ->
-    candidates -> time mapping -> Gumbel-Top-K -> augmented view."""
+    candidates -> time mapping -> Gumbel-Top-K -> augmented view.
 
-    def __init__(self, params, cfg, store, strategy="one-hop", k_select=8,
-                 n_can=30, n_rnn=20, tau=1.0, fanouts=(10, 3, 3),
-                 random_pool=None):
+    Reads strategy, k, n_can, n_rnn, tau_gumbel and fanouts from the run
+    config; te_cfg is the time encoding shared with the encoder."""
+
+    def __init__(self, params, te_cfg, store, cfg, random_pool=None):
         self.params = params
-        self.cfg = cfg
+        self.te_cfg = te_cfg
         self.store = store
-        self.strategy = strategy
-        self.k_select = k_select
-        self.n_can = n_can
-        self.n_rnn = n_rnn
-        self.tau = tau
-        self.fanouts = fanouts
+        self.cfg = cfg
         self.random_pool = random_pool
 
     def window_levels(self):
         # third-hop borrowing needs the events incident to hop-2 nodes
-        return 3 if self.strategy == "third-hop" else 2
+        return 3 if self.cfg.strategy == "third-hop" else 2
 
-    def propose(self, index, src_nodes, *, t_ref, t_max, seed,
-                mode="stochastic", max_eid=None, window_event_ids=None,
-                etgnn_cache=None):
-        """Build the augmented view for a batch of source nodes. Returns
-        (view, detail dict) — the view is ephemeral to this batch."""
+    def propose(self, index, src_nodes, *, t_ref, t_max, seed, view_base,
+                mode="stochastic", max_eid=None, etgnn_cache=None):
+        """Build the augmented view for a batch of source nodes. Candidates
+        come from `index`; the view inserts the selected ones into
+        `view_base`. Returns (view, detail dict) — the view is ephemeral to
+        this batch."""
+        cfg = self.cfg
         src_nodes = np.unique(np.asarray(src_nodes, dtype=np.int64))
         num_real = len(self.store)
-        if self.k_select == 0:
-            return (AugmentedView(index, np.zeros(0, np.int64),
-                                  np.zeros(0, np.int64), np.zeros(0),
-                                  None, None, num_real), {})
+        empty = (view_base, np.zeros(0, np.int64), np.zeros(0, np.int64),
+                 np.zeros(0), None, None, num_real)
+        if cfg.k == 0:
+            return AugmentedView(*empty), {}
         if etgnn_cache is not None:
             et = etgnn_cache
         else:
-            if window_event_ids is None:
-                window_event_ids = visible_window(
-                    index, src_nodes, t_ref, self.window_levels(), max_eid)
-            et = etgnn_forward(window_event_ids, self.store, self.params,
-                               self.cfg)
+            window = visible_window(index, src_nodes, t_ref,
+                                    self.window_levels(), max_eid)
+            et = etgnn_forward(window, self.store, self.params, self.te_cfg)
         z = context_predict_batch(self.params, et, index, src_nodes, t_ref,
-                                  self.n_rnn, max_eid)
+                                  cfg.n_rnn, max_eid)
         cands = sample_candidates(
-            src_nodes, self.strategy, index, self.store, self.n_can, seed,
+            src_nodes, cfg.strategy, index, self.store, cfg.n_can, seed,
             t_ref=t_ref, t_max=t_max, random_pool=self.random_pool,
-            max_eid=max_eid, fanouts=self.fanouts)
+            max_eid=max_eid, fanouts=cfg.fanout_list())
         if len(cands) == 0:
-            return (AugmentedView(index, np.zeros(0, np.int64),
-                                  np.zeros(0, np.int64), np.zeros(0),
-                                  None, None, num_real), {"candidates": cands})
+            return AugmentedView(*empty), {"candidates": cands}
         z_rows = ad.take(z, np.searchsorted(src_nodes, cands.src))
         dtype = z.dtype
         borrow = cands.feat_eid >= 0
@@ -564,10 +479,11 @@ class StructureLearner:
             feat_rows = ad.constant(
                 np.zeros((len(cands), self.params.d_model), dtype=dtype))
         zhat, fhat = time_map_batch(z_rows, feat_rows, cands.t_new, t_max,
-                                    cands.t_sample, self.cfg)
+                                    cands.t_sample, self.te_cfg)
         m, rho, sel = gumbel_topk_select(
-            zhat, fhat, cands.src, self.k_select, self.tau, seed + 1, mode)
-        view = build_augmented_view(index, cands, sel, fhat, rho, num_real)
+            zhat, fhat, cands.src, cfg.k, cfg.tau_gumbel, seed + 1, mode)
+        view = build_augmented_view(view_base, cands, sel, fhat, rho,
+                                    num_real)
         detail = {"candidates": cands, "m": m, "rho": rho, "selected": sel,
                   "context": z, "etgnn": et}
         return view, detail

@@ -12,7 +12,7 @@ mode.
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,10 +22,91 @@ from .graph import NeighborIndex, sample_negatives
 from .structure import StructureLearner, TgslParams, etgnn_forward
 
 __all__ = [
-    "TrainConfig", "MetricsReport", "EarlyStopState", "early_stop_update",
-    "MoCoState", "moco_step", "bce_link_loss", "info_nce_loss",
-    "accuracy_score", "average_precision", "Trainer",
+    "ConfigError", "RunConfig", "MetricsReport", "EarlyStopState",
+    "early_stop_update", "MoCoState", "moco_step", "bce_link_loss",
+    "info_nce_batch", "accuracy_score", "average_precision", "Trainer",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the run config
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass
+class RunConfig:
+    """Every setting of a run: data, structure learner, encoder, optimizer
+    and output. The CLI parses it from key=value pairs; Trainer and
+    StructureLearner read it directly. validate() is the one check."""
+
+    dataset: str = "synth"          # "synth" or a jodie-csv path
+    synth_communities: int = 2
+    synth_users: int = 400
+    synth_items: int = 400
+    synth_events: int = 20000
+    synth_noise: float = 0.1
+    synth_jitter: float = 0.1
+    synth_seed: int = 42
+    mask_frac: float = 0.1
+    split_seed: int = 42
+    sparsify_n: int = 1
+    seeds: str = "0"                # comma-separated training seeds
+    use_tgsl: bool = True
+    strategy: str = "one-hop"
+    k: int = 8
+    n_can: int = 30
+    n_rnn: int = 20
+    alpha: float = 0.5
+    tau_cl: float = 0.2
+    tau_gumbel: float = 1.0
+    moco_momentum: float = 0.999
+    moco_queue: int = 512
+    fanouts: str = "10,3,3"
+    d_model: int = 100
+    layers: int = 2
+    heads: int = 2
+    d_hidden: int = 100
+    etgnn_layers: int = 2
+    n_nb: int = 20
+    lr: float = 1e-4
+    batch_size: int = 200
+    max_epochs: int = 50
+    patience: int = 3
+    tolerance: float = 1e-3
+    out_dir: str = "runs"
+
+    def validate(self):
+        if self.strategy not in ("one-hop", "third-hop", "random"):
+            raise ConfigError(f"strategy must be one of one-hop, third-hop, "
+                              f"random; got {self.strategy!r}")
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.patience < 1:
+            raise ConfigError("patience must be >= 1")
+        if self.sparsify_n < 1:
+            raise ConfigError("sparsify_n must be >= 1")
+        for key, parse in (("seeds", self.seed_list),
+                           ("fanouts", self.fanout_list)):
+            try:
+                parse()
+            except ValueError:
+                raise ConfigError(f"{key} must be comma-separated integers, "
+                                  f"got {getattr(self, key)!r}")
+        if not self.seed_list():
+            raise ConfigError("seeds must name at least one seed")
+
+    def seed_list(self):
+        return [int(s) for s in str(self.seeds).split(",") if s.strip() != ""]
+
+    def fanout_list(self):
+        return tuple(int(x) for x in str(self.fanouts).split(","))
+
+    def resolved(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +171,11 @@ def info_nce_batch(q, k_pos, queue, tau):
     [B, d] and queue [M, d] as constants; all rows L2-normalized; the
     positive sits inside the denominator sum."""
     b = q.shape[0]
+    k_pos = np.asarray(k_pos, dtype=q.dtype)
+    if k_pos.shape[1] != q.shape[1]:
+        raise ValueError("query/key dimension mismatch")
     qn = _l2_rows(q)
-    kp = ad.constant(_l2_rows_np(np.asarray(k_pos, dtype=q.dtype)))
+    kp = ad.constant(_l2_rows_np(k_pos))
     pos = ad.reshape(ad.sum_(ad.mul(qn, kp), axis=1), (b, 1))
     if queue is not None and len(queue) > 0:
         qmat = ad.constant(_l2_rows_np(np.asarray(queue, dtype=q.dtype)).T)
@@ -104,17 +188,6 @@ def info_nce_batch(q, k_pos, queue, tau):
     lse = ad.logsumexp(logits, axis=1)
     p0 = ad.reshape(ad.narrow(logits, 1, 0, 1), (b,))
     return ad.mean(ad.sub(lse, p0))
-
-
-def info_nce_loss(q, k_pos, queue, tau):
-    """Single-query wrapper; q may be a tensor or array."""
-    qt = q if isinstance(q, ad.Tensor) else ad.constant(np.asarray(q))
-    if qt.values.ndim == 1:
-        qt = ad.reshape(qt, (1, qt.shape[0]))
-    kp = np.asarray(k_pos).reshape(1, -1)
-    if kp.shape[1] != qt.shape[1]:
-        raise ValueError("query/key dimension mismatch")
-    return info_nce_batch(qt, kp, queue, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -181,41 +254,13 @@ def early_stop_update(state, val_ap):
 
 
 # ---------------------------------------------------------------------------
-# configs and reports
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 200
-    lr: float = 1e-4
-    max_epochs: int = 50
-    patience: int = 3
-    tolerance: float = 1e-3
-    alpha: float = 0.5
-    tau_cl: float = 0.2
-    k_select: int = 8
-    strategy: str = "one-hop"
-    seed: int = 0
-    n_can: int = 30
-    n_rnn: int = 20
-    tau_gumbel: float = 1.0
-    moco_momentum: float = 0.999
-    moco_queue: int = 512
-    n_nb: int = 20
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-
+# the trainer
 
 @dataclass
 class MetricsReport:
     setting: str
     acc: float
     ap: float
-    epochs: int = 0
-    losses: list = field(default_factory=list)
 
 
 def _seed(*parts):
@@ -223,22 +268,18 @@ def _seed(*parts):
                .generate_state(1)[0])
 
 
-# ---------------------------------------------------------------------------
-# the trainer
-
 class Trainer:
     """Owns the encoders, structure learner, optimizer and MoCo state for
-    one run. With use_tgsl=False it degenerates to the plain encoder
-    baseline (single supervised loss, no augmentation at inference)."""
+    one run of `cfg` (a RunConfig) under one training seed. With
+    cfg.use_tgsl off it degenerates to the plain encoder baseline (single
+    supervised loss, no augmentation at inference)."""
 
-    def __init__(self, store, split, cfg, d_model=100, layers=2, heads=2,
-                 d_hidden=100, etgnn_layers=2, fanouts=(10, 3, 3),
-                 use_tgsl=True):
+    def __init__(self, store, split, cfg, seed):
         self.store = store
         self.split = split
         self.cfg = cfg
-        self.use_tgsl = use_tgsl
-        self.te_cfg = TimeEncodingConfig(d_model)
+        self.seed = seed
+        self.te_cfg = TimeEncodingConfig(cfg.d_model)
         self.train_index = NeighborIndex.build(store, split.usable_train_ids)
         self.full_index = NeighborIndex.build(store)
 
@@ -248,35 +289,29 @@ class Trainer:
         self.train_dst_pool = np.unique(store.dst[usable])
         self.eval_dst_pool = np.unique(store.dst)
 
-        self.q_params = EncoderParams(d_model, layers, heads, d_hidden,
-                                      seed=_seed(cfg.seed, 1))
+        enc_shape = (cfg.d_model, cfg.layers, cfg.heads, cfg.d_hidden)
+        self.q_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
         self.q_enc = TgatEncoder(self.q_params, self.te_cfg, store,
                                  n_nb=cfg.n_nb)
-        k_params = EncoderParams(d_model, layers, heads, d_hidden,
-                                 seed=_seed(cfg.seed, 1))
+        k_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
         k_params.copy_from(self.q_params)
         self.moco = MoCoState(k_params, cfg.moco_momentum, cfg.tau_cl,
                               cfg.moco_queue)
         self.k_enc = TgatEncoder(k_params, self.te_cfg, store, n_nb=cfg.n_nb)
 
-        if use_tgsl:
-            self.tgsl_params = TgslParams(d_model, store.node_dim,
-                                          store.edge_dim, layers=etgnn_layers,
-                                          seed=_seed(cfg.seed, 2))
-            self.learner = StructureLearner(
-                self.tgsl_params, self.te_cfg, store, strategy=cfg.strategy,
-                k_select=cfg.k_select, n_can=cfg.n_can, n_rnn=cfg.n_rnn,
-                tau=cfg.tau_gumbel, fanouts=fanouts,
-                random_pool=self.train_nodes)
+        params = self.q_params.parameters()
+        if cfg.use_tgsl:
+            self.tgsl_params = TgslParams(cfg.d_model, store.node_dim,
+                                          store.edge_dim,
+                                          layers=cfg.etgnn_layers,
+                                          seed=_seed(seed, 2))
+            self.learner = StructureLearner(self.tgsl_params, self.te_cfg,
+                                            store, cfg, self.train_nodes)
+            params = params + self.tgsl_params.parameters()
         else:
             self.tgsl_params = None
             self.learner = None
-
-        params = self.q_params.parameters()
-        if use_tgsl:
-            params = params + self.tgsl_params.parameters()
         self.opt = ad.AdamState(params, lr=cfg.lr)
-        self.epoch_records = []
 
     # -- training
 
@@ -297,7 +332,7 @@ class Trainer:
             start_eid = int(batch[0])
             t0 = float(tss[0])
             neg = sample_negatives(dst, self.train_dst_pool,
-                                   _seed(cfg.seed, epoch, bi, 3))
+                                   _seed(self.seed, epoch, bi, 3))
             with ad.Tape() as tape:
                 nodes3 = np.concatenate([src, dst, neg])
                 ts3 = np.concatenate([tss, tss, tss])
@@ -312,8 +347,9 @@ class Trainer:
                     view, _ = self.learner.propose(
                         self.train_index, np.concatenate([src, dst]),
                         t_ref=t0, t_max=self.split.t_max_train,
-                        seed=_seed(cfg.seed, epoch, bi, 1),
-                        mode="stochastic", max_eid=start_eid)
+                        seed=_seed(self.seed, epoch, bi, 1),
+                        view_base=self.train_index, mode="stochastic",
+                        max_eid=start_eid)
                     emb_aug = self.q_enc.encode_batch(view, nodes3, ts3,
                                                       max_eid=start_eid)
                     a_pos = self.q_enc.score_batch(
@@ -387,7 +423,7 @@ class Trainer:
         use_augmented is off / no learner is attached)."""
         cfg = self.cfg
         store = self.store
-        seed = cfg.seed if seed is None else seed
+        seed = self.seed if seed is None else seed
         ids = self._eval_ids(setting, subset, limit)
         neg = sample_negatives(store.dst[ids], self.eval_dst_pool,
                                _seed(seed, 7, len(ids)))
@@ -410,9 +446,8 @@ class Trainer:
                     view, _ = self.learner.propose(
                         self.train_index, np.concatenate([src, dst]),
                         t_ref=t_ref, t_max=self.split.t_max_train,
-                        seed=_seed(seed, 5, bi), mode="noise-free",
-                        etgnn_cache=et_cache)
-                    view.base = self.full_index
+                        seed=_seed(seed, 5, bi), view_base=self.full_index,
+                        mode="noise-free", etgnn_cache=et_cache)
                 else:
                     view = self.full_index
                 emb = self.q_enc.encode_batch(
@@ -429,9 +464,7 @@ class Trainer:
         labels = np.asarray(labels)
         return MetricsReport(setting=setting,
                              acc=accuracy_score(labels, scores),
-                             ap=average_precision(labels, scores),
-                             epochs=len(self.epoch_records),
-                             losses=[r["total"] for r in self.epoch_records])
+                             ap=average_precision(labels, scores))
 
     # -- full fit loop
 
@@ -464,10 +497,9 @@ class Trainer:
         for epoch in range(self.cfg.max_epochs):
             t0 = time.time()
             rec = self.train_epoch(epoch)
-            self.epoch_records.append(rec)
             # fixed per-run negatives keep the early-stopping signal smooth
             val = self.evaluate("transductive", subset="val",
-                                seed=_seed(self.cfg.seed, 11),
+                                seed=_seed(self.seed, 11),
                                 limit=val_limit)
             entry = {
                 "epoch": epoch,

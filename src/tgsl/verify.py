@@ -13,9 +13,11 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
 from .graph import EventStore, NeighborIndex, chronological_split, synth_generate
-from .structure import (StructureLearner, TgslParams, context_predict_batch,
-                        etgnn_forward, gumbel_topk_select)
-from .training import average_precision, accuracy_score, bce_link_loss, info_nce_batch
+from .structure import (STRATEGIES, StructureLearner, TgslParams,
+                        context_predict_batch, etgnn_forward,
+                        gumbel_topk_select)
+from .training import (RunConfig, accuracy_score, average_precision,
+                       bce_link_loss, info_nce_batch)
 
 __all__ = ["Check", "grad_suite", "gumbel_suite", "metrics_suite",
            "leakage_suite", "run_suites", "SUITES"]
@@ -125,8 +127,9 @@ def toy_mtl_setup(d_model=8, seed=13):
     enc = TgatEncoder(enc_p, cfg, store, n_nb=4)
     tg_p = TgslParams(d_model, store.node_dim, store.edge_dim, layers=1,
                       seed=seed + 2, dtype=np.float64)
-    learner = StructureLearner(tg_p, cfg, store, strategy="one-hop",
-                               k_select=2, n_can=4, n_rnn=3)
+    learner = StructureLearner(tg_p, cfg, store,
+                               RunConfig(strategy="one-hop", k=2, n_can=4,
+                                         n_rnn=3))
     rng = np.random.default_rng(seed + 3)
     queue = rng.standard_normal((4, d_model))
     batch = split.usable_train_ids[-3:]
@@ -151,8 +154,8 @@ def toy_mtl_setup(d_model=8, seed=13):
                             ad.narrow(emb_o, 0, 2 * b, b)))
         view, _ = learner.propose(index, np.concatenate([src, dst]),
                                   t_ref=t0, t_max=split.t_max_train,
-                                  seed=seed + 4, mode="stochastic",
-                                  max_eid=start_eid)
+                                  seed=seed + 4, view_base=index,
+                                  mode="stochastic", max_eid=start_eid)
         emb_a = enc.encode_batch(view, nodes3, ts3, max_eid=start_eid)
         l_aug = bce_link_loss(
             enc.score_batch(ad.narrow(emb_a, 0, 0, b),
@@ -295,7 +298,13 @@ def metrics_suite(max_n=12, seed=5):
 # leakage suite
 
 def leakage_suite(trials=50, seed=11):
+    """Outputs at time t must not move when events at or after t change:
+    the encoder on the plain index, ET-GNN and the LSTM context over the
+    visible window, and the structure learner's proposal (stochastic and
+    noise-free, the strategy cycling per trial) with the encoder on the
+    augmented view it builds."""
     rng = np.random.default_rng(seed)
+    pool = np.arange(16)            # random-strategy pool no perturbation moves
     worst = 0.0
     for trial in range(trials):
         store = synth_generate(2, 8, 8, 120, 0.2, seed=int(rng.integers(1e6)))
@@ -308,6 +317,8 @@ def leakage_suite(trials=50, seed=11):
                               seed=int(rng.integers(1e6)))
         tg_p = TgslParams(d, store.node_dim, store.edge_dim, layers=2,
                           seed=int(rng.integers(1e6)))
+        run_cfg = RunConfig(strategy=STRATEGIES[(trial // 3) % 3], k=2,
+                            n_can=4, n_rnn=4, fanouts="3,2,2")
 
         def outputs(st):
             idx = NeighborIndex.build(st)
@@ -316,7 +327,16 @@ def leakage_suite(trials=50, seed=11):
             visible = np.flatnonzero(st.ts < t)
             et = etgnn_forward(visible, st, tg_p, cfg)
             z = context_predict_batch(tg_p, et, idx, nodes, t, 4).values
-            return emb, et.node_h.values, et.edge_f.values, z
+            out = [emb, et.node_h.values, et.edge_f.values, z]
+            learner = StructureLearner(tg_p, cfg, st, run_cfg, pool)
+            for mode in ("stochastic", "noise-free"):
+                view, _ = learner.propose(
+                    idx, nodes, t_ref=t, t_max=t, seed=trial, view_base=idx,
+                    mode=mode)
+                out.append(np.zeros(0) if view.rho is None
+                           else view.rho.values)
+                out.append(enc.encode_batch(view, nodes, tss).values)
+            return out
 
         base = outputs(store)
         kind = trial % 3

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from tgsl import autodiff as ad
 from tgsl import cli
 from tgsl import training as tt
 from tgsl import verify
@@ -66,7 +67,8 @@ def test_criterion_3_closed_forms():
               for d in (0.5, 17.3, 9999.0))
     m = 512
     v = np.ones(16)
-    loss = float(tt.info_nce_loss(v, v, np.tile(v, (m, 1)), 0.2).values)
+    loss = float(tt.info_nce_batch(ad.constant(v[None, :]), v[None, :],
+                                   np.tile(v, (m, 1)), 0.2).values)
     nce = abs(loss - math.log(m + 1)) <= 1e-6 * math.log(m + 1)
     ok = te0 and s0 and sym and nce
     report(3, ok, f"TE(0) ones: {te0}, s(0) ones: {s0}, odd symmetry: {sym}, "
@@ -98,22 +100,15 @@ def test_criterion_5_metric_oracles():
 
 ACCEPT = dict(d_model=16, layers=1, heads=2, d_hidden=32, etgnn_layers=1,
               n_nb=20, lr=1e-2, batch_size=200, alpha=0.0,
-              strategy="one-hop", k_select=8, n_can=16, n_rnn=10)
+              strategy="one-hop", k=8, n_can=16, n_rnn=10)
 EPOCHS_BY_N = {1: 4, 2: 9, 4: 18}     # roughly 250 optimizer steps each
 
 
 def _train_eval(store, split, n_sparse, use_tgsl, seed):
     s2, sp2 = sparsify(store, split, n_sparse)
-    cfg = tt.TrainConfig(batch_size=ACCEPT["batch_size"], lr=ACCEPT["lr"],
-                         max_epochs=EPOCHS_BY_N[n_sparse],
-                         n_nb=ACCEPT["n_nb"], seed=seed,
-                         alpha=ACCEPT["alpha"], strategy=ACCEPT["strategy"],
-                         k_select=ACCEPT["k_select"], n_can=ACCEPT["n_can"],
-                         n_rnn=ACCEPT["n_rnn"])
-    tr = tt.Trainer(s2, sp2, cfg, d_model=ACCEPT["d_model"],
-                    layers=ACCEPT["layers"], heads=ACCEPT["heads"],
-                    d_hidden=ACCEPT["d_hidden"],
-                    etgnn_layers=ACCEPT["etgnn_layers"], use_tgsl=use_tgsl)
+    cfg = tt.RunConfig(**ACCEPT, max_epochs=EPOCHS_BY_N[n_sparse],
+                       use_tgsl=use_tgsl)
+    tr = tt.Trainer(s2, sp2, cfg, seed)
     tr.fit(early_stop=False, val_limit=1000)
     ap = tr.evaluate("transductive", "test").ap
     ogi = (tr.evaluate("transductive", "test", use_augmented=False).ap
@@ -170,13 +165,14 @@ def test_criterion_8_wikipedia_direction():
     split = chronological_split(store, mask_frac=0.1, seed=42)
     gaps = []
     for seed in (0, 1, 2):
-        cfg = tt.TrainConfig(batch_size=200, lr=3e-3, max_epochs=3, n_nb=20,
-                             seed=seed, alpha=0.0, strategy="one-hop",
-                             k_select=8, n_can=20, n_rnn=10)
         aps = {}
         for use_tgsl in (True, False):
-            tr = tt.Trainer(store, split, cfg, d_model=32, layers=1, heads=2,
-                            d_hidden=64, etgnn_layers=1, use_tgsl=use_tgsl)
+            cfg = tt.RunConfig(batch_size=200, lr=3e-3, max_epochs=3,
+                               n_nb=20, alpha=0.0, strategy="one-hop", k=8,
+                               n_can=20, n_rnn=10, d_model=32, layers=1,
+                               heads=2, d_hidden=64, etgnn_layers=1,
+                               use_tgsl=use_tgsl)
+            tr = tt.Trainer(store, split, cfg, seed)
             tr.fit(early_stop=False, val_limit=2000)
             aps[use_tgsl] = tr.evaluate("transductive", "test").ap
         gaps.append(aps[True] - aps[False])

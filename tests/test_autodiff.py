@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +10,7 @@ from tgsl import autodiff as ad
 
 def test_matmul_identity():
     a = np.random.default_rng(0).standard_normal((3, 3))
-    out = ad.forward_primitives([ad.constant(np.eye(3)), ad.constant(a)],
-                                "matmul")
+    out = ad.matmul(ad.constant(np.eye(3)), ad.constant(a))
     assert np.allclose(out.values, a)
 
 
@@ -23,21 +24,6 @@ def test_logsumexp_equal_entries():
     c = 0.7
     out = ad.logsumexp(ad.constant(np.full(3, c)))
     assert abs(float(out.values) - (c + math.log(3))) < 1e-12
-
-
-def test_forward_primitives_dispatch_and_unknown():
-    x = ad.constant(np.array([0.3, -0.2]))
-    for op in ("sigmoid", "relu", "sin", "cos"):
-        ad.forward_primitives([x], op)
-    ad.forward_primitives([x, x], "add")
-    ad.forward_primitives([x, x], "elementwise-multiply")
-    ad.forward_primitives([x], "sum-reduce")
-    ad.forward_primitives([x], "mean-reduce")
-    ad.forward_primitives([x], "logsumexp")
-    ad.forward_primitives([x], "scale", c=2.0)
-    ad.forward_primitives([x, x], "concat", axis=0)
-    with pytest.raises(ValueError, match="unknown primitive"):
-        ad.forward_primitives([x], "conv2d")
 
 
 def test_shape_errors_name_op_and_shapes():
@@ -104,6 +90,39 @@ def test_off_path_tensor_gets_zero_grid():
         t.backward(ad.sum_(ad.mul(x, x)))
     assert z.grad is not None and np.all(z.grad == 0)
     assert dead.grad is not None and np.all(dead.grad == 0)
+
+
+def test_finished_tape_is_freed_by_refcounting():
+    # outputs hold no reference back to their tape, so a finished tape and
+    # its loss go as soon as they leave scope, without the cyclic collector
+    x = ad.param(np.ones(3))
+    gc.disable()
+    try:
+        with ad.Tape() as t:
+            loss = ad.sum_(ad.mul(x, x))
+            t.backward(loss)
+        ref = weakref.ref(t)
+        del t, loss
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_param_set_names_order_and_round_trip():
+    ps = ad.ParamSet()
+    for name in ("b", "a"):
+        ps.register(ad.param(np.zeros(2), name=name))
+    assert [p.name for p in ps.parameters()] == ["b", "a"]
+    ps["a"].values[...] = 3.0
+    snap = ps.state_dict()
+    ps["a"].values[...] = 0.0
+    ps.load_state_dict(snap)
+    assert np.all(ps["a"].values == 3.0) and np.all(ps["b"].values == 0.0)
+    probes = [ad.param(np.ones(2), name="x0"), ad.param(np.ones(2), name="x1")]
+    ps.replace_tensors(probes)
+    assert ps["b"] is probes[0] and ps["a"] is probes[1]
+    with pytest.raises(ValueError, match="replace_tensors"):
+        ps.replace_tensors(probes[:1])
 
 
 def test_five_op_composite_matches_finite_differences():

@@ -181,3 +181,41 @@ def test_train_determinism_byte_identical_metrics(tmp_path):
         rd = os.path.join(out, os.listdir(out)[0])
         outs.append(open(os.path.join(rd, "metrics.json"), "rb").read())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# failures exit with the documented codes, never a traceback
+
+@pytest.mark.parametrize("bad", ["lr=fast", "k=abc", "seeds=a,b",
+                                 "fanouts=x", "patience=0"])
+def test_train_bad_value_exits_config(tmp_path, capsys, bad):
+    rc = cli.main(["train", "--out", str(tmp_path)]
+                  + _set_args(fast_overrides([bad])))
+    assert rc == cli.EXIT_CONFIG
+    assert bad.split("=")[0] in capsys.readouterr().err
+
+
+def test_sweep_bad_k_grid_exits_config(tmp_path):
+    rc = cli.main(["sweep", "--k-grid", "x,2", "--out", str(tmp_path)]
+                  + _set_args(fast_overrides()))
+    assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text", ["not json {",
+                                  '{"config": {"bogus": 1}, "seed": 0}'])
+def test_eval_bad_manifest_exits_config(tmp_path, capsys, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert cli.main(["eval", str(path)]) == cli.EXIT_CONFIG
+    assert "bad manifest" in capsys.readouterr().err
+
+
+def test_train_non_finite_loss_exits_check_fail(tmp_path, capsys):
+    # Adam moves every weight by about lr per step, so lr=1e30 overflows
+    # float32 within a batch and the loss guard fires
+    with np.errstate(all="ignore"):
+        rc = cli.main(["train", "--out", str(tmp_path)]
+                      + _set_args(fast_overrides(["lr=1e30"])))
+    assert rc == cli.EXIT_CHECK_FAIL
+    err = capsys.readouterr().err.strip().splitlines()
+    assert "non-finite loss" in err[-1]

@@ -76,17 +76,15 @@ def test_hand_computed_single_head_attention():
     p = te.EncoderParams(2, layers=1, heads=1, d_hidden=2, seed=0,
                          dtype=np.float64)
     rng = np.random.default_rng(42)
-    for key in ("wq", "wk", "wv"):
-        p.layer_params[0][key].values[...] = rng.standard_normal(
-            p.layer_params[0][key].shape)
-    for key in ("w1", "b1", "w2", "b2"):
-        p.layer_params[0][key].values[...] = rng.standard_normal(
-            p.layer_params[0][key].shape)
+    keys = ("wq", "wk", "wv", "w1", "b1", "w2", "b2")
+    for key in keys:
+        p["enc.l0." + key].values[...] = rng.standard_normal(
+            p["enc.l0." + key].shape)
     enc = te.TgatEncoder(p, cfg, store, n_nb=4)
-    got = enc.encode(idx, 0, 3.0).vector
+    got = enc.encode_batch(idx, [0], [3.0]).values[0]
 
     # independent numpy evaluation
-    lp = {k: v.values for k, v in p.layer_params[0].items()}
+    lp = {k: p["enc.l0." + k].values for k in keys}
     h_self = store.node_features[0].astype(np.float64)
     h_nbr = store.node_features[[1, 2]].astype(np.float64)
     e = store.edge_features.astype(np.float64)
@@ -110,23 +108,10 @@ def test_empty_history_deterministic_finite():
     cfg = te.TimeEncodingConfig(2)
     p = te.EncoderParams(2, layers=2, heads=1, d_hidden=4, seed=1)
     enc = te.TgatEncoder(p, cfg, store, n_nb=4)
-    a = enc.encode(idx, 2, 1.0).vector    # node 2 has nothing before t=1
-    b = enc.encode(idx, 2, 1.0).vector
+    a = enc.encode_batch(idx, [2], [1.0]).values[0]   # nothing before t=1
+    b = enc.encode_batch(idx, [2], [1.0]).values[0]
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
-
-
-def test_unit_edge_weights_match_absent():
-    store = synth_generate(2, 6, 6, 60, 0.1, seed=2)
-    idx = NeighborIndex.build(store)
-    cfg = te.TimeEncodingConfig(8)
-    p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=3)
-    enc = te.TgatEncoder(p, cfg, store, n_nb=5)
-    nodes, ts = np.array([0, 1, 7]), np.array([50.0, 50.0, 50.0])
-    plain = enc.encode_batch(idx, nodes, ts).values
-    weighted = enc.encode_batch(idx, nodes, ts,
-                                edge_weights=np.ones(len(store))).values
-    assert np.array_equal(plain, weighted)
 
 
 def test_leakage_future_event_perturbation():
@@ -167,18 +152,25 @@ def test_attention_weights_normalized_under_mask():
 
 
 def test_depth_validation_and_bad_node():
+    # the recursion depth is the encoder's layer count; node ids outside
+    # the graph are rejected
     store = two_neighbor_store()
     idx = NeighborIndex.build(store)
     enc = te.TgatEncoder(te.EncoderParams(2, layers=1, heads=1, d_hidden=2),
                          te.TimeEncodingConfig(2), store, n_nb=2)
-    with pytest.raises(ValueError, match="depth"):
-        enc.encode_batch(idx, [0], [1.0], depth=5)
     with pytest.raises(ValueError, match="node"):
         enc.encode_batch(idx, [99], [1.0])
 
 
 # ---------------------------------------------------------------------------
 # link scorer
+
+def score(enc, u, v):
+    """Score one (u, v) pair of embedding vectors through score_batch."""
+    out = enc.score_batch(ad.constant(np.asarray(u)[None, :]),
+                          ad.constant(np.asarray(v)[None, :]))
+    return float(out.values[0])
+
 
 def make_encoder(seed=0, dm=4):
     store = synth_generate(2, 4, 4, 30, 0.0, seed=seed)
@@ -189,20 +181,20 @@ def make_encoder(seed=0, dm=4):
 def test_zero_head_scores_half():
     enc, store = make_encoder()
     for k in ("w1", "b1", "w2", "b2"):
-        enc.params.score[k].values[...] = 0.0
-    u = te.NodeEmbedding(0, 5.0, np.array([1.0, 2.0, 3.0, 4.0]))
-    v = te.NodeEmbedding(1, 5.0, np.array([-1.0, 0.0, 1.0, 2.0]))
-    assert enc.score(u, v) == 0.5
+        enc.params["score." + k].values[...] = 0.0
+    u = np.array([1.0, 2.0, 3.0, 4.0])
+    v = np.array([-1.0, 0.0, 1.0, 2.0])
+    assert score(enc, u, v) == 0.5
 
 
 def test_score_is_directional_and_deterministic():
     enc, _ = make_encoder(seed=3)
-    u = te.NodeEmbedding(0, 5.0, np.array([1.0, 2.0, 3.0, 4.0]))
-    v = te.NodeEmbedding(1, 5.0, np.array([-1.0, 0.5, 1.0, 2.0]))
-    s1 = enc.score(u, v)
-    s2 = enc.score(u, v)
+    u = np.array([1.0, 2.0, 3.0, 4.0])
+    v = np.array([-1.0, 0.5, 1.0, 2.0])
+    s1 = score(enc, u, v)
+    s2 = score(enc, u, v)
     assert s1 == s2
-    assert enc.score(v, u) != s1     # concatenation order matters
+    assert score(enc, v, u) != s1     # concatenation order matters
 
 
 def test_hand_set_head_matches_manual():
@@ -212,23 +204,13 @@ def test_hand_set_head_matches_manual():
     p = te.EncoderParams(1, layers=1, heads=1, d_hidden=1, seed=0,
                          dtype=np.float64)
     enc = te.TgatEncoder(p, te.TimeEncodingConfig(1), store, n_nb=2)
-    p.score["w1"].values[...] = [[2.0], [-1.0]]
-    p.score["b1"].values[...] = [0.5]
-    p.score["w2"].values[...] = [[1.5]]
-    p.score["b2"].values[...] = [-0.25]
-    u = te.NodeEmbedding(0, 1.0, np.array([0.8]))
-    v = te.NodeEmbedding(1, 1.0, np.array([0.3]))
+    p["score.w1"].values[...] = [[2.0], [-1.0]]
+    p["score.b1"].values[...] = [0.5]
+    p["score.w2"].values[...] = [[1.5]]
+    p["score.b2"].values[...] = [-0.25]
     hidden = max(0.8 * 2.0 + 0.3 * -1.0 + 0.5, 0.0)
     want = 1.0 / (1.0 + math.exp(-(hidden * 1.5 - 0.25)))
-    assert abs(enc.score(u, v) - want) < 1e-12
-
-
-def test_score_rejects_mismatched_times():
-    enc, _ = make_encoder()
-    u = te.NodeEmbedding(0, 5.0, np.zeros(4))
-    v = te.NodeEmbedding(1, 6.0, np.zeros(4))
-    with pytest.raises(ValueError, match="reference time"):
-        enc.score(u, v)
+    assert abs(score(enc, [0.8], [0.3]) - want) < 1e-12
 
 
 def test_feature_dim_exceeding_model_dim_rejected():

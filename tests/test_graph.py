@@ -57,13 +57,6 @@ def test_load_rejects_bad_rows_with_line_number(tmp_path, row, msg):
         tg.load_events(p)
 
 
-def test_event_accessors():
-    store = tg.synth_generate(2, 4, 4, 10, 0.0, seed=0)
-    ev = store.event(0)
-    assert ev.timestamp == store.ts[0]
-    assert len(store.events) == 10
-
-
 # ---------------------------------------------------------------------------
 # chronological split
 

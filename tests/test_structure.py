@@ -5,6 +5,7 @@ from tgsl import autodiff as ad
 from tgsl import structure as ts
 from tgsl.encoder import TimeEncodingConfig
 from tgsl.graph import EventStore, NeighborIndex, chronological_split, synth_generate
+from tgsl.training import RunConfig
 
 
 def single_edge_store(t=0.0):
@@ -16,8 +17,9 @@ def single_edge_store(t=0.0):
 def test_etgnn_zero_weights_zero_output():
     store = single_edge_store()
     params = ts.TgslParams(4, 2, 2, layers=2, seed=0)
-    for w in params.w_h + params.w_f:
-        w.values[...] = 0.0
+    for l in range(2):
+        for w in ("wh", "wf"):
+            params[f"tgsl.l{l}.{w}"].values[...] = 0.0
     out = ts.etgnn_forward(np.array([0]), store, params,
                            TimeEncodingConfig(4))
     assert np.all(out.node_h.values == 0)
@@ -33,8 +35,8 @@ def test_etgnn_hand_computed_single_layer():
     cfg = TimeEncodingConfig(dm)
     out = ts.etgnn_forward(np.array([0]), store, params, cfg)
 
-    wh = params.w_h[0].values
-    wf = params.w_f[0].values
+    wh = params["tgsl.l0.wh"].values
+    wf = params["tgsl.l0.wf"].values
     msg = np.concatenate([np.zeros(2), np.zeros(2), np.ones(dm)])  # h,f,TE(0)
     h_want = np.maximum(np.concatenate([np.zeros(2), msg]) @ wh, 0)
     f_in = np.concatenate([np.zeros(2), np.zeros(2), np.zeros(2), np.ones(dm)])
@@ -79,14 +81,20 @@ def lstm_cell_oracle(x, h, c, wx, wh, b):
     return sig(o) * np.tanh(c2), c2
 
 
+def context(node, et, idx, n_rnn, params, t_cut):
+    """One node's context vector through context_predict_batch."""
+    return ts.context_predict_batch(params, et, idx, np.array([node]), t_cut,
+                                    n_rnn).values[0]
+
+
 def test_context_no_history_is_zero():
     store = synth_generate(2, 4, 4, 20, 0.0, seed=0)
     idx = NeighborIndex.build(store)
     params = ts.TgslParams(4, 2, 2, layers=1, seed=2)
     cfg = TimeEncodingConfig(4)
     et = ts.etgnn_forward(np.arange(10), store, params, cfg)
-    emb = ts.context_predict(0, et, idx, 4, params, t_cut=0.0)
-    assert np.all(emb.vector == 0)
+    emb = context(0, et, idx, 4, params, t_cut=0.0)
+    assert np.all(emb == 0)
 
 
 def test_context_length_one_matches_hand_lstm():
@@ -95,13 +103,13 @@ def test_context_length_one_matches_hand_lstm():
     cfg = TimeEncodingConfig(4)
     idx = NeighborIndex.build(store)
     et = ts.etgnn_forward(np.array([0]), store, params, cfg)
-    got = ts.context_predict(0, et, idx, 3, params, t_cut=5.0).vector
+    got = context(0, et, idx, 3, params, t_cut=5.0)
 
     x = et.edge_f.values[0]
     h, _ = lstm_cell_oracle(x, np.zeros(4), np.zeros(4),
-                            params.lstm["wx"].values,
-                            params.lstm["wh"].values,
-                            params.lstm["b"].values)
+                            params["tgsl.lstm.wx"].values,
+                            params["tgsl.lstm.wh"].values,
+                            params["tgsl.lstm.b"].values)
     assert np.allclose(got, h, rtol=1e-12)
 
 
@@ -116,7 +124,7 @@ def test_context_depends_only_on_last_n_rnn_edges():
     assert len(ei) > 3
 
     et = ts.etgnn_forward(np.arange(len(store)), store, params, cfg)
-    base = ts.context_predict(node, et, idx, 3, params, t_cut=t_cut).vector
+    base = context(node, et, idx, 3, params, t_cut=t_cut)
 
     # perturb the feature of an edge OLDER than the last 3: no effect
     old_eid = int(ei[-4])
@@ -125,8 +133,8 @@ def test_context_depends_only_on_last_n_rnn_edges():
     mut = EventStore(store.src, store.dst, store.ts, store.feat_ids,
                      store.node_features, feats, store.num_users)
     et2 = ts.etgnn_forward(np.arange(len(mut)), mut, params, cfg)
-    after = ts.context_predict(node, et2, NeighborIndex.build(mut), 3,
-                               params, t_cut=t_cut).vector
+    after = context(node, et2, NeighborIndex.build(mut), 3, params,
+                    t_cut=t_cut)
     assert np.array_equal(base, after)
 
 
@@ -199,23 +207,28 @@ def test_unknown_strategy_rejected():
 # ---------------------------------------------------------------------------
 # time mapping
 
+def time_map_one(z, f, t_new, t_ctx, t_sample, cfg):
+    """Map one context and one candidate feature row to t_new through
+    time_map_batch; t_ctx is the time the context was predicted at."""
+    zh, fh = ts.time_map_batch(ad.constant(np.asarray(z)[None, :]),
+                               ad.constant(np.asarray(f)[None, :]),
+                               np.array([t_new]), t_ctx,
+                               np.array([t_sample]), cfg)
+    return zh.values[0], fh.values[0]
+
+
 def test_time_map_identity_at_matching_times():
     cfg = TimeEncodingConfig(4)
-    ctx = ts.ContextEmbedding(0, np.array([1.0, -2.0, 0.5, 3.0]), 100.0)
-    cand = ts.CandidateEdge(0, 1, t_new=100.0, strategy="one-hop",
-                            feature_event=0, t_sample=100.0)
+    z = np.array([1.0, -2.0, 0.5, 3.0])
     f = np.array([0.1, 0.2, 0.3, 0.4])
-    zh, fh = ts.time_map(ctx, cand, f, cfg)
-    assert np.array_equal(zh, ctx.vector)
+    zh, fh = time_map_one(z, f, 100.0, 100.0, 100.0, cfg)
+    assert np.array_equal(zh, z)
     assert np.array_equal(fh, f)
 
 
 def test_time_map_zero_context_stays_zero():
     cfg = TimeEncodingConfig(4)
-    ctx = ts.ContextEmbedding(0, np.zeros(4), 100.0)
-    cand = ts.CandidateEdge(0, 1, t_new=31.4, strategy="one-hop",
-                            feature_event=0, t_sample=77.7)
-    zh, _ = ts.time_map(ctx, cand, np.ones(4), cfg)
+    zh, _ = time_map_one(np.zeros(4), np.ones(4), 31.4, 100.0, 77.7, cfg)
     assert np.all(zh == 0)
 
 
@@ -224,10 +237,7 @@ def test_time_map_matches_closed_form():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(8)
     f = rng.standard_normal(8)
-    ctx = ts.ContextEmbedding(0, z, 50.0)
-    cand = ts.CandidateEdge(0, 1, t_new=13.0, strategy="one-hop",
-                            feature_event=0, t_sample=20.0)
-    zh, fh = ts.time_map(ctx, cand, f, cfg)
+    zh, fh = time_map_one(z, f, 13.0, 50.0, 20.0, cfg)
     assert np.allclose(zh, z * (np.sin((13.0 - 50.0) * cfg.omega) + 1))
     assert np.allclose(fh, f * (np.sin((13.0 - 20.0) * cfg.omega) + 1))
 
@@ -287,13 +297,13 @@ def test_gradient_reaches_learner_parameters():
     idx = NeighborIndex.build(store, split.usable_train_ids)
     params = ts.TgslParams(8, 2, 2, layers=2, seed=4)
     learner = ts.StructureLearner(params, TimeEncodingConfig(8), store,
-                                  strategy="one-hop", k_select=3, n_can=5,
-                                  n_rnn=4)
+                                  RunConfig(strategy="one-hop", k=3, n_can=5,
+                                            n_rnn=4))
     with ad.Tape() as tape:
         view, det = learner.propose(idx, store.src[100:130],
                                     t_ref=float(store.ts[100]),
                                     t_max=split.t_max_train, seed=6,
-                                    max_eid=100)
+                                    view_base=idx, max_eid=100)
         loss = ad.add(ad.sum_(view.rho),
                       ad.sum_(ad.mul(view.cand_features, view.cand_features)))
         tape.backward(loss)
@@ -360,11 +370,12 @@ def test_min_k_candidate_count_added_per_source():
     idx = NeighborIndex.build(store, split.usable_train_ids)
     params = ts.TgslParams(8, 2, 2, layers=1, seed=4)
     learner = ts.StructureLearner(params, TimeEncodingConfig(8), store,
-                                  strategy="one-hop", k_select=2, n_can=6,
-                                  n_rnn=4)
+                                  RunConfig(strategy="one-hop", k=2, n_can=6,
+                                            n_rnn=4))
     view, det = learner.propose(idx, store.src[150:190],
                                 t_ref=float(store.ts[150]),
-                                t_max=split.t_max_train, seed=5, max_eid=150)
+                                t_max=split.t_max_train, seed=5,
+                                view_base=idx, max_eid=150)
     cands = det["candidates"]
     sel = det["selected"]
     per_source_cand = {s: np.count_nonzero(cands.src == s)

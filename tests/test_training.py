@@ -51,11 +51,18 @@ def test_bce_requires_matched_counts():
                          ad.constant(np.array([0.5])))
 
 
+def info_nce(q, k_pos, queue, tau):
+    """InfoNCE of one query vector through info_nce_batch."""
+    q = np.asarray(q)
+    return tt.info_nce_batch(ad.constant(q[None, :]),
+                             np.asarray(k_pos)[None, :], queue, tau)
+
+
 def test_info_nce_uniform_similarity_is_log_m_plus_one():
     d, m = 8, 5
     v = np.ones(d)
     queue = np.tile(v, (m, 1))
-    loss = float(tt.info_nce_loss(v, v, queue, tau=0.7).values)
+    loss = float(info_nce(v, v, queue, tau=0.7).values)
     assert abs(loss - math.log(m + 1)) < 1e-9
 
 
@@ -66,7 +73,7 @@ def test_info_nce_orthogonal_queue_closed_form():
     q[0] = 2.0                       # normalization handles the scale
     queue = np.zeros((m, d))
     queue[:, 1] = 1.0
-    loss = float(tt.info_nce_loss(q, q, queue, tau=1.0).values)
+    loss = float(info_nce(q, q, queue, tau=1.0).values)
     assert abs(loss - math.log(1 + m / math.e)) < 1e-9
 
 
@@ -76,22 +83,22 @@ def test_info_nce_sharpening_monotonicity():
     q[0] = 1.0
     queue = np.zeros((m, d))
     queue[:, 1] = 1.0
-    losses = [float(tt.info_nce_loss(q, q, queue, tau=t).values)
+    losses = [float(info_nce(q, q, queue, tau=t).values)
               for t in (1.0, 0.5, 0.25)]
     assert losses[0] > losses[1] > losses[2]
 
 
 def test_info_nce_empty_queue_is_zero_and_flagged():
     q = np.ones(4)
-    assert float(tt.info_nce_loss(q, q, np.zeros((0, 4)), 0.2).values) == 0.0
+    assert float(info_nce(q, q, np.zeros((0, 4)), 0.2).values) == 0.0
     with ad.verification_mode():
         with pytest.warns(UserWarning, match="empty queue"):
-            tt.info_nce_loss(q, q, None, 0.2)
+            info_nce(q, q, None, 0.2)
 
 
 def test_info_nce_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        tt.info_nce_loss(np.ones(4), np.ones(5), np.zeros((2, 4)), 0.2)
+        info_nce(np.ones(4), np.ones(5), np.zeros((2, 4)), 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +243,18 @@ def test_ap_monotone_transform_invariance():
 # ---------------------------------------------------------------------------
 # trainer behavior
 
-def tiny_setup(seed=0, use_tgsl=True, alpha=0.5, k_select=3):
+TINY = dict(batch_size=100, lr=1e-2, max_epochs=2, n_nb=6,
+            strategy="one-hop", n_can=5, n_rnn=4, d_model=8, layers=1,
+            heads=2, d_hidden=12, etgnn_layers=1)
+
+
+def tiny_setup(seed=0, use_tgsl=True, alpha=0.5, k=3):
     store = synth_generate(2, 20, 20, 700, 0.1, seed=11)
     split = chronological_split(store, mask_frac=0.1, seed=2)
-    cfg = tt.TrainConfig(batch_size=100, lr=1e-2, max_epochs=2, n_nb=6,
-                         seed=seed, alpha=alpha, strategy="one-hop",
-                         k_select=k_select, n_can=5, n_rnn=4, patience=3,
-                         moco_momentum=0.9)
-    return tt.Trainer(store, split, cfg, d_model=8, layers=1, heads=2,
-                      d_hidden=12, etgnn_layers=1, use_tgsl=use_tgsl), store, split
+    # k=0 is below what validate() accepts; the Python API still runs it
+    cfg = tt.RunConfig(**TINY, alpha=alpha, k=k, patience=3,
+                       moco_momentum=0.9, use_tgsl=use_tgsl)
+    return tt.Trainer(store, split, cfg, seed), store, split
 
 
 def test_loss_decomposition():
@@ -268,7 +278,7 @@ def test_alpha_zero_matches_contrastive_term_removed():
 
 
 def test_k_zero_degenerates_to_original_graph():
-    tr, _, _ = tiny_setup(alpha=0.0, k_select=0)
+    tr, _, _ = tiny_setup(alpha=0.0, k=0)
     rec = tr.train_epoch(0)
     assert np.allclose(rec["loss_ori"], rec["loss_aug"], rtol=1e-6)
 
@@ -313,11 +323,8 @@ def test_earlier_batches_unaffected_by_later_event_change():
     recs = []
     for st in (store, mut):
         sp = chronological_split(st, mask_frac=0.1, seed=2)
-        cfg = tt.TrainConfig(batch_size=100, lr=1e-2, max_epochs=1, n_nb=6,
-                             seed=0, alpha=0.0, strategy="one-hop",
-                             k_select=3, n_can=5, n_rnn=4)
-        tr = tt.Trainer(st, sp, cfg, d_model=8, layers=1, heads=2,
-                        d_hidden=12, etgnn_layers=1)
+        cfg = tt.RunConfig(**dict(TINY, max_epochs=1), alpha=0.0, k=3)
+        tr = tt.Trainer(st, sp, cfg, seed=0)
         recs.append(tr.train_epoch(0))
     assert recs[0]["total"][0] == recs[1]["total"][0]
     assert recs[0]["total"][1] == recs[1]["total"][1]
