@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import (DataError, chronological_split, load_events, save_events,
                     sparsify, synth_generate)
-from .training import ConfigError, RunConfig, Trainer
+from .training import ConfigError, EmptySetError, RunConfig, Trainer
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -178,7 +178,7 @@ def _train_one(cfg, store, split, seed):
     trans = trainer.evaluate("transductive", "test", seed=seed)
     try:
         induc = trainer.evaluate("inductive", "test", seed=seed)
-    except ValueError:
+    except EmptySetError:
         induc = None
 
     dataset_name = (cfg.dataset if cfg.dataset != "synth"

@@ -78,7 +78,12 @@ class EventStore:
 
 class NeighborIndex:
     """Per-node, time-sorted adjacency in CSR layout. An event (u, v, t)
-    appears in both endpoints' lists (undirected semantics)."""
+    appears in both endpoints' lists (undirected semantics).
+
+    Node u owns the entries offsets[u]:offsets[u+1] of the flat arrays nbr
+    (the peer), eid (the event id) and ts, in (ts, eid) order. Every query
+    is one vectorised search over those ranges (`ranges_before`) followed
+    by gathers; no query loops over rows in Python."""
 
     def __init__(self, num_nodes, nbr, eid, ts, offsets):
         self.num_nodes = num_nodes
@@ -101,12 +106,17 @@ class NeighborIndex:
         tss = np.concatenate([t, t])
         # sort by (owner, event id); event id order == (ts, ingestion) order
         order = np.lexsort((eids, owners))
-        owners = owners[order]
-        n = store.num_nodes
-        counts = np.bincount(owners, minlength=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        return cls.from_order(store.num_nodes, order, owners, peers, eids, tss)
+
+    @classmethod
+    def from_order(cls, num_nodes, order, owners, peers, eids, ts):
+        """CSR over the entries taken in `order`, which must sort them by
+        owner and, within an owner, by non-decreasing ts (and eid, for
+        queries that pass max_eid)."""
+        counts = np.bincount(owners[order], minlength=num_nodes)
+        offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return cls(n, peers[order], eids[order], tss[order], offsets)
+        return cls(num_nodes, peers[order], eids[order], ts[order], offsets)
 
     def degree(self, node):
         return int(self.offsets[node + 1] - self.offsets[node])
@@ -115,36 +125,55 @@ class NeighborIndex:
         lo, hi = self.offsets[node], self.offsets[node + 1]
         return self.nbr[lo:hi], self.eid[lo:hi], self.ts[lo:hi]
 
+    def ranges_before(self, nodes, ts, max_eid=None):
+        """For each (node, t) row, the CSR range [lo, cut) of the node's
+        entries strictly before t, and before event id max_eid when given:
+        a per-row `searchsorted(side="left")`, run as one bisection over
+        all rows. `ts` may be a scalar."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        t = np.broadcast_to(np.asarray(ts, dtype=np.float64), nodes.shape)
+        lo = self.offsets[nodes]
+        hi = self.offsets[nodes + 1]
+        cut, end = lo.copy(), hi.copy()
+        # within a node both ts and eid are non-decreasing, so "before t
+        # and before max_eid" holds on a prefix of its range
+        act = np.flatnonzero(cut < end)
+        while act.size:
+            a, b = cut[act], end[act]
+            mid = (a + b) >> 1
+            before = self.ts[mid] < t[act]
+            if max_eid is not None:
+                before &= self.eid[mid] < max_eid
+            cut[act] = np.where(before, mid + 1, a)
+            end[act] = np.where(before, b, mid)
+            act = act[cut[act] < end[act]]
+        return lo, cut
+
     def neighbors_before(self, node, t, n, max_eid=None):
         """The n most recent entries strictly before time t (and before
         event id max_eid when given), ascending."""
-        lo, hi = self.offsets[node], self.offsets[node + 1]
-        ts = self.ts[lo:hi]
-        cut = int(np.searchsorted(ts, t, side="left"))
-        if max_eid is not None:
-            cut = min(cut, int(np.searchsorted(self.eid[lo:hi], max_eid, side="left")))
-        start = max(0, cut - n)
-        sl = slice(lo + start, lo + cut)
+        lo, cut = self.ranges_before([node], [t], max_eid)
+        sl = slice(max(int(lo[0]), int(cut[0]) - n), int(cut[0]))
         return self.nbr[sl], self.eid[sl], self.ts[sl]
 
     def batch_neighbors(self, nodes, ts, n, max_eid=None):
         """Right-padded [B, n] neighbor blocks: ids, event ids, timestamps
-        and a {0,1} mask. Padded slots carry node 0 at time 0."""
-        b = len(nodes)
+        and a {0,1} mask, holding each row's n most recent entries strictly
+        before its time (as `neighbors_before`; `ts` may be a scalar).
+        Padded slots carry node 0 at time 0."""
+        lo, cut = self.ranges_before(nodes, ts, max_eid)
+        start = np.maximum(lo, cut - n)
+        col = np.arange(n)
+        valid = col < (cut - start)[:, None]
+        pos = (start[:, None] + col)[valid]
+        b = len(lo)
         ids = np.zeros((b, n), dtype=np.int64)
         eids = np.zeros((b, n), dtype=np.int64)
         tss = np.zeros((b, n), dtype=np.float64)
-        mask = np.zeros((b, n), dtype=np.float64)
-        for i in range(b):
-            nb, ei, tt = self.neighbors_before(int(nodes[i]), float(ts[i]), n,
-                                               max_eid)
-            k = len(nb)
-            if k:
-                ids[i, :k] = nb
-                eids[i, :k] = ei
-                tss[i, :k] = tt
-                mask[i, :k] = 1.0
-        return ids, eids, tss, mask
+        ids[valid] = self.nbr[pos]
+        eids[valid] = self.eid[pos]
+        tss[valid] = self.ts[pos]
+        return ids, eids, tss, valid.astype(np.float64)
 
     def __eq__(self, other):
         return (isinstance(other, NeighborIndex)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoder import time_context, time_encode
-from .graph import khop_sample
+from .graph import NeighborIndex, khop_sample
 
 __all__ = [
     "TgslParams", "EtgnnOutput", "etgnn_forward", "context_predict_batch",
@@ -132,15 +132,15 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
     dtype = params.dtype
     rows = np.zeros((s, n_rnn), dtype=np.int64)
     mask = np.zeros((s, n_rnn), dtype=dtype)
-    have = len(et.event_ids) > 0
-    for i, u in enumerate(nodes):
-        if not have:
-            break
-        _, ei, _ = index.neighbors_before(int(u), t_cut, n_rnn, max_eid)
-        k = len(ei)
-        if k:
-            rows[i, n_rnn - k:] = et.event_rows(ei)   # left padding
-            mask[i, n_rnn - k:] = 1.0
+    if len(et.event_ids):
+        _, eids, _, valid = index.batch_neighbors(nodes, t_cut, n_rnn,
+                                                  max_eid)
+        valid = valid > 0
+        # right-padded block -> left padding: shift row i by n_rnn - k_i
+        shift = n_rnn - valid.sum(axis=1)
+        r, c = np.nonzero(valid)
+        rows[r, c + shift[r]] = et.event_rows(eids[valid])
+        mask[r, c + shift[r]] = 1.0
     zeros = ad.constant(np.zeros((s, dm), dtype=dtype))
     if not mask.any():
         return zeros
@@ -182,6 +182,32 @@ class CandidateBatch:
         return len(self.src)
 
 
+def _flat_ranges(lo, cut):
+    """Positions of the concatenated ranges [lo_i, cut_i)."""
+    cnt = cut - lo
+    return (np.arange(cnt.sum(), dtype=np.int64)
+            + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt))
+
+
+def _one_hop(src, index, n_can, rng, t_ref, max_eid):
+    """Rows (source position, CSR position) of the one-hop candidates: per
+    source with history, in source order, one permutation of its history;
+    the first occurrence of each neighbor in permutation order is kept,
+    up to n_can per source (at least one)."""
+    lo, cut = index.ranges_before(src, t_ref, max_eid)
+    has = np.flatnonzero(cut > lo)
+    perm = [rng.permutation(int(cut[i] - lo[i])) for i in has]
+    row = np.repeat(has, cut[has] - lo[has])
+    pos = (lo[row] + np.concatenate(perm)) if perm else row
+    # first occurrence of every (row, neighbor) pair, in permutation order
+    key = row * np.int64(index.num_nodes) + index.nbr[pos]
+    first = np.sort(np.unique(key, return_index=True)[1])
+    row, pos = row[first], pos[first]
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    keep = rank < max(n_can, 1)
+    return row[keep], pos[keep]
+
+
 def sample_candidates(src_nodes, strategy, index, store, n_can, seed, *,
                       t_ref, t_max, random_pool=None, max_eid=None,
                       fanouts=(10, 3, 3)):
@@ -198,49 +224,37 @@ def sample_candidates(src_nodes, strategy, index, store, n_can, seed, *,
     if strategy == "random" and (random_pool is None or len(random_pool) == 0):
         raise ValueError("random strategy needs a node pool")
     rng = np.random.default_rng(seed)
-    src_out, dst_out, eid_out, tsamp_out = [], [], [], []
-    for u in np.asarray(src_nodes, dtype=np.int64):
-        u = int(u)
-        if strategy == "one-hop":
-            nb, ei, tt = index.neighbors_before(u, t_ref, index.degree(u),
-                                                max_eid)
-            if len(nb) == 0:
-                continue
-            order = rng.permutation(len(nb))
-            seen = set()
-            for j in order:
-                v = int(nb[j])
-                if v in seen:
+    src_nodes = np.asarray(src_nodes, dtype=np.int64)
+    if strategy == "one-hop":
+        row, pos = _one_hop(src_nodes, index, n_can, rng, t_ref, max_eid)
+        src_out, dst_out = src_nodes[row], index.nbr[pos]
+        eid_out, tsamp_out = index.eid[pos], index.ts[pos]
+    else:
+        src_out, dst_out, eid_out, tsamp_out = [], [], [], []
+        for u in src_nodes:
+            u = int(u)
+            if strategy == "third-hop":
+                walk_seed = int(rng.integers(2 ** 31))
+                ends = khop_sample(index, u, t_ref, hops=len(fanouts),
+                                   fanouts=fanouts, seed=walk_seed,
+                                   max_eid=max_eid)
+                for v, e in ends[:n_can]:
+                    src_out.append(u)
+                    dst_out.append(v)
+                    eid_out.append(e)
+                    tsamp_out.append(float(store.ts[e]))
+            else:
+                pool = np.asarray(random_pool, dtype=np.int64)
+                pool = pool[pool != u]
+                if len(pool) == 0:
                     continue
-                seen.add(v)
-                src_out.append(u)
-                dst_out.append(v)
-                eid_out.append(int(ei[j]))
-                tsamp_out.append(float(tt[j]))
-                if len(seen) >= n_can:
-                    break
-        elif strategy == "third-hop":
-            walk_seed = int(rng.integers(2 ** 31))
-            ends = khop_sample(index, u, t_ref, hops=len(fanouts),
-                               fanouts=fanouts, seed=walk_seed,
-                               max_eid=max_eid)
-            for v, e in ends[:n_can]:
-                src_out.append(u)
-                dst_out.append(v)
-                eid_out.append(e)
-                tsamp_out.append(float(store.ts[e]))
-        else:
-            pool = np.asarray(random_pool, dtype=np.int64)
-            pool = pool[pool != u]
-            if len(pool) == 0:
-                continue
-            k = min(n_can, len(pool))
-            picks = rng.choice(pool, size=k, replace=False)
-            for v in picks:
-                src_out.append(u)
-                dst_out.append(int(v))
-                eid_out.append(-1)
-                tsamp_out.append(0.0)   # overwritten with t_new below
+                k = min(n_can, len(pool))
+                picks = rng.choice(pool, size=k, replace=False)
+                for v in picks:
+                    src_out.append(u)
+                    dst_out.append(int(v))
+                    eid_out.append(-1)
+                    tsamp_out.append(0.0)   # overwritten with t_new below
     t_new = rng.uniform(0.0, t_max, size=len(src_out))
     tsamp = np.asarray(tsamp_out, dtype=np.float64)
     if strategy == "random":
@@ -303,7 +317,12 @@ class AugmentedView:
     """A neighbor index plus weighted candidate edges inserted at their
     sampled timestamps. Original events carry implicit weight 1; added
     edges resolve to differentiable feature rows and weights. Ephemeral:
-    valid only for the batch that built it."""
+    valid only for the batch that built it.
+
+    The added edges form a second, small CSR (`added`, a NeighborIndex)
+    in which both endpoints own each edge j, sorted by (owner, t, j); its
+    eid column holds j. A query merges the base window with the matching
+    window of added edges."""
 
     def __init__(self, base, add_src, add_dst, add_t, cand_features, rho,
                  num_real_events):
@@ -311,61 +330,65 @@ class AugmentedView:
         self.cand_features = cand_features
         self.rho = rho
         self.num_real_events = num_real_events
-        self._per_node = {}
-        for j in range(len(add_src)):
-            for a, bnode in ((add_src[j], add_dst[j]),
-                             (add_dst[j], add_src[j])):
-                self._per_node.setdefault(int(a), []).append(
-                    (float(add_t[j]), j, int(bnode)))
-        for lst in self._per_node.values():
-            lst.sort()
+        add_src = np.asarray(add_src, dtype=np.int64)
+        add_dst = np.asarray(add_dst, dtype=np.int64)
+        add_t = np.asarray(add_t, dtype=np.float64)
+        j = np.arange(len(add_src), dtype=np.int64)
+        owners = np.concatenate([add_src, add_dst])
+        peers = np.concatenate([add_dst, add_src])
+        js = np.concatenate([j, j])
+        ts = np.concatenate([add_t, add_t])
+        self.added = NeighborIndex.from_order(
+            base.num_nodes, np.lexsort((js, ts, owners)), owners, peers, js,
+            ts)
 
     @property
     def num_added(self):
         return 0 if self.cand_features is None else self.cand_features.shape[0]
 
     def batch_neighbors(self, nodes, ts, n, max_eid=None):
+        """The base block merged with the added edges strictly before each
+        row's time: the n most recent of both, ascending and left-aligned.
+        At equal t base entries come first, base ones by column and added
+        ones by j. `aug` holds j in added slots and -1 elsewhere; an added
+        slot's event id is num_real_events + j."""
         ids, eids, tss, mask = self.base.batch_neighbors(nodes, ts, n, max_eid)
         aug = np.full(ids.shape, -1, dtype=np.int64)
-        if not self._per_node:
+        a_ids, a_j, a_ts, a_mask = self.added.batch_neighbors(nodes, ts, n)
+        if not a_mask.any():
             return ids, eids, tss, mask, aug
-        for i in range(len(nodes)):
-            adds = self._per_node.get(int(nodes[i]))
-            if not adds:
-                continue
-            t_q = float(ts[i])
-            live = [(t, j, peer) for (t, j, peer) in adds if t < t_q]
-            if not live:
-                continue
-            k = int(mask[i].sum())
-            b_ids, b_eids, b_tss = (ids[i, :k].copy(), eids[i, :k].copy(),
-                                    tss[i, :k].copy())
-            merged = [(b_tss[c], 0, c, -1) for c in range(k)]
-            merged += [(t, 1, j, peer) for (t, j, peer) in live]
-            merged.sort(key=lambda r: (r[0], r[1], r[2]))
-            merged = merged[-n:]
-            for c, (t, kind, j, peer) in enumerate(merged):
-                if kind == 0:
-                    ids[i, c], eids[i, c] = b_ids[j], b_eids[j]
-                    tss[i, c], aug[i, c] = t, -1
-                else:
-                    ids[i, c] = peer
-                    eids[i, c] = self.num_real_events + j
-                    tss[i, c] = t
-                    aug[i, c] = j
-                mask[i, c] = 1.0
-            for c in range(len(merged), n):
-                ids[i, c] = eids[i, c] = 0
-                tss[i, c] = 0.0
-                mask[i, c] = 0.0
-                aug[i, c] = -1
-        return ids, eids, tss, mask, aug
+        b = len(ids)
+        valid = np.concatenate([mask, a_mask], axis=1)
+        t_all = np.concatenate([tss, a_ts], axis=1)
+        kind = np.broadcast_to(np.repeat([0, 1], n), (b, 2 * n))
+        index = np.concatenate([np.broadcast_to(np.arange(n), (b, n)), a_j],
+                               axis=1)
+        # pads sort first, then entries by (t, kind, index); the last
+        # min(total, n) per row are the most recent ones
+        order = np.lexsort((index, kind, t_all, valid), axis=1)
+        m = np.minimum(valid.sum(axis=1), n).astype(np.int64)
+        col = np.arange(n)
+        keep = col < m[:, None]
+        take = np.take_along_axis(
+            order, np.where(keep, 2 * n - m[:, None] + col, 0), axis=1)
+
+        def pick(block, pad):
+            return np.where(keep, np.take_along_axis(block, take, axis=1),
+                            pad)
+
+        ids = pick(np.concatenate([ids, a_ids], axis=1), 0)
+        eids = pick(np.concatenate([eids, self.num_real_events + a_j],
+                                   axis=1), 0)
+        tss = pick(t_all, 0.0)
+        aug = pick(np.concatenate([aug, a_j], axis=1), -1)
+        return ids, eids, tss, keep.astype(np.float64), aug
 
 
 def build_augmented_view(base, cands, selected_idx, fhat, rho,
                          num_real_events):
     """Insert the selected candidates into the neighbor structure at their
-    t_new, deduplicating (src, dst, t_new) triples by the larger rho."""
+    t_new, deduplicating (src, dst, t_new) triples by the larger rho (the
+    earlier candidate on ties)."""
     if len(selected_idx) == 0:
         return AugmentedView(base, np.zeros(0, np.int64), np.zeros(0, np.int64),
                              np.zeros(0), None, None, num_real_events)
@@ -377,15 +400,10 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho,
                               return_inverse=True)
     inv = inv.reshape(-1)
     if len(first) != len(sel):
-        keep = np.zeros(len(first), dtype=np.int64)
-        best = np.full(len(first), -np.inf)
-        rv = rho.values[sel]
-        for pos in range(len(sel)):
-            g = inv[pos]
-            if rv[pos] > best[g]:
-                best[g] = rv[pos]
-                keep[g] = pos
-        sel = sel[np.sort(keep)]
+        order = np.lexsort((np.arange(len(sel)), -rho.values[sel], inv))
+        grp = inv[order]
+        lead = np.concatenate(([True], grp[1:] != grp[:-1]))
+        sel = sel[np.sort(order[lead])]
     fh = ad.take(fhat, sel)
     rh = ad.take(rho, sel)
     return AugmentedView(base, cands.src[sel], cands.dst[sel],
@@ -398,23 +416,16 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho,
 def visible_window(index, nodes, t_ref, levels=2, max_eid=None):
     """Event ids incident to the sources and their first (levels-1) rings,
     restricted to strictly before t_ref (and the optional event-id cutoff)."""
-    seen = set(int(u) for u in nodes)
-    level = np.unique(np.asarray(nodes, dtype=np.int64))
+    level = seen = np.unique(np.asarray(nodes, dtype=np.int64))
     eids = []
     for _ in range(levels):
-        nxt = []
-        for u in level:
-            nb, ei, _ = index.neighbors_before(int(u), t_ref,
-                                               index.degree(int(u)), max_eid)
-            if len(ei):
-                eids.append(ei)
-                nxt.append(nb)
-        if not nxt:
+        lo, cut = index.ranges_before(level, t_ref, max_eid)
+        pos = _flat_ranges(lo, cut)
+        if len(pos) == 0:
             break
-        cand = np.unique(np.concatenate(nxt))
-        level = np.array([v for v in cand if int(v) not in seen],
-                         dtype=np.int64)
-        seen.update(int(v) for v in level)
+        eids.append(index.eid[pos])
+        level = np.setdiff1d(index.nbr[pos], seen)
+        seen = np.union1d(seen, level)
         if len(level) == 0:
             break
     if not eids:

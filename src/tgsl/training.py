@@ -18,13 +18,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
-from .graph import NeighborIndex, sample_negatives
+from .graph import DataError, NeighborIndex, sample_negatives
 from .structure import StructureLearner, TgslParams, etgnn_forward
 
 __all__ = [
-    "ConfigError", "RunConfig", "MetricsReport", "EarlyStopState",
-    "early_stop_update", "MoCoState", "moco_step", "bce_link_loss",
-    "info_nce_batch", "accuracy_score", "average_precision", "Trainer",
+    "ConfigError", "EmptySetError", "RunConfig", "MetricsReport",
+    "EarlyStopState", "early_stop_update", "MoCoState", "moco_step",
+    "bce_link_loss", "info_nce_batch", "accuracy_score", "average_precision",
+    "Trainer",
 ]
 
 
@@ -33,6 +34,10 @@ __all__ = [
 
 class ConfigError(ValueError):
     pass
+
+
+class EmptySetError(DataError):
+    """An evaluation subset with no events under the requested setting."""
 
 
 @dataclass
@@ -413,7 +418,7 @@ class Trainer:
         if limit is not None:
             ids = ids[:limit]
         if len(ids) == 0:
-            raise ValueError(f"empty {setting} {subset} set")
+            raise EmptySetError(f"empty {setting} {subset} set")
         return ids
 
     def evaluate(self, setting, subset="test", seed=None, use_augmented=True,

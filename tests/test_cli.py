@@ -166,6 +166,35 @@ def test_eval_unknown_setting_and_missing_manifest(tmp_path):
         cli.main(["eval", "whatever.json", "--setting", "sideways"])
 
 
+def test_eval_empty_inductive_set_exits_data(tmp_path, capsys):
+    """Without masking, a tiny synth whose nodes all appear in training has
+    no inductive test events: train records none, eval exits 3."""
+    out = str(tmp_path / "runs")
+    small = ["synth_users=4", "synth_items=4", "synth_events=200",
+             "mask_frac=0.0"]
+    assert cli.main(["train", "--out", out]
+                    + _set_args(fast_overrides(small))) == 0
+    manifest_path = os.path.join(out, os.listdir(out)[0], "manifest.json")
+    assert json.load(open(manifest_path))["final"]["inductive_ap"] is None
+    capsys.readouterr()
+    assert cli.main(["eval", manifest_path, "--setting", "inductive"]) \
+        == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.strip() == "data error: empty inductive test set"
+
+
+def test_train_empty_transductive_val_set_exits_data(tmp_path, capsys):
+    # masking nearly every node leaves no transductive validation events
+    sets = ["synth_users=12", "synth_items=12", "synth_events=260",
+            "mask_frac=0.95", "d_model=8", "layers=1", "heads=2",
+            "d_hidden=12", "etgnn_layers=1", "n_nb=5", "batch_size=64",
+            "max_epochs=1", "k=3", "n_can=5", "n_rnn=4", "seeds=3"]
+    rc = cli.main(["train", "--out", str(tmp_path)] + _set_args(sets))
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.strip() == "data error: empty transductive val set"
+
+
 def test_verify_fast_suites_pass():
     assert cli.main(["verify", "--suite", "metrics"]) == 0
     assert cli.main(["verify", "--suite", "gumbel"]) == 0

@@ -3,7 +3,7 @@ import pytest
 
 from tgsl import autodiff as ad
 from tgsl import structure as ts
-from tgsl.encoder import TimeEncodingConfig
+from tgsl.encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
 from tgsl.graph import EventStore, NeighborIndex, chronological_split, synth_generate
 from tgsl.training import RunConfig
 
@@ -384,6 +384,37 @@ def test_min_k_candidate_count_added_per_source():
                       for s in np.unique(cands.src)}
     for s, n_cand in per_source_cand.items():
         assert per_source_sel.get(s, 0) == min(2, n_cand)
+
+
+def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch):
+    """One-hop proposing and encoding on the augmented view run on batched
+    range searches only; `neighbors_before` is the single-row query."""
+    calls = []
+    single_row = NeighborIndex.neighbors_before
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return single_row(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeighborIndex, "neighbors_before", counted)
+    store = synth_generate(2, 10, 10, 300, 0.1, seed=2)
+    split = chronological_split(store)
+    idx = NeighborIndex.build(store, split.usable_train_ids)
+    te = TimeEncodingConfig(8)
+    learner = ts.StructureLearner(ts.TgslParams(8, 2, 2, layers=1, seed=4),
+                                  te, store,
+                                  RunConfig(strategy="one-hop", k=2, n_can=6,
+                                            n_rnn=4))
+    batch = np.arange(150, 190)
+    view, _ = learner.propose(idx, store.src[batch],
+                              t_ref=float(store.ts[150]),
+                              t_max=split.t_max_train, seed=5,
+                              view_base=idx, max_eid=150)
+    assert view.num_added > 0
+    enc = TgatEncoder(EncoderParams(8, layers=2, heads=2, d_hidden=8),
+                      te, store, n_nb=5)
+    enc.encode_batch(view, store.src[batch], store.ts[batch], max_eid=150)
+    assert len(calls) == 0
 
 
 def test_visible_window_respects_cutoffs():
