@@ -2,8 +2,11 @@
 
 A Tape records primitive ops in execution order; Tape.backward() replays
 the record in exact reverse order and accumulates gradients additively
-(fan-out sum rule). Training runs in float32, verification suites in
-float64 — gradient checks are unreliable in float32.
+(fan-out sum rule). `.grad` lives on leaves only (params and other tensors
+no recorded op produced); each intermediate's work gradient is freed at its
+last use, when the op that produced it is replayed. Training runs in
+float32, verification suites in float64 — gradient checks are unreliable
+in float32.
 """
 
 import math
@@ -52,16 +55,6 @@ def verify_active():
 # ---------------------------------------------------------------------------
 # tape
 
-class _Entry:
-    __slots__ = ("op", "inputs", "out", "bw")
-
-    def __init__(self, op, inputs, out, bw):
-        self.op = op
-        self.inputs = inputs
-        self.out = out
-        self.bw = bw
-
-
 class Tape:
     """Ordered record of executed primitives; also a context manager that
     makes itself the active recording target."""
@@ -82,37 +75,32 @@ class Tape:
         return len(self.entries)
 
     def backward(self, loss):
-        """Reverse replay: add d(loss)/d(tensor) into .grad of every
-        requires_grad tensor this tape touched. Each call contributes one
-        full pass, so repeated calls accumulate additively."""
+        """Reverse replay: add d(loss)/d(leaf) into .grad of every
+        requires_grad leaf on a path to the loss. Leaves are the tensors no
+        entry of this tape produced; .grad lives on leaves only, never on
+        intermediates. Each output's work gradient is popped, used and
+        freed when its entry is replayed: every consumer of the output
+        comes later on the tape, so by then the gradient is complete. Each
+        call contributes one full pass, so repeated calls accumulate
+        additively."""
         if loss.values.size != 1:
             raise ShapeError(
                 f"backward needs a scalar loss, got shape {loss.values.shape}")
-        # per-pass working grads keep repeated backward calls exact
-        work = {id(loss): np.ones_like(loss.values)}
-        touched = {id(loss): loss}
-        for entry in reversed(self.entries):
-            out = entry.out
-            g = work.get(id(out))
-            if g is None:
-                # not on a path to the loss: zero grids all around
-                touched.setdefault(id(out), out)
-                for t in entry.inputs:
-                    if t.requires_grad:
-                        touched.setdefault(id(t), t)
-                continue
-            grads = entry.bw(g)
-            for t, gi in zip(entry.inputs, grads):
+        # id -> (tensor, grad); per-pass work grads keep repeated calls exact
+        work = {id(loss): (loss, np.ones_like(loss.values))}
+        for inputs, out, bw in reversed(self.entries):
+            hit = work.pop(id(out), None)
+            if hit is None:
+                continue            # not on a path to the loss
+            for t, gi in zip(inputs, bw(hit[1])):
                 if t.requires_grad and gi is not None:
-                    key = id(t)
-                    touched.setdefault(key, t)
-                    prev = work.get(key)
-                    work[key] = gi if prev is None else prev + gi
-        for key, t in touched.items():
+                    prev = work.get(id(t))
+                    work[id(t)] = (t, gi if prev is None else prev[1] + gi)
+        # each produced tensor was popped at its entry: what is left are
+        # the leaves
+        for t, g in work.values():
             t._ensure_grad()
-            g = work.get(key)
-            if g is not None:
-                t._grad += g
+            t._grad += g
 
 
 class no_grad:
@@ -178,46 +166,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}{tag})"
-
-    # -- operator sugar (thin wrappers over the functional primitives)
-
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _wrap(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
 
 def param(values, name=None, requires_grad=True):
     """A learnable leaf: owns a zero grad grid from birth."""
@@ -292,11 +240,12 @@ def _check_finite(op, tensors):
 
 
 def _record(op, inputs, out_values, bw):
+    _check_finite(op, inputs)
     tape = _active_tape()
     rg = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_values, requires_grad=rg)
     if rg:
-        tape.entries.append(_Entry(op, inputs, out, bw))
+        tape.entries.append((inputs, out, bw))
     return out
 
 
@@ -317,7 +266,6 @@ def _unbroadcast(g, shape):
 # primitives
 
 def add(a, b):
-    _check_finite("add", (a, b))
     try:
         out = a.values + b.values
     except ValueError:
@@ -327,7 +275,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    _check_finite("sub", (a, b))
     try:
         out = a.values - b.values
     except ValueError:
@@ -337,7 +284,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    _check_finite("mul", (a, b))
     try:
         out = a.values * b.values
     except ValueError:
@@ -348,7 +294,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    _check_finite("div", (a, b))
     try:
         out = a.values / b.values
     except ValueError:
@@ -364,14 +309,12 @@ def div(a, b):
 
 def scale(a, c):
     """Multiply by a python scalar constant (no gradient w.r.t. c)."""
-    _check_finite("scale", (a,))
     c = float(c)
     return _record("scale", (a,), a.values * c, lambda g: (g * c,))
 
 
 def matmul(a, b):
     """Matrix product on the last two axes, numpy @ semantics."""
-    _check_finite("matmul", (a, b))
     if b.values.ndim < 2 or a.values.ndim < 1 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
     out = a.values @ b.values
@@ -388,7 +331,6 @@ def matmul(a, b):
 
 def concat(tensors, axis=0):
     tensors = tuple(tensors)
-    _check_finite("concat", tensors)
     ref = list(tensors[0].shape)
     for t in tensors[1:]:
         s = list(t.shape)
@@ -408,7 +350,6 @@ def concat(tensors, axis=0):
 
 def narrow(a, axis, start, length):
     """Contiguous slice along one axis (the inverse piece of concat)."""
-    _check_finite("narrow", (a,))
     if start < 0 or start + length > a.shape[axis]:
         raise ShapeError(
             f"narrow: [{start}:{start + length}] outside axis {axis} of {a.shape}")
@@ -425,14 +366,12 @@ def narrow(a, axis, start, length):
 
 
 def reshape(a, shape):
-    _check_finite("reshape", (a,))
     out = a.values.reshape(shape)
     return _record("reshape", (a,), out, lambda g: (g.reshape(a.shape),))
 
 
 def take(a, indices):
     """Gather rows along axis 0; gradient scatter-adds back."""
-    _check_finite("take", (a,))
     idx = np.asarray(indices)
     out = a.values[idx]
 
@@ -446,7 +385,6 @@ def take(a, indices):
 
 def segment_sum(a, segment_ids, num_segments):
     """Sum rows of a into num_segments buckets given per-row bucket ids."""
-    _check_finite("segment_sum", (a,))
     seg = np.asarray(segment_ids)
     if seg.shape[0] != a.shape[0]:
         raise ShapeError(
@@ -457,7 +395,6 @@ def segment_sum(a, segment_ids, num_segments):
 
 
 def sigmoid(a):
-    _check_finite("sigmoid", (a,))
     v = a.values
     e = np.exp(-np.abs(v))
     out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -466,57 +403,48 @@ def sigmoid(a):
 
 def relu(a):
     # subgradient at 0 is 0 by convention
-    _check_finite("relu", (a,))
     out = np.maximum(a.values, 0)
     return _record("relu", (a,), out, lambda g: (g * (a.values > 0),))
 
 
 def tanh(a):
-    _check_finite("tanh", (a,))
     out = np.tanh(a.values)
     return _record("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def sin(a):
-    _check_finite("sin", (a,))
     return _record("sin", (a,), np.sin(a.values),
                    lambda g: (g * np.cos(a.values),))
 
 
 def cos(a):
-    _check_finite("cos", (a,))
     return _record("cos", (a,), np.cos(a.values),
                    lambda g: (-g * np.sin(a.values),))
 
 
 def exp(a):
-    _check_finite("exp", (a,))
     out = np.exp(a.values)
     return _record("exp", (a,), out, lambda g: (g * out,))
 
 
 def log(a):
-    _check_finite("log", (a,))
     return _record("log", (a,), np.log(a.values),
                    lambda g: (g / a.values,))
 
 
 def sqrt(a):
-    _check_finite("sqrt", (a,))
     out = np.sqrt(a.values)
     return _record("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
 
 
 def clip(a, lo, hi):
     """Clamp values; gradient is identity strictly inside (lo, hi)."""
-    _check_finite("clip", (a,))
     out = np.clip(a.values, lo, hi)
     inside = (a.values > lo) & (a.values < hi)
     return _record("clip", (a,), out, lambda g: (g * inside,))
 
 
 def sum_(a, axis=None, keepdims=False):
-    _check_finite("sum", (a,))
     out = a.values.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
@@ -528,7 +456,6 @@ def sum_(a, axis=None, keepdims=False):
 
 
 def mean(a, axis=None, keepdims=False):
-    _check_finite("mean", (a,))
     out = a.values.mean(axis=axis, keepdims=keepdims)
     n = a.values.size if axis is None else a.shape[axis]
 
@@ -541,7 +468,6 @@ def mean(a, axis=None, keepdims=False):
 
 
 def logsumexp(a, axis=None, keepdims=False):
-    _check_finite("logsumexp", (a,))
     v = a.values
     m = np.max(v, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)

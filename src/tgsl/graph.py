@@ -121,10 +121,6 @@ class NeighborIndex:
     def degree(self, node):
         return int(self.offsets[node + 1] - self.offsets[node])
 
-    def node_slice(self, node):
-        lo, hi = self.offsets[node], self.offsets[node + 1]
-        return self.nbr[lo:hi], self.eid[lo:hi], self.ts[lo:hi]
-
     def ranges_before(self, nodes, ts, max_eid=None):
         """For each (node, t) row, the CSR range [lo, cut) of the node's
         entries strictly before t, and before event id max_eid when given:
@@ -174,14 +170,6 @@ class NeighborIndex:
         eids[valid] = self.eid[pos]
         tss[valid] = self.ts[pos]
         return ids, eids, tss, valid.astype(np.float64)
-
-    def __eq__(self, other):
-        return (isinstance(other, NeighborIndex)
-                and self.num_nodes == other.num_nodes
-                and np.array_equal(self.offsets, other.offsets)
-                and np.array_equal(self.nbr, other.nbr)
-                and np.array_equal(self.eid, other.eid)
-                and np.array_equal(self.ts, other.ts))
 
 
 @dataclass
@@ -330,9 +318,9 @@ def sample_negatives(pos_dst, pool, seed):
     pool = np.asarray(pool, dtype=np.int64)
     pos_dst = np.asarray(pos_dst, dtype=np.int64)
     if len(pool) == 0:
-        raise ValueError("empty negative pool")
+        raise DataError("empty negative pool")
     if len(pool) == 1 and np.any(pool[0] == pos_dst):
-        raise ValueError("pool has a single node equal to a positive destination")
+        raise DataError("pool has a single node equal to a positive destination")
     rng = np.random.default_rng(seed)
     out = pool[rng.integers(0, len(pool), size=len(pos_dst))]
     bad = out == pos_dst

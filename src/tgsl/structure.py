@@ -170,13 +170,12 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
 class CandidateBatch:
     """Struct-of-arrays candidate container."""
 
-    def __init__(self, src, dst, t_new, t_sample, feat_eid, strategy):
+    def __init__(self, src, dst, t_new, t_sample, feat_eid):
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
         self.t_new = np.asarray(t_new, dtype=np.float64)
         self.t_sample = np.asarray(t_sample, dtype=np.float64)
         self.feat_eid = np.asarray(feat_eid, dtype=np.int64)
-        self.strategy = strategy
 
     def __len__(self):
         return len(self.src)
@@ -259,7 +258,7 @@ def sample_candidates(src_nodes, strategy, index, store, n_can, seed, *,
     tsamp = np.asarray(tsamp_out, dtype=np.float64)
     if strategy == "random":
         tsamp = t_new.copy()
-    return CandidateBatch(src_out, dst_out, t_new, tsamp, eid_out, strategy)
+    return CandidateBatch(src_out, dst_out, t_new, tsamp, eid_out)
 
 
 # ---------------------------------------------------------------------------

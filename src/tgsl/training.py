@@ -343,11 +343,7 @@ class Trainer:
                 ts3 = np.concatenate([tss, tss, tss])
                 emb_ori = self.q_enc.encode_batch(self.train_index, nodes3,
                                                   ts3, max_eid=start_eid)
-                s_pos = self.q_enc.score_batch(ad.narrow(emb_ori, 0, 0, b),
-                                               ad.narrow(emb_ori, 0, b, b))
-                s_neg = self.q_enc.score_batch(ad.narrow(emb_ori, 0, 0, b),
-                                               ad.narrow(emb_ori, 0, 2 * b, b))
-                loss_ori = bce_link_loss(s_pos, s_neg)
+                loss_ori = bce_link_loss(*self.q_enc.score_links(emb_ori, b))
                 if self.learner is not None:
                     view, _ = self.learner.propose(
                         self.train_index, np.concatenate([src, dst]),
@@ -357,13 +353,8 @@ class Trainer:
                         max_eid=start_eid)
                     emb_aug = self.q_enc.encode_batch(view, nodes3, ts3,
                                                       max_eid=start_eid)
-                    a_pos = self.q_enc.score_batch(
-                        ad.narrow(emb_aug, 0, 0, b),
-                        ad.narrow(emb_aug, 0, b, b))
-                    a_neg = self.q_enc.score_batch(
-                        ad.narrow(emb_aug, 0, 0, b),
-                        ad.narrow(emb_aug, 0, 2 * b, b))
-                    loss_aug = bce_link_loss(a_pos, a_neg)
+                    loss_aug = bce_link_loss(
+                        *self.q_enc.score_links(emb_aug, b))
                     with ad.no_grad():
                         k_emb = self.k_enc.encode_batch(
                             self.train_index, nodes3[:2 * b], ts3[:2 * b],
@@ -458,10 +449,7 @@ class Trainer:
                 emb = self.q_enc.encode_batch(
                     view, np.concatenate([src, dst, nb]),
                     np.concatenate([tss, tss, tss]))
-                s_pos = self.q_enc.score_batch(ad.narrow(emb, 0, 0, b),
-                                               ad.narrow(emb, 0, b, b))
-                s_neg = self.q_enc.score_batch(ad.narrow(emb, 0, 0, b),
-                                               ad.narrow(emb, 0, 2 * b, b))
+                s_pos, s_neg = self.q_enc.score_links(emb, b)
                 scores.extend(s_pos.values.tolist())
                 scores.extend(s_neg.values.tolist())
                 labels.extend([1] * b + [0] * b)

@@ -147,21 +147,13 @@ def toy_mtl_setup(d_model=8, seed=13):
         enc_p.replace_tensors(probes[:n_enc])
         tg_p.replace_tensors(probes[n_enc:])
         emb_o = enc.encode_batch(index, nodes3, ts3, max_eid=start_eid)
-        l_ori = bce_link_loss(
-            enc.score_batch(ad.narrow(emb_o, 0, 0, b),
-                            ad.narrow(emb_o, 0, b, b)),
-            enc.score_batch(ad.narrow(emb_o, 0, 0, b),
-                            ad.narrow(emb_o, 0, 2 * b, b)))
+        l_ori = bce_link_loss(*enc.score_links(emb_o, b))
         view, _ = learner.propose(index, np.concatenate([src, dst]),
                                   t_ref=t0, t_max=split.t_max_train,
                                   seed=seed + 4, view_base=index,
                                   mode="stochastic", max_eid=start_eid)
         emb_a = enc.encode_batch(view, nodes3, ts3, max_eid=start_eid)
-        l_aug = bce_link_loss(
-            enc.score_batch(ad.narrow(emb_a, 0, 0, b),
-                            ad.narrow(emb_a, 0, b, b)),
-            enc.score_batch(ad.narrow(emb_a, 0, 0, b),
-                            ad.narrow(emb_a, 0, 2 * b, b)))
+        l_aug = bce_link_loss(*enc.score_links(emb_a, b))
         l_cl = info_nce_batch(ad.narrow(emb_a, 0, 0, 2 * b), keys, queue, 0.2)
         return ad.add(ad.add(l_ori, l_aug), ad.scale(l_cl, 0.5))
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -35,12 +36,25 @@ def test_shape_errors_name_op_and_shapes():
         ad.concat([a, ad.constant(np.zeros((2, 4)))], axis=0)
 
 
-def test_verification_mode_rejects_nonfinite():
-    bad = ad.constant(np.array([1.0, np.inf]))
-    ad.relu(bad)   # fine outside verification mode
+# one primitive per family: elementwise, matmul, concat, gather, reduction
+NONFINITE_CALLS = {
+    "relu": ad.relu,
+    "matmul": lambda a: ad.matmul(a, ad.constant(np.ones((2, 1)))),
+    "concat": lambda a: ad.concat([a, a], axis=0),
+    "take": lambda a: ad.take(a, np.array([0, 0])),
+    "logsumexp": lambda a: ad.logsumexp(a, axis=1),
+}
+
+
+@pytest.mark.parametrize("op", list(NONFINITE_CALLS))
+def test_verification_mode_rejects_nonfinite(op):
+    call = NONFINITE_CALLS[op]
+    bad = ad.constant(np.array([[1.0, np.nan]]))
+    call(bad)   # fine outside verification mode
     with ad.verification_mode():
-        with pytest.raises(ad.NonFiniteError):
-            ad.relu(bad)
+        with pytest.raises(ad.NonFiniteError,
+                           match=f"^{op}: non-finite input \\(verification"):
+            call(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +97,37 @@ def test_backward_accumulates_additively():
 
 
 def test_off_path_tensor_gets_zero_grid():
+    # .grad lives on leaves only: an off-path param keeps the zero grid it
+    # was born with, and no intermediate gets one
     x = ad.param(np.ones(3))
     z = ad.param(np.ones(2))
     with ad.Tape() as t:
         dead = ad.relu(z)      # recorded but not connected to the loss
-        t.backward(ad.sum_(ad.mul(x, x)))
+        sq = ad.mul(x, x)
+        t.backward(ad.sum_(sq))
     assert z.grad is not None and np.all(z.grad == 0)
-    assert dead.grad is not None and np.all(dead.grad == 0)
+    assert dead.grad is None and sq.grad is None
+    assert np.all(x.grad == 2.0)
+
+
+def test_backward_frees_work_grads_at_last_use():
+    # the tape holds the chain's 40 forward values; backward itself keeps
+    # only a few leaf-sized grids alive at once, not one per op
+    x = ad.param(np.random.default_rng(0).standard_normal(1 << 18))   # 2 MB
+    with ad.Tape() as t:
+        y = x
+        for _ in range(40):
+            y = ad.tanh(y)
+        loss = ad.sum_(y)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            t.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak < 5 * x.values.nbytes
 
 
 def test_finished_tape_is_freed_by_refcounting():

@@ -195,6 +195,17 @@ def test_train_empty_transductive_val_set_exits_data(tmp_path, capsys):
     assert err.strip() == "data error: empty transductive val set"
 
 
+def test_train_single_node_negative_pool_exits_data(tmp_path, capsys):
+    # masking nearly every node leaves one training destination, which
+    # cannot be drawn as a negative for itself
+    rc = cli.main(["train", "--out", str(tmp_path)]
+                  + _set_args(fast_overrides(["mask_frac=0.95"])))
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.strip() == ("data error: pool has a single node equal to a "
+                           "positive destination")
+
+
 def test_verify_fast_suites_pass():
     assert cli.main(["verify", "--suite", "metrics"]) == 0
     assert cli.main(["verify", "--suite", "gumbel"]) == 0

@@ -137,7 +137,12 @@ def test_neighbors_before_matches_brute_force():
 
 def test_neighbor_index_rebuild_equality():
     store = tg.synth_generate(2, 10, 10, 150, 0.1, seed=8)
-    assert NeighborIndex.build(store) == NeighborIndex.build(store)
+    a, b = NeighborIndex.build(store), NeighborIndex.build(store)
+    assert (a.num_nodes == b.num_nodes
+            and np.array_equal(a.offsets, b.offsets)
+            and np.array_equal(a.nbr, b.nbr)
+            and np.array_equal(a.eid, b.eid)
+            and np.array_equal(a.ts, b.ts))
 
 
 def test_no_event_at_or_after_query_time_is_returned():

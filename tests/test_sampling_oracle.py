@@ -168,8 +168,7 @@ def ref_one_hop_candidates(src_nodes, index, n_can, seed, *, t_ref, t_max,
                 break
     t_new = rng.uniform(0.0, t_max, size=len(src_out))
     tsamp = np.asarray(tsamp_out, dtype=np.float64)
-    return ts.CandidateBatch(src_out, dst_out, t_new, tsamp, eid_out,
-                             "one-hop")
+    return ts.CandidateBatch(src_out, dst_out, t_new, tsamp, eid_out)
 
 
 def ref_visible_window(index, nodes, t_ref, levels=2, max_eid=None):
@@ -393,8 +392,7 @@ def test_dedupe_matches_loop(seed):
     src = rng.integers(0, 4, size=c)
     dst = rng.integers(0, 3, size=c)
     t_new = rng.integers(0, 3, size=c).astype(float)
-    cands = ts.CandidateBatch(src, dst, t_new, t_new, np.full(c, -1),
-                              "random")
+    cands = ts.CandidateBatch(src, dst, t_new, t_new, np.full(c, -1))
     rho = rng.choice([0.2, 0.5, 0.9], size=c).astype(np.float32)
     sel = np.sort(rng.choice(c, size=40, replace=False))
     fhat = ad.constant(np.arange(c, dtype=np.float64)[:, None])

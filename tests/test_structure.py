@@ -355,7 +355,7 @@ def test_dedupe_keeps_larger_rho():
     store = synth_generate(2, 8, 8, 100, 0.1, seed=1)
     idx = NeighborIndex.build(store)
     cands = ts.CandidateBatch([0, 0], [9, 9], [40.0, 40.0], [40.0, 40.0],
-                              [-1, -1], "random")
+                              [-1, -1])
     fhat = ad.constant(np.ones((2, 4)))
     rho = ad.constant(np.array([0.3, 0.8]))
     view = ts.build_augmented_view(idx, cands, np.array([0, 1]), fhat, rho,
