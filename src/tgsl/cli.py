@@ -261,14 +261,15 @@ def load_run(manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
         cfg = RunConfig(**manifest["config"])
+        seed, params = manifest["seed"], manifest["params"]
     except (ValueError, TypeError, KeyError) as e:
         raise ConfigError(f"bad manifest {manifest_path}: {e}")
     cfg.validate()
     store = build_store(cfg)
     store, split = build_split(cfg, store)
-    trainer = make_trainer(cfg, store, split, manifest["seed"])
+    trainer = make_trainer(cfg, store, split, seed)
     run_dir = os.path.dirname(os.path.abspath(manifest_path))
-    with np.load(os.path.join(run_dir, manifest["params"])) as z:
+    with np.load(os.path.join(run_dir, params)) as z:
         snap = {}
         for key in z.files:
             group, name = key.split("|", 1)
@@ -280,9 +281,6 @@ def load_run(manifest_path):
 def cmd_eval(args):
     if not os.path.exists(args.manifest):
         print(f"manifest not found: {args.manifest}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.setting not in ("transductive", "inductive"):
-        print(f"unknown setting {args.setting!r}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         manifest, cfg, trainer = load_run(args.manifest)

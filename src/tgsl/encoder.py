@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .graph import NeighborIndex
 
 __all__ = [
     "TimeEncodingConfig", "time_encode", "time_context",
@@ -101,9 +100,11 @@ def _pad_rows(table, width, what):
 class TgatEncoder:
     """Multi-head temporal attention over a graph view.
 
-    A view is a NeighborIndex or anything with the same batch_neighbors
-    surface; augmented views additionally expose differentiable candidate
-    features and selection weights for their added edges.
+    A view is anything whose batch_neighbors(nodes, ts, n, max_eid) returns
+    (ids, eids, tss, mask) blocks: a NeighborIndex or an AugmentedView.
+    Slots with event ids >= 0 are real events, whose feature rows are
+    edge_features[feat_ids[eid]]; a slot with id -1 - j is the view's added
+    edge j, with feature row cand_features[j] and weight rho[j].
     """
 
     def __init__(self, params, cfg, store, n_nb=20):
@@ -118,17 +119,7 @@ class TgatEncoder:
                                    "node feature").astype(self.dtype)
         self.edge_feat = _pad_rows(store.edge_features, params.d_model,
                                    "edge feature").astype(self.dtype)
-
-    # -- neighbor query over plain or augmented views
-
-    def _query(self, view, nodes, ts, max_eid):
-        if isinstance(view, NeighborIndex):
-            ids, eids, tss, mask = view.batch_neighbors(
-                nodes, ts, self.n_nb, max_eid)
-            return ids, eids, tss, mask, None, None, None
-        ids, eids, tss, mask, aug = view.batch_neighbors(
-            nodes, ts, self.n_nb, max_eid)
-        return ids, eids, tss, mask, aug, view.cand_features, view.rho
+        self.feat_ids = store.feat_ids
 
     # -- recursive embedding
 
@@ -141,14 +132,19 @@ class TgatEncoder:
         return self._embed(view, nodes, ts, self.params.layers, max_eid)
 
     def _embed(self, view, nodes, ts, layer, max_eid):
+        """Layer-`layer` embeddings of (node, t) pairs: attention over the
+        view's n_nb most recent slots before t, recursing one layer down
+        for the self and neighbor states. Each slot's value is scaled by 1
+        for a real event, rho[j] for added edge j (event id -1 - j) and 0
+        for a pad; only added slots read the view's cand_features and rho."""
         if layer == 0:
             return ad.constant(self.node_feat[nodes])
         pre = f"enc.l{layer - 1}."
         p = self.params
         dm, h, dk = p.d_model, p.heads, p.d_k
         b = len(nodes)
-        ids, eids, tss, mask, aug, cand_feat, rho = self._query(
-            view, nodes, ts, max_eid)
+        ids, eids, tss, mask = view.batch_neighbors(nodes, ts, self.n_nb,
+                                                    max_eid)
         n = ids.shape[1]
 
         # one recursion covers self and neighbor embeddings; below layer 1
@@ -167,24 +163,22 @@ class TgatEncoder:
         h_self = ad.narrow(emb, 0, 0, b)
         h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, dm))
 
-        real_m = mask if aug is None else mask * (aug < 0)
-        aug_m = None if aug is None else (mask * (aug >= 0))
-
-        e_rows = self.edge_feat[np.where(real_m > 0, eids, 0)]
+        # per-slot edge feature and value weight: the event's row and 1
+        # for real events, the candidate row and rho for added ones, 0 for
+        # pads
+        real_m = mask * (eids >= 0)
+        added_m = mask * (eids < 0)
+        e_rows = self.edge_feat[self.feat_ids[np.where(real_m > 0, eids, 0)]]
         e_rows = e_rows * (real_m[:, :, None] > 0)
         e_slot = ad.constant(e_rows.astype(self.dtype))
-        if aug_m is not None and np.any(aug_m > 0):
-            picked = ad.take(cand_feat, np.maximum(aug, 0))
-            e_slot = ad.add(e_slot, ad.mul(
-                picked, ad.constant(aug_m[:, :, None].astype(self.dtype))))
-
-        # per-slot value weight: 1 for real events, the relaxed selection
-        # weight for augmented ones, 0 for pads
         w_slot = ad.constant(real_m.astype(self.dtype))
-        if aug_m is not None and np.any(aug_m > 0):
+        if added_m.any():
+            j = np.maximum(-1 - eids, 0)
+            e_slot = ad.add(e_slot, ad.mul(
+                ad.take(view.cand_features, j),
+                ad.constant(added_m[:, :, None].astype(self.dtype))))
             w_slot = ad.add(w_slot, ad.mul(
-                ad.take(rho, np.maximum(aug, 0)),
-                ad.constant(aug_m.astype(self.dtype))))
+                ad.take(view.rho, j), ad.constant(added_m.astype(self.dtype))))
 
         te_nbr = ad.constant(time_encode(ts[:, None] - tss, self.cfg,
                                          dtype=self.dtype))

@@ -187,10 +187,6 @@ class SplitSpec:
         return np.isin(np.asarray(nodes), self.masked_nodes)
 
     @property
-    def train_ids(self):
-        return np.arange(*self.train_range, dtype=np.int64)
-
-    @property
     def val_ids(self):
         return np.arange(*self.val_range, dtype=np.int64)
 

@@ -315,20 +315,23 @@ def gumbel_topk_select(zhat, fhat, src_of, k, tau, seed,
 class AugmentedView:
     """A neighbor index plus weighted candidate edges inserted at their
     sampled timestamps. Original events carry implicit weight 1; added
-    edges resolve to differentiable feature rows and weights. Ephemeral:
-    valid only for the batch that built it.
+    edge j resolves to the differentiable feature row cand_features[j] and
+    weight rho[j]. Ephemeral: valid only for the batch that built it.
+    `AugmentedView(base)` adds nothing and answers as `base` does.
 
+    Its `batch_neighbors` answers with the same four columns as
+    `NeighborIndex.batch_neighbors`; a slot holding added edge j carries
+    event id -1 - j, so real events are exactly the slots with ids >= 0.
     The added edges form a second, small CSR (`added`, a NeighborIndex)
     in which both endpoints own each edge j, sorted by (owner, t, j); its
     eid column holds j. A query merges the base window with the matching
     window of added edges."""
 
-    def __init__(self, base, add_src, add_dst, add_t, cand_features, rho,
-                 num_real_events):
+    def __init__(self, base, add_src=(), add_dst=(), add_t=(),
+                 cand_features=None, rho=None):
         self.base = base
         self.cand_features = cand_features
         self.rho = rho
-        self.num_real_events = num_real_events
         add_src = np.asarray(add_src, dtype=np.int64)
         add_dst = np.asarray(add_dst, dtype=np.int64)
         add_t = np.asarray(add_t, dtype=np.float64)
@@ -349,13 +352,11 @@ class AugmentedView:
         """The base block merged with the added edges strictly before each
         row's time: the n most recent of both, ascending and left-aligned.
         At equal t base entries come first, base ones by column and added
-        ones by j. `aug` holds j in added slots and -1 elsewhere; an added
-        slot's event id is num_real_events + j."""
+        ones by j. Added edge j sits in its slot with event id -1 - j."""
         ids, eids, tss, mask = self.base.batch_neighbors(nodes, ts, n, max_eid)
-        aug = np.full(ids.shape, -1, dtype=np.int64)
         a_ids, a_j, a_ts, a_mask = self.added.batch_neighbors(nodes, ts, n)
         if not a_mask.any():
-            return ids, eids, tss, mask, aug
+            return ids, eids, tss, mask
         b = len(ids)
         valid = np.concatenate([mask, a_mask], axis=1)
         t_all = np.concatenate([tss, a_ts], axis=1)
@@ -376,21 +377,17 @@ class AugmentedView:
                             pad)
 
         ids = pick(np.concatenate([ids, a_ids], axis=1), 0)
-        eids = pick(np.concatenate([eids, self.num_real_events + a_j],
-                                   axis=1), 0)
+        eids = pick(np.concatenate([eids, -1 - a_j], axis=1), 0)
         tss = pick(t_all, 0.0)
-        aug = pick(np.concatenate([aug, a_j], axis=1), -1)
-        return ids, eids, tss, keep.astype(np.float64), aug
+        return ids, eids, tss, keep.astype(np.float64)
 
 
-def build_augmented_view(base, cands, selected_idx, fhat, rho,
-                         num_real_events):
+def build_augmented_view(base, cands, selected_idx, fhat, rho):
     """Insert the selected candidates into the neighbor structure at their
     t_new, deduplicating (src, dst, t_new) triples by the larger rho (the
     earlier candidate on ties)."""
     if len(selected_idx) == 0:
-        return AugmentedView(base, np.zeros(0, np.int64), np.zeros(0, np.int64),
-                             np.zeros(0), None, None, num_real_events)
+        return AugmentedView(base)
     sel = np.asarray(selected_idx, dtype=np.int64)
     key = np.stack([cands.src[sel].astype(np.float64),
                     cands.dst[sel].astype(np.float64),
@@ -406,7 +403,7 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho,
     fh = ad.take(fhat, sel)
     rh = ad.take(rho, sel)
     return AugmentedView(base, cands.src[sel], cands.dst[sel],
-                         cands.t_new[sel], fh, rh, num_real_events)
+                         cands.t_new[sel], fh, rh)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +443,6 @@ class StructureLearner:
         self.cfg = cfg
         self.random_pool = random_pool
 
-    def window_levels(self):
-        # third-hop borrowing needs the events incident to hop-2 nodes
-        return 3 if self.cfg.strategy == "third-hop" else 2
-
     def propose(self, index, src_nodes, *, t_ref, t_max, seed, view_base,
                 mode="stochastic", max_eid=None, etgnn_cache=None):
         """Build the augmented view for a batch of source nodes. Candidates
@@ -458,16 +451,14 @@ class StructureLearner:
         this batch."""
         cfg = self.cfg
         src_nodes = np.unique(np.asarray(src_nodes, dtype=np.int64))
-        num_real = len(self.store)
-        empty = (view_base, np.zeros(0, np.int64), np.zeros(0, np.int64),
-                 np.zeros(0), None, None, num_real)
         if cfg.k == 0:
-            return AugmentedView(*empty), {}
+            return AugmentedView(view_base), {}
         if etgnn_cache is not None:
             et = etgnn_cache
         else:
-            window = visible_window(index, src_nodes, t_ref,
-                                    self.window_levels(), max_eid)
+            # third-hop borrowing needs the events incident to hop-2 nodes
+            levels = 3 if cfg.strategy == "third-hop" else 2
+            window = visible_window(index, src_nodes, t_ref, levels, max_eid)
             et = etgnn_forward(window, self.store, self.params, self.te_cfg)
         z = context_predict_batch(self.params, et, index, src_nodes, t_ref,
                                   cfg.n_rnn, max_eid)
@@ -476,7 +467,7 @@ class StructureLearner:
             t_ref=t_ref, t_max=t_max, random_pool=self.random_pool,
             max_eid=max_eid, fanouts=cfg.fanout_list())
         if len(cands) == 0:
-            return AugmentedView(*empty), {"candidates": cands}
+            return AugmentedView(view_base), {"candidates": cands}
         z_rows = ad.take(z, np.searchsorted(src_nodes, cands.src))
         dtype = z.dtype
         borrow = cands.feat_eid >= 0
@@ -492,8 +483,7 @@ class StructureLearner:
                                     cands.t_sample, self.te_cfg)
         m, rho, sel = gumbel_topk_select(
             zhat, fhat, cands.src, cfg.k, cfg.tau_gumbel, seed + 1, mode)
-        view = build_augmented_view(view_base, cands, sel, fhat, rho,
-                                    num_real)
+        view = build_augmented_view(view_base, cands, sel, fhat, rho)
         detail = {"candidates": cands, "m": m, "rho": rho, "selected": sel,
                   "context": z, "etgnn": et}
         return view, detail

@@ -24,8 +24,8 @@ from .structure import StructureLearner, TgslParams, etgnn_forward
 __all__ = [
     "ConfigError", "EmptySetError", "RunConfig", "MetricsReport",
     "EarlyStopState", "early_stop_update", "MoCoState", "moco_step",
-    "bce_link_loss", "info_nce_batch", "accuracy_score", "average_precision",
-    "Trainer",
+    "bce_link_loss", "info_nce_batch", "batch_loss", "accuracy_score",
+    "average_precision", "Trainer",
 ]
 
 
@@ -195,6 +195,40 @@ def info_nce_batch(q, k_pos, queue, tau):
     return ad.mean(ad.sub(lse, p0))
 
 
+def batch_loss(enc, learner, index, src, dst, neg, tss, *, max_eid, t_max,
+               seed, keys, queue, alpha, tau):
+    """The multi-task loss of one training batch of (src, dst, t) events
+    with negatives `neg`: link BCE on `index`, and with a structure learner
+    also link BCE on the view it proposes into `index` plus alpha times the
+    InfoNCE of the view's [src | dst] embeddings against `keys` and
+    `queue`. Returns (loss_ori, loss_aug, loss_cl, total); without a
+    learner loss_aug and loss_cl are None and total is loss_ori."""
+    b = len(src)
+    nodes3 = np.concatenate([src, dst, neg])
+    ts3 = np.concatenate([tss, tss, tss])
+    emb_ori = enc.encode_batch(index, nodes3, ts3, max_eid=max_eid)
+    loss_ori = bce_link_loss(*enc.score_links(emb_ori, b))
+    if learner is None:
+        return loss_ori, None, None, loss_ori
+    view, _ = learner.propose(
+        index, np.concatenate([src, dst]), t_ref=float(tss[0]), t_max=t_max,
+        seed=seed, view_base=index, mode="stochastic", max_eid=max_eid)
+    emb_aug = enc.encode_batch(view, nodes3, ts3, max_eid=max_eid)
+    loss_aug = bce_link_loss(*enc.score_links(emb_aug, b))
+    if alpha == 0.0:
+        # zero weight means zero gradient either way; skip recording the
+        # contrastive subgraph on the tape
+        with ad.no_grad():
+            loss_cl = info_nce_batch(
+                ad.narrow(emb_aug, 0, 0, 2 * b).detach(), keys, queue, tau)
+        total = ad.add(loss_ori, loss_aug)
+    else:
+        loss_cl = info_nce_batch(ad.narrow(emb_aug, 0, 0, 2 * b), keys,
+                                 queue, tau)
+        total = ad.add(ad.add(loss_ori, loss_aug), ad.scale(loss_cl, alpha))
+    return loss_ori, loss_aug, loss_cl, total
+
+
 # ---------------------------------------------------------------------------
 # MoCo machinery
 
@@ -333,51 +367,23 @@ class Trainer:
         rec = {"loss_ori": [], "loss_aug": [], "loss_cl": [], "total": []}
         for bi, batch in enumerate(self._batches()):
             src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
-            b = len(batch)
             start_eid = int(batch[0])
-            t0 = float(tss[0])
             neg = sample_negatives(dst, self.train_dst_pool,
                                    _seed(self.seed, epoch, bi, 3))
-            with ad.Tape() as tape:
-                nodes3 = np.concatenate([src, dst, neg])
-                ts3 = np.concatenate([tss, tss, tss])
-                emb_ori = self.q_enc.encode_batch(self.train_index, nodes3,
-                                                  ts3, max_eid=start_eid)
-                loss_ori = bce_link_loss(*self.q_enc.score_links(emb_ori, b))
-                if self.learner is not None:
-                    view, _ = self.learner.propose(
+            keys = None
+            if self.learner is not None:
+                with ad.no_grad():
+                    k_emb = self.k_enc.encode_batch(
                         self.train_index, np.concatenate([src, dst]),
-                        t_ref=t0, t_max=self.split.t_max_train,
-                        seed=_seed(self.seed, epoch, bi, 1),
-                        view_base=self.train_index, mode="stochastic",
-                        max_eid=start_eid)
-                    emb_aug = self.q_enc.encode_batch(view, nodes3, ts3,
-                                                      max_eid=start_eid)
-                    loss_aug = bce_link_loss(
-                        *self.q_enc.score_links(emb_aug, b))
-                    with ad.no_grad():
-                        k_emb = self.k_enc.encode_batch(
-                            self.train_index, nodes3[:2 * b], ts3[:2 * b],
-                            max_eid=start_eid)
-                    keys = _l2_rows_np(k_emb.values)
-                    if cfg.alpha == 0.0:
-                        # zero weight means zero gradient either way; skip
-                        # recording the contrastive subgraph on the tape
-                        with ad.no_grad():
-                            loss_cl = info_nce_batch(
-                                ad.narrow(emb_aug, 0, 0, 2 * b).detach(),
-                                keys, self.moco.queue, cfg.tau_cl)
-                        total = ad.add(loss_ori, loss_aug)
-                    else:
-                        loss_cl = info_nce_batch(
-                            ad.narrow(emb_aug, 0, 0, 2 * b), keys,
-                            self.moco.queue, cfg.tau_cl)
-                        total = ad.add(ad.add(loss_ori, loss_aug),
-                                       ad.scale(loss_cl, cfg.alpha))
-                else:
-                    loss_aug = loss_cl = None
-                    keys = None
-                    total = loss_ori
+                        np.concatenate([tss, tss]), max_eid=start_eid)
+                keys = _l2_rows_np(k_emb.values)
+            with ad.Tape() as tape:
+                loss_ori, loss_aug, loss_cl, total = batch_loss(
+                    self.q_enc, self.learner, self.train_index, src, dst,
+                    neg, tss, max_eid=start_eid,
+                    t_max=self.split.t_max_train,
+                    seed=_seed(self.seed, epoch, bi, 1), keys=keys,
+                    queue=self.moco.queue, alpha=cfg.alpha, tau=cfg.tau_cl)
                 if not np.isfinite(total.values):
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch} batch {bi}")

@@ -17,7 +17,7 @@ from .structure import (STRATEGIES, StructureLearner, TgslParams,
                         context_predict_batch, etgnn_forward,
                         gumbel_topk_select)
 from .training import (RunConfig, accuracy_score, average_precision,
-                       bce_link_loss, info_nce_batch)
+                       batch_loss)
 
 __all__ = ["Check", "grad_suite", "gumbel_suite", "metrics_suite",
            "leakage_suite", "run_suites", "SUITES"]
@@ -116,8 +116,9 @@ def grad_primitives(n_instances=100, seed=0, tol=1e-4):
 
 
 def toy_mtl_setup(d_model=8, seed=13):
-    """The 6-node, 10-event toy graph with a full multi-task loss, float64
-    throughout; returns (loss_fn, start_values) for grad_check."""
+    """The 6-node, 10-event toy graph with the training loss
+    (`training.batch_loss`, alpha 0.5), float64 throughout; returns
+    (loss_fn, start_values) for grad_check."""
     store = synth_generate(2, 3, 3, 10, 0.2, seed=seed)
     split = chronological_split(store)
     index = NeighborIndex.build(store, split.usable_train_ids)
@@ -135,27 +136,16 @@ def toy_mtl_setup(d_model=8, seed=13):
     batch = split.usable_train_ids[-3:]
     src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
     neg = np.array([store.dst[0]] * len(batch))
-    b = len(batch)
-    keys = rng.standard_normal((2 * b, d_model))   # frozen positive keys
-    start_eid = int(batch[0])
-    t0 = float(tss[0])
-    nodes3 = np.concatenate([src, dst, neg])
-    ts3 = np.concatenate([tss, tss, tss])
+    keys = rng.standard_normal((2 * len(batch), d_model))  # frozen positives
     n_enc = len(enc_p.parameters())
 
     def loss_fn(*probes):
         enc_p.replace_tensors(probes[:n_enc])
         tg_p.replace_tensors(probes[n_enc:])
-        emb_o = enc.encode_batch(index, nodes3, ts3, max_eid=start_eid)
-        l_ori = bce_link_loss(*enc.score_links(emb_o, b))
-        view, _ = learner.propose(index, np.concatenate([src, dst]),
-                                  t_ref=t0, t_max=split.t_max_train,
-                                  seed=seed + 4, view_base=index,
-                                  mode="stochastic", max_eid=start_eid)
-        emb_a = enc.encode_batch(view, nodes3, ts3, max_eid=start_eid)
-        l_aug = bce_link_loss(*enc.score_links(emb_a, b))
-        l_cl = info_nce_batch(ad.narrow(emb_a, 0, 0, 2 * b), keys, queue, 0.2)
-        return ad.add(ad.add(l_ori, l_aug), ad.scale(l_cl, 0.5))
+        return batch_loss(enc, learner, index, src, dst, neg, tss,
+                          max_eid=int(batch[0]), t_max=split.t_max_train,
+                          seed=seed + 4, keys=keys, queue=queue, alpha=0.5,
+                          tau=0.2)[3]
 
     start = [p.values.copy() for p in enc_p.parameters() + tg_p.parameters()]
     return loss_fn, start

@@ -242,7 +242,9 @@ def test_sweep_bad_k_grid_exits_config(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["not json {",
-                                  '{"config": {"bogus": 1}, "seed": 0}'])
+                                  '{"config": {"bogus": 1}, "seed": 0}',
+                                  '{"config": {}, "params": "params.npz"}',
+                                  '{"config": {}, "seed": 0}'])
 def test_eval_bad_manifest_exits_config(tmp_path, capsys, text):
     path = tmp_path / "manifest.json"
     path.write_text(text)

@@ -5,7 +5,9 @@ import pytest
 
 from tgsl import autodiff as ad
 from tgsl import encoder as te
-from tgsl.graph import EventStore, NeighborIndex, synth_generate
+from tgsl.graph import (EventStore, NeighborIndex, chronological_split,
+                        sparsify, synth_generate)
+from tgsl.structure import AugmentedView
 
 
 def test_omega_defaults_and_decay():
@@ -132,6 +134,41 @@ def test_leakage_future_event_perturbation():
     after = enc2.encode_batch(NeighborIndex.build(mut), nodes,
                               np.full(6, t)).values
     assert np.array_equal(base, after)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_view_without_additions_encodes_as_its_base(layers):
+    store = synth_generate(2, 6, 6, 80, 0.1, seed=4)
+    idx = NeighborIndex.build(store, np.arange(60))
+    p = te.EncoderParams(8, layers=layers, heads=2, d_hidden=8, seed=5)
+    enc = te.TgatEncoder(p, te.TimeEncodingConfig(8), store, n_nb=5)
+    nodes = np.concatenate([store.src[50:60], store.dst[50:60]])
+    tss = np.concatenate([store.ts[50:60], store.ts[50:60]])
+    for max_eid in (None, 50):
+        want = enc.encode_batch(idx, nodes, tss, max_eid).values
+        got = enc.encode_batch(AugmentedView(idx), nodes, tss, max_eid).values
+        assert np.array_equal(got, want)
+
+
+def test_sparsified_store_reads_features_through_feat_ids():
+    """A sparsified store keeps the original feature table and maps its
+    events to rows by feat_ids; encoding must match the same events with
+    feat_ids = arange and the rows gathered up front."""
+    store = synth_generate(2, 6, 6, 200, 0.1, seed=4)
+    thin, split = sparsify(store, chronological_split(store), 2)
+    assert not np.array_equal(thin.feat_ids, np.arange(len(thin)))
+    flat = EventStore(thin.src, thin.dst, thin.ts, np.arange(len(thin)),
+                      thin.node_features, thin.edge_features[thin.feat_ids],
+                      thin.num_users)
+    p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
+    cfg = te.TimeEncodingConfig(8)
+    nodes = np.concatenate([thin.src[-20:], thin.dst[-20:]])
+    tss = np.concatenate([thin.ts[-20:], thin.ts[-20:]])
+    got = te.TgatEncoder(p, cfg, thin, n_nb=5).encode_batch(
+        NeighborIndex.build(thin), nodes, tss).values
+    want = te.TgatEncoder(p, cfg, flat, n_nb=5).encode_batch(
+        NeighborIndex.build(flat), nodes, tss).values
+    assert np.array_equal(got, want)
 
 
 def test_attention_weights_normalized_under_mask():

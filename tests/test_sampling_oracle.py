@@ -52,9 +52,8 @@ def ref_batch_neighbors(index, nodes, ts_, n, max_eid=None):
 
 
 class RefAugmentedView:
-    def __init__(self, base, add_src, add_dst, add_t, num_real_events):
+    def __init__(self, base, add_src, add_dst, add_t):
         self.base = base
-        self.num_real_events = num_real_events
         self._per_node = {}
         for j in range(len(add_src)):
             for a, bnode in ((add_src[j], add_dst[j]),
@@ -67,9 +66,8 @@ class RefAugmentedView:
     def batch_neighbors(self, nodes, ts_, n, max_eid=None):
         ids, eids, tss, mask = ref_batch_neighbors(self.base, nodes, ts_, n,
                                                    max_eid)
-        aug = np.full(ids.shape, -1, dtype=np.int64)
         if not self._per_node:
-            return ids, eids, tss, mask, aug
+            return ids, eids, tss, mask
         for i in range(len(nodes)):
             adds = self._per_node.get(int(nodes[i]))
             if not adds:
@@ -88,19 +86,17 @@ class RefAugmentedView:
             for c, (t, kind, j, peer) in enumerate(merged):
                 if kind == 0:
                     ids[i, c], eids[i, c] = b_ids[j], b_eids[j]
-                    tss[i, c], aug[i, c] = t, -1
+                    tss[i, c] = t
                 else:
                     ids[i, c] = peer
-                    eids[i, c] = self.num_real_events + j
+                    eids[i, c] = -1 - j
                     tss[i, c] = t
-                    aug[i, c] = j
                 mask[i, c] = 1.0
             for c in range(len(merged), n):
                 ids[i, c] = eids[i, c] = 0
                 tss[i, c] = 0.0
                 mask[i, c] = 0.0
-                aug[i, c] = -1
-        return ids, eids, tss, mask, aug
+        return ids, eids, tss, mask
 
 
 def ref_context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
@@ -297,8 +293,8 @@ def random_view(store, idx, rng, n_add=30):
     add_t[4:6] = store.ts[:2]
     view = ts.AugmentedView(idx, add_src, add_dst, add_t,
                             ad.constant(np.ones((n_add, 2))),
-                            ad.constant(np.full(n_add, 0.5)), len(store))
-    ref = RefAugmentedView(idx, add_src, add_dst, add_t, len(store))
+                            ad.constant(np.full(n_add, 0.5)))
+    ref = RefAugmentedView(idx, add_src, add_dst, add_t)
     return view, ref, add_t
 
 
@@ -319,10 +315,8 @@ def test_augmented_merge_matches_loop(seed):
 def test_augmented_merge_without_additions_matches_loop():
     store = random_store(0)
     idx = NeighborIndex.build(store)
-    none = np.zeros(0, np.int64)
-    view = ts.AugmentedView(idx, none, none, np.zeros(0), None, None,
-                            len(store))
-    ref = RefAugmentedView(idx, none, none, np.zeros(0), len(store))
+    view = ts.AugmentedView(idx)
+    ref = RefAugmentedView(idx, [], [], [])
     nodes, t = queries(store, np.random.default_rng(0))
     assert_same(view.batch_neighbors(nodes, t, 5),
                 ref.batch_neighbors(nodes, t, 5))
@@ -396,8 +390,7 @@ def test_dedupe_matches_loop(seed):
     rho = rng.choice([0.2, 0.5, 0.9], size=c).astype(np.float32)
     sel = np.sort(rng.choice(c, size=40, replace=False))
     fhat = ad.constant(np.arange(c, dtype=np.float64)[:, None])
-    view = ts.build_augmented_view(idx, cands, sel, fhat, ad.constant(rho),
-                                   len(store))
+    view = ts.build_augmented_view(idx, cands, sel, fhat, ad.constant(rho))
     want = ref_dedupe(cands, sel, rho)
     assert len(want) < len(sel)
     assert_same([view.cand_features.values[:, 0].astype(np.int64),

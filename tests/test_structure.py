@@ -317,13 +317,14 @@ def test_gradient_reaches_learner_parameters():
 def test_empty_selection_equals_original():
     store = synth_generate(2, 8, 8, 100, 0.1, seed=1)
     idx = NeighborIndex.build(store)
-    view = ts.AugmentedView(idx, np.zeros(0, np.int64), np.zeros(0, np.int64),
-                            np.zeros(0), None, None, len(store))
+    view = ts.AugmentedView(idx)
+    assert view.num_added == 0
     a = view.batch_neighbors(np.arange(5), np.full(5, 50.0), 6)
     b = idx.batch_neighbors(np.arange(5), np.full(5, 50.0), 6)
-    for x, y in zip(a[:4], b):
+    assert len(a) == len(b) == 4
+    for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    assert np.all(a[4] == -1)
+    assert np.all(a[1] >= 0)
 
 
 def view_with_one_edge(t_new):
@@ -332,23 +333,24 @@ def view_with_one_edge(t_new):
     fhat = ad.constant(np.ones((1, 4)))
     rho = ad.constant(np.array([0.75]))
     view = ts.AugmentedView(idx, np.array([0]), np.array([9]),
-                            np.array([t_new]), fhat, rho, len(store))
+                            np.array([t_new]), fhat, rho)
     return view, idx
 
 
 def test_inserted_edge_visible_after_its_time():
     view, idx = view_with_one_edge(t_new=40.0)
-    ids, eids, tss, mask, aug = view.batch_neighbors(
+    ids, eids, tss, mask = view.batch_neighbors(
         np.array([0]), np.array([41.0]), 50)
-    hit = np.flatnonzero(aug >= 0)
+    hit = np.flatnonzero((mask > 0) & (eids < 0))
     assert len(hit) == 1
     row, col = 0, hit[0] % 50
+    assert eids[row, col] == -1         # added edge j = 0
     assert ids[row, col] == 9
     assert tss[row, col] == 40.0
     # invisible to queries at or before t_new
-    _, _, _, _, aug2 = view.batch_neighbors(np.array([0]),
-                                            np.array([40.0]), 50)
-    assert np.all(aug2 == -1)
+    _, eids2, _, _ = view.batch_neighbors(np.array([0]),
+                                          np.array([40.0]), 50)
+    assert np.all(eids2 >= 0)
 
 
 def test_dedupe_keeps_larger_rho():
@@ -358,8 +360,7 @@ def test_dedupe_keeps_larger_rho():
                               [-1, -1])
     fhat = ad.constant(np.ones((2, 4)))
     rho = ad.constant(np.array([0.3, 0.8]))
-    view = ts.build_augmented_view(idx, cands, np.array([0, 1]), fhat, rho,
-                                   len(store))
+    view = ts.build_augmented_view(idx, cands, np.array([0, 1]), fhat, rho)
     assert view.num_added == 1
     assert view.rho.values[0] == np.float64(0.8)
 
