@@ -4,7 +4,10 @@ A Tape records primitive ops in execution order; Tape.backward() replays
 the record in exact reverse order and accumulates gradients additively
 (fan-out sum rule). `.grad` lives on leaves only (params and other tensors
 no recorded op produced); each intermediate's work gradient is freed at its
-last use, when the op that produced it is replayed. Training runs in
+last use, when the op that produced it is replayed. A backward closure
+returns None for an input that does not require a gradient, so no
+gradient is ever formed for a constant. An N-D @ 2-D matmul computes each
+gradient as one 2-D GEMM over the folded leading axes. Training runs in
 float32, verification suites in float64 — gradient checks are unreliable
 in float32.
 """
@@ -271,7 +274,10 @@ def add(a, b):
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     return _record("add", (a, b), out,
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                   lambda g: (_unbroadcast(g, a.shape)
+                              if a.requires_grad else None,
+                              _unbroadcast(g, b.shape)
+                              if b.requires_grad else None))
 
 
 def sub(a, b):
@@ -280,7 +286,10 @@ def sub(a, b):
     except ValueError:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
     return _record("sub", (a, b), out,
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                   lambda g: (_unbroadcast(g, a.shape)
+                              if a.requires_grad else None,
+                              _unbroadcast(-g, b.shape)
+                              if b.requires_grad else None))
 
 
 def mul(a, b):
@@ -289,8 +298,10 @@ def mul(a, b):
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     return _record("mul", (a, b), out,
-                   lambda g: (_unbroadcast(g * b.values, a.shape),
-                              _unbroadcast(g * a.values, b.shape)))
+                   lambda g: (_unbroadcast(g * b.values, a.shape)
+                              if a.requires_grad else None,
+                              _unbroadcast(g * a.values, b.shape)
+                              if b.requires_grad else None))
 
 
 def div(a, b):
@@ -300,8 +311,9 @@ def div(a, b):
         raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast")
 
     def bw(g):
-        ga = _unbroadcast(g / b.values, a.shape)
-        gb = _unbroadcast(-g * a.values / (b.values * b.values), b.shape)
+        ga = _unbroadcast(g / b.values, a.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-g * a.values / (b.values * b.values), b.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _record("div", (a, b), out, bw)
@@ -314,17 +326,31 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """Matrix product on the last two axes, numpy @ semantics."""
+    """Matrix product on the last two axes, numpy @ semantics. With a 2-D
+    `b`, the leading axes of `a` fold into rows, so each gradient is one
+    2-D GEMM and no batched product is summed down."""
     if b.values.ndim < 2 or a.values.ndim < 1 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
+    if a.values.ndim == 1 and b.values.ndim > 2:
+        raise ShapeError(f"matmul: a 1-D lhs {a.shape} needs a 2-D rhs, "
+                         f"got {b.shape}")
     out = a.values @ b.values
 
     def bw(g):
-        bt = np.swapaxes(b.values, -1, -2)
-        if a.values.ndim == 1:
-            return g @ bt, np.outer(a.values, g)
-        at = np.swapaxes(a.values, -1, -2)
-        return (_unbroadcast(g @ bt, a.shape), _unbroadcast(at @ g, b.shape))
+        ga = gb = None
+        if b.values.ndim == 2:
+            k, m = b.shape
+            g2 = g.reshape(-1, m)
+            if a.requires_grad:
+                ga = (g2 @ b.values.T).reshape(a.shape)
+            if b.requires_grad:
+                gb = a.values.reshape(-1, k).T @ g2
+            return ga, gb
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape)
+        return ga, gb
 
     return _record("matmul", (a, b), out, bw)
 

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import zipfile
 from dataclasses import fields
 
 import numpy as np
@@ -257,23 +258,28 @@ def _train_one(cfg, store, split, seed):
 
 
 def load_run(manifest_path):
+    """Read a run's manifest and parameter snapshot, then rebuild its
+    trainer. Everything read from disk is checked before any data is
+    built: a malformed manifest or snapshot raises ConfigError, a missing
+    snapshot FileNotFoundError."""
+    run_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
         cfg = RunConfig(**manifest["config"])
-        seed, params = manifest["seed"], manifest["params"]
-    except (ValueError, TypeError, KeyError) as e:
+        # cmd_eval reports run_id: a manifest without one is bad too
+        seed, params, _ = (manifest[k] for k in ("seed", "params", "run_id"))
+        snap = {}
+        with np.load(os.path.join(run_dir, params)) as z:
+            for key in z.files:
+                group, name = key.split("|", 1)
+                snap.setdefault(group, {})[name] = z[key]
+    except (ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
         raise ConfigError(f"bad manifest {manifest_path}: {e}")
     cfg.validate()
     store = build_store(cfg)
     store, split = build_split(cfg, store)
     trainer = make_trainer(cfg, store, split, seed)
-    run_dir = os.path.dirname(os.path.abspath(manifest_path))
-    with np.load(os.path.join(run_dir, params)) as z:
-        snap = {}
-        for key in z.files:
-            group, name = key.split("|", 1)
-            snap.setdefault(group, {})[name] = z[key]
     trainer.restore(snap)
     return manifest, cfg, trainer
 

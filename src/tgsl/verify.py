@@ -53,6 +53,8 @@ def _primitive_cases(rng):
     w42 = c(rng.standard_normal((4, 2)))
     w3 = c(rng.standard_normal(3))
     w4 = c(rng.standard_normal(4))
+    w32 = c(rng.standard_normal((3, 2)))
+    lhs = c(rng.standard_normal((2, 3, 4)))
 
     return [
         ("add", lambda a, b: ad.sum_(ad.mul(ad.add(a, b), w)),
@@ -68,6 +70,12 @@ def _primitive_cases(rng):
          [rnd(4, 5), rnd(5, 3)]),
         ("matmul-batched", lambda a, b: ad.sum_(ad.matmul(a, b)),
          [rnd(2, 3, 4), rnd(2, 4, 2)]),
+        # N-D @ 2-D, the encoder's shape class; the constant lhs gets no
+        # gradient
+        ("matmul-broadcast", lambda a, b: ad.sum_(ad.mul(ad.matmul(a, b), w32)),
+         [rnd(2, 3, 4), rnd(4, 2)]),
+        ("matmul-const-lhs",
+         lambda b: ad.sum_(ad.mul(ad.matmul(lhs, b), w32)), [rnd(4, 2)]),
         ("concat-narrow",
          lambda a, b: ad.sum_(ad.mul(ad.narrow(ad.concat([a, b], axis=1),
                                                1, 1, 3), w)),

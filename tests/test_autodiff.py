@@ -34,6 +34,8 @@ def test_shape_errors_name_op_and_shapes():
         ad.matmul(a, b)
     with pytest.raises(ad.ShapeError, match="concat"):
         ad.concat([a, ad.constant(np.zeros((2, 4)))], axis=0)
+    with pytest.raises(ad.ShapeError, match=r"matmul: a 1-D lhs \(3,\)"):
+        ad.matmul(ad.constant(np.zeros(3)), ad.constant(np.zeros((2, 3, 4))))
 
 
 # one primitive per family: elementwise, matmul, concat, gather, reduction
@@ -110,6 +112,18 @@ def test_off_path_tensor_gets_zero_grid():
     assert np.all(x.grad == 2.0)
 
 
+def _backward_peak(loss, tape):
+    """Peak bytes that tape.backward(loss) allocates above what was live."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_backward_frees_work_grads_at_last_use():
     # the tape holds the chain's 40 forward values; backward itself keeps
     # only a few leaf-sized grids alive at once, not one per op
@@ -118,16 +132,55 @@ def test_backward_frees_work_grads_at_last_use():
         y = x
         for _ in range(40):
             y = ad.tanh(y)
-        loss = ad.sum_(y)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            t.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak = _backward_peak(ad.sum_(y), t)
     assert peak < 5 * x.values.nbytes
+
+
+def _batched_matmul_grads(a, b, g):
+    """The reference form of an N-D @ 2-D gradient: a batched product per
+    input, summed back down to the input's shape."""
+    at = np.swapaxes(a, -1, -2)
+    bt = np.swapaxes(b, -1, -2)
+    return ad._unbroadcast(g @ bt, a.shape), ad._unbroadcast(at @ g, b.shape)
+
+
+def test_broadcast_matmul_grads_match_batched_oracle():
+    # the recorded backward closure, called with a random upstream grad,
+    # equals the batched form; a constant input's slot is None
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        lead = tuple(rng.integers(1, 6, size=rng.integers(1, 4)))
+        k, m = rng.integers(1, 7, size=2)
+        a = rng.standard_normal(lead + (k,))
+        b = rng.standard_normal((k, m))
+        g = rng.standard_normal(lead + (m,))
+        ref_a, ref_b = _batched_matmul_grads(a, b, g)
+        for a_rg, b_rg in ((True, True), (False, True), (True, False)):
+            with ad.Tape() as t:
+                ad.matmul(ad.param(a, requires_grad=a_rg),
+                          ad.param(b, requires_grad=b_rg))
+            (_, _, bw), = t.entries
+            ga, gb = bw(g)
+            for got, ref, rg in ((ga, ref_a, a_rg), (gb, ref_b, b_rg)):
+                if rg:
+                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+                else:
+                    assert got is None
+
+
+def test_constant_input_gradient_is_never_formed():
+    rng = np.random.default_rng(2)
+    c = ad.constant(rng.standard_normal((64, 64, 128)))      # 4 MB
+    w = ad.param(rng.standard_normal((128, 4)))
+    with ad.Tape() as t:
+        peak = _backward_peak(ad.sum_(ad.matmul(c, w)), t)
+    assert peak < c.values.nbytes
+    # mul's param gradient g * c is itself c-sized; a second c-sized grid
+    # for the constant would take the peak to twice that
+    p = ad.param(rng.standard_normal(c.shape))
+    with ad.Tape() as t:
+        peak = _backward_peak(ad.sum_(ad.mul(c, p)), t)
+    assert peak < 1.5 * c.values.nbytes
 
 
 def test_finished_tape_is_freed_by_refcounting():

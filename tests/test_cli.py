@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -249,6 +250,47 @@ def test_eval_bad_manifest_exits_config(tmp_path, capsys, text):
     path = tmp_path / "manifest.json"
     path.write_text(text)
     assert cli.main(["eval", str(path)]) == cli.EXIT_CONFIG
+    assert "bad manifest" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("runs"))
+    assert cli.main(["train", "--out", out] + _set_args(fast_overrides())) == 0
+    return os.path.join(out, os.listdir(out)[0])
+
+
+def _drop_run_id(run_dir, manifest):
+    del manifest["run_id"]
+
+
+def _params_not_npz(run_dir, manifest):
+    with open(os.path.join(run_dir, manifest["params"]), "w") as f:
+        f.write("not an npz")
+
+
+def _key_without_bar(run_dir, manifest):
+    np.savez(os.path.join(run_dir, manifest["params"]), w=np.ones(2))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_run_id, _params_not_npz,
+                                     _key_without_bar])
+def test_eval_bad_trained_run_exits_config_before_any_work(
+        tmp_path, capsys, monkeypatch, trained_run, corrupt):
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(trained_run, run_dir)
+    path = os.path.join(run_dir, "manifest.json")
+    manifest = json.load(open(path))
+    corrupt(run_dir, manifest)
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+
+    def no_work(cfg):
+        raise AssertionError("data built before the manifest was checked")
+
+    monkeypatch.setattr(cli, "build_store", no_work)
+    capsys.readouterr()
+    assert cli.main(["eval", path]) == cli.EXIT_CONFIG
     assert "bad manifest" in capsys.readouterr().err
 
 
