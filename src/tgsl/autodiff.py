@@ -23,7 +23,7 @@ __all__ = [
     "add", "sub", "mul", "div", "scale", "matmul", "concat", "narrow",
     "reshape", "take", "segment_sum", "sigmoid", "relu", "tanh", "sin",
     "cos", "exp", "log", "sqrt", "clip", "sum_", "mean", "logsumexp",
-    "softmax", "ShapeError", "NonFiniteError",
+    "softmax", "temporal_attention", "ShapeError", "NonFiniteError",
 ]
 
 
@@ -224,6 +224,19 @@ class ParamSet:
         return {name: t.values.copy() for name, t in self._tensors.items()}
 
     def load_state_dict(self, d):
+        """Copy in a state dict with exactly this set's names and shapes;
+        anything else raises ValueError naming the tensor, before any
+        value is written."""
+        missing = sorted(set(self._tensors) - set(d))
+        extra = sorted(set(d) - set(self._tensors))
+        if missing or extra:
+            raise ValueError(f"load_state_dict: missing {missing}, "
+                             f"unexpected {extra}")
+        for name, t in self._tensors.items():
+            shape = np.shape(d[name])
+            if shape != t.shape:
+                raise ValueError(f"load_state_dict: {name} has shape {shape}, "
+                                 f"expected {t.shape}")
         for name, t in self._tensors.items():
             t.values[...] = d[name]
 
@@ -517,6 +530,99 @@ def logsumexp(a, axis=None, keepdims=False):
 def softmax(a, axis=-1):
     """exp(a - logsumexp(a)), composed from recorded primitives."""
     return exp(sub(a, logsumexp(a, axis=axis, keepdims=True)))
+
+
+def temporal_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
+                       wv, heads):
+    """One multi-head temporal attention layer over n slots per row
+    (TGAT, Xu et al. 2020); returns the [B, heads*d_k] head outputs.
+
+    Row b has one query q = (h_self || 1) @ wq, and slot s has the key and
+    value input x_s = (h_nbr_s || e_slot_s || te_nbr_s). Head h takes
+    a = softmax_s(q_h . (x_s @ wk_h) / sqrt(d_k) - 1e9 (1 - mask_s)) and
+    returns sum_s a_s w_slot_s (x_s @ wv_h). Because each row has one
+    query, the query is folded into W_k, q_h . (x_s W_k,h) = x_s . (W_k,h
+    q_h), and the slots are pooled before W_v, sum_s u_s (x_s W_v,h) =
+    (sum_s u_s x_s) W_v,h with u = a * w_slot. So no per-slot key or value
+    is formed, and the layer costs O(B n 3d heads), not O(B n 3d heads
+    d_k). wq is sliced row-wise into its h_self and ones blocks, wk and wv
+    into their h_nbr, e_slot and te_nbr blocks. `mask` is an array, 1 for
+    a real slot. A row with every slot padded (w_slot 0 there) outputs
+    zero. The backward follows the same reassociation and returns None
+    for any input that does not require a gradient."""
+    b, n = mask.shape
+    d = h_self.shape[1]
+    hk = wq.shape[1]
+    if (hk % heads or h_self.shape != (b, d) or w_slot.shape != (b, n)
+            or any(t.shape != (b, n, d) for t in (h_nbr, e_slot, te_nbr))
+            or wq.shape != (2 * d, hk)
+            or wk.shape != (3 * d, hk) or wv.shape != (3 * d, hk)):
+        raise ShapeError(
+            f"temporal_attention: {heads} heads, shapes "
+            f"{[t.shape for t in (h_self, h_nbr, e_slot, te_nbr, w_slot)]}, "
+            f"mask {mask.shape}, weights {[wq.shape, wk.shape, wv.shape]}")
+    dk = hk // heads
+    c = 1.0 / math.sqrt(dk)
+    xs = (h_nbr.values, e_slot.values, te_nbr.values)
+    blocks = (slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d))
+    wq_v = wq.values
+
+    def per_head(w):
+        # [3d, h*d_k] -> [h, 3d, d_k] view
+        return w.reshape(3 * d, heads, dk).transpose(1, 0, 2)
+
+    wk3, wv3 = per_head(wk.values), per_head(wv.values)
+    q = h_self.values @ wq_v[:d] + wq_v[d:].sum(axis=0)
+    q3 = q.reshape(b, heads, dk).transpose(1, 0, 2)           # [h, B, d_k]
+    # qt[b, :, h] = W_k,h q_h / sqrt(d_k)
+    qt = np.ascontiguousarray(
+        (q3 @ wk3.transpose(0, 2, 1)).transpose(1, 2, 0)) * c  # [B, 3d, h]
+    logits = sum(x @ qt[:, blk] for x, blk in zip(xs, blocks))
+    logits += ((mask - 1.0) * 1e9)[:, :, None].astype(logits.dtype)
+    attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+    attn /= attn.sum(axis=1, keepdims=True)                   # [B, n, h]
+    u = attn * w_slot.values[:, :, None]
+    ut = u.transpose(0, 2, 1)
+    pooled = np.concatenate([ut @ x for x in xs], axis=2)     # [B, h, 3d]
+    out = (pooled.transpose(1, 0, 2) @ wv3).transpose(1, 0, 2).reshape(b, hk)
+
+    def bw(g):
+        g3 = g.reshape(b, heads, dk).transpose(1, 0, 2)       # [h, B, d_k]
+        g_wv = g_wk = g_wq = g_self = g_w = None
+        if wv.requires_grad:
+            g_wv = (pooled.transpose(1, 2, 0) @ g3).transpose(1, 0, 2)
+            g_wv = g_wv.reshape(3 * d, hk)
+        g_pool = np.ascontiguousarray(
+            (g3 @ wv3.transpose(0, 2, 1)).transpose(1, 0, 2))  # [B, h, 3d]
+        g_u = sum(x @ g_pool[:, :, blk].transpose(0, 2, 1)
+                  for x, blk in zip(xs, blocks))               # [B, n, h]
+        if w_slot.requires_grad:
+            g_w = (g_u * attn).sum(axis=2)
+        g_a = g_u * w_slot.values[:, :, None]
+        g_l = attn * (g_a - (g_a * attn).sum(axis=1, keepdims=True))
+        g_lt = g_l.transpose(0, 2, 1)
+        g_x = tuple(
+            u @ g_pool[:, :, blk] + g_l @ qt[:, blk].transpose(0, 2, 1)
+            if t.requires_grad else None
+            for t, blk in zip((h_nbr, e_slot, te_nbr), blocks))
+        # qt's gradient pools the slots by g_l, as the forward pools by u
+        g_qt = np.concatenate([g_lt @ x for x in xs], axis=2)
+        g_qt = g_qt.transpose(1, 0, 2) * c                     # [h, B, 3d]
+        if wk.requires_grad:
+            g_wk = (g_qt.transpose(0, 2, 1) @ q3).transpose(1, 0, 2)
+            g_wk = g_wk.reshape(3 * d, hk)
+        g_q = (g_qt @ wk3).transpose(1, 0, 2).reshape(b, hk)
+        if wq.requires_grad:
+            g_wq = np.concatenate([
+                h_self.values.T @ g_q,
+                np.broadcast_to(g_q.sum(axis=0), (d, hk))])
+        if h_self.requires_grad:
+            g_self = g_q @ wq_v[:d].T
+        return (g_self,) + g_x + (g_w, g_wq, g_wk, g_wv)
+
+    return _record("temporal_attention",
+                   (h_self, h_nbr, e_slot, te_nbr, w_slot, wq, wk, wv),
+                   out, bw)
 
 
 # ---------------------------------------------------------------------------

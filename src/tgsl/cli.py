@@ -259,9 +259,11 @@ def _train_one(cfg, store, split, seed):
 
 def load_run(manifest_path):
     """Read a run's manifest and parameter snapshot, then rebuild its
-    trainer. Everything read from disk is checked before any data is
-    built: a malformed manifest or snapshot raises ConfigError, a missing
-    snapshot FileNotFoundError."""
+    trainer. The files are parsed before any data is built: a malformed
+    manifest or snapshot raises ConfigError, a missing snapshot
+    FileNotFoundError. A snapshot that does not fit the rebuilt model (a
+    missing group, or a tensor name or shape that differs) raises
+    ConfigError once the model exists."""
     run_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
@@ -280,7 +282,10 @@ def load_run(manifest_path):
     store = build_store(cfg)
     store, split = build_split(cfg, store)
     trainer = make_trainer(cfg, store, split, seed)
-    trainer.restore(snap)
+    try:
+        trainer.restore(snap)
+    except (KeyError, ValueError) as e:
+        raise ConfigError(f"bad manifest {manifest_path}: snapshot {e}")
     return manifest, cfg, trainer
 
 

@@ -5,6 +5,12 @@ frequency vector also drives the time-context mapping used to project
 embeddings across time gaps. The reference encoder is a TGAT-style
 multi-head attention over each node's most recent neighbors, where augmented
 edges contribute value vectors scaled by their relaxed selection weight.
+Each layer's attention is one `autodiff.temporal_attention` op: with one
+query per (node, t) row, the query is folded into W_k and the slots are
+pooled before W_v, so no per-slot key or value is ever formed. Its
+backward returns no gradient for a constant input (the time encodings, the
+bottom layer's neighbor states, the edge features of a view without
+additions).
 """
 
 import math
@@ -136,12 +142,13 @@ class TgatEncoder:
         view's n_nb most recent slots before t, recursing one layer down
         for the self and neighbor states. Each slot's value is scaled by 1
         for a real event, rho[j] for added edge j (event id -1 - j) and 0
-        for a pad; only added slots read the view's cand_features and rho."""
+        for a pad; only added slots read the view's cand_features and rho.
+        The attention itself is one ad.temporal_attention op."""
         if layer == 0:
             return ad.constant(self.node_feat[nodes])
         pre = f"enc.l{layer - 1}."
         p = self.params
-        dm, h, dk = p.d_model, p.heads, p.d_k
+        dm = p.d_model
         b = len(nodes)
         ids, eids, tss, mask = view.batch_neighbors(nodes, ts, self.n_nb,
                                                     max_eid)
@@ -182,21 +189,10 @@ class TgatEncoder:
 
         te_nbr = ad.constant(time_encode(ts[:, None] - tss, self.cfg,
                                          dtype=self.dtype))
-        te_self = ad.constant(np.ones((b, dm), dtype=self.dtype))
-
-        q_in = ad.concat([h_self, te_self], axis=1)
-        kv_in = ad.concat([h_nbr, e_slot, te_nbr], axis=2)
-        q = ad.reshape(ad.matmul(q_in, p[pre + "wq"]), (b, 1, h, dk))
-        k = ad.reshape(ad.matmul(kv_in, p[pre + "wk"]), (b, n, h, dk))
-        v = ad.reshape(ad.matmul(kv_in, p[pre + "wv"]), (b, n, h, dk))
-
-        logits = ad.scale(ad.sum_(ad.mul(q, k), axis=3), 1.0 / math.sqrt(dk))
-        neg = ((mask - 1.0) * 1e9)[:, :, None].astype(self.dtype)
-        attn = ad.softmax(ad.add(logits, ad.constant(neg)), axis=1)
-
-        v_eff = ad.mul(v, ad.reshape(w_slot, (b, n, 1, 1)))
-        head = ad.sum_(ad.mul(ad.reshape(attn, (b, n, h, 1)), v_eff), axis=1)
-        merged = ad.concat([ad.reshape(head, (b, h * dk)), h_self], axis=1)
+        head = ad.temporal_attention(h_self, h_nbr, e_slot, te_nbr, w_slot,
+                                     mask, p[pre + "wq"], p[pre + "wk"],
+                                     p[pre + "wv"], p.heads)
+        merged = ad.concat([head, h_self], axis=1)
         hid = ad.relu(ad.add(ad.matmul(merged, p[pre + "w1"]), p[pre + "b1"]))
         return ad.add(ad.matmul(hid, p[pre + "w2"]), p[pre + "b2"])
 

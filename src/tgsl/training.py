@@ -475,11 +475,13 @@ class Trainer:
         return d
 
     def restore(self, snap):
+        """Load a snapshot(): every group this trainer has must be there
+        (KeyError names a missing one), with exactly its tensors
+        (ValueError from load_state_dict)."""
         self.q_params.load_state_dict(snap["query"])
-        if self.tgsl_params is not None and "tgsl" in snap:
+        if self.tgsl_params is not None:
             self.tgsl_params.load_state_dict(snap["tgsl"])
-        if "key" in snap:
-            self.moco.key_params.load_state_dict(snap["key"])
+        self.moco.key_params.load_state_dict(snap["key"])
 
     def fit(self, log=None, early_stop=True, val_limit=None):
         """Train with early stopping on transductive validation AP; restores

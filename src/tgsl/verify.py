@@ -55,6 +55,20 @@ def _primitive_cases(rng):
     w4 = c(rng.standard_normal(4))
     w32 = c(rng.standard_normal((3, 2)))
     lhs = c(rng.standard_normal((2, 3, 4)))
+    # attention over 3 rows x 4 slots at d=4, 2 heads: row 0 all padded,
+    # w_slot 1 on real slots, rho on added ones, 0 on pads
+    mask = (rng.random((3, 4)) < 0.7).astype(np.float64)
+    mask[0] = 0.0
+    slot_w = c(mask * np.where(rng.random((3, 4)) < 0.5, 1.0,
+                               rng.uniform(0.1, 0.9, (3, 4))))
+    te_nbr = c(rng.uniform(-1.0, 1.0, (3, 4, 4)))
+    w34 = c(rng.standard_normal((3, 4)))
+
+    def attention(h_self, h_nbr, e_slot, w_raw, wq, wk, wv):
+        w_slot = ad.mul(w_raw, slot_w)
+        return ad.sum_(ad.mul(ad.temporal_attention(
+            h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk, wv, 2),
+            w34))
 
     return [
         ("add", lambda a, b: ad.sum_(ad.mul(ad.add(a, b), w)),
@@ -106,6 +120,9 @@ def _primitive_cases(rng):
          [rnd(4, 5)]),
         ("clip", lambda a: ad.sum_(ad.mul(ad.clip(a, -5.0, 5.0), w)),
          [rnd(4, 3)]),
+        ("temporal-attention", attention,
+         [rnd(3, 4), rnd(3, 4, 4), rnd(3, 4, 4), rnd(3, 4), rnd(8, 4),
+          rnd(12, 4), rnd(12, 4)]),
     ]
 
 

@@ -36,6 +36,12 @@ def test_shape_errors_name_op_and_shapes():
         ad.concat([a, ad.constant(np.zeros((2, 4)))], axis=0)
     with pytest.raises(ad.ShapeError, match=r"matmul: a 1-D lhs \(3,\)"):
         ad.matmul(ad.constant(np.zeros(3)), ad.constant(np.zeros((2, 3, 4))))
+    z = ad.constant
+    slots = [z(np.zeros((2, 3, 4)))] * 3
+    with pytest.raises(ad.ShapeError, match=r"temporal_attention.*\(12, 5\)"):
+        ad.temporal_attention(z(np.zeros((2, 4))), *slots, z(np.zeros((2, 3))),
+                              np.ones((2, 3)), z(np.zeros((8, 4))),
+                              z(np.zeros((12, 5))), z(np.zeros((12, 4))), 2)
 
 
 # one primitive per family: elementwise, matmul, concat, gather, reduction
@@ -214,6 +220,13 @@ def test_param_set_names_order_and_round_trip():
     assert ps["b"] is probes[0] and ps["a"] is probes[1]
     with pytest.raises(ValueError, match="replace_tensors"):
         ps.replace_tensors(probes[:1])
+    # names and shapes must match exactly; nothing is written otherwise
+    for bad, named in (({"a": np.ones(2)}, "b"),
+                       ({**snap, "c": np.ones(2)}, "c"),
+                       ({**snap, "a": np.ones(1)}, "a")):
+        with pytest.raises(ValueError, match=named):
+            ps.load_state_dict(bad)
+        assert np.all(ps["b"].values == 1.0)
 
 
 def test_five_op_composite_matches_finite_differences():

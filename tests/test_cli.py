@@ -294,6 +294,43 @@ def test_eval_bad_trained_run_exits_config_before_any_work(
     assert "bad manifest" in capsys.readouterr().err
 
 
+def _rewrite_params(run_dir, manifest, edit):
+    path = os.path.join(run_dir, manifest["params"])
+    with np.load(path) as z:
+        flat = {k: z[k] for k in z.files}
+    edit(flat)
+    np.savez(path, **flat)
+
+
+def _drop_query_group(run_dir, manifest):
+    def edit(flat):
+        for key in [k for k in flat if k.startswith("query|")]:
+            del flat[key]
+    _rewrite_params(run_dir, manifest, edit)
+
+
+def _broadcastable_wrong_shape(run_dir, manifest):
+    # one row of enc.l0.wq: numpy would broadcast it over every row
+    def edit(flat):
+        flat["query|enc.l0.wq"] = flat["query|enc.l0.wq"][0]
+    _rewrite_params(run_dir, manifest, edit)
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_drop_query_group, "query"),
+    (_broadcastable_wrong_shape, "enc.l0.wq")])
+def test_eval_snapshot_not_fitting_the_model_exits_config(
+        tmp_path, capsys, trained_run, corrupt, named):
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(trained_run, run_dir)
+    path = os.path.join(run_dir, "manifest.json")
+    corrupt(run_dir, json.load(open(path)))
+    capsys.readouterr()
+    assert cli.main(["eval", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad manifest" in err and named in err
+
+
 def test_train_non_finite_loss_exits_check_fail(tmp_path, capsys):
     # Adam moves every weight by about lr per step, so lr=1e30 overflows
     # float32 within a batch and the loss guard fires

@@ -50,6 +50,21 @@ def test_time_context_range():
     assert np.all(v >= 0.0) and np.all(v <= 2.0)
 
 
+def test_time_encode_float32_is_the_rounded_float64_value():
+    """At Wikipedia-scale times (up to 2.7e6 s), cos(t * omega) computed in
+    float32 drifts by about 0.1; the encoding must stay the float64 value
+    rounded once."""
+    cfg = te.TimeEncodingConfig(100)
+    t = np.random.default_rng(0).uniform(0.0, 2.7e6, 4000)
+    want = te.time_encode(t, cfg).astype(np.float32)
+    got = te.time_encode(t, cfg, dtype=np.float32)
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 1e-6
+    in_f32 = np.cos(t.astype(np.float32)[:, None]
+                    * cfg.omega.astype(np.float32))
+    assert np.abs(in_f32 - want).max() > 1e-2
+
+
 def test_encodings_bit_reproducible():
     cfg = te.TimeEncodingConfig(16)
     a = te.time_encode(123.456, cfg)
@@ -171,21 +186,160 @@ def test_sparsified_store_reads_features_through_feat_ids():
     assert np.array_equal(got, want)
 
 
+# ---------------------------------------------------------------------------
+# the fused attention primitive
+
+def composed_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
+                       wv, heads):
+    """Test oracle: the attention layer composed from primitives, with
+    per-slot keys and values from the concatenated (h_nbr || e_slot ||
+    te_nbr) input and a (h_self || 1) query."""
+    b, n, dm = h_nbr.shape
+    dk = wq.shape[1] // heads
+    q_in = ad.concat([h_self, ad.constant(np.ones((b, dm)))], axis=1)
+    kv_in = ad.concat([h_nbr, e_slot, te_nbr], axis=2)
+    q = ad.reshape(ad.matmul(q_in, wq), (b, 1, heads, dk))
+    k = ad.reshape(ad.matmul(kv_in, wk), (b, n, heads, dk))
+    v = ad.reshape(ad.matmul(kv_in, wv), (b, n, heads, dk))
+    logits = ad.scale(ad.sum_(ad.mul(q, k), axis=3), 1.0 / math.sqrt(dk))
+    neg = ad.constant(((mask - 1.0) * 1e9)[:, :, None])
+    attn = ad.softmax(ad.add(logits, neg), axis=1)
+    v_eff = ad.mul(v, ad.reshape(w_slot, (b, n, 1, 1)))
+    head = ad.sum_(ad.mul(ad.reshape(attn, (b, n, heads, 1)), v_eff), axis=1)
+    return ad.reshape(head, (b, heads * dk))
+
+
+ATTENTION_INPUTS = ("h_self", "h_nbr", "e_slot", "te_nbr", "w_slot", "wq",
+                    "wk", "wv")
+
+
+def attention_case(rng, b=6, n=5, dm=8, dtype=np.float64):
+    """Random inputs as the encoder builds them: row 0 has every slot
+    padded, row 1 none; w_slot is 1 on real slots, rho in (0, 1) on added
+    ones and 0 on pads."""
+    mask = (rng.random((b, n)) < 0.6).astype(dtype)
+    mask[0], mask[1] = 0.0, 1.0
+    added = mask * (rng.random((b, n)) < 0.4)
+    w_slot = mask - added + added * rng.uniform(0.05, 0.95, (b, n))
+    shapes = {"h_self": (b, dm), "h_nbr": (b, n, dm), "e_slot": (b, n, dm),
+              "te_nbr": (b, n, dm), "wq": (2 * dm, dm), "wk": (3 * dm, dm),
+              "wv": (3 * dm, dm)}
+    arrays = {k: rng.standard_normal(s).astype(dtype)
+              for k, s in shapes.items()}
+    arrays["w_slot"] = w_slot.astype(dtype)
+    return arrays, mask
+
+
+def run_attention(fn, arrays, mask, heads, const=(), weight=None):
+    """fn's output, and the gradients of sum(out * weight) by input name;
+    inputs named in `const` are constants."""
+    ts = {k: (ad.constant(v) if k in const else ad.param(v.copy(), name=k))
+          for k, v in arrays.items()}
+    with ad.Tape() as tape:
+        out = fn(*(ts[k] for k in ATTENTION_INPUTS[:5]), mask,
+                 *(ts[k] for k in ATTENTION_INPUTS[5:]), heads)
+        if weight is not None:
+            tape.backward(ad.sum_(ad.mul(out, ad.constant(weight))))
+    return out.values, {k: t.grad for k, t in ts.items() if k not in const}
+
+
+def close(got, want, rtol):
+    """Max error within rtol of the array's largest magnitude: entries that
+    cancel to near zero keep the absolute error of their neighbors."""
+    return np.abs(got - want).max(initial=0) <= rtol * np.abs(want).max(
+        initial=0)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("const", [(), ("te_nbr",), ("h_nbr", "te_nbr"),
+                                   ("e_slot", "te_nbr")])
+def test_temporal_attention_matches_composed_oracle(heads, const):
+    rng = np.random.default_rng(heads * 10 + len(const))
+    for _ in range(3):
+        arrays, mask = attention_case(rng)
+        weight = rng.standard_normal((len(mask), arrays["wq"].shape[1]))
+        got, got_g = run_attention(ad.temporal_attention, arrays, mask,
+                                   heads, const, weight)
+        want, want_g = run_attention(composed_attention, arrays, mask,
+                                     heads, const, weight)
+        assert close(got, want, 1e-10)
+        assert set(got_g) == set(want_g)
+        # in a row with every slot padded the oracle's softmax subtracts a
+        # logsumexp near -1e9, which keeps only about 7 digits of the
+        # attention; only w_slot's gradient there reads it (in the encoder
+        # the zero added-mask then drops it)
+        live = mask.any(axis=1)
+        w_g, w_want = got_g.pop("w_slot"), want_g.pop("w_slot")
+        assert close(w_g[live], w_want[live], 1e-10)
+        assert close(w_g[~live], w_want[~live], 1e-6)
+        for k in got_g:
+            assert close(got_g[k], want_g[k], 1e-10), k
+
+
+def test_temporal_attention_returns_none_for_constants():
+    rng = np.random.default_rng(3)
+    arrays, mask = attention_case(rng)
+    const = ("h_nbr", "e_slot", "te_nbr")
+    ts = [ad.constant(arrays[k]) if k in const else ad.param(arrays[k])
+          for k in ATTENTION_INPUTS]
+    with ad.Tape() as tape:
+        out = ad.temporal_attention(*ts[:5], mask, *ts[5:], 2)
+    (_, _, bw), = tape.entries
+    for k, g in zip(ATTENTION_INPUTS, bw(np.ones_like(out.values))):
+        assert (g is None) == (k in const), k
+
+
 def test_attention_weights_normalized_under_mask():
-    # the exact masked-softmax construction the encoder uses
+    """Through the primitive: the attention weights of a row sum to 1 over
+    its real slots, a padded slot's inputs never reach the output, and a
+    row with every slot padded outputs zero."""
+    rng = np.random.default_rng(5)
+    for dtype in (np.float32, np.float64):
+        arrays, mask = attention_case(rng, b=8, n=6, dtype=dtype)
+        assert not mask[0].any() and mask[1:].any(axis=1).all()
+        # with only the te block read by W_v, a slot's value is 1, so each
+        # output is the attention mass on real slots
+        probe = dict(arrays, w_slot=mask.astype(dtype),
+                     te_nbr=np.ones_like(arrays["te_nbr"]))
+        dm = probe["h_self"].shape[1]
+        probe["wv"] = np.zeros_like(arrays["wv"])
+        probe["wv"][2 * dm:] = 1.0 / dm
+        mass, _ = run_attention(ad.temporal_attention, probe, mask, 2)
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        assert np.allclose(mass[1:], 1.0, rtol=0, atol=tol)
+        assert np.all(mass[0] == 0)
+
+        base, _ = run_attention(ad.temporal_attention, arrays, mask, 2)
+        pads = (mask == 0)[:, :, None]
+        for k in ("h_nbr", "e_slot", "te_nbr"):
+            moved = dict(arrays)
+            moved[k] = np.where(pads, arrays[k] + rng.standard_normal(
+                arrays[k].shape).astype(dtype), arrays[k])
+            got, _ = run_attention(ad.temporal_attention, moved, mask, 2)
+            assert np.array_equal(got, base), k
+        assert np.all(base[0] == 0)
+
+
+def test_encode_batch_tape_entries_per_layer():
+    """With added edges, one 2-layer encode_batch records at most 16 tape
+    entries per layer (30 here; the composed attention block recorded
+    69)."""
+    store = synth_generate(2, 6, 6, 80, 0.1, seed=4)
+    idx = NeighborIndex.build(store, np.arange(60))
+    p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
+    enc = te.TgatEncoder(p, te.TimeEncodingConfig(8), store, n_nb=5)
     rng = np.random.default_rng(0)
-    logits = ad.constant(rng.standard_normal((4, 6, 2)))
-    mask = np.zeros((4, 6))
-    mask[0, :3] = 1
-    mask[1, :1] = 1
-    mask[2, :] = 1
-    attn = ad.softmax(ad.add(logits, ad.constant(
-        ((mask - 1.0) * 1e9)[:, :, None])), axis=1).values
-    assert np.all(attn >= 0)
-    assert np.allclose(attn.sum(axis=1), 1.0)
-    # masked slots carry zero weight whenever any real neighbor exists
-    assert np.all(attn[0, 3:] == 0)
-    assert np.all(attn[1, 1:] == 0)
+    t_add = float(store.ts[55])
+    view = AugmentedView(
+        idx, store.src[50:56], store.dst[:6], np.full(6, t_add),
+        cand_features=ad.param(rng.standard_normal((6, 8)).astype(np.float32)),
+        rho=ad.param(rng.uniform(0.1, 0.9, 6).astype(np.float32)))
+    nodes = np.concatenate([store.src[56:60], store.dst[56:60]])
+    tss = np.concatenate([store.ts[56:60], store.ts[56:60]])
+    assert (view.batch_neighbors(nodes, tss, 5)[1] < 0).any()
+    with ad.Tape() as tape:
+        enc.encode_batch(view, nodes, tss)
+    assert len(tape) <= 2 * 16
 
 
 def test_depth_validation_and_bad_node():
