@@ -1,10 +1,11 @@
 """The temporal graph data layer: synthetic interaction streams, the
 chronological split with inductive masking, strictly-causal neighbor
-queries, k-hop walks, and train-set sparsification."""
+queries, third-hop candidates, and train-set sparsification."""
 
 import numpy as np
 
 from tgsl import graph as tg
+from tgsl.structure import sample_candidates
 
 # --- a bipartite community store --------------------------------------------
 store = tg.synth_generate(n_communities=2, n_users=50, n_items=50,
@@ -30,8 +31,13 @@ print(f"node {node}, five most recent neighbors before t=500:",
       list(zip(nbrs.tolist(), times.tolist())))
 
 # --- third-hop walks find similar-taste destinations -------------------------
-ends = tg.khop_sample(index, node, t=500.0, hops=3, fanouts=(5, 3, 3), seed=3)
-print(f"3-hop endpoints (with the borrowed final-hop edge): {ends[:5]}")
+# Each hop draws, per frontier row, distinct neighbors from one permutation
+# of its history and drops nodes the source already visited.
+cands = sample_candidates(np.array([node]), "third-hop", index, n_can=5,
+                          seed=3, t_ref=500.0, t_max=split.t_max_train,
+                          fanouts=(5, 3, 3))
+print("3-hop endpoints (with the borrowed final-hop edge):",
+      list(zip(cands.dst.tolist(), cands.feat_eid.tolist())))
 
 # --- sparsification keeps every N-th training event --------------------------
 thin, thin_split = tg.sparsify(store, split, 4)

@@ -14,8 +14,8 @@ from .autodiff import (AdamState, GradCheckResult, ParamSet, Tape, Tensor,
 from .encoder import (EncoderParams, TgatEncoder, TimeEncodingConfig,
                       time_context, time_encode)
 from .graph import (EventStore, NeighborIndex, SplitSpec, chronological_split,
-                    khop_sample, load_events, sample_negatives, save_events,
-                    sparsify, synth_generate)
+                    load_events, sample_negatives, save_events, sparsify,
+                    synth_generate)
 from .structure import (AugmentedView, StructureLearner, TgslParams,
                         build_augmented_view, context_predict_batch,
                         etgnn_forward, gumbel_topk_select, sample_candidates,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .graph import (DataError, chronological_split, load_events, save_events,
                     sparsify, synth_generate)
+from .structure import STRATEGIES
 from .training import ConfigError, EmptySetError, RunConfig, Trainer
 from .verify import SUITES, run_suites
 
@@ -350,7 +351,7 @@ def cmd_verify(args):
 def cmd_sweep(args):
     """Train over a strategy x K grid (one run per cell per seed)."""
     strategies = (args.strategies.split(",") if args.strategies
-                  else ["one-hop", "third-hop", "random"])
+                  else list(STRATEGIES))
     try:
         k_grid = ([int(k) for k in args.k_grid.split(",")] if args.k_grid
                   else [2, 4, 8, 16, 32])

@@ -14,7 +14,7 @@ import numpy as np
 
 __all__ = [
     "EventStore", "NeighborIndex", "SplitSpec", "load_events", "save_events",
-    "chronological_split", "khop_sample", "sparsify", "synth_generate",
+    "chronological_split", "sparsify", "synth_generate",
     "sample_negatives",
 ]
 
@@ -117,9 +117,6 @@ class NeighborIndex:
         offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(num_nodes, peers[order], eids[order], ts[order], offsets)
-
-    def degree(self, node):
-        return int(self.offsets[node + 1] - self.offsets[node])
 
     def ranges_before(self, nodes, ts, max_eid=None):
         """For each (node, t) row, the CSR range [lo, cut) of the node's
@@ -273,39 +270,6 @@ def sparsify(store, split, n_keep_every):
         mask_seed=split.mask_seed,
     )
     return thinned, new_split
-
-
-def khop_sample(index, node, t, hops=3, fanouts=(10, 3, 3), seed=0,
-                max_eid=None):
-    """Seeded random-walk expansion to hop `hops`; returns the final-hop
-    endpoints paired with the event id of the last hop (whose feature gets
-    borrowed). Nodes already visited at earlier hops are dropped."""
-    if hops < 1 or len(fanouts) < hops or any(f < 1 for f in fanouts[:hops]):
-        raise ValueError("hops >= 1 and one fanout >= 1 per hop required")
-    rng = np.random.default_rng(seed)
-    visited = {int(node)}
-    frontier = [int(node)]
-    result = []
-    for hop in range(hops):
-        nxt = []
-        seen_this_hop = set()
-        for u in frontier:
-            nb, ei, _ = index.neighbors_before(u, t, index.degree(u), max_eid)
-            if len(nb) == 0:
-                continue
-            k = min(fanouts[hop], len(nb))
-            pick = rng.choice(len(nb), size=k, replace=False)
-            pick.sort()
-            for j in pick:
-                v, e = int(nb[j]), int(ei[j])
-                if v in visited or v in seen_this_hop:
-                    continue
-                seen_this_hop.add(v)
-                nxt.append((v, e))
-        visited |= seen_this_hop
-        frontier = [v for v, _ in nxt]
-        result = nxt
-    return result
 
 
 def sample_negatives(pos_dst, pool, seed):

@@ -8,13 +8,21 @@ sampled timestamp via the time-context vector, scored against the node's
 context embedding, and the K largest relaxed weights survive. The surviving
 weight rho stays attached to each added edge so gradients flow back through
 the encoder's value aggregation.
+
+One draw rule serves both graph strategies, batched over all rows: per
+row, one permutation of its history, the first occurrence of each
+neighbor, the first n. One-hop applies it once to the sources, third-hop
+once per fanout to a frontier of (source, node) rows. In training the
+ET-GNN runs over a visible window of `layers + (len(fanouts) - 1 if
+third-hop else 0)` rings, exactly as deep as the edge rows the learner
+reads, so those rows equal the ones computed over the whole visible prefix.
 """
 
 import numpy as np
 
 from . import autodiff as ad
 from .encoder import time_context, time_encode
-from .graph import NeighborIndex, khop_sample
+from .graph import NeighborIndex
 
 __all__ = [
     "TgslParams", "EtgnnOutput", "etgnn_forward", "context_predict_batch",
@@ -188,77 +196,96 @@ def _flat_ranges(lo, cut):
             + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt))
 
 
-def _one_hop(src, index, n_can, rng, t_ref, max_eid):
-    """Rows (source position, CSR position) of the one-hop candidates: per
-    source with history, in source order, one permutation of its history;
-    the first occurrence of each neighbor in permutation order is kept,
-    up to n_can per source (at least one)."""
-    lo, cut = index.ranges_before(src, t_ref, max_eid)
+def _draw(nodes, index, n, rng, t_ref, max_eid):
+    """The one draw rule: per row of `nodes` with history, in row order,
+    one permutation of its history before t_ref (and max_eid); the first
+    occurrence of each neighbor in permutation order is kept, up to n per
+    row (at least one). Returns (row, CSR position) pairs in row order,
+    then permutation order."""
+    lo, cut = index.ranges_before(nodes, t_ref, max_eid)
     has = np.flatnonzero(cut > lo)
     perm = [rng.permutation(int(cut[i] - lo[i])) for i in has]
     row = np.repeat(has, cut[has] - lo[has])
     pos = (lo[row] + np.concatenate(perm)) if perm else row
-    # first occurrence of every (row, neighbor) pair, in permutation order
-    key = row * np.int64(index.num_nodes) + index.nbr[pos]
-    first = np.sort(np.unique(key, return_index=True)[1])
+    first = _first_of_each(row * np.int64(index.num_nodes) + index.nbr[pos])
     row, pos = row[first], pos[first]
-    rank = np.arange(len(row)) - np.searchsorted(row, row)
-    keep = rank < max(n_can, 1)
+    keep = _ranks(row) < max(n, 1)
     return row[keep], pos[keep]
 
 
-def sample_candidates(src_nodes, strategy, index, store, n_can, seed, *,
-                      t_ref, t_max, random_pool=None, max_eid=None,
-                      fanouts=(10, 3, 3)):
-    """Up to n_can candidate destinations per source node.
+def _first_of_each(key):
+    """Positions of the first occurrence of every key, in order."""
+    return np.sort(np.unique(key, return_index=True)[1])
 
-    one-hop: seeded sample of distinct historical neighbors, feature = the
-    node's own edge with them. third-hop: random-walk endpoints with the
-    final-hop edge's feature borrowed. random: uniform training-set nodes
-    with zero feature vectors (t_sample := t_new so the projection is the
-    identity). Every candidate gets a fresh t_new uniform on [0, t_max].
+
+def _ranks(group):
+    """Rank of each entry inside its run of a non-decreasing group array."""
+    return np.arange(len(group)) - np.searchsorted(group, group)
+
+
+def _walk(src, index, fanouts, rng, t_ref, max_eid):
+    """Rows (source position, CSR position of the last hop's edge) of the
+    third-hop endpoints: hop h applies `_draw` with n = fanouts[h] to every
+    (source, node) frontier row, then drops nodes the row's source has
+    visited (itself and earlier hops) and repeats within the hop."""
+    owner, node = np.arange(len(src)), src
+    visited = owner * np.int64(index.num_nodes) + src
+    for fanout in fanouts:
+        row, pos = _draw(node, index, fanout, rng, t_ref, max_eid)
+        owner, node = owner[row], index.nbr[pos]
+        key = owner * np.int64(index.num_nodes) + node
+        first = _first_of_each(key)
+        first = first[~np.isin(key[first], visited)]
+        owner, node, pos = owner[first], node[first], pos[first]
+        visited = np.concatenate([visited, key[first]])
+    return owner, pos
+
+
+def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
+                      t_max, random_pool=None, max_eid=None,
+                      fanouts=(10, 3, 3)):
+    """Up to n_can candidate destinations per source node, grouped by
+    source in source order, from one seeded generator.
+
+    Every neighbor draw is `_draw`: per row, one permutation of the row's
+    history before t_ref, first occurrence of each neighbor, the first n.
+    one-hop: one draw from the sources, feature = the source's own edge
+    with the neighbor. third-hop: len(fanouts) draws, hop h keeping
+    fanouts[h] per frontier row and dropping nodes the source already
+    visited; the endpoints borrow the last hop's edge. random: one
+    shuffle of the pool per source, all in one array operation, and the
+    first n_can pool nodes that are not the source, with zero feature
+    vectors (t_sample := t_new so the projection is the identity). Sample
+    times are the CSR times of the borrowed edges. Every candidate gets a
+    fresh t_new uniform on [0, t_max], drawn after all of the above.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; one of {STRATEGIES}")
     if strategy == "random" and (random_pool is None or len(random_pool) == 0):
         raise ValueError("random strategy needs a node pool")
+    if strategy == "third-hop" and (not fanouts or min(fanouts) < 1):
+        raise ValueError("third-hop needs one fanout >= 1 per hop")
     rng = np.random.default_rng(seed)
     src_nodes = np.asarray(src_nodes, dtype=np.int64)
-    if strategy == "one-hop":
-        row, pos = _one_hop(src_nodes, index, n_can, rng, t_ref, max_eid)
-        src_out, dst_out = src_nodes[row], index.nbr[pos]
-        eid_out, tsamp_out = index.eid[pos], index.ts[pos]
-    else:
-        src_out, dst_out, eid_out, tsamp_out = [], [], [], []
-        for u in src_nodes:
-            u = int(u)
-            if strategy == "third-hop":
-                walk_seed = int(rng.integers(2 ** 31))
-                ends = khop_sample(index, u, t_ref, hops=len(fanouts),
-                                   fanouts=fanouts, seed=walk_seed,
-                                   max_eid=max_eid)
-                for v, e in ends[:n_can]:
-                    src_out.append(u)
-                    dst_out.append(v)
-                    eid_out.append(e)
-                    tsamp_out.append(float(store.ts[e]))
-            else:
-                pool = np.asarray(random_pool, dtype=np.int64)
-                pool = pool[pool != u]
-                if len(pool) == 0:
-                    continue
-                k = min(n_can, len(pool))
-                picks = rng.choice(pool, size=k, replace=False)
-                for v in picks:
-                    src_out.append(u)
-                    dst_out.append(int(v))
-                    eid_out.append(-1)
-                    tsamp_out.append(0.0)   # overwritten with t_new below
-    t_new = rng.uniform(0.0, t_max, size=len(src_out))
-    tsamp = np.asarray(tsamp_out, dtype=np.float64)
     if strategy == "random":
-        tsamp = t_new.copy()
-    return CandidateBatch(src_out, dst_out, t_new, tsamp, eid_out)
+        pool = np.asarray(random_pool, dtype=np.int64)
+        head = rng.permuted(np.tile(pool, (len(src_nodes), 1)),
+                            axis=1)[:, :n_can + 1]
+        keep = head != src_nodes[:, None]
+        keep &= np.cumsum(keep, axis=1) <= n_can
+        row, col = np.nonzero(keep)
+        t_new = rng.uniform(0.0, t_max, size=len(row))
+        return CandidateBatch(src_nodes[row], head[row, col], t_new,
+                              t_new.copy(), np.full(len(row), -1))
+    if strategy == "one-hop":
+        row, pos = _draw(src_nodes, index, n_can, rng, t_ref, max_eid)
+    else:
+        row, pos = _walk(src_nodes, index, fanouts, rng, t_ref, max_eid)
+        keep = _ranks(row) < n_can
+        row, pos = row[keep], pos[keep]
+    t_new = rng.uniform(0.0, t_max, size=len(row))
+    return CandidateBatch(src_nodes[row], index.nbr[pos], t_new,
+                          index.ts[pos], index.eid[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +328,7 @@ def gumbel_topk_select(zhat, fhat, src_of, k, tau, seed,
     # per-source top-K, vectorized: sort by (source, -rho, index), keep the
     # first K ranks of every group; ties resolve to the earlier candidate
     order = np.lexsort((np.arange(c), -rho.values, src_of))
-    grp = src_of[order]
-    starts = np.flatnonzero(np.concatenate(([True], grp[1:] != grp[:-1])))
-    rank = np.arange(c) - np.repeat(starts, np.diff(
-        np.concatenate((starts, [c]))))
-    sel = np.sort(order[rank < k])
+    sel = np.sort(order[_ranks(src_of[order]) < k])
     return m, rho, sel
 
 
@@ -397,9 +420,7 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho):
     inv = inv.reshape(-1)
     if len(first) != len(sel):
         order = np.lexsort((np.arange(len(sel)), -rho.values[sel], inv))
-        grp = inv[order]
-        lead = np.concatenate(([True], grp[1:] != grp[:-1]))
-        sel = sel[np.sort(order[lead])]
+        sel = sel[np.sort(order[_ranks(inv[order]) == 0])]
     fh = ad.take(fhat, sel)
     rh = ad.take(rho, sel)
     return AugmentedView(base, cands.src[sel], cands.dst[sel],
@@ -453,19 +474,23 @@ class StructureLearner:
         src_nodes = np.unique(np.asarray(src_nodes, dtype=np.int64))
         if cfg.k == 0:
             return AugmentedView(view_base), {}
+        fanouts = cfg.fanout_list()
         if etgnn_cache is not None:
             et = etgnn_cache
         else:
-            # third-hop borrowing needs the events incident to hop-2 nodes
-            levels = 3 if cfg.strategy == "third-hop" else 2
+            # an L-layer edge row reads the edges of its endpoints' L-1
+            # rings; the rows read belong to the sources' own edges and to
+            # the last hop of a walk, which starts len(fanouts) - 1 away
+            levels = self.params.layers + (
+                len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
             window = visible_window(index, src_nodes, t_ref, levels, max_eid)
             et = etgnn_forward(window, self.store, self.params, self.te_cfg)
         z = context_predict_batch(self.params, et, index, src_nodes, t_ref,
                                   cfg.n_rnn, max_eid)
         cands = sample_candidates(
-            src_nodes, cfg.strategy, index, self.store, cfg.n_can, seed,
-            t_ref=t_ref, t_max=t_max, random_pool=self.random_pool,
-            max_eid=max_eid, fanouts=cfg.fanout_list())
+            src_nodes, cfg.strategy, index, cfg.n_can, seed, t_ref=t_ref,
+            t_max=t_max, random_pool=self.random_pool, max_eid=max_eid,
+            fanouts=fanouts)
         if len(cands) == 0:
             return AugmentedView(view_base), {"candidates": cands}
         z_rows = ad.take(z, np.searchsorted(src_nodes, cands.src))

@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
 from .graph import DataError, NeighborIndex, sample_negatives
-from .structure import StructureLearner, TgslParams, etgnn_forward
+from .structure import (STRATEGIES, StructureLearner, TgslParams,
+                        etgnn_forward)
 
 __all__ = [
     "ConfigError", "EmptySetError", "RunConfig", "MetricsReport",
@@ -83,17 +84,35 @@ class RunConfig:
     out_dir: str = "runs"
 
     def validate(self):
-        if self.strategy not in ("one-hop", "third-hop", "random"):
-            raise ConfigError(f"strategy must be one of one-hop, third-hop, "
-                              f"random; got {self.strategy!r}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.sparsify_n < 1:
-            raise ConfigError("sparsify_n must be >= 1")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"strategy must be one of "
+                              f"{', '.join(STRATEGIES)}; got {self.strategy!r}")
+        for key in ("synth_communities", "synth_users", "synth_items",
+                    "synth_events", "sparsify_n", "k", "n_can", "n_rnn",
+                    "moco_queue", "d_model", "layers", "heads", "d_hidden",
+                    "etgnn_layers", "n_nb", "batch_size", "max_epochs",
+                    "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got "
+                                  f"{getattr(self, key)}")
+        if self.synth_communities > min(self.synth_users, self.synth_items):
+            raise ConfigError(f"synth_communities must not exceed "
+                              f"synth_users or synth_items, got "
+                              f"{self.synth_communities}")
+        if self.d_model % self.heads:
+            raise ConfigError(f"heads must divide d_model {self.d_model}, "
+                              f"got {self.heads}")
+        for key in ("tau_gumbel", "tau_cl"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got "
+                                  f"{getattr(self, key)}")
+        for key in ("alpha", "moco_momentum"):
+            if not (0.0 <= getattr(self, key) <= 1.0):
+                raise ConfigError(f"{key} must be in [0, 1], got "
+                                  f"{getattr(self, key)}")
+        if not (0.0 <= self.mask_frac < 1.0):
+            raise ConfigError(f"mask_frac must be in [0, 1), got "
+                              f"{self.mask_frac}")
         for key, parse in (("seeds", self.seed_list),
                            ("fanouts", self.fanout_list)):
             try:
@@ -103,6 +122,9 @@ class RunConfig:
                                   f"got {getattr(self, key)!r}")
         if not self.seed_list():
             raise ConfigError("seeds must name at least one seed")
+        if min(self.fanout_list()) < 1:
+            raise ConfigError(f"fanouts must all be >= 1, got "
+                              f"{self.fanouts!r}")
 
     def seed_list(self):
         return [int(s) for s in str(self.seeds).split(",") if s.strip() != ""]

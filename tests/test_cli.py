@@ -227,13 +227,21 @@ def test_train_determinism_byte_identical_metrics(tmp_path):
 # ---------------------------------------------------------------------------
 # failures exit with the documented codes, never a traceback
 
-@pytest.mark.parametrize("bad", ["lr=fast", "k=abc", "seeds=a,b",
-                                 "fanouts=x", "patience=0"])
+@pytest.mark.parametrize("bad", [
+    "lr=fast", "k=abc", "seeds=a,b", "fanouts=x", "patience=0",
+    # out of range: each used to end in a traceback or train nonsense
+    "heads=3", "etgnn_layers=0", "n_nb=0", "batch_size=0", "tau_gumbel=0",
+    "tau_cl=0", "d_model=0", "strategy=third-hop fanouts=0,1,1", "layers=0",
+    "moco_queue=0", "n_can=0", "n_rnn=0", "d_hidden=0", "max_epochs=0",
+    "mask_frac=1.0", "moco_momentum=2", "synth_events=0",
+    "synth_communities=20"])
 def test_train_bad_value_exits_config(tmp_path, capsys, bad):
+    """`bad` is one or more space-separated --set pairs; the last one names
+    the key the error must mention."""
     rc = cli.main(["train", "--out", str(tmp_path)]
-                  + _set_args(fast_overrides([bad])))
+                  + _set_args(fast_overrides(bad.split())))
     assert rc == cli.EXIT_CONFIG
-    assert bad.split("=")[0] in capsys.readouterr().err
+    assert bad.split()[-1].split("=")[0] in capsys.readouterr().err
 
 
 def test_sweep_bad_k_grid_exits_config(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from tgsl import graph as tg
 from tgsl.graph import DataError, EventStore, NeighborIndex
+from tgsl.structure import sample_candidates
 
 
 def write_csv(path, rows, n_feat=2):
@@ -157,7 +158,13 @@ def test_no_event_at_or_after_query_time_is_returned():
 
 
 # ---------------------------------------------------------------------------
-# k-hop walks
+# k-hop walks: third-hop candidates
+
+def third_hop(idx, node, t, fanouts, seed):
+    c = sample_candidates(np.array([node]), "third-hop", idx, 10, seed,
+                          t_ref=t, t_max=t, fanouts=fanouts)
+    return list(zip(c.dst.tolist(), c.feat_eid.tolist()))
+
 
 def path_store():
     # 0 - 1 - 2 - 3 chain
@@ -167,7 +174,7 @@ def path_store():
 
 def test_khop_path_graph_reaches_far_end():
     idx = NeighborIndex.build(path_store())
-    got = tg.khop_sample(idx, 0, 10.0, hops=3, fanouts=(2, 2, 2), seed=0)
+    got = third_hop(idx, 0, 10.0, (2, 2, 2), seed=0)
     assert got == [(3, 2)]    # node 3 via the (2,3) edge, feature borrowed
 
 
@@ -176,16 +183,16 @@ def test_khop_star_graph_returns_empty():
                        [1.0, 2.0, 3.0, 4.0], [0, 1, 2, 3],
                        np.zeros((5, 1)), np.zeros((4, 1)))
     idx = NeighborIndex.build(store)
-    got = tg.khop_sample(idx, 0, 10.0, hops=3, fanouts=(4, 4, 4), seed=1)
+    got = third_hop(idx, 0, 10.0, (4, 4, 4), seed=1)
     assert got == []          # every walk folds back onto visited leaves
 
 
 def test_khop_seed_determinism():
     store = tg.synth_generate(2, 15, 15, 300, 0.2, seed=2)
     idx = NeighborIndex.build(store)
-    a = tg.khop_sample(idx, 3, 250.0, seed=77)
-    b = tg.khop_sample(idx, 3, 250.0, seed=77)
-    assert a == b
+    a = third_hop(idx, 3, 250.0, (10, 3, 3), seed=77)
+    b = third_hop(idx, 3, 250.0, (10, 3, 3), seed=77)
+    assert a and a == b
 
 
 # ---------------------------------------------------------------------------

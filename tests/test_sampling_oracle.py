@@ -1,12 +1,14 @@
-"""The vectorised one-hop sampling path against its per-row loop forms.
+"""The vectorised sampling path against its per-row loop forms.
 
 Each `ref_*` function below is the row-at-a-time implementation the array
 code replaced, kept as the reference: neighbor windows, the augmented
-view's merge, the context rows, one-hop candidates, the visible window and
-the duplicate resolution of added edges. Every test asserts bitwise
-equality on random stores with tied integer timestamps, repeated query
-nodes, nodes without history, windows wider than the degree, self-loops,
-and both with and without an event-id cutoff.
+view's merge, the context rows, the candidates of all three strategies,
+the visible window and the duplicate resolution of added edges. The
+candidate references make the same generator calls in the same order as
+the batched draws. Every test asserts bitwise equality on random stores
+with tied integer timestamps, repeated query nodes, nodes without history,
+windows wider than the degree, self-loops, and both with and without an
+event-id cutoff.
 """
 
 import numpy as np
@@ -139,32 +141,84 @@ def ref_context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
     return h
 
 
+def ref_history(index, node, t, max_eid=None):
+    return ref_neighbors_before(index, node, t, len(index.nbr), max_eid)
+
+
+def ref_draw(index, node, t_ref, n, rng, max_eid=None):
+    """One row of the draw rule: a permutation of the node's history, the
+    first occurrence of each neighbor, the first n (at least one), as
+    (neighbor, event id, time) triples."""
+    nb, ei, tt = ref_history(index, node, t_ref, max_eid)
+    if len(nb) == 0:
+        return []
+    out, seen = [], set()
+    for j in rng.permutation(len(nb)):
+        v = int(nb[j])
+        if v in seen:
+            continue
+        seen.add(v)
+        out.append((v, int(ei[j]), float(tt[j])))
+        if len(out) >= max(n, 1):
+            break
+    return out
+
+
+def ref_candidates(src_nodes, ends, rng, t_max):
+    """CandidateBatch of per-source (dst, eid, t_sample) lists, with t_new
+    drawn last."""
+    src_out = [int(u) for u, e in zip(src_nodes, ends) for _ in e]
+    flat = [c for e in ends for c in e]
+    t_new = rng.uniform(0.0, t_max, size=len(flat))
+    return ts.CandidateBatch(src_out, [c[0] for c in flat], t_new,
+                             np.asarray([c[2] for c in flat], np.float64),
+                             [c[1] for c in flat])
+
+
 def ref_one_hop_candidates(src_nodes, index, n_can, seed, *, t_ref, t_max,
                            max_eid=None):
     rng = np.random.default_rng(seed)
-    src_out, dst_out, eid_out, tsamp_out = [], [], [], []
-    for u in np.asarray(src_nodes, dtype=np.int64):
-        u = int(u)
-        nb, ei, tt = ref_neighbors_before(index, u, t_ref, index.degree(u),
-                                          max_eid)
-        if len(nb) == 0:
-            continue
-        order = rng.permutation(len(nb))
-        seen = set()
-        for j in order:
-            v = int(nb[j])
-            if v in seen:
-                continue
-            seen.add(v)
-            src_out.append(u)
-            dst_out.append(v)
-            eid_out.append(int(ei[j]))
-            tsamp_out.append(float(tt[j]))
-            if len(seen) >= n_can:
-                break
+    ends = [ref_draw(index, int(u), t_ref, n_can, rng, max_eid)
+            for u in src_nodes]
+    return ref_candidates(src_nodes, ends, rng, t_max)
+
+
+def ref_third_hop_candidates(src_nodes, index, n_can, seed, *, t_ref, t_max,
+                             fanouts, max_eid=None):
+    """Hop-major walk: at each hop every source, in order, draws from each
+    of its frontier nodes, in order, and keeps the nodes it has not
+    visited yet (itself included)."""
+    rng = np.random.default_rng(seed)
+    src_nodes = [int(u) for u in src_nodes]
+    visited = [{u} for u in src_nodes]
+    frontier = [[u] for u in src_nodes]
+    ends = [[] for _ in src_nodes]
+    for fanout in fanouts:
+        for i in range(len(src_nodes)):
+            nxt = []
+            for w in frontier[i]:
+                for v, e, t in ref_draw(index, w, t_ref, fanout, rng,
+                                        max_eid):
+                    if v not in visited[i]:
+                        visited[i].add(v)
+                        nxt.append((v, e, t))
+            frontier[i] = [v for v, _, _ in nxt]
+            ends[i] = nxt
+    return ref_candidates(src_nodes, [e[:n_can] for e in ends], rng, t_max)
+
+
+def ref_random_candidates(src_nodes, pool, n_can, seed, *, t_max):
+    """Per source, one permutation of the pool; the first n_can nodes that
+    are not the source, with t_sample = t_new and no borrowed feature."""
+    rng = np.random.default_rng(seed)
+    src_out, dst_out = [], []
+    for u in src_nodes:
+        picks = [int(v) for v in rng.permutation(pool) if v != u][:n_can]
+        src_out += [int(u)] * len(picks)
+        dst_out += picks
     t_new = rng.uniform(0.0, t_max, size=len(src_out))
-    tsamp = np.asarray(tsamp_out, dtype=np.float64)
-    return ts.CandidateBatch(src_out, dst_out, t_new, tsamp, eid_out)
+    return ts.CandidateBatch(src_out, dst_out, t_new, t_new,
+                             np.full(len(src_out), -1))
 
 
 def ref_visible_window(index, nodes, t_ref, levels=2, max_eid=None):
@@ -174,8 +228,7 @@ def ref_visible_window(index, nodes, t_ref, levels=2, max_eid=None):
     for _ in range(levels):
         nxt = []
         for u in level:
-            nb, ei, _ = ref_neighbors_before(index, int(u), t_ref,
-                                             index.degree(int(u)), max_eid)
+            nb, ei, _ = ref_history(index, int(u), t_ref, max_eid)
             if len(ei):
                 eids.append(ei)
                 nxt.append(nb)
@@ -367,12 +420,95 @@ def test_one_hop_candidates_match_loop(seed):
             for max_eid in cutoffs(store):
                 kw = dict(t_ref=float(t[0]), t_max=float(store.ts.max()),
                           max_eid=max_eid)
-                got = ts.sample_candidates(nodes, "one-hop", idx, store,
-                                           n_can, seed, **kw)
+                got = ts.sample_candidates(nodes, "one-hop", idx, n_can,
+                                           seed, **kw)
                 want = ref_one_hop_candidates(nodes, idx, n_can, seed, **kw)
-                fields = ("src", "dst", "t_new", "t_sample", "feat_eid")
-                assert_same([getattr(got, f) for f in fields],
-                            [getattr(want, f) for f in fields])
+                assert_same_candidates(got, want)
+
+
+def assert_same_candidates(got, want):
+    fields = ("src", "dst", "feat_eid", "t_sample", "t_new")
+    assert_same([getattr(got, f) for f in fields],
+                [getattr(want, f) for f in fields])
+
+
+def star_store(leaves=5):
+    """Node 0 joined to every leaf: every walk folds back onto it. Node
+    leaves + 1 has no history."""
+    return EventStore(np.zeros(leaves, np.int64), np.arange(1, leaves + 1),
+                      np.arange(1.0, leaves + 1), np.arange(leaves),
+                      np.zeros((leaves + 2, 1), np.float32),
+                      np.zeros((leaves, 1), np.float32))
+
+
+def path_store(n=6):
+    """0 - 1 - ... - n-1: a walk reaches hop 3 only along the path."""
+    return EventStore(np.arange(n - 1), np.arange(1, n),
+                      np.arange(1.0, n), np.arange(n - 1),
+                      np.zeros((n, 1), np.float32),
+                      np.zeros((n - 1, 1), np.float32))
+
+
+FANOUTS = [(1,), (2, 1, 1), (3, 2, 2), (50, 50, 50)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_third_hop_candidates_match_loop(seed):
+    rng = np.random.default_rng(600 + seed)
+    store = random_store(seed)
+    for idx in indexes(store, rng):
+        nodes, t = queries(store, rng, b=15)
+        for fanouts in FANOUTS:
+            for n_can in (1, 3, 100):
+                for max_eid in cutoffs(store):
+                    kw = dict(t_ref=float(t[0]),
+                              t_max=float(store.ts.max()), max_eid=max_eid,
+                              fanouts=fanouts)
+                    got = ts.sample_candidates(nodes, "third-hop", idx,
+                                               n_can, seed, **kw)
+                    want = ref_third_hop_candidates(nodes, idx, n_can, seed,
+                                                    **kw)
+                    assert_same_candidates(got, want)
+
+
+@pytest.mark.parametrize("store,nodes,hop3", [
+    (star_store(), [0, 1, 2, 6], []),
+    (path_store(), [0, 5, 2, 2], [(0, 3), (5, 2), (2, 5), (2, 5)]),
+])
+def test_third_hop_star_and_path_match_loop(store, nodes, hop3):
+    """A star gives no endpoint (every hop-3 node is visited); on a path
+    only the walks with three unvisited steps ahead reach hop 3, which
+    fanouts of at least two always find."""
+    idx = NeighborIndex.build(store)
+    for seed in SEEDS:
+        for fanouts in FANOUTS:
+            kw = dict(t_ref=10.0, t_max=10.0, fanouts=fanouts)
+            got = ts.sample_candidates(nodes, "third-hop", idx, 100, seed,
+                                       **kw)
+            want = ref_third_hop_candidates(nodes, idx, 100, seed, **kw)
+            assert_same_candidates(got, want)
+            if len(fanouts) == 3 and min(fanouts) >= 2:
+                assert sorted(zip(got.src.tolist(), got.dst.tolist())) == \
+                    sorted(hop3)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_candidates_match_loop(seed):
+    rng = np.random.default_rng(700 + seed)
+    store = random_store(seed)
+    idx = NeighborIndex.build(store)
+    nodes, _ = queries(store, rng, b=15)
+    pools = [np.arange(store.num_nodes),                 # holds every source
+             np.setdiff1d(np.arange(store.num_nodes), nodes),   # holds none
+             np.array([int(nodes[0])]),                  # only one source
+             rng.permutation(store.num_nodes)[:5]]
+    for pool in pools:
+        for n_can in (1, 3, 100):
+            got = ts.sample_candidates(nodes, "random", idx, n_can, seed,
+                                       t_ref=5.0, t_max=20.0,
+                                       random_pool=pool)
+            want = ref_random_candidates(nodes, pool, n_can, seed, t_max=20.0)
+            assert_same_candidates(got, want)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

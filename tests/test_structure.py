@@ -153,7 +153,7 @@ def candidate_fixture():
 
 def test_random_strategy_candidates():
     store, split, idx, pool = candidate_fixture()
-    cands = ts.sample_candidates(np.array([0, 1, 2]), "random", idx, store,
+    cands = ts.sample_candidates(np.array([0, 1, 2]), "random", idx,
                                  5, seed=3, t_ref=split.t_max_train,
                                  t_max=split.t_max_train, random_pool=pool)
     assert np.all(cands.feat_eid == -1)
@@ -167,7 +167,7 @@ def test_one_hop_distinct_destination_bound():
                        np.zeros((4, 1), np.float32),
                        np.zeros((5, 1), np.float32))
     idx = NeighborIndex.build(store)
-    cands = ts.sample_candidates(np.array([0]), "one-hop", idx, store, 10,
+    cands = ts.sample_candidates(np.array([0]), "one-hop", idx, 10,
                                  seed=1, t_ref=10.0, t_max=10.0)
     assert len(np.unique(cands.dst)) == len(cands.dst) <= 3
     assert np.all(cands.t_new <= 10.0)
@@ -180,7 +180,7 @@ def test_t_new_uniform_ks():
     src = np.arange(20)
     draws = []
     for s in range(140):
-        c = ts.sample_candidates(src, "random", idx, store, 250, seed=s,
+        c = ts.sample_candidates(src, "random", idx, 250, seed=s,
                                  t_ref=t_max, t_max=t_max, random_pool=pool)
         draws.append(c.t_new)
     t_new = np.concatenate(draws)
@@ -192,15 +192,15 @@ def test_t_new_uniform_ks():
 def test_isolated_node_yields_no_neighbor_candidates():
     store, split, idx, pool = candidate_fixture()
     lonely = store.num_nodes - 1
-    cands = ts.sample_candidates(np.array([lonely]), "one-hop", idx, store,
-                                 5, seed=0, t_ref=0.5, t_max=10.0)
+    cands = ts.sample_candidates(np.array([lonely]), "one-hop", idx, 5,
+                                 seed=0, t_ref=0.5, t_max=10.0)
     assert len(cands) == 0
 
 
 def test_unknown_strategy_rejected():
     store, split, idx, pool = candidate_fixture()
     with pytest.raises(ValueError, match="strategy"):
-        ts.sample_candidates(np.array([0]), "two-hop", idx, store, 5, seed=0,
+        ts.sample_candidates(np.array([0]), "two-hop", idx, 5, seed=0,
                              t_ref=1.0, t_max=1.0)
 
 
@@ -387,9 +387,11 @@ def test_min_k_candidate_count_added_per_source():
         assert per_source_sel.get(s, 0) == min(2, n_cand)
 
 
-def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch):
-    """One-hop proposing and encoding on the augmented view run on batched
-    range searches only; `neighbors_before` is the single-row query."""
+@pytest.mark.parametrize("strategy", ts.STRATEGIES)
+def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch, strategy):
+    """Proposing (any strategy) and encoding on the augmented view run on
+    batched range searches only; `neighbors_before` is the single-row
+    query."""
     calls = []
     single_row = NeighborIndex.neighbors_before
 
@@ -404,8 +406,9 @@ def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch):
     te = TimeEncodingConfig(8)
     learner = ts.StructureLearner(ts.TgslParams(8, 2, 2, layers=1, seed=4),
                                   te, store,
-                                  RunConfig(strategy="one-hop", k=2, n_can=6,
-                                            n_rnn=4))
+                                  RunConfig(strategy=strategy, k=2, n_can=6,
+                                            n_rnn=4),
+                                  np.arange(store.num_nodes))
     batch = np.arange(150, 190)
     view, _ = learner.propose(idx, store.src[batch],
                               t_ref=float(store.ts[150]),
@@ -425,3 +428,43 @@ def test_visible_window_respects_cutoffs():
                             levels=2, max_eid=200)
     assert np.all(win < 200)
     assert np.all(store.ts[win] < store.ts[200])
+
+
+@pytest.mark.parametrize("etgnn_layers", [1, 2, 3])
+@pytest.mark.parametrize("strategy", ts.STRATEGIES)
+def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
+    """Every ET-GNN edge row `propose` reads (each source's last n_rnn
+    events for the context, and the borrowed candidate features) equals the
+    row computed over the whole visible prefix, as inference computes it.
+    A sparse store keeps the L-hop neighborhoods short of the full graph,
+    so a window one ring too shallow shows."""
+    store = synth_generate(2, 2000, 2000, 12_000, 0.1, seed=21)
+    idx = NeighborIndex.build(store)
+    te = TimeEncodingConfig(8)
+    params = ts.TgslParams(8, store.node_dim, store.edge_dim,
+                           layers=etgnn_layers, seed=3, dtype=np.float64)
+    cfg = RunConfig(strategy=strategy, k=2, n_can=6, n_rnn=4,
+                    fanouts="3,2,2", etgnn_layers=etgnn_layers)
+    learner = ts.StructureLearner(params, te, store, cfg,
+                                  np.arange(store.num_nodes))
+    borrowed = 0
+    for start in (6000, 9000, 11_990):
+        batch = np.arange(start, start + 5)
+        t_ref = float(store.ts[start])
+        sources = np.unique(np.concatenate([store.src[batch],
+                                            store.dst[batch]]))
+        _, det = learner.propose(idx, sources, t_ref=t_ref, t_max=t_ref,
+                                 seed=start, view_base=idx, max_eid=start)
+        _, ctx, _, mask = idx.batch_neighbors(sources, t_ref, cfg.n_rnn,
+                                              start)
+        feat = det["candidates"].feat_eid
+        borrowed += int((feat >= 0).sum())
+        rows = np.unique(np.concatenate([ctx[mask > 0], feat[feat >= 0]]))
+        prefix = np.unique(idx.eid[(idx.ts < t_ref) & (idx.eid < start)])
+        full = ts.etgnn_forward(prefix, store, params, te)
+        et = det["etgnn"]
+        got = et.edge_f.values[et.event_rows(rows)]
+        want = full.edge_f.values[full.event_rows(rows)]
+        assert len(rows) and np.abs(want).max() > 0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert (borrowed > 0) == (strategy != "random")
