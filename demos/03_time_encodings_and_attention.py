@@ -10,7 +10,7 @@ from tgsl.graph import NeighborIndex, synth_generate
 
 cfg = TimeEncodingConfig(16)
 print(f"omega spans {cfg.omega[0]:.3g} .. {cfg.omega[-1]:.3g} "
-      f"(alpha = beta = sqrt(d) = {cfg.alpha})")
+      f"(omega_i = sqrt(d)^(-i / sqrt(d)), sqrt(d) = {np.sqrt(cfg.d)})")
 
 # TE(0) is all ones; components always stay in [-1, 1]
 print("TE(0)      :", time_encode(0.0, cfg)[:4], "...")

@@ -240,10 +240,6 @@ class ParamSet:
         for name, t in self._tensors.items():
             t.values[...] = d[name]
 
-    def copy_from(self, other):
-        for p, q in zip(self.parameters(), other.parameters()):
-            p.values[...] = q.values
-
 
 # ---------------------------------------------------------------------------
 # primitive machinery

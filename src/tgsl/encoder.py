@@ -26,17 +26,14 @@ __all__ = [
 
 
 class TimeEncodingConfig:
-    """Frequencies omega_i = alpha^{-(i-1)/beta}, fixed for a run.
-    alpha and beta default to sqrt(d)."""
+    """Frequencies omega_i = sqrt(d)^{-(i-1)/sqrt(d)}, fixed for a run."""
 
-    def __init__(self, d, alpha=None, beta=None):
+    def __init__(self, d):
         if d < 1:
             raise ValueError("time encoding dimension must be >= 1")
         self.d = d
-        self.alpha = float(alpha) if alpha is not None else math.sqrt(d)
-        self.beta = float(beta) if beta is not None else math.sqrt(d)
-        i = np.arange(d, dtype=np.float64)
-        self.omega = self.alpha ** (-i / self.beta)
+        root = math.sqrt(d)
+        self.omega = root ** (-np.arange(d, dtype=np.float64) / root)
 
 
 def time_encode(t, cfg, dtype=np.float64):

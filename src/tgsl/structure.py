@@ -16,6 +16,8 @@ once per fanout to a frontier of (source, node) rows. In training the
 ET-GNN runs over a visible window of `layers + (len(fanouts) - 1 if
 third-hop else 0)` rings, exactly as deep as the edge rows the learner
 reads, so those rows equal the ones computed over the whole visible prefix.
+The learner reads only edge rows, so the ET-GNN's last layer updates edges
+only: `tgsl.l{l}.wh` exists for l < L-1, `tgsl.l{l}.wf` for every l.
 """
 
 import numpy as np
@@ -35,9 +37,11 @@ STRATEGIES = ("one-hop", "third-hop", "random")
 
 
 class TgslParams(ad.ParamSet):
-    """ET-GNN layer weights plus the single-layer LSTM of the context
-    predictor. Layer dims follow the raw feature dims at layer 1 and the
-    model dim afterwards; the time block is d_model wide (shared omega)."""
+    """ET-GNN node updates `tgsl.l{l}.wh` (l < layers-1; the last layer
+    updates edges only) and edge updates `tgsl.l{l}.wf`, plus the LSTM
+    `tgsl.lstm.{wx,wh,b}`: 2 * layers + 2 tensors. Layer dims follow the
+    raw feature dims at layer 1 and the model dim afterwards; the time
+    block is d_model wide (shared omega)."""
 
     def __init__(self, d_model, d_node, d_edge, layers=2, seed=0,
                  dtype=np.float32):
@@ -52,9 +56,10 @@ class TgslParams(ad.ParamSet):
 
         dh, df = d_node, d_edge
         for l in range(layers):
-            in_h = dh + (dh + df + dm)
+            if l < layers - 1:
+                in_h = dh + (dh + df + dm)
+                add(f"tgsl.l{l}.wh", (in_h, dm), in_h)
             in_f = df + 2 * dh + dm
-            add(f"tgsl.l{l}.wh", (in_h, dm), in_h)
             add(f"tgsl.l{l}.wf", (in_f, dm), in_f)
             dh = df = dm
         add("tgsl.lstm.wx", (dm, 4 * dm), dm)
@@ -66,12 +71,10 @@ class TgslParams(ad.ParamSet):
 # edge-centric message passing (mean aggregation with time encodings)
 
 class EtgnnOutput:
-    """Layer-L node and edge embeddings over a visible event window, with
-    lookups from graph ids to local rows."""
+    """Layer-L edge embeddings over a visible event window: row i belongs
+    to event_ids[i] (sorted ascending), and event_rows maps ids to rows."""
 
-    def __init__(self, nodes, node_h, event_ids, edge_f):
-        self.nodes = nodes
-        self.node_h = node_h
+    def __init__(self, event_ids, edge_f):
         self.event_ids = event_ids
         self.edge_f = edge_f
 
@@ -87,43 +90,40 @@ class EtgnnOutput:
 
 def etgnn_forward(event_ids, store, params, cfg):
     """Run the edge-centric GNN over the given (already time-filtered)
-    events. Per layer: node messages are the neighborhood mean of
-    concat(neighbor state, edge state, TE(t)); node and edge states pass
-    through relu-activated linear maps. Inputs are the raw feature rows."""
+    events; inputs are the raw feature rows. Every layer gathers each
+    endpoint's state once and updates the edges, f' = relu(concat(f,
+    h_src, h_dst, TE(t)) @ wf). Every layer but the last also updates the
+    nodes, h' = relu(concat(h, mean message) @ wh), where a node's message
+    is the mean over its events of concat(other endpoint's state, f, TE(t)).
+    The last layer's node update would feed nothing, so it is not computed:
+    one layer is a single per-edge MLP."""
     event_ids = np.asarray(event_ids, dtype=np.int64)
     dtype = params.dtype
-    dm = params.d_model
-    if len(event_ids) == 0:
-        return EtgnnOutput(np.zeros(0, np.int64),
-                           ad.constant(np.zeros((0, dm), dtype)),
-                           np.zeros(0, np.int64),
-                           ad.constant(np.zeros((0, dm), dtype)))
     src, dst = store.src[event_ids], store.dst[event_ids]
-    ts = store.ts[event_ids]
     nodes = np.unique(np.concatenate([src, dst]))
     s_l = np.searchsorted(nodes, src)
     d_l = np.searchsorted(nodes, dst)
-    n = len(nodes)
 
     h = ad.constant(store.node_features[nodes].astype(dtype))
     f = ad.constant(store.edge_features[store.feat_ids[event_ids]].astype(dtype))
-    te = ad.constant(time_encode(ts, cfg, dtype=dtype))
-    deg = np.bincount(np.concatenate([d_l, s_l]), minlength=n)
-    inv = ad.constant((1.0 / np.maximum(deg, 1))[:, None].astype(dtype))
-    seg = np.concatenate([d_l, s_l])
+    te = ad.constant(time_encode(store.ts[event_ids], cfg, dtype=dtype))
+    last = params.layers - 1
+    if last > 0:
+        seg = np.concatenate([d_l, s_l])
+        deg = np.bincount(seg, minlength=len(nodes))
+        inv = ad.constant((1.0 / np.maximum(deg, 1))[:, None].astype(dtype))
 
     for l in range(params.layers):
-        msg_fwd = ad.concat([ad.take(h, s_l), f, te], axis=1)
-        msg_bwd = ad.concat([ad.take(h, d_l), f, te], axis=1)
-        mean_msg = ad.mul(ad.segment_sum(ad.concat([msg_fwd, msg_bwd], axis=0),
-                                         seg, n), inv)
-        h_new = ad.relu(ad.matmul(ad.concat([h, mean_msg], axis=1),
+        h_s, h_d = ad.take(h, s_l), ad.take(h, d_l)
+        if l < last:
+            msg = ad.concat([ad.concat([h_s, f, te], axis=1),
+                             ad.concat([h_d, f, te], axis=1)], axis=0)
+            mean_msg = ad.mul(ad.segment_sum(msg, seg, len(nodes)), inv)
+            h = ad.relu(ad.matmul(ad.concat([h, mean_msg], axis=1),
                                   params[f"tgsl.l{l}.wh"]))
-        f_new = ad.relu(ad.matmul(
-            ad.concat([f, ad.take(h, s_l), ad.take(h, d_l), te], axis=1),
-            params[f"tgsl.l{l}.wf"]))
-        h, f = h_new, f_new
-    return EtgnnOutput(nodes, h, event_ids, f)
+        f = ad.relu(ad.matmul(ad.concat([f, h_s, h_d, te], axis=1),
+                              params[f"tgsl.l{l}.wf"]))
+    return EtgnnOutput(event_ids, f)
 
 
 # ---------------------------------------------------------------------------

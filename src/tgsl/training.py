@@ -354,8 +354,8 @@ class Trainer:
         self.q_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
         self.q_enc = TgatEncoder(self.q_params, self.te_cfg, store,
                                  n_nb=cfg.n_nb)
+        # the query's seed: the key set starts as an exact copy
         k_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
-        k_params.copy_from(self.q_params)
         self.moco = MoCoState(k_params, cfg.moco_momentum, cfg.tau_cl,
                               cfg.moco_queue)
         self.k_enc = TgatEncoder(k_params, self.te_cfg, store, n_nb=cfg.n_nb)

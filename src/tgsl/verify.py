@@ -334,7 +334,7 @@ def leakage_suite(trials=50, seed=11):
             visible = np.flatnonzero(st.ts < t)
             et = etgnn_forward(visible, st, tg_p, cfg)
             z = context_predict_batch(tg_p, et, idx, nodes, t, 4).values
-            out = [emb, et.node_h.values, et.edge_f.values, z]
+            out = [emb, et.edge_f.values, z]
             learner = StructureLearner(tg_p, cfg, st, run_cfg, pool)
             for mode in ("stochastic", "noise-free"):
                 view, _ = learner.propose(

@@ -324,9 +324,17 @@ def _broadcastable_wrong_shape(run_dir, manifest):
     _rewrite_params(run_dir, manifest, edit)
 
 
+def _stale_last_node_weight(run_dir, manifest):
+    # a snapshot that still holds the last ET-GNN layer's node update
+    def edit(flat):
+        flat["tgsl|tgsl.l0.wh"] = flat["tgsl|tgsl.l0.wf"].copy()
+    _rewrite_params(run_dir, manifest, edit)
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (_drop_query_group, "query"),
-    (_broadcastable_wrong_shape, "enc.l0.wq")])
+    (_broadcastable_wrong_shape, "enc.l0.wq"),
+    (_stale_last_node_weight, "tgsl.l0.wh")])
 def test_eval_snapshot_not_fitting_the_model_exits_config(
         tmp_path, capsys, trained_run, corrupt, named):
     run_dir = str(tmp_path / "run")

@@ -12,7 +12,6 @@ from tgsl.structure import AugmentedView
 
 def test_omega_defaults_and_decay():
     cfg = te.TimeEncodingConfig(100)
-    assert cfg.alpha == cfg.beta == 10.0
     assert cfg.omega[0] == 1.0
     assert abs(cfg.omega[99] - 10 ** (-9.9)) < 1e-22
     assert np.all(np.diff(cfg.omega) < 0)

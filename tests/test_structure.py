@@ -14,40 +14,64 @@ def single_edge_store(t=0.0):
                       np.zeros((1, 2), dtype=np.float32))
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_tgsl_params_hold_no_last_node_update(layers):
+    params = ts.TgslParams(4, 2, 3, layers=layers, seed=0)
+    names = [p.name for p in params.parameters()]
+    want = [f"tgsl.l{l}.{w}" for l in range(layers)
+            for w in (("wh", "wf") if l < layers - 1 else ("wf",))]
+    assert names == want + ["tgsl.lstm.wx", "tgsl.lstm.wh", "tgsl.lstm.b"]
+    assert len(names) == 2 * layers + 2
+
+
 def test_etgnn_zero_weights_zero_output():
     store = single_edge_store()
     params = ts.TgslParams(4, 2, 2, layers=2, seed=0)
-    for l in range(2):
-        for w in ("wh", "wf"):
-            params[f"tgsl.l{l}.{w}"].values[...] = 0.0
+    for p in params.parameters():
+        if p.name.startswith("tgsl.l"):
+            p.values[...] = 0.0
     out = ts.etgnn_forward(np.array([0]), store, params,
                            TimeEncodingConfig(4))
-    assert np.all(out.node_h.values == 0)
     assert np.all(out.edge_f.values == 0)
 
 
-def test_etgnn_hand_computed_single_layer():
-    """One edge (0, 1) at t=0 with zero raw features: the mean message is
-    (0-block, 0-block, TE(0)=1-block); recompute h and f by hand."""
-    store = single_edge_store(t=0.0)
+def test_etgnn_hand_computed_two_layers():
+    """Events (0,1), (0,2), (1,2) with random raw features: node 0 has
+    degree 2, so its layer-1 state is a true mean of two messages, and it
+    reaches the layer-2 rows of both its edges. Recomputed in float64 with
+    per-node loops."""
+    rng = np.random.default_rng(0)
+    src, dst, t = [0, 0, 1], [1, 2, 2], [0.5, 1.5, 4.0]
+    store = EventStore(src, dst, t, [2, 0, 1], rng.standard_normal((3, 2)),
+                       rng.standard_normal((3, 3)))
     dm = 4
-    params = ts.TgslParams(dm, 2, 2, layers=1, seed=3, dtype=np.float64)
+    params = ts.TgslParams(dm, 2, 3, layers=2, seed=3, dtype=np.float64)
     cfg = TimeEncodingConfig(dm)
-    out = ts.etgnn_forward(np.array([0]), store, params, cfg)
+    out = ts.etgnn_forward(np.arange(3), store, params, cfg)
 
-    wh = params["tgsl.l0.wh"].values
-    wf = params["tgsl.l0.wf"].values
-    msg = np.concatenate([np.zeros(2), np.zeros(2), np.ones(dm)])  # h,f,TE(0)
-    h_want = np.maximum(np.concatenate([np.zeros(2), msg]) @ wh, 0)
-    f_in = np.concatenate([np.zeros(2), np.zeros(2), np.zeros(2), np.ones(dm)])
-    f_want = np.maximum(f_in @ wf, 0)
-    assert np.allclose(out.node_h.values[0], h_want, rtol=1e-12)
-    assert np.allclose(out.node_h.values[1], h_want, rtol=1e-12)
-    assert np.allclose(out.edge_f.values[0], f_want, rtol=1e-12)
+    relu = lambda v: np.maximum(v, 0.0)
+    w = {p.name: p.values for p in params.parameters()}
+    h0 = store.node_features
+    f0 = store.edge_features[store.feat_ids]
+    te = [np.cos(ti * cfg.omega) for ti in t]
+    h1 = []
+    for v in range(3):
+        msgs = [np.concatenate([h0[d if s == v else s], f0[e], te[e]])
+                for e, (s, d) in enumerate(zip(src, dst)) if v in (s, d)]
+        h1.append(relu(np.concatenate([h0[v], np.mean(msgs, axis=0)])
+                       @ w["tgsl.l0.wh"]))
+    f1 = [relu(np.concatenate([f0[e], h0[s], h0[d], te[e]]) @ w["tgsl.l0.wf"])
+          for e, (s, d) in enumerate(zip(src, dst))]
+    f2 = [relu(np.concatenate([f1[e], h1[s], h1[d], te[e]]) @ w["tgsl.l1.wf"])
+          for e, (s, d) in enumerate(zip(src, dst))]
+    assert np.abs(np.stack(f2)).sum() > 0
+    assert np.allclose(out.edge_f.values, np.stack(f2), rtol=1e-12,
+                       atol=1e-14)
 
 
 def test_etgnn_duplicate_neighbors_mean_idempotent():
-    # k identical events contribute the same mean message as one of them
+    # k identical events contribute the same mean message as one of them,
+    # so every layer-2 edge row equals the single event's row
     feats = np.array([[0.5, -0.2]], dtype=np.float32)
     one = EventStore([0], [1], [2.0], [0], np.zeros((2, 2), np.float32),
                      feats)
@@ -55,9 +79,10 @@ def test_etgnn_duplicate_neighbors_mean_idempotent():
                        np.zeros((2, 2), np.float32), feats)
     params = ts.TgslParams(4, 2, 2, layers=2, seed=1)
     cfg = TimeEncodingConfig(4)
-    h1 = ts.etgnn_forward(np.array([0]), one, params, cfg).node_h.values
-    h3 = ts.etgnn_forward(np.arange(3), three, params, cfg).node_h.values
-    assert np.allclose(h1, h3, rtol=1e-6)
+    f1 = ts.etgnn_forward(np.array([0]), one, params, cfg).edge_f.values
+    f3 = ts.etgnn_forward(np.arange(3), three, params, cfg).edge_f.values
+    assert np.abs(f1).sum() > 0
+    assert np.allclose(f3, np.repeat(f1, 3, axis=0), rtol=1e-6)
 
 
 def test_etgnn_empty_window():
@@ -291,11 +316,12 @@ def test_bad_tau_and_k_rejected():
         ts.gumbel_topk_select(zh, zh, np.zeros(2), 0, 1.0, seed=0)
 
 
-def test_gradient_reaches_learner_parameters():
+@pytest.mark.parametrize("etgnn_layers", [1, 2, 3])
+def test_gradient_reaches_learner_parameters(etgnn_layers):
     store = synth_generate(2, 10, 10, 200, 0.1, seed=3)
     split = chronological_split(store)
     idx = NeighborIndex.build(store, split.usable_train_ids)
-    params = ts.TgslParams(8, 2, 2, layers=2, seed=4)
+    params = ts.TgslParams(8, 2, 2, layers=etgnn_layers, seed=4)
     learner = ts.StructureLearner(params, TimeEncodingConfig(8), store,
                                   RunConfig(strategy="one-hop", k=3, n_can=5,
                                             n_rnn=4))
@@ -307,8 +333,9 @@ def test_gradient_reaches_learner_parameters():
         loss = ad.add(ad.sum_(view.rho),
                       ad.sum_(ad.mul(view.cand_features, view.cand_features)))
         tape.backward(loss)
-    total = sum(float(np.abs(p.grad).sum()) for p in params.parameters())
-    assert total > 0
+    dead = [p.name for p in params.parameters()
+            if p.grad is None or not np.abs(p.grad).sum() > 0]
+    assert dead == []
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,15 @@ def test_two_epochs_decrease_training_loss():
     assert np.mean(r1["total"]) < np.mean(r0["total"])
 
 
+def test_key_params_start_equal_to_query_params():
+    tr, _, _ = tiny_setup()
+    key = tr.moco.key_params.state_dict()
+    query = tr.q_params.state_dict()
+    assert list(key) == list(query)
+    for name in query:
+        assert np.array_equal(key[name], query[name]), name
+
+
 def test_key_encoder_untouched_by_training_gradients():
     tr, _, _ = tiny_setup()
     tr.train_epoch(0)
