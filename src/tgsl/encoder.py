@@ -1,10 +1,11 @@
 """Temporal attention encoder and shared time encodings.
 
-The time encoding is a fixed (non-learnable) cosine feature map; the same
-frequency vector also drives the time-context mapping used to project
-embeddings across time gaps. The reference encoder is a TGAT-style
-multi-head attention over each node's most recent neighbors, where augmented
-edges contribute value vectors scaled by their relaxed selection weight.
+The time encoding is a fixed (non-learnable) cosine feature map, evaluated
+in float64 once per distinct time gap and cast once; the same frequency
+vector also drives the time-context mapping used to project embeddings
+across time gaps. The reference encoder is a TGAT-style multi-head
+attention over each node's most recent neighbors, where augmented edges
+contribute value vectors scaled by their relaxed selection weight.
 Each layer's attention is one `autodiff.temporal_attention` op: with one
 query per (node, t) row, the query is folded into W_k and the slots are
 pooled before W_v, so no per-slot key or value is ever formed. Its
@@ -38,11 +39,14 @@ class TimeEncodingConfig:
 
 def time_encode(t, cfg, dtype=np.float64):
     """cos(t * omega), elementwise. Accepts scalars or arrays; the omega
-    axis is appended last."""
+    axis is appended last. cos is evaluated in float64 once per distinct
+    value of t, cast once to dtype and gathered, so the result equals the
+    direct form byte for byte (cos is even, so -0.0 and 0.0 may merge)."""
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("time_encode: non-finite timestamp")
-    return np.cos(t[..., None] * cfg.omega).astype(dtype)
+    u, inv = np.unique(t, return_inverse=True)
+    return np.cos(u[:, None] * cfg.omega).astype(dtype)[inv.reshape(t.shape)]
 
 
 def time_context(delta, cfg, dtype=np.float64):

@@ -223,6 +223,22 @@ def _ranks(group):
     return np.arange(len(group)) - np.searchsorted(group, group)
 
 
+def _partial_draw(rows, size, m, rng):
+    """Per row, m distinct positions of range(size) in draw order, from one
+    generator call: step i takes the r-th position that row has not taken
+    yet, r uniform on [0, size - i). O(rows x m) memory and O(rows x m^2)
+    time, whatever size is."""
+    r = rng.integers(0, size - np.arange(m), size=(rows, m))
+    taken = np.empty((rows, 0), dtype=np.int64)    # sorted per row
+    for i in range(m):
+        # below taken[:, k] lie taken[:, k] - k untaken positions, so r's
+        # position is r plus the taken ones with at most r untaken below
+        v = r[:, i] + np.sum(taken - np.arange(i) <= r[:, i, None], axis=1)
+        r[:, i] = v
+        taken = np.sort(np.concatenate([taken, v[:, None]], axis=1), axis=1)
+    return r
+
+
 def _walk(src, index, fanouts, rng, t_ref, max_eid):
     """Rows (source position, CSR position of the last hop's edge) of the
     third-hop endpoints: hop h applies `_draw` with n = fanouts[h] to every
@@ -252,12 +268,13 @@ def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
     one-hop: one draw from the sources, feature = the source's own edge
     with the neighbor. third-hop: len(fanouts) draws, hop h keeping
     fanouts[h] per frontier row and dropping nodes the source already
-    visited; the endpoints borrow the last hop's edge. random: one
-    shuffle of the pool per source, all in one array operation, and the
-    first n_can pool nodes that are not the source, with zero feature
-    vectors (t_sample := t_new so the projection is the identity). Sample
-    times are the CSR times of the borrowed edges. Every candidate gets a
-    fresh t_new uniform on [0, t_max], drawn after all of the above.
+    visited; the endpoints borrow the last hop's edge. random: per
+    source, n_can + 1 pool entries drawn without replacement
+    (`_partial_draw`, all sources at once), and the first n_can of them
+    that are not the source, with zero feature vectors (t_sample := t_new
+    so the projection is the identity). Sample times are the CSR times of
+    the borrowed edges. Every candidate gets a fresh t_new uniform on
+    [0, t_max], drawn after all of the above.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; one of {STRATEGIES}")
@@ -269,8 +286,8 @@ def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
     src_nodes = np.asarray(src_nodes, dtype=np.int64)
     if strategy == "random":
         pool = np.asarray(random_pool, dtype=np.int64)
-        head = rng.permuted(np.tile(pool, (len(src_nodes), 1)),
-                            axis=1)[:, :n_can + 1]
+        head = pool[_partial_draw(len(src_nodes), len(pool),
+                                  min(n_can + 1, len(pool)), rng)]
         keep = head != src_nodes[:, None]
         keep &= np.cumsum(keep, axis=1) <= n_can
         row, col = np.nonzero(keep)

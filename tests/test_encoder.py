@@ -64,6 +64,47 @@ def test_time_encode_float32_is_the_rounded_float64_value():
     assert np.abs(in_f32 - want).max() > 1e-2
 
 
+def direct_time_encode(t, cfg, dtype=np.float64):
+    """The direct form: cos over the whole (..., d) grid, then one cast."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time_encode: non-finite timestamp")
+    return np.cos(t[..., None] * cfg.omega).astype(dtype)
+
+
+def time_grids():
+    rng = np.random.default_rng(11)
+    t = np.tile(rng.integers(40, 60, (30, 1)), (1, 20)).astype(np.float64)
+    gaps = t - rng.integers(0, 40, (30, 20))
+    gaps[:, 12:] = 0.0                          # pad slots: the row's own t
+    yield "integer-gaps-with-pads", gaps
+    yield "wiki-scale-distinct", rng.uniform(0.0, 2.7e6, (40, 25))
+    yield "negative-and-signed-zeros", np.array(
+        [[-3.0, -0.0, 0.0, 2.5, -2.5, 0.0, -0.0, 7.0],
+         [0.0, -0.0, -0.0, 0.0, -1e-300, 1e-300, -7.0, -3.0]])
+    yield "python-scalar", 12.5
+    yield "0-d-array", np.array(-4.25)
+    yield "empty-grid", np.zeros((0, 20))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", [name for name, _ in time_grids()])
+def test_time_encode_matches_direct_form_bytes(case, dtype):
+    t = dict(time_grids())[case]
+    cfg = te.TimeEncodingConfig(100)
+    got = te.time_encode(t, cfg, dtype=dtype)
+    want = direct_time_encode(t, cfg, dtype=dtype)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_time_encode_rejects_non_finite_among_repeats(bad):
+    t = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 1.0, bad, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        te.time_encode(t, te.TimeEncodingConfig(8))
+
+
 def test_encodings_bit_reproducible():
     cfg = te.TimeEncodingConfig(16)
     a = te.time_encode(123.456, cfg)
@@ -339,6 +380,45 @@ def test_encode_batch_tape_entries_per_layer():
     with ad.Tape() as tape:
         enc.encode_batch(view, nodes, tss)
     assert len(tape) <= 2 * 16
+
+
+def test_encode_batch_matches_direct_time_encode(monkeypatch):
+    """A 2-layer encode_batch on a view with additions: output and every
+    gradient are bitwise those of a run on the direct time encoding."""
+    store = synth_generate(2, 6, 6, 80, 0.1, seed=4)
+    idx = NeighborIndex.build(store, np.arange(60))
+    t_add = float(store.ts[55])
+    nodes = np.concatenate([store.src[56:60], store.dst[56:60]])
+    tss = np.concatenate([store.ts[56:60], store.ts[56:60]])
+
+    def run():
+        rng = np.random.default_rng(0)
+        p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
+        enc = te.TgatEncoder(p, te.TimeEncodingConfig(8), store, n_nb=5)
+        view = AugmentedView(
+            idx, store.src[50:56], store.dst[:6], np.full(6, t_add),
+            cand_features=ad.param(
+                rng.standard_normal((6, 8)).astype(np.float32)),
+            rho=ad.param(rng.uniform(0.1, 0.9, 6).astype(np.float32)))
+        assert (view.batch_neighbors(nodes, tss, 5)[1] < 0).any()
+        w = ad.constant(
+            rng.standard_normal((len(nodes), 8)).astype(np.float32))
+        with ad.Tape() as tape:
+            out = enc.encode_batch(view, nodes, tss)
+            loss = ad.sum_(ad.mul(out, w))
+        tape.backward(loss)
+        # the score head takes no part in encode_batch
+        grads = [t.grad for t in p.parameters() if t.name.startswith("enc.")]
+        return out.values, grads + [view.cand_features.grad, view.rho.grad]
+
+    out, grads = run()
+    monkeypatch.setattr(te, "time_encode", direct_time_encode)
+    want_out, want_grads = run()
+    assert out.tobytes() == want_out.tobytes()
+    assert len(grads) == len(want_grads)
+    for g, want in zip(grads, want_grads):
+        assert np.any(want != 0)
+        assert g.tobytes() == want.tobytes()
 
 
 def test_depth_validation_and_bad_node():

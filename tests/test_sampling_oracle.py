@@ -208,12 +208,17 @@ def ref_third_hop_candidates(src_nodes, index, n_can, seed, *, t_ref, t_max,
 
 
 def ref_random_candidates(src_nodes, pool, n_can, seed, *, t_max):
-    """Per source, one permutation of the pool; the first n_can nodes that
-    are not the source, with t_sample = t_new and no borrowed feature."""
+    """Per source, n_can + 1 pool entries drawn without replacement, step i
+    popping the r-th entry left with r uniform on [0, len(pool) - i); the
+    first n_can that are not the source, with t_sample = t_new and no
+    borrowed feature."""
     rng = np.random.default_rng(seed)
+    m = min(n_can + 1, len(pool))
+    draws = rng.integers(0, len(pool) - np.arange(m), size=(len(src_nodes), m))
     src_out, dst_out = [], []
-    for u in src_nodes:
-        picks = [int(v) for v in rng.permutation(pool) if v != u][:n_can]
+    for u, row in zip(src_nodes, draws):
+        left = [int(v) for v in pool]
+        picks = [v for v in (left.pop(int(r)) for r in row) if v != u][:n_can]
         src_out += [int(u)] * len(picks)
         dst_out += picks
     t_new = rng.uniform(0.0, t_max, size=len(src_out))
@@ -501,14 +506,34 @@ def test_random_candidates_match_loop(seed):
     pools = [np.arange(store.num_nodes),                 # holds every source
              np.setdiff1d(np.arange(store.num_nodes), nodes),   # holds none
              np.array([int(nodes[0])]),                  # only one source
-             rng.permutation(store.num_nodes)[:5]]
+             rng.permutation(store.num_nodes)[:5],
+             rng.permutation(900)[:600]]                 # wider than n_can
     for pool in pools:
-        for n_can in (1, 3, 100):
+        for n_can in (1, 3, 40, 100):
             got = ts.sample_candidates(nodes, "random", idx, n_can, seed,
                                        t_ref=5.0, t_max=20.0,
                                        random_pool=pool)
             want = ref_random_candidates(nodes, pool, n_can, seed, t_max=20.0)
             assert_same_candidates(got, want)
+
+
+def test_random_candidates_are_uniform_ordered_pairs():
+    # 2 draws from 4 positions hit each of the 12 ordered pairs equally
+    # often; with n_can=1 and a source outside the pool, each pool node
+    # is the candidate equally often
+    n = 60000
+    pool = np.arange(4)
+    r = ts._partial_draw(n, len(pool), 2, np.random.default_rng(0))
+    assert np.all(r[:, 0] != r[:, 1])
+    counts = np.bincount(r[:, 0] * 4 + r[:, 1], minlength=16)
+    assert np.all(counts[[0, 5, 10, 15]] == 0)
+    expect = n / 12
+    pairs = np.delete(counts, [0, 5, 10, 15])
+    assert np.all(np.abs(pairs - expect) < 5 * np.sqrt(expect))
+    got = ts.sample_candidates(np.full(n, 9), "random", None, 1, 0,
+                               t_ref=0.0, t_max=1.0, random_pool=pool)
+    freq = np.bincount(got.dst, minlength=4)
+    assert np.all(np.abs(freq - n / 4) < 5 * np.sqrt(n / 4))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
