@@ -528,97 +528,193 @@ def softmax(a, axis=-1):
     return exp(sub(a, logsumexp(a, axis=axis, keepdims=True)))
 
 
+def _row_groups(rows):
+    """Sorted row ids as groups: (the R distinct rows, each id's group and
+    rank within it, the largest group size k)."""
+    first = np.r_[True, rows[1:] != rows[:-1]]
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    rank = np.arange(len(rows)) - starts[group]
+    return rows[starts], group, rank, int(rank.max()) + 1
+
+
 def temporal_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
-                       wv, heads):
+                       wv, heads, added=None):
     """One multi-head temporal attention layer over n slots per row
     (TGAT, Xu et al. 2020); returns the [B, heads*d_k] head outputs.
 
     Row b has one query q = (h_self || 1) @ wq, and slot s has the key and
-    value input x_s = (h_nbr_s || e_slot_s || te_nbr_s). Head h takes
-    a = softmax_s(q_h . (x_s @ wk_h) / sqrt(d_k) - 1e9 (1 - mask_s)) and
-    returns sum_s a_s w_slot_s (x_s @ wv_h). Because each row has one
-    query, the query is folded into W_k, q_h . (x_s W_k,h) = x_s . (W_k,h
-    q_h), and the slots are pooled before W_v, sum_s u_s (x_s W_v,h) =
-    (sum_s u_s x_s) W_v,h with u = a * w_slot. So no per-slot key or value
-    is formed, and the layer costs O(B n 3d heads), not O(B n 3d heads
-    d_k). wq is sliced row-wise into its h_self and ones blocks, wk and wv
-    into their h_nbr, e_slot and te_nbr blocks. `mask` is an array, 1 for
-    a real slot. A row with every slot padded (w_slot 0 there) outputs
-    zero. The backward follows the same reassociation and returns None
-    for any input that does not require a gradient."""
+    value input x_s = (h_nbr_s || e_s || te_nbr_s), each block d wide. Head
+    h takes a = softmax_s(q_h . (x_s @ wk_h) / sqrt(d_k) - 1e9 (1 -
+    mask_s)) and returns sum_s a_s w_s (x_s @ wv_h). Because each row has
+    one query, the query is folded into W_k, q_h . (x_s W_k,h) = x_s .
+    (W_k,h q_h), and the slots are pooled before W_v, sum_s u_s (x_s
+    W_v,h) = (sum_s u_s x_s) W_v,h with u = a * w. So no per-slot key or
+    value is formed, and the layer costs O(B n 3d heads), not O(B n 3d
+    heads d_k).
+
+    `h_self`, `h_nbr` and `e_slot` may be narrower than d (te_nbr is d
+    wide): an input of width w stands for itself zero-padded to d, so it
+    reads only the top w rows of its block of wq, wk and wv, and the rows
+    it does not read get an exactly zero gradient. `mask` and `w_slot` are
+    [B, n] arrays: mask is 1 for a real slot, w_slot is the slot's value
+    weight. `added`, if given, is (positions, rows, weights): P distinct
+    (row, slot) positions in row-major order, as np.nonzero gives them,
+    with [P, d] rows and [P] weights that add to e and w there. Their
+    logits, pooled terms and gradients are formed at those P positions
+    only: each row's added positions are packed into a [R, k, .] block
+    (R rows with additions, k the most in one row), so each of their
+    products is one batched matmul. A row with every slot padded outputs
+    zero. The backward follows the same reassociation and returns None for
+    any input that does not require a gradient."""
     b, n = mask.shape
-    d = h_self.shape[1]
+    d = te_nbr.shape[-1]
     hk = wq.shape[1]
-    if (hk % heads or h_self.shape != (b, d) or w_slot.shape != (b, n)
-            or any(t.shape != (b, n, d) for t in (h_nbr, e_slot, te_nbr))
+    ws, wn, we = (t.shape[-1] for t in (h_self, h_nbr, e_slot))
+    if (hk % heads or max(ws, wn, we) > d or h_self.shape != (b, ws)
+            or h_nbr.shape != (b, n, wn) or e_slot.shape != (b, n, we)
+            or te_nbr.shape != (b, n, d) or np.shape(w_slot) != (b, n)
             or wq.shape != (2 * d, hk)
             or wk.shape != (3 * d, hk) or wv.shape != (3 * d, hk)):
         raise ShapeError(
-            f"temporal_attention: {heads} heads, shapes "
-            f"{[t.shape for t in (h_self, h_nbr, e_slot, te_nbr, w_slot)]}, "
-            f"mask {mask.shape}, weights {[wq.shape, wk.shape, wv.shape]}")
+            f"temporal_attention: {heads} heads, widths <= {d}, shapes "
+            f"{[t.shape for t in (h_self, h_nbr, e_slot, te_nbr)]}, w_slot "
+            f"{np.shape(w_slot)}, mask {mask.shape}, weights "
+            f"{[wq.shape, wk.shape, wv.shape]}")
+    inputs = (h_self, h_nbr, e_slot, te_nbr, wq, wk, wv)
+    sparse = False
+    if added is not None:
+        (rows, cols), e_add, w_add = added
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        p = len(rows)
+        if (e_add.shape != (p, d) or w_add.shape != (p,)
+                or rows.shape != (p,) or cols.shape != (p,)
+                or (p and (rows[0] < 0 or rows[-1] >= b or cols.min() < 0
+                           or cols.max() >= n
+                           or np.any(np.diff(rows * n + cols) <= 0)))):
+            raise ShapeError(
+                f"temporal_attention: added rows {e_add.shape}, weights "
+                f"{w_add.shape} and positions {rows.shape}, {cols.shape} "
+                f"must be (P, {d}), (P,) and P distinct row-major slots of "
+                f"{(b, n)}")
+        # an empty added part is no added part
+        sparse = p > 0
+        if sparse:
+            inputs += (e_add, w_add)
     dk = hk // heads
     c = 1.0 / math.sqrt(dk)
     xs = (h_nbr.values, e_slot.values, te_nbr.values)
-    blocks = (slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d))
+    # the rows of wk and wv read: each block's top rows, the whole e block
+    # when added rows are present; spans index the read rows
+    we_r = d if sparse else we
+    kv_rows = np.r_[0:wn, d:d + we_r, 2 * d:3 * d]
+    spans = (slice(0, wn), slice(wn, wn + we), slice(wn + we_r, wn + we_r + d))
+    e_span = slice(wn, wn + d)
+    r = len(kv_rows)
     wq_v = wq.values
 
     def per_head(w):
-        # [3d, h*d_k] -> [h, 3d, d_k] view
-        return w.reshape(3 * d, heads, dk).transpose(1, 0, 2)
+        # [r, h*d_k] -> [h, r, d_k]
+        return w[kv_rows].reshape(r, heads, dk).transpose(1, 0, 2)
 
     wk3, wv3 = per_head(wk.values), per_head(wv.values)
-    q = h_self.values @ wq_v[:d] + wq_v[d:].sum(axis=0)
+    q = h_self.values @ wq_v[:ws] + wq_v[d:].sum(axis=0)
     q3 = q.reshape(b, heads, dk).transpose(1, 0, 2)           # [h, B, d_k]
-    # qt[b, :, h] = W_k,h q_h / sqrt(d_k)
+    # qt[b, :, h] = W_k,h q_h / sqrt(d_k), over the read rows
     qt = np.ascontiguousarray(
-        (q3 @ wk3.transpose(0, 2, 1)).transpose(1, 2, 0)) * c  # [B, 3d, h]
-    logits = sum(x @ qt[:, blk] for x, blk in zip(xs, blocks))
+        (q3 @ wk3.transpose(0, 2, 1)).transpose(1, 2, 0)) * c  # [B, r, h]
+    logits = xs[0] @ qt[:, spans[0]]
+    logits += xs[1] @ qt[:, spans[1]]
+    if sparse:
+        at, group, rank, k = _row_groups(rows)
+
+        def packed(vals):
+            # [P, ...] -> [R, k, ...], zero where a row has fewer than k
+            out = np.zeros((len(at), k) + vals.shape[1:], dtype=vals.dtype)
+            out[group, rank] = vals
+            return out
+
+        e_pk = packed(e_add.values)                           # [R, k, d]
+        logits[rows, cols] += (e_pk @ qt[at, e_span])[group, rank]
+    logits += xs[2] @ qt[:, spans[2]]
     logits += ((mask - 1.0) * 1e9)[:, :, None].astype(logits.dtype)
     attn = np.exp(logits - logits.max(axis=1, keepdims=True))
     attn /= attn.sum(axis=1, keepdims=True)                   # [B, n, h]
-    u = attn * w_slot.values[:, :, None]
+    w_all = np.array(w_slot, dtype=attn.dtype)
+    if sparse:
+        w_all[rows, cols] += w_add.values
+    u = attn * w_all[:, :, None]
     ut = u.transpose(0, 2, 1)
-    pooled = np.concatenate([ut @ x for x in xs], axis=2)     # [B, h, 3d]
+    parts = [ut @ x for x in xs]                              # [B, h, w]
+
+    def pad_e(part, w_pos, e_pk):
+        # the e block d wide: the real rows' part plus each row's added
+        # rows pooled by their [P, h] weights
+        full = np.zeros((b, heads, d), dtype=part.dtype)
+        full[:, :, :we] = part
+        full[at] += packed(w_pos).transpose(0, 2, 1) @ e_pk
+        return full
+
+    if sparse:
+        parts[1] = pad_e(parts[1], u[rows, cols], e_pk)
+    pooled = np.concatenate(parts, axis=2)                    # [B, h, r]
     out = (pooled.transpose(1, 0, 2) @ wv3).transpose(1, 0, 2).reshape(b, hk)
+
+    def scatter_rows(g_read, w):
+        full = np.zeros_like(w.values)
+        full[kv_rows] = g_read
+        return full
 
     def bw(g):
         g3 = g.reshape(b, heads, dk).transpose(1, 0, 2)       # [h, B, d_k]
-        g_wv = g_wk = g_wq = g_self = g_w = None
+        g_wv = g_wk = g_wq = g_self = None
         if wv.requires_grad:
-            g_wv = (pooled.transpose(1, 2, 0) @ g3).transpose(1, 0, 2)
-            g_wv = g_wv.reshape(3 * d, hk)
+            g_wv = scatter_rows((pooled.transpose(1, 2, 0) @ g3)
+                                .transpose(1, 0, 2).reshape(r, hk), wv)
         g_pool = np.ascontiguousarray(
-            (g3 @ wv3.transpose(0, 2, 1)).transpose(1, 0, 2))  # [B, h, 3d]
-        g_u = sum(x @ g_pool[:, :, blk].transpose(0, 2, 1)
-                  for x, blk in zip(xs, blocks))               # [B, n, h]
-        if w_slot.requires_grad:
-            g_w = (g_u * attn).sum(axis=2)
-        g_a = g_u * w_slot.values[:, :, None]
+            (g3 @ wv3.transpose(0, 2, 1)).transpose(1, 0, 2))  # [B, h, r]
+        g_u = sum(x @ g_pool[:, :, sp].transpose(0, 2, 1)
+                  for x, sp in zip(xs, spans))                 # [B, n, h]
+        if sparse:
+            # packed again, not kept on the tape
+            e_pk = packed(e_add.values)
+            gp_e = g_pool[at, :, e_span]                      # [R, h, d]
+            g_u[rows, cols] += (e_pk @ gp_e.transpose(0, 2, 1))[group, rank]
+        g_a = g_u * w_all[:, :, None]
         g_l = attn * (g_a - (g_a * attn).sum(axis=1, keepdims=True))
         g_lt = g_l.transpose(0, 2, 1)
         g_x = tuple(
-            u @ g_pool[:, :, blk] + g_l @ qt[:, blk].transpose(0, 2, 1)
+            u @ g_pool[:, :, sp] + g_l @ qt[:, sp].transpose(0, 2, 1)
             if t.requires_grad else None
-            for t, blk in zip((h_nbr, e_slot, te_nbr), blocks))
+            for t, sp in zip((h_nbr, e_slot, te_nbr), spans))
         # qt's gradient pools the slots by g_l, as the forward pools by u
-        g_qt = np.concatenate([g_lt @ x for x in xs], axis=2)
-        g_qt = g_qt.transpose(1, 0, 2) * c                     # [h, B, 3d]
+        g_parts = [g_lt @ x for x in xs]
+        if sparse:
+            g_parts[1] = pad_e(g_parts[1], g_l[rows, cols], e_pk)
+        g_qt = np.concatenate(g_parts, axis=2)
+        g_qt = g_qt.transpose(1, 0, 2) * c                     # [h, B, r]
         if wk.requires_grad:
-            g_wk = (g_qt.transpose(0, 2, 1) @ q3).transpose(1, 0, 2)
-            g_wk = g_wk.reshape(3 * d, hk)
+            g_wk = scatter_rows((g_qt.transpose(0, 2, 1) @ q3)
+                                .transpose(1, 0, 2).reshape(r, hk), wk)
         g_q = (g_qt @ wk3).transpose(1, 0, 2).reshape(b, hk)
         if wq.requires_grad:
-            g_wq = np.concatenate([
-                h_self.values.T @ g_q,
-                np.broadcast_to(g_q.sum(axis=0), (d, hk))])
+            g_wq = np.zeros_like(wq_v)
+            g_wq[:ws] = h_self.values.T @ g_q
+            g_wq[d:] = g_q.sum(axis=0)
         if h_self.requires_grad:
-            g_self = g_q @ wq_v[:d].T
-        return (g_self,) + g_x + (g_w, g_wq, g_wk, g_wv)
+            g_self = g_q @ wq_v[:ws].T
+        grads = (g_self,) + g_x + (g_wq, g_wk, g_wv)
+        if not sparse:
+            return grads
+        g_e = g_w = None
+        if e_add.requires_grad:
+            g_e = (packed(u[rows, cols]) @ gp_e + packed(g_l[rows, cols])
+                   @ qt[at, e_span].transpose(0, 2, 1))[group, rank]
+        if w_add.requires_grad:
+            g_w = (g_u[rows, cols] * attn[rows, cols]).sum(axis=1)
+        return grads + (g_e, g_w)
 
-    return _record("temporal_attention",
-                   (h_self, h_nbr, e_slot, te_nbr, w_slot, wq, wk, wv),
-                   out, bw)
+    return _record("temporal_attention", inputs, out, bw)
 
 
 # ---------------------------------------------------------------------------

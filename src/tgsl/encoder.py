@@ -8,10 +8,13 @@ attention over each node's most recent neighbors, where augmented edges
 contribute value vectors scaled by their relaxed selection weight.
 Each layer's attention is one `autodiff.temporal_attention` op: with one
 query per (node, t) row, the query is folded into W_k and the slots are
-pooled before W_v, so no per-slot key or value is ever formed. Its
+pooled before W_v, so no per-slot key or value is ever formed. The node
+and edge feature tables keep their raw widths; the op reads a narrow input
+as itself zero-padded to d_model, touching only the weight rows it fills.
+Added edges reach it as their slot positions with one cand_features row
+and one rho weight each, so only those positions cost added-slot work. Its
 backward returns no gradient for a constant input (the time encodings, the
-bottom layer's neighbor states, the edge features of a view without
-additions).
+real events' edge rows, the bottom layer's neighbor states).
 """
 
 import math
@@ -41,11 +44,16 @@ def time_encode(t, cfg, dtype=np.float64):
     """cos(t * omega), elementwise. Accepts scalars or arrays; the omega
     axis is appended last. cos is evaluated in float64 once per distinct
     value of t, cast once to dtype and gathered, so the result equals the
-    direct form byte for byte (cos is even, so -0.0 and 0.0 may merge)."""
+    direct form byte for byte (cos is even, so -0.0 and 0.0 may merge). A
+    strictly increasing 1-D t (the ET-GNN's event times) is its own set of
+    distinct values, so one comparison replaces the sort."""
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("time_encode: non-finite timestamp")
-    u, inv = np.unique(t, return_inverse=True)
+    if t.ndim == 1 and np.all(t[1:] > t[:-1]):
+        u, inv = t, np.arange(len(t))
+    else:
+        u, inv = np.unique(t, return_inverse=True)
     return np.cos(u[:, None] * cfg.omega).astype(dtype)[inv.reshape(t.shape)]
 
 
@@ -92,18 +100,6 @@ class EncoderParams(ad.ParamSet):
         add("score.b2", (1,), d_hidden)
 
 
-def _pad_rows(table, width, what):
-    if table.shape[1] > width:
-        raise ValueError(
-            f"{what} dimension {table.shape[1]} exceeds d_model {width}; "
-            "raise d_model")
-    if table.shape[1] == width:
-        return np.ascontiguousarray(table, dtype=np.float32)
-    out = np.zeros((table.shape[0], width), dtype=np.float32)
-    out[:, :table.shape[1]] = table
-    return out
-
-
 class TgatEncoder:
     """Multi-head temporal attention over a graph view.
 
@@ -122,10 +118,16 @@ class TgatEncoder:
         self.cfg = cfg
         self.n_nb = n_nb
         self.dtype = params.dtype
-        self.node_feat = _pad_rows(store.node_features, params.d_model,
-                                   "node feature").astype(self.dtype)
-        self.edge_feat = _pad_rows(store.edge_features, params.d_model,
-                                   "edge feature").astype(self.dtype)
+        for what, table in (("node feature", store.node_features),
+                            ("edge feature", store.edge_features)):
+            if table.shape[1] > params.d_model:
+                raise ValueError(
+                    f"{what} dimension {table.shape[1]} exceeds d_model "
+                    f"{params.d_model}; raise d_model")
+        # kept at their raw widths: the attention reads a narrow input as
+        # itself zero-padded to d_model
+        self.node_feat = store.node_features.astype(self.dtype)
+        self.edge_feat = store.edge_features.astype(self.dtype)
         self.feat_ids = store.feat_ids
 
     # -- recursive embedding
@@ -143,13 +145,14 @@ class TgatEncoder:
         view's n_nb most recent slots before t, recursing one layer down
         for the self and neighbor states. Each slot's value is scaled by 1
         for a real event, rho[j] for added edge j (event id -1 - j) and 0
-        for a pad; only added slots read the view's cand_features and rho.
-        The attention itself is one ad.temporal_attention op."""
+        for a pad. Layer 0 is the node feature rows at their raw width.
+        The attention itself is one ad.temporal_attention op, which gets
+        the real events' edge rows at their raw width and the added slots
+        as positions with their cand_features rows and rho weights."""
         if layer == 0:
             return ad.constant(self.node_feat[nodes])
         pre = f"enc.l{layer - 1}."
         p = self.params
-        dm = p.d_model
         b = len(nodes)
         ids, eids, tss, mask = view.batch_neighbors(nodes, ts, self.n_nb,
                                                     max_eid)
@@ -168,33 +171,35 @@ class TgatEncoder:
             sub = self._embed(view, uniq[:, 0].astype(np.int64), uniq[:, 1],
                               layer - 1, max_eid)
             emb = ad.take(sub, inverse.reshape(-1))
+        w = emb.shape[1]
         h_self = ad.narrow(emb, 0, 0, b)
-        h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, dm))
+        h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, w))
 
-        # per-slot edge feature and value weight: the event's row and 1
-        # for real events, the candidate row and rho for added ones, 0 for
-        # pads
+        # real events bring their edge row and weight 1; added edge j
+        # brings cand_features[j] and rho[j] at its position only; pads
+        # bring zeros
         real_m = mask * (eids >= 0)
-        added_m = mask * (eids < 0)
         e_rows = self.edge_feat[self.feat_ids[np.where(real_m > 0, eids, 0)]]
-        e_rows = e_rows * (real_m[:, :, None] > 0)
-        e_slot = ad.constant(e_rows.astype(self.dtype))
-        w_slot = ad.constant(real_m.astype(self.dtype))
-        if added_m.any():
-            j = np.maximum(-1 - eids, 0)
-            e_slot = ad.add(e_slot, ad.mul(
-                ad.take(view.cand_features, j),
-                ad.constant(added_m[:, :, None].astype(self.dtype))))
-            w_slot = ad.add(w_slot, ad.mul(
-                ad.take(view.rho, j), ad.constant(added_m.astype(self.dtype))))
+        e_rows[real_m == 0] = 0
+        pos = np.nonzero((mask > 0) & (eids < 0))
+        added = None
+        if len(pos[0]):
+            j = -1 - eids[pos]
+            added = (pos, ad.take(view.cand_features, j),
+                     ad.take(view.rho, j))
 
         te_nbr = ad.constant(time_encode(ts[:, None] - tss, self.cfg,
                                          dtype=self.dtype))
-        head = ad.temporal_attention(h_self, h_nbr, e_slot, te_nbr, w_slot,
-                                     mask, p[pre + "wq"], p[pre + "wk"],
-                                     p[pre + "wv"], p.heads)
+        head = ad.temporal_attention(h_self, h_nbr, ad.constant(e_rows),
+                                     te_nbr, real_m, mask,
+                                     p[pre + "wq"], p[pre + "wk"],
+                                     p[pre + "wv"], p.heads, added)
+        # the merge MLP reads the top rows of w1 that (head || h_self) fills
+        w1 = p[pre + "w1"]
+        if head.shape[1] + w < w1.shape[0]:
+            w1 = ad.narrow(w1, 0, 0, head.shape[1] + w)
         merged = ad.concat([head, h_self], axis=1)
-        hid = ad.relu(ad.add(ad.matmul(merged, p[pre + "w1"]), p[pre + "b1"]))
+        hid = ad.relu(ad.add(ad.matmul(merged, w1), p[pre + "b1"]))
         return ad.add(ad.matmul(hid, p[pre + "w2"]), p[pre + "b2"])
 
     # -- link scoring head

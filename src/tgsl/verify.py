@@ -56,19 +56,22 @@ def _primitive_cases(rng):
     w32 = c(rng.standard_normal((3, 2)))
     lhs = c(rng.standard_normal((2, 3, 4)))
     # attention over 3 rows x 4 slots at d=4, 2 heads: row 0 all padded,
-    # w_slot 1 on real slots, rho on added ones, 0 on pads
+    # row 1 all real; narrow node states (width 3) and edge rows (width
+    # 2); w_slot 1 on real slots and 0 on pads and added ones, whose
+    # [P, 4] rows and [P] weights are differentiable inputs
     mask = (rng.random((3, 4)) < 0.7).astype(np.float64)
-    mask[0] = 0.0
-    slot_w = c(mask * np.where(rng.random((3, 4)) < 0.5, 1.0,
-                               rng.uniform(0.1, 0.9, (3, 4))))
+    mask[0], mask[1] = 0.0, 1.0
+    added = mask * (rng.random((3, 4)) < 0.5)
+    added[1, 2] = 1.0
+    pos = np.nonzero(added)
+    n_add = len(pos[0])
     te_nbr = c(rng.uniform(-1.0, 1.0, (3, 4, 4)))
     w34 = c(rng.standard_normal((3, 4)))
 
-    def attention(h_self, h_nbr, e_slot, w_raw, wq, wk, wv):
-        w_slot = ad.mul(w_raw, slot_w)
+    def attention(h_self, h_nbr, e_slot, e_add, w_add, wq, wk, wv):
         return ad.sum_(ad.mul(ad.temporal_attention(
-            h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk, wv, 2),
-            w34))
+            h_self, h_nbr, e_slot, te_nbr, mask - added, mask, wq, wk, wv,
+            2, (pos, e_add, w_add)), w34))
 
     return [
         ("add", lambda a, b: ad.sum_(ad.mul(ad.add(a, b), w)),
@@ -121,8 +124,8 @@ def _primitive_cases(rng):
         ("clip", lambda a: ad.sum_(ad.mul(ad.clip(a, -5.0, 5.0), w)),
          [rnd(4, 3)]),
         ("temporal-attention", attention,
-         [rnd(3, 4), rnd(3, 4, 4), rnd(3, 4, 4), rnd(3, 4), rnd(8, 4),
-          rnd(12, 4), rnd(12, 4)]),
+         [rnd(3, 3), rnd(3, 4, 3), rnd(3, 4, 2), rnd(n_add, 4),
+          rng.uniform(0.1, 0.9, n_add), rnd(8, 4), rnd(12, 4), rnd(12, 4)]),
     ]
 
 

@@ -85,6 +85,12 @@ def time_grids():
     yield "python-scalar", 12.5
     yield "0-d-array", np.array(-4.25)
     yield "empty-grid", np.zeros((0, 20))
+    # 1-D event times as the ET-GNN passes them: strictly increasing, then
+    # sorted with ties and with -0.0 before 0.0, which take the sort
+    yield "increasing-1d", np.cumsum(rng.uniform(0.5, 900.0, 3000))
+    yield "sorted-with-ties-1d", np.sort(rng.integers(0, 50, 300)).astype(
+        np.float64)
+    yield "signed-zeros-1d", np.array([-2.0, -0.0, 0.0, 3.0])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -95,6 +101,18 @@ def test_time_encode_matches_direct_form_bytes(case, dtype):
     got = te.time_encode(t, cfg, dtype=dtype)
     want = direct_time_encode(t, cfg, dtype=dtype)
     assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_time_encode_sorts_nothing_for_increasing_times(monkeypatch):
+    t = np.cumsum(np.random.default_rng(2).uniform(0.5, 9.0, 500))
+    want = direct_time_encode(t, te.TimeEncodingConfig(16))
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called on increasing times")
+
+    monkeypatch.setattr(np, "unique", no_sort)
+    got = te.time_encode(t, te.TimeEncodingConfig(16))
     assert got.tobytes() == want.tobytes()
 
 
@@ -229,13 +247,39 @@ def test_sparsified_store_reads_features_through_feat_ids():
 # ---------------------------------------------------------------------------
 # the fused attention primitive
 
+def pad_to(t, d):
+    """t zero-padded on its last axis to width d, through recorded ops."""
+    w = t.shape[-1]
+    if w == d:
+        return t
+    zeros = np.zeros(t.shape[:-1] + (d - w,), dtype=t.dtype)
+    return ad.concat([t, ad.constant(zeros)], axis=t.values.ndim - 1)
+
+
+def scatter_dense(rows, pos, shape):
+    """Rows [P, ...] scattered into a zero grid of `shape` = (B, n, ...)
+    at positions `pos`, through a recorded gather of a zero row."""
+    idx = np.zeros(shape[:2], dtype=np.int64)
+    idx[pos] = 1 + np.arange(len(pos[0]))
+    zero = ad.constant(np.zeros((1,) + rows.shape[1:], dtype=rows.dtype))
+    return ad.take(ad.concat([zero, rows], axis=0), idx)
+
+
 def composed_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
-                       wv, heads):
+                       wv, heads, added=None):
     """Test oracle: the attention layer composed from primitives, with
     per-slot keys and values from the concatenated (h_nbr || e_slot ||
-    te_nbr) input and a (h_self || 1) query."""
-    b, n, dm = h_nbr.shape
+    te_nbr) input and a (h_self || 1) query. Narrow inputs are zero-padded
+    to d and the added rows and weights are scattered into dense grids."""
+    b, n, dm = te_nbr.shape
     dk = wq.shape[1] // heads
+    h_self, h_nbr, e_slot = (pad_to(t, dm) for t in (h_self, h_nbr, e_slot))
+    if not isinstance(w_slot, ad.Tensor):
+        w_slot = ad.constant(w_slot)
+    if added is not None:
+        pos, e_add, w_add = added
+        e_slot = ad.add(e_slot, scatter_dense(e_add, pos, (b, n, dm)))
+        w_slot = ad.add(w_slot, scatter_dense(w_add, pos, (b, n)))
     q_in = ad.concat([h_self, ad.constant(np.ones((b, dm)))], axis=1)
     kv_in = ad.concat([h_nbr, e_slot, te_nbr], axis=2)
     q = ad.reshape(ad.matmul(q_in, wq), (b, 1, heads, dk))
@@ -249,35 +293,49 @@ def composed_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
     return ad.reshape(head, (b, heads * dk))
 
 
-ATTENTION_INPUTS = ("h_self", "h_nbr", "e_slot", "te_nbr", "w_slot", "wq",
-                    "wk", "wv")
+ATTENTION_INPUTS = ("h_self", "h_nbr", "e_slot", "te_nbr", "wq", "wk", "wv")
+# (h_self, h_nbr, e_slot) widths at d = 8: full, as the encoder's bottom
+# layer feeds them, and each of its own width
+WIDTHS = {"full": (8, 8, 8), "narrow": (3, 3, 2), "mixed": (8, 5, 1)}
 
 
-def attention_case(rng, b=6, n=5, dm=8, dtype=np.float64):
+def attention_case(rng, b=6, n=5, dm=8, dtype=np.float64, widths=None,
+                   sparse=False):
     """Random inputs as the encoder builds them: row 0 has every slot
-    padded, row 1 none; w_slot is 1 on real slots, rho in (0, 1) on added
-    ones and 0 on pads."""
+    padded, row 1 none. w_slot is 1 on real slots and 0 on pads; an added
+    slot weighs rho in (0, 1) in w_slot itself or, if `sparse`, 0.5 there
+    plus rho as the added part's weight next to its [P, d] row (the
+    encoder passes 0 there; the op adds the two). Returns (tensor inputs
+    by name, w_slot, mask, added positions or None)."""
+    ws, wn, we = widths or (dm, dm, dm)
     mask = (rng.random((b, n)) < 0.6).astype(dtype)
     mask[0], mask[1] = 0.0, 1.0
     added = mask * (rng.random((b, n)) < 0.4)
-    w_slot = mask - added + added * rng.uniform(0.05, 0.95, (b, n))
-    shapes = {"h_self": (b, dm), "h_nbr": (b, n, dm), "e_slot": (b, n, dm),
+    added[1, 2] = 1.0
+    rho = rng.uniform(0.05, 0.95, (b, n))
+    shapes = {"h_self": (b, ws), "h_nbr": (b, n, wn), "e_slot": (b, n, we),
               "te_nbr": (b, n, dm), "wq": (2 * dm, dm), "wk": (3 * dm, dm),
               "wv": (3 * dm, dm)}
     arrays = {k: rng.standard_normal(s).astype(dtype)
               for k, s in shapes.items()}
-    arrays["w_slot"] = w_slot.astype(dtype)
-    return arrays, mask
+    if not sparse:
+        return arrays, (mask - added + added * rho).astype(dtype), mask, None
+    pos = np.nonzero(added)
+    arrays["e_add"] = rng.standard_normal((len(pos[0]), dm)).astype(dtype)
+    arrays["w_add"] = rho[pos].astype(dtype)
+    return arrays, (mask - 0.5 * added).astype(dtype), mask, pos
 
 
-def run_attention(fn, arrays, mask, heads, const=(), weight=None):
+def run_attention(fn, arrays, w_slot, mask, heads, pos=None, const=(),
+                  weight=None):
     """fn's output, and the gradients of sum(out * weight) by input name;
     inputs named in `const` are constants."""
     ts = {k: (ad.constant(v) if k in const else ad.param(v.copy(), name=k))
           for k, v in arrays.items()}
+    added = None if pos is None else (pos, ts["e_add"], ts["w_add"])
     with ad.Tape() as tape:
-        out = fn(*(ts[k] for k in ATTENTION_INPUTS[:5]), mask,
-                 *(ts[k] for k in ATTENTION_INPUTS[5:]), heads)
+        out = fn(*(ts[k] for k in ATTENTION_INPUTS[:4]), w_slot, mask,
+                 *(ts[k] for k in ATTENTION_INPUTS[4:]), heads, added)
         if weight is not None:
             tape.backward(ad.sum_(ad.mul(out, ad.constant(weight))))
     return out.values, {k: t.grad for k, t in ts.items() if k not in const}
@@ -294,39 +352,121 @@ def close(got, want, rtol):
 @pytest.mark.parametrize("const", [(), ("te_nbr",), ("h_nbr", "te_nbr"),
                                    ("e_slot", "te_nbr")])
 def test_temporal_attention_matches_composed_oracle(heads, const):
+    """Every input width layout, with the added slots as a sparse part or
+    folded into w_slot (no added part): output and every gradient."""
     rng = np.random.default_rng(heads * 10 + len(const))
-    for _ in range(3):
-        arrays, mask = attention_case(rng)
-        weight = rng.standard_normal((len(mask), arrays["wq"].shape[1]))
-        got, got_g = run_attention(ad.temporal_attention, arrays, mask,
-                                   heads, const, weight)
-        want, want_g = run_attention(composed_attention, arrays, mask,
-                                     heads, const, weight)
-        assert close(got, want, 1e-10)
-        assert set(got_g) == set(want_g)
-        # in a row with every slot padded the oracle's softmax subtracts a
-        # logsumexp near -1e9, which keeps only about 7 digits of the
-        # attention; only w_slot's gradient there reads it (in the encoder
-        # the zero added-mask then drops it)
-        live = mask.any(axis=1)
-        w_g, w_want = got_g.pop("w_slot"), want_g.pop("w_slot")
-        assert close(w_g[live], w_want[live], 1e-10)
-        assert close(w_g[~live], w_want[~live], 1e-6)
-        for k in got_g:
-            assert close(got_g[k], want_g[k], 1e-10), k
+    for widths in WIDTHS.values():
+        for sparse in (False, True):
+            arrays, w_slot, mask, pos = attention_case(
+                rng, widths=widths, sparse=sparse)
+            weight = rng.standard_normal((len(mask), arrays["wq"].shape[1]))
+            got, got_g = run_attention(ad.temporal_attention, arrays, w_slot,
+                                       mask, heads, pos, const, weight)
+            want, want_g = run_attention(composed_attention, arrays, w_slot,
+                                         mask, heads, pos, const, weight)
+            assert close(got, want, 1e-10)
+            assert set(got_g) == set(want_g)
+            for k in got_g:
+                assert got_g[k].shape == arrays[k].shape
+                assert close(got_g[k], want_g[k], 1e-10), (k, widths, sparse)
+
+
+def test_temporal_attention_narrow_inputs_read_only_their_rows():
+    """A narrow input gives the same output as itself zero-padded, and the
+    weight rows it does not read get an exactly zero gradient."""
+    rng = np.random.default_rng(8)
+    arrays, w_slot, mask, _ = attention_case(rng, widths=WIDTHS["narrow"])
+    dm = arrays["te_nbr"].shape[2]
+    padded = {k: (np.concatenate([v, np.zeros(v.shape[:-1]
+                                              + (dm - v.shape[-1],))], -1)
+                  if k in ("h_self", "h_nbr", "e_slot") else v)
+              for k, v in arrays.items()}
+    weight = rng.standard_normal((len(mask), dm))
+    got, grads = run_attention(ad.temporal_attention, arrays, w_slot, mask,
+                               2, weight=weight)
+    want, _ = run_attention(ad.temporal_attention, padded, w_slot, mask, 2)
+    assert close(got, want, 1e-12)
+    assert np.all(grads["wq"][3:dm] == 0) and np.any(grads["wq"][:3] != 0)
+    for k in ("wk", "wv"):
+        assert np.all(grads[k][3:dm] == 0), k
+        assert np.all(grads[k][dm + 2:2 * dm] == 0), k
+        assert np.any(grads[k][dm:dm + 2] != 0), k
 
 
 def test_temporal_attention_returns_none_for_constants():
     rng = np.random.default_rng(3)
-    arrays, mask = attention_case(rng)
-    const = ("h_nbr", "e_slot", "te_nbr")
-    ts = [ad.constant(arrays[k]) if k in const else ad.param(arrays[k])
-          for k in ATTENTION_INPUTS]
+    arrays, w_slot, mask, pos = attention_case(rng, sparse=True)
+    const = ("h_nbr", "e_slot", "te_nbr", "w_add")
+    ts = {k: ad.constant(v) if k in const else ad.param(v)
+          for k, v in arrays.items()}
+    names = ATTENTION_INPUTS + ("e_add", "w_add")
     with ad.Tape() as tape:
-        out = ad.temporal_attention(*ts[:5], mask, *ts[5:], 2)
-    (_, _, bw), = tape.entries
-    for k, g in zip(ATTENTION_INPUTS, bw(np.ones_like(out.values))):
+        out = ad.temporal_attention(
+            *(ts[k] for k in ATTENTION_INPUTS[:4]), w_slot, mask,
+            *(ts[k] for k in ATTENTION_INPUTS[4:]), 2,
+            (pos, ts["e_add"], ts["w_add"]))
+    (inputs, _, bw), = tape.entries
+    assert [ts[k] for k in names] == list(inputs)
+    for k, g in zip(names, bw(np.ones_like(out.values))):
         assert (g is None) == (k in const), k
+
+
+def test_temporal_attention_empty_added_part_is_none():
+    rng = np.random.default_rng(4)
+    arrays, w_slot, mask, _ = attention_case(rng, widths=WIDTHS["narrow"])
+    empty = dict(arrays, e_add=np.zeros((0, 8)), w_add=np.zeros(0))
+    nowhere = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    weight = rng.standard_normal((len(mask), 8))
+    got, got_g = run_attention(ad.temporal_attention, empty, w_slot, mask, 2,
+                               nowhere, weight=weight)
+    want, want_g = run_attention(ad.temporal_attention, arrays, w_slot, mask,
+                                 2, weight=weight)
+    assert np.array_equal(got, want)
+    assert got_g.pop("e_add").size == 0 and got_g.pop("w_add").size == 0
+    for k in want_g:
+        assert np.array_equal(got_g[k], want_g[k]), k
+
+
+def shape_cases():
+    """(name, the args that break one rule) for each shape rule."""
+    z = ad.constant
+    h, s3 = z(np.zeros((2, 4))), z(np.zeros((2, 3, 4)))
+    w = dict(h_self=h, h_nbr=s3, e_slot=s3, te_nbr=s3, w_slot=np.ones((2, 3)),
+             mask=np.ones((2, 3)), wq=z(np.zeros((8, 4))),
+             wk=z(np.zeros((12, 4))), wv=z(np.zeros((12, 4))), heads=2,
+             added=((np.array([0, 1]), np.array([2, 0])),
+                    z(np.zeros((2, 4))), z(np.zeros(2))))
+    pos = w["added"][0]
+    yield "wk-rows", dict(w, wk=z(np.zeros((12, 5)))), r"\(12, 5\)"
+    yield "h_self-wider-than-d", dict(w, h_self=z(np.zeros((2, 5)))), \
+        r"widths <= 4.*\(2, 5\)"
+    yield "e_slot-wider-than-d", dict(w, e_slot=z(np.zeros((2, 3, 6)))), \
+        r"\(2, 3, 6\)"
+    yield "h_nbr-rows", dict(w, h_nbr=z(np.zeros((2, 2, 4)))), r"\(2, 2, 4\)"
+    yield "w_slot", dict(w, w_slot=np.ones((3, 2))), r"w_slot \(3, 2\)"
+    yield "added-rows-width", dict(
+        w, added=(pos, z(np.zeros((2, 3))), w["added"][2])), r"\(2, 3\)"
+    yield "added-weights", dict(
+        w, added=(pos, w["added"][1], z(np.zeros((2, 1))))), r"\(2, 1\)"
+    yield "position-outside", dict(
+        w, added=((np.array([0, 1]), np.array([2, 3])),) + w["added"][1:]), \
+        r"\(2, 3\)"
+    yield "row-outside", dict(
+        w, added=((np.array([0, 2]), np.array([2, 0])),) + w["added"][1:]), \
+        r"\(2, 3\)"
+    yield "positions-repeated", dict(
+        w, added=((np.array([1, 1]), np.array([0, 0])),) + w["added"][1:]), \
+        "distinct row-major"
+    yield "positions-unsorted", dict(
+        w, added=((np.array([1, 0]), np.array([0, 2])),) + w["added"][1:]), \
+        "distinct row-major"
+
+
+@pytest.mark.parametrize("case", [name for name, _, _ in shape_cases()])
+def test_temporal_attention_shape_rules(case):
+    (_, kwargs, match), = [c for c in shape_cases() if c[0] == case]
+    with pytest.raises(ad.ShapeError, match="temporal_attention: .*" + match):
+        ad.temporal_attention(**kwargs)
 
 
 def test_attention_weights_normalized_under_mask():
@@ -335,35 +475,36 @@ def test_attention_weights_normalized_under_mask():
     row with every slot padded outputs zero."""
     rng = np.random.default_rng(5)
     for dtype in (np.float32, np.float64):
-        arrays, mask = attention_case(rng, b=8, n=6, dtype=dtype)
+        arrays, _, mask, _ = attention_case(rng, b=8, n=6, dtype=dtype)
         assert not mask[0].any() and mask[1:].any(axis=1).all()
         # with only the te block read by W_v, a slot's value is 1, so each
         # output is the attention mass on real slots
-        probe = dict(arrays, w_slot=mask.astype(dtype),
-                     te_nbr=np.ones_like(arrays["te_nbr"]))
+        probe = dict(arrays, te_nbr=np.ones_like(arrays["te_nbr"]))
         dm = probe["h_self"].shape[1]
         probe["wv"] = np.zeros_like(arrays["wv"])
         probe["wv"][2 * dm:] = 1.0 / dm
-        mass, _ = run_attention(ad.temporal_attention, probe, mask, 2)
+        mass, _ = run_attention(ad.temporal_attention, probe,
+                                mask.astype(dtype), mask, 2)
         tol = 1e-6 if dtype == np.float32 else 1e-12
         assert np.allclose(mass[1:], 1.0, rtol=0, atol=tol)
         assert np.all(mass[0] == 0)
 
-        base, _ = run_attention(ad.temporal_attention, arrays, mask, 2)
+        base, _ = run_attention(ad.temporal_attention, arrays, mask, mask, 2)
         pads = (mask == 0)[:, :, None]
         for k in ("h_nbr", "e_slot", "te_nbr"):
             moved = dict(arrays)
             moved[k] = np.where(pads, arrays[k] + rng.standard_normal(
                 arrays[k].shape).astype(dtype), arrays[k])
-            got, _ = run_attention(ad.temporal_attention, moved, mask, 2)
+            got, _ = run_attention(ad.temporal_attention, moved, mask, mask,
+                                   2)
             assert np.array_equal(got, base), k
         assert np.all(base[0] == 0)
 
 
 def test_encode_batch_tape_entries_per_layer():
-    """With added edges, one 2-layer encode_batch records at most 16 tape
-    entries per layer (30 here; the composed attention block recorded
-    69)."""
+    """With added edges, one 2-layer encode_batch records 23 tape entries:
+    30 while the added slots were dense (B, n, d) grids, 69 with the
+    composed attention block."""
     store = synth_generate(2, 6, 6, 80, 0.1, seed=4)
     idx = NeighborIndex.build(store, np.arange(60))
     p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
@@ -379,7 +520,7 @@ def test_encode_batch_tape_entries_per_layer():
     assert (view.batch_neighbors(nodes, tss, 5)[1] < 0).any()
     with ad.Tape() as tape:
         enc.encode_batch(view, nodes, tss)
-    assert len(tape) <= 2 * 16
+    assert len(tape) == 23
 
 
 def test_encode_batch_matches_direct_time_encode(monkeypatch):
@@ -419,6 +560,116 @@ def test_encode_batch_matches_direct_time_encode(monkeypatch):
     for g, want in zip(grads, want_grads):
         assert np.any(want != 0)
         assert g.tobytes() == want.tobytes()
+
+
+def padded_dense_embed(enc, view, nodes, ts, layer, max_eid=None):
+    """Test oracle: the encoder before narrow inputs and sparse added
+    slots. Feature tables are zero-padded to d_model, every slot gathers
+    cand_features and rho and a mask zeroes all but the added ones, and
+    the attention is the composed block."""
+    p = enc.params
+    dm = p.d_model
+
+    def padded(table):
+        out = np.zeros((len(table), dm), dtype=table.dtype)
+        out[:, :table.shape[1]] = table
+        return out
+
+    if layer == 0:
+        return ad.constant(padded(enc.node_feat)[nodes])
+    pre = f"enc.l{layer - 1}."
+    b = len(nodes)
+    ids, eids, tss, mask = view.batch_neighbors(nodes, ts, enc.n_nb, max_eid)
+    n = ids.shape[1]
+    all_nodes = np.concatenate([nodes, ids.ravel()])
+    all_ts = np.concatenate([ts, tss.ravel()])
+    if layer == 1:
+        emb = padded_dense_embed(enc, view, all_nodes, all_ts, 0, max_eid)
+    else:
+        pairs = np.stack([all_nodes.astype(np.float64), all_ts], axis=1)
+        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        sub = padded_dense_embed(enc, view, uniq[:, 0].astype(np.int64),
+                                 uniq[:, 1], layer - 1, max_eid)
+        emb = ad.take(sub, inverse.reshape(-1))
+    h_self = ad.narrow(emb, 0, 0, b)
+    h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, dm))
+    real_m = mask * (eids >= 0)
+    added_m = mask * (eids < 0)
+    e_rows = padded(enc.edge_feat)[enc.feat_ids[np.where(real_m > 0, eids, 0)]]
+    e_slot = ad.constant(e_rows * (real_m[:, :, None] > 0))
+    w_slot = ad.constant(real_m)
+    if added_m.any():
+        j = np.maximum(-1 - eids, 0)
+        e_slot = ad.add(e_slot, ad.mul(ad.take(view.cand_features, j),
+                                       ad.constant(added_m[:, :, None])))
+        w_slot = ad.add(w_slot, ad.mul(ad.take(view.rho, j),
+                                       ad.constant(added_m)))
+    te_nbr = ad.constant(te.time_encode(ts[:, None] - tss, enc.cfg))
+    head = composed_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask,
+                              p[pre + "wq"], p[pre + "wk"], p[pre + "wv"],
+                              p.heads)
+    merged = ad.concat([head, h_self], axis=1)
+    hid = ad.relu(ad.add(ad.matmul(merged, p[pre + "w1"]), p[pre + "b1"]))
+    return ad.add(ad.matmul(hid, p[pre + "w2"]), p[pre + "b2"])
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("additions", [False, True])
+@pytest.mark.parametrize("widths", [(3, 2), (8, 8)])
+def test_encode_batch_matches_padded_dense_oracle(widths, additions, layers):
+    """float64, d_model 8: output and every enc.*, cand_features and rho
+    gradient of encode_batch match the padded, dense encoder; the bottom
+    layer's node-padding rows of wq, wk, wv and w1 get exactly zero."""
+    base = synth_generate(2, 6, 6, 80, 0.1, seed=4)
+    rng = np.random.default_rng(layers)
+    wn, we = widths
+    store = EventStore(base.src, base.dst, base.ts, base.feat_ids,
+                       rng.standard_normal((base.num_nodes, wn)),
+                       rng.standard_normal((len(base.edge_features), we)),
+                       base.num_users)
+    idx = NeighborIndex.build(store, np.arange(60))
+    nodes = np.concatenate([store.src[56:60], store.dst[56:60]])
+    tss = np.concatenate([store.ts[56:60], store.ts[56:60]])
+    dm = 8
+
+    def run(embed):
+        p = te.EncoderParams(dm, layers=layers, heads=2, d_hidden=8, seed=5,
+                             dtype=np.float64)
+        enc = te.TgatEncoder(p, te.TimeEncodingConfig(dm), store, n_nb=5)
+        r = np.random.default_rng(0)
+        view = AugmentedView(idx)
+        if additions:
+            view = AugmentedView(
+                idx, store.src[50:56], store.dst[:6],
+                np.full(6, float(store.ts[55])),
+                cand_features=ad.param(r.standard_normal((6, dm))),
+                rho=ad.param(r.uniform(0.1, 0.9, 6)))
+        assert (view.batch_neighbors(nodes, tss, 5)[1] < 0).any() == additions
+        w = ad.constant(r.standard_normal((len(nodes), dm)))
+        with ad.Tape() as tape:
+            out = embed(enc, view, nodes, tss)
+            tape.backward(ad.sum_(ad.mul(out, w)))
+        grads = {t.name: t.grad for t in p.parameters()
+                 if t.name.startswith("enc.")}
+        if additions:
+            grads.update(cand=view.cand_features.grad, rho=view.rho.grad)
+        return out.values, grads
+
+    got, got_g = run(lambda enc, view, nodes, tss:
+                     enc.encode_batch(view, nodes, tss))
+    want, want_g = run(lambda enc, view, nodes, tss:
+                       padded_dense_embed(enc, view, nodes, tss, layers))
+    assert close(got, want, 1e-12)
+    assert set(got_g) == set(want_g)
+    for k in got_g:
+        assert np.any(want_g[k] != 0), k
+        assert close(got_g[k], want_g[k], 1e-12), k
+    hk = dm                      # heads * d_k
+    for k in ("wq", "wk", "wv"):
+        g = got_g["enc.l0." + k]
+        assert np.all(g[wn:dm] == 0) and np.any(g[:wn] != 0), k
+    g = got_g["enc.l0.w1"]
+    assert np.all(g[hk + wn:] == 0) and np.any(g[hk:hk + wn] != 0)
 
 
 def test_depth_validation_and_bad_node():
