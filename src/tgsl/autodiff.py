@@ -163,9 +163,6 @@ class Tensor:
     def item(self):
         return float(self.values.reshape(()))
 
-    def detach(self):
-        return Tensor(self.values, requires_grad=False, name=self.name)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}{tag})"

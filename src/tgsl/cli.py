@@ -163,12 +163,11 @@ def cmd_train(args):
 
 def _train_one(cfg, store, split, seed):
     rid = run_id_for(cfg, seed)
-    out = os.path.join(cfg.out_dir, f"run-{rid}")
-    os.makedirs(out, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     t_start = time.time()
-
     trainer = make_trainer(cfg, store, split, seed)
+    out = os.path.join(cfg.out_dir, f"run-{rid}")
+    os.makedirs(out, exist_ok=True)
     try:
         history = trainer.fit(log=lambda e: print(
             f"[{rid}] epoch {e['epoch']}: ori={e['loss_task_ori']:.4f} "
@@ -302,11 +301,11 @@ def cmd_eval(args):
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    augmented = trainer.learner is not None and not args.original_graph
     rep = trainer.evaluate(args.setting, "test", seed=manifest["seed"],
-                           use_augmented=not args.original_graph)
+                           use_augmented=augmented)
     doc = {"run_id": manifest["run_id"], "setting": args.setting,
-           "inference_graph": ("original" if args.original_graph
-                               else "augmented"),
+           "inference_graph": "augmented" if augmented else "original",
            "test_acc": rep.acc, "test_ap": rep.ap}
     print(_json(doc), end="")
     return EXIT_OK

@@ -2,9 +2,9 @@
 
 Per batch: the structure learner proposes an augmented view; the query
 encoder scores links on both the original and augmented views (binary cross
-entropy each); queries from the augmented view are contrasted against
-momentum-encoder keys from the original view through a FIFO key queue
-(InfoNCE). Evaluation scores each positive against one seeded negative,
+entropy each); at alpha > 0, queries from the augmented view are contrasted
+against momentum-encoder keys from the original view through a FIFO key
+queue (InfoNCE). Evaluation scores each positive against one seeded negative,
 reporting accuracy at 0.5 and average precision, under transductive or
 inductive protocols, with inference on the augmented view in noise-free
 mode.
@@ -221,10 +221,10 @@ def batch_loss(enc, learner, index, src, dst, neg, tss, *, max_eid, t_max,
                seed, keys, queue, alpha, tau):
     """The multi-task loss of one training batch of (src, dst, t) events
     with negatives `neg`: link BCE on `index`, and with a structure learner
-    also link BCE on the view it proposes into `index` plus alpha times the
-    InfoNCE of the view's [src | dst] embeddings against `keys` and
-    `queue`. Returns (loss_ori, loss_aug, loss_cl, total); without a
-    learner loss_aug and loss_cl are None and total is loss_ori."""
+    also link BCE on the view it proposes into `index`, and with `keys`
+    alpha times the InfoNCE of the view's [src | dst] embeddings against
+    `keys` and `queue`. Returns (loss_ori, loss_aug, loss_cl, total), with
+    None for each term that is absent; total sums the others."""
     b = len(src)
     nodes3 = np.concatenate([src, dst, neg])
     ts3 = np.concatenate([tss, tss, tss])
@@ -237,17 +237,11 @@ def batch_loss(enc, learner, index, src, dst, neg, tss, *, max_eid, t_max,
         seed=seed, view_base=index, mode="stochastic", max_eid=max_eid)
     emb_aug = enc.encode_batch(view, nodes3, ts3, max_eid=max_eid)
     loss_aug = bce_link_loss(*enc.score_links(emb_aug, b))
-    if alpha == 0.0:
-        # zero weight means zero gradient either way; skip recording the
-        # contrastive subgraph on the tape
-        with ad.no_grad():
-            loss_cl = info_nce_batch(
-                ad.narrow(emb_aug, 0, 0, 2 * b).detach(), keys, queue, tau)
-        total = ad.add(loss_ori, loss_aug)
-    else:
-        loss_cl = info_nce_batch(ad.narrow(emb_aug, 0, 0, 2 * b), keys,
-                                 queue, tau)
-        total = ad.add(ad.add(loss_ori, loss_aug), ad.scale(loss_cl, alpha))
+    if keys is None:
+        return loss_ori, loss_aug, None, ad.add(loss_ori, loss_aug)
+    loss_cl = info_nce_batch(ad.narrow(emb_aug, 0, 0, 2 * b), keys, queue,
+                             tau)
+    total = ad.add(ad.add(loss_ori, loss_aug), ad.scale(loss_cl, alpha))
     return loss_ori, loss_aug, loss_cl, total
 
 
@@ -255,15 +249,15 @@ def batch_loss(enc, learner, index, src, dst, neg, tss, *, max_eid, t_max,
 # MoCo machinery
 
 class MoCoState:
-    """Momentum copy of the query encoder plus the FIFO key queue."""
+    """Momentum copy of the query encoder plus the FIFO key queue; a
+    Trainer builds one only when use_tgsl is on and alpha > 0."""
 
-    def __init__(self, key_params, momentum=0.999, tau_cl=0.2, capacity=512):
+    def __init__(self, key_params, momentum=0.999, capacity=512):
         self.key_params = key_params
         for p in key_params.parameters():
             p.requires_grad = False
             p._grad = None          # never on a tape, never holds a grad
         self.momentum = momentum
-        self.tau_cl = tau_cl
         self.capacity = capacity
         self.queue = np.zeros((0, key_params.d_model), dtype=np.float32)
 
@@ -331,9 +325,11 @@ def _seed(*parts):
 
 class Trainer:
     """Owns the encoders, structure learner, optimizer and MoCo state for
-    one run of `cfg` (a RunConfig) under one training seed. With
-    cfg.use_tgsl off it degenerates to the plain encoder baseline (single
-    supervised loss, no augmentation at inference)."""
+    one run of `cfg` (a RunConfig) under one training seed. Only a weighted
+    contrastive term (use_tgsl on, alpha > 0) gets MoCo state and a key
+    encoder; otherwise both are None and loss_cl reads 0. With use_tgsl
+    off it is the plain encoder baseline (single supervised loss, no
+    augmentation at inference)."""
 
     def __init__(self, store, split, cfg, seed):
         self.store = store
@@ -352,13 +348,17 @@ class Trainer:
 
         enc_shape = (cfg.d_model, cfg.layers, cfg.heads, cfg.d_hidden)
         self.q_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
-        self.q_enc = TgatEncoder(self.q_params, self.te_cfg, store,
-                                 n_nb=cfg.n_nb)
-        # the query's seed: the key set starts as an exact copy
-        k_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
-        self.moco = MoCoState(k_params, cfg.moco_momentum, cfg.tau_cl,
-                              cfg.moco_queue)
-        self.k_enc = TgatEncoder(k_params, self.te_cfg, store, n_nb=cfg.n_nb)
+        try:
+            self.q_enc = TgatEncoder(self.q_params, self.te_cfg, store,
+                                     n_nb=cfg.n_nb)
+        except ValueError as e:     # features wider than d_model
+            raise ConfigError(str(e)) from e
+        self.moco = self.k_enc = None
+        if cfg.use_tgsl and cfg.alpha > 0:
+            # the query's seed: the key set starts as an exact copy
+            k_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
+            self.moco = MoCoState(k_params, cfg.moco_momentum, cfg.moco_queue)
+            self.k_enc = TgatEncoder(k_params, self.te_cfg, store, cfg.n_nb)
 
         params = self.q_params.parameters()
         if cfg.use_tgsl:
@@ -392,26 +392,27 @@ class Trainer:
             start_eid = int(batch[0])
             neg = sample_negatives(dst, self.train_dst_pool,
                                    _seed(self.seed, epoch, bi, 3))
-            keys = None
-            if self.learner is not None:
+            keys = queue = None
+            if self.moco is not None:
                 with ad.no_grad():
                     k_emb = self.k_enc.encode_batch(
                         self.train_index, np.concatenate([src, dst]),
                         np.concatenate([tss, tss]), max_eid=start_eid)
                 keys = _l2_rows_np(k_emb.values)
+                queue = self.moco.queue
             with ad.Tape() as tape:
                 loss_ori, loss_aug, loss_cl, total = batch_loss(
                     self.q_enc, self.learner, self.train_index, src, dst,
                     neg, tss, max_eid=start_eid,
                     t_max=self.split.t_max_train,
                     seed=_seed(self.seed, epoch, bi, 1), keys=keys,
-                    queue=self.moco.queue, alpha=cfg.alpha, tau=cfg.tau_cl)
+                    queue=queue, alpha=cfg.alpha, tau=cfg.tau_cl)
                 if not np.isfinite(total.values):
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch} batch {bi}")
                 tape.backward(total)
             ad.adam_step(self.opt.params, self.opt)
-            if self.learner is not None:
+            if self.moco is not None:
                 moco_step(self.moco, self.q_params, keys)
             rec["loss_ori"].append(float(loss_ori.values))
             rec["loss_aug"].append(
@@ -493,17 +494,19 @@ class Trainer:
         d = {"query": self.q_params.state_dict()}
         if self.tgsl_params is not None:
             d["tgsl"] = self.tgsl_params.state_dict()
-        d["key"] = self.moco.key_params.state_dict()
+        if self.moco is not None:
+            d["key"] = self.moco.key_params.state_dict()
         return d
 
     def restore(self, snap):
         """Load a snapshot(): every group this trainer has must be there
         (KeyError names a missing one), with exactly its tensors
-        (ValueError from load_state_dict)."""
+        (ValueError from load_state_dict); other groups are ignored."""
         self.q_params.load_state_dict(snap["query"])
         if self.tgsl_params is not None:
             self.tgsl_params.load_state_dict(snap["tgsl"])
-        self.moco.key_params.load_state_dict(snap["key"])
+        if self.moco is not None:
+            self.moco.key_params.load_state_dict(snap["key"])
 
     def fit(self, log=None, early_stop=True, val_limit=None):
         """Train with early stopping on transductive validation AP; restores

@@ -159,6 +159,54 @@ def test_eval_original_graph_flag(tmp_path, capsys):
     assert doc["inference_graph"] == "original"
 
 
+def test_eval_run_without_structure_learner_reports_original_graph(
+        tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert cli.main(["train", "--out", out]
+                    + _set_args(fast_overrides(["use_tgsl=0"]))) == 0
+    manifest_path = os.path.join(out, os.listdir(out)[0], "manifest.json")
+    manifest = json.load(open(manifest_path))
+    capsys.readouterr()
+    assert cli.main(["eval", manifest_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inference_graph"] == "original"
+    assert doc["test_ap"] == manifest["final"]["transductive_ap"]
+
+
+def _three_feature_csv(tmp_path):
+    path = str(tmp_path / "three.csv")
+    assert cli.main(["synth", "--out", path, "--set", "synth_communities=3",
+                     "--set", "synth_users=12", "--set", "synth_items=12",
+                     "--set", "synth_events=260", "--seed", "5"]) == 0
+    assert load_events(path).edge_features.shape[1] == 3
+    return path
+
+
+def test_features_wider_than_d_model_exit_config(tmp_path, capsys,
+                                                 trained_run):
+    csv = _three_feature_csv(tmp_path)
+    narrow = [f"dataset={csv}", "d_model=2", "heads=2"]
+    out = str(tmp_path / "runs")
+    capsys.readouterr()
+    assert cli.main(["train", "--out", out]
+                    + _set_args(fast_overrides(narrow))) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "raise d_model" in err
+    assert not os.path.exists(out)          # no empty run directory left
+
+    # a manifest naming the same data and model fails the same way
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(trained_run, run_dir)
+    path = os.path.join(run_dir, "manifest.json")
+    manifest = json.load(open(path))
+    manifest["config"].update(dataset=csv, d_model=2, heads=2)
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    assert cli.main(["eval", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "raise d_model" in err
+
+
 def test_eval_unknown_setting_and_missing_manifest(tmp_path):
     assert cli.main(["eval", str(tmp_path / "nothing.json")]) \
         == cli.EXIT_CONFIG
@@ -268,6 +316,15 @@ def trained_run(tmp_path_factory):
     return os.path.join(out, os.listdir(out)[0])
 
 
+@pytest.fixture(scope="module")
+def contrastive_run(tmp_path_factory):
+    """A run at alpha=0.5: its snapshot holds the MoCo key group."""
+    out = str(tmp_path_factory.mktemp("runs"))
+    assert cli.main(["train", "--out", out]
+                    + _set_args(fast_overrides(["alpha=0.5"]))) == 0
+    return os.path.join(out, os.listdir(out)[0])
+
+
 def _drop_run_id(run_dir, manifest):
     del manifest["run_id"]
 
@@ -331,20 +388,54 @@ def _stale_last_node_weight(run_dir, manifest):
     _rewrite_params(run_dir, manifest, edit)
 
 
+def _drop_key_group(run_dir, manifest):
+    def edit(flat):
+        keys = [k for k in flat if k.startswith("key|")]
+        assert keys
+        for key in keys:
+            del flat[key]
+    _rewrite_params(run_dir, manifest, edit)
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (_drop_query_group, "query"),
     (_broadcastable_wrong_shape, "enc.l0.wq"),
-    (_stale_last_node_weight, "tgsl.l0.wh")])
+    (_stale_last_node_weight, "tgsl.l0.wh"),
+    (_drop_key_group, "key")])
 def test_eval_snapshot_not_fitting_the_model_exits_config(
-        tmp_path, capsys, trained_run, corrupt, named):
+        tmp_path, capsys, request, corrupt, named):
+    # only a run whose contrastive term has weight writes a key group
+    run = request.getfixturevalue("contrastive_run" if named == "key"
+                                  else "trained_run")
     run_dir = str(tmp_path / "run")
-    shutil.copytree(trained_run, run_dir)
+    shutil.copytree(run, run_dir)
     path = os.path.join(run_dir, "manifest.json")
     corrupt(run_dir, json.load(open(path)))
     capsys.readouterr()
     assert cli.main(["eval", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "bad manifest" in err and named in err
+
+
+def test_alpha_zero_run_writes_no_key_group_and_reads_old_layout(
+        tmp_path, capsys, trained_run):
+    run_dir = str(tmp_path / "run")
+    shutil.copytree(trained_run, run_dir)
+    path = os.path.join(run_dir, "manifest.json")
+    manifest = json.load(open(path))
+    with np.load(os.path.join(run_dir, manifest["params"])) as z:
+        assert not [k for k in z.files if k.startswith("key|")]
+
+    def add_key_copies(flat):
+        # the layout of snapshots that always carried the key encoder
+        for k in [k for k in flat if k.startswith("query|")]:
+            flat["key|" + k.split("|", 1)[1]] = flat[k].copy()
+    _rewrite_params(run_dir, manifest, add_key_copies)
+    capsys.readouterr()
+    assert cli.main(["eval", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["test_ap"] == manifest["final"]["transductive_ap"]
+    assert doc["test_acc"] == manifest["final"]["transductive_acc"]
 
 
 def test_train_non_finite_loss_exits_check_fail(tmp_path, capsys):

@@ -272,9 +272,45 @@ def test_alpha_zero_matches_contrastive_term_removed():
         tr.train_epoch(0)
         grads.append(np.concatenate(
             [p.values.ravel().copy() for p in tr.opt.params]))
-    # identical runs agree bit-for-bit; the contrastive term at alpha=0
-    # verifiably adds nothing (it is computed without gradient recording)
+    # identical runs agree bit-for-bit; at alpha=0 no contrastive term,
+    # key encoder or queue is built at all
     assert np.array_equal(grads[0], grads[1])
+
+
+@pytest.mark.parametrize("use_tgsl, alpha", [(True, 0.0), (False, 0.5)])
+def test_no_moco_state_without_a_weighted_contrastive_term(use_tgsl, alpha):
+    tr, _, _ = tiny_setup(use_tgsl=use_tgsl, alpha=alpha)
+    assert tr.moco is None and tr.k_enc is None
+    assert "key" not in tr.snapshot()
+    rec = tr.train_epoch(0)
+    assert rec["loss_cl"] == [0.0] * len(rec["total"])
+    for o, a, t in zip(rec["loss_ori"], rec["loss_aug"], rec["total"]):
+        # the losses are float32 scalars: their float32 sum, bit for bit
+        assert np.float32(t) == np.float32(o) + np.float32(a)
+    tr.restore(tr.snapshot())
+
+
+def test_batch_loss_without_keys_has_no_contrastive_term():
+    tr, store, split = tiny_setup(alpha=0.5)
+    batch = tr._batches()[1]
+    src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
+    neg = dst[::-1].copy()
+    args = (tr.q_enc, tr.learner, tr.train_index, src, dst, neg, tss)
+    kw = dict(max_eid=int(batch[0]), t_max=split.t_max_train, seed=5,
+              queue=None, alpha=0.5, tau=0.2)
+    ori, aug, cl, total = tt.batch_loss(*args, keys=None, **kw)
+    assert cl is None
+    assert np.float32(total.values) == (np.float32(ori.values)
+                                        + np.float32(aug.values))
+    rng = np.random.default_rng(0)
+    keys = rng.standard_normal((2 * len(batch), tr.cfg.d_model))
+    kw["queue"] = rng.standard_normal((16, tr.cfg.d_model))
+    ori2, aug2, cl2, total2 = tt.batch_loss(*args, keys=keys, **kw)
+    assert float(cl2.values) > 0.0
+    assert float(ori2.values) == float(ori.values)
+    assert float(aug2.values) == float(aug.values)
+    want = float(ori2.values) + float(aug2.values) + 0.5 * float(cl2.values)
+    assert abs(float(total2.values) - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def test_k_zero_degenerates_to_original_graph():
