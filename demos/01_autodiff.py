@@ -37,5 +37,5 @@ for step in range(5):
     with ad.Tape() as tape:
         loss = f(a, b)
         tape.backward(loss)
-    ad.adam_step([a, b], opt)
+    ad.adam_step(opt)
     print(f"step {step}: loss = {loss.item():.6f}")

@@ -6,10 +6,12 @@ the record in exact reverse order and accumulates gradients additively
 no recorded op produced); each intermediate's work gradient is freed at its
 last use, when the op that produced it is replayed. A backward closure
 returns None for an input that does not require a gradient, so no
-gradient is ever formed for a constant. An N-D @ 2-D matmul computes each
-gradient as one 2-D GEMM over the folded leading axes. Training runs in
-float32, verification suites in float64 — gradient checks are unreliable
-in float32.
+gradient is ever formed for a constant. `matmul` takes an N-D lhs and a
+2-D rhs only, and computes each gradient as one 2-D GEMM over the folded
+leading axes. The primitives are the ones the model calls, plus `exp` and
+`softmax`, from which the tests compose the attention oracle. Training
+runs in float32, verification suites in float64 — gradient checks are
+unreliable in float32.
 """
 
 import math
@@ -21,9 +23,9 @@ __all__ = [
     "AdamState", "adam_step", "GradCheckResult", "grad_check",
     "param", "constant", "init_uniform",
     "add", "sub", "mul", "div", "scale", "matmul", "concat", "narrow",
-    "reshape", "take", "segment_sum", "sigmoid", "relu", "tanh", "sin",
-    "cos", "exp", "log", "sqrt", "clip", "sum_", "mean", "logsumexp",
-    "softmax", "temporal_attention", "ShapeError", "NonFiniteError",
+    "reshape", "take", "segment_sum", "sigmoid", "relu", "tanh", "exp",
+    "log", "sqrt", "clip", "sum_", "mean", "logsumexp", "softmax",
+    "temporal_attention", "ShapeError", "NonFiniteError",
 ]
 
 
@@ -332,30 +334,18 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """Matrix product on the last two axes, numpy @ semantics. With a 2-D
-    `b`, the leading axes of `a` fold into rows, so each gradient is one
-    2-D GEMM and no batched product is summed down."""
-    if b.values.ndim < 2 or a.values.ndim < 1 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} differ")
-    if a.values.ndim == 1 and b.values.ndim > 2:
-        raise ShapeError(f"matmul: a 1-D lhs {a.shape} needs a 2-D rhs, "
-                         f"got {b.shape}")
+    """An N-D `a` times a 2-D `b`, numpy @ semantics. The leading axes of
+    `a` fold into rows, so each gradient is one 2-D GEMM."""
+    if b.values.ndim != 2 or a.values.ndim < 1 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape} needs a 2-D rhs "
+                         f"and equal inner dims")
     out = a.values @ b.values
+    k, m = b.shape
 
     def bw(g):
-        ga = gb = None
-        if b.values.ndim == 2:
-            k, m = b.shape
-            g2 = g.reshape(-1, m)
-            if a.requires_grad:
-                ga = (g2 @ b.values.T).reshape(a.shape)
-            if b.requires_grad:
-                gb = a.values.reshape(-1, k).T @ g2
-            return ga, gb
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape)
+        g2 = g.reshape(-1, m)
+        ga = (g2 @ b.values.T).reshape(a.shape) if a.requires_grad else None
+        gb = a.values.reshape(-1, k).T @ g2 if b.requires_grad else None
         return ga, gb
 
     return _record("matmul", (a, b), out, bw)
@@ -442,16 +432,6 @@ def relu(a):
 def tanh(a):
     out = np.tanh(a.values)
     return _record("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
-
-
-def sin(a):
-    return _record("sin", (a,), np.sin(a.values),
-                   lambda g: (g * np.cos(a.values),))
-
-
-def cos(a):
-    return _record("cos", (a,), np.cos(a.values),
-                   lambda g: (-g * np.sin(a.values),))
 
 
 def exp(a):
@@ -731,12 +711,10 @@ class AdamState:
         self.v = [np.zeros_like(p.values) for p in self.params]
 
 
-def adam_step(params, state):
-    """One bias-corrected Adam update; zeroes grads afterwards."""
-    params = list(params)
-    if len(params) != len(state.params) or any(
-            p is not q for p, q in zip(params, state.params)):
-        raise ValueError("adam_step: params do not match the state's params")
+def adam_step(state):
+    """One bias-corrected Adam update of the state's params; zeroes their
+    grads afterwards."""
+    params = state.params
     for p in params:
         if p.grad is None:
             raise ValueError(f"adam_step: missing grad for parameter {p.name!r}")

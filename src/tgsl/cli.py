@@ -166,8 +166,6 @@ def _train_one(cfg, store, split, seed):
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     t_start = time.time()
     trainer = make_trainer(cfg, store, split, seed)
-    out = os.path.join(cfg.out_dir, f"run-{rid}")
-    os.makedirs(out, exist_ok=True)
     try:
         history = trainer.fit(log=lambda e: print(
             f"[{rid}] epoch {e['epoch']}: ori={e['loss_task_ori']:.4f} "
@@ -199,8 +197,10 @@ def _train_one(cfg, store, split, seed):
         "inductive": (None if induc is None
                       else {"test_acc": induc.acc, "test_ap": induc.ap}),
     }
-    metrics_path = os.path.join(out, "metrics.json")
-    atomic_write(metrics_path, _json(metrics))
+    # made only now, so a run that fails leaves no directory behind
+    out = os.path.join(cfg.out_dir, f"run-{rid}")
+    os.makedirs(out, exist_ok=True)
+    atomic_write(os.path.join(out, "metrics.json"), _json(metrics))
 
     csv_path = os.path.join(out, "epochs.csv")
     head = ("run_id,seed,dataset,strategy,K,alpha,setting,epoch,"

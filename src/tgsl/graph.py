@@ -213,6 +213,22 @@ def _compute_mask(store, n_train, mask_frac, seed):
     return masked.astype(np.int64), usable
 
 
+def _split_spec(store, n_train, n_val, mask_frac, seed):
+    """Train, val and test as consecutive ranges (test takes the rest),
+    with the mask drawn by `_compute_mask`."""
+    masked, usable = _compute_mask(store, n_train, mask_frac, seed)
+    return SplitSpec(
+        train_range=(0, n_train),
+        val_range=(n_train, n_train + n_val),
+        test_range=(n_train + n_val, len(store)),
+        t_max_train=float(store.ts[n_train - 1]),
+        masked_nodes=masked,
+        usable_train_ids=usable,
+        mask_frac=mask_frac,
+        mask_seed=seed,
+    )
+
+
 def chronological_split(store, ratios=(0.70, 0.15, 0.15), mask_frac=0.0,
                         seed=0):
     """First 70% of events train, next 15% val, rest test (floor/floor/
@@ -228,17 +244,7 @@ def chronological_split(store, ratios=(0.70, 0.15, 0.15), mask_frac=0.0,
     n_val = int(math.floor(ratios[1] * n))
     if n_train == 0:
         raise DataError("train split is empty")
-    masked, usable = _compute_mask(store, n_train, mask_frac, seed)
-    return SplitSpec(
-        train_range=(0, n_train),
-        val_range=(n_train, n_train + n_val),
-        test_range=(n_train + n_val, n),
-        t_max_train=float(store.ts[n_train - 1]),
-        masked_nodes=masked,
-        usable_train_ids=usable,
-        mask_frac=mask_frac,
-        mask_seed=seed,
-    )
+    return _split_spec(store, n_train, n_val, mask_frac, seed)
 
 
 def sparsify(store, split, n_keep_every):
@@ -255,21 +261,9 @@ def sparsify(store, split, n_keep_every):
     thinned = EventStore(store.src[keep], store.dst[keep], store.ts[keep],
                          store.feat_ids[keep], store.node_features,
                          store.edge_features, num_users=store.num_users)
-    n_train = len(keep_train)
     n_val = split.val_range[1] - split.val_range[0]
-    masked, usable = _compute_mask(thinned, n_train, split.mask_frac,
-                                   split.mask_seed)
-    new_split = SplitSpec(
-        train_range=(0, n_train),
-        val_range=(n_train, n_train + n_val),
-        test_range=(n_train + n_val, len(thinned)),
-        t_max_train=float(thinned.ts[n_train - 1]),
-        masked_nodes=masked,
-        usable_train_ids=usable,
-        mask_frac=split.mask_frac,
-        mask_seed=split.mask_seed,
-    )
-    return thinned, new_split
+    return thinned, _split_spec(thinned, len(keep_train), n_val,
+                                split.mask_frac, split.mask_seed)
 
 
 def sample_negatives(pos_dst, pool, seed):
@@ -325,7 +319,7 @@ def synth_generate(n_communities, n_users, n_items, n_events, noise_rate,
 # ---------------------------------------------------------------------------
 # jodie-csv io: header line, then `user_id,item_id,timestamp,state_label,f...`
 
-def load_events(path, node_feature_dim=None):
+def load_events(path):
     """Parse a jodie-csv interaction file into an EventStore. Item ids are
     offset by the user count (max user id + 1, identical for the contiguous
     ids these files use) to share one node-id space."""
@@ -379,8 +373,7 @@ def load_events(path, node_feature_dim=None):
     dst = num_users + items
     order = np.argsort(tss, kind="stable")
     num_nodes = num_users + int(items.max()) + 1
-    d_v = node_feature_dim if node_feature_dim is not None else max(n_feat, 1)
-    node_features = np.zeros((num_nodes, d_v), dtype=np.float32)
+    node_features = np.zeros((num_nodes, max(n_feat, 1)), dtype=np.float32)
     return EventStore(users[order], dst[order], tss[order],
                       np.arange(len(users), dtype=np.int64),
                       node_features, feats[order], num_users=num_users)

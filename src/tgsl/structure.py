@@ -133,7 +133,10 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
                           max_eid=None):
     """LSTM over each node's most recent <= n_rnn edge embeddings in
     non-decreasing time order; returns the final hidden states [S, d].
-    Nodes without history keep the zero initial state."""
+    Rows are left-padded, so a row's mask is 0 before its first edge and 1
+    from it on; the mask multiplies the input gate, which keeps the zero
+    initial state until that edge. Nodes without history keep it to the
+    end."""
     nodes = np.asarray(nodes, dtype=np.int64)
     s = len(nodes)
     dm = params.d_model
@@ -159,16 +162,14 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
     for t in range(start, n_rnn):
         x = ad.take(et.edge_f, rows[:, t])
         gates = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
-        i_g = ad.sigmoid(ad.narrow(gates, 1, 0, dm))
+        # a closed input gate keeps c, and so h, exactly zero
+        i_g = ad.mul(ad.sigmoid(ad.narrow(gates, 1, 0, dm)),
+                     ad.constant(mask[:, t:t + 1]))
         f_g = ad.sigmoid(ad.narrow(gates, 1, dm, dm))
         g_g = ad.tanh(ad.narrow(gates, 1, 2 * dm, dm))
         o_g = ad.sigmoid(ad.narrow(gates, 1, 3 * dm, dm))
-        c_new = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
-        h_new = ad.mul(o_g, ad.tanh(c_new))
-        m = ad.constant(mask[:, t:t + 1])
-        km = ad.constant(1.0 - mask[:, t:t + 1])
-        h = ad.add(ad.mul(h_new, m), ad.mul(h, km))
-        c = ad.add(ad.mul(c_new, m), ad.mul(c, km))
+        c = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
+        h = ad.mul(o_g, ad.tanh(c))
     return h
 
 
@@ -511,16 +512,13 @@ class StructureLearner:
         if len(cands) == 0:
             return AugmentedView(view_base), {"candidates": cands}
         z_rows = ad.take(z, np.searchsorted(src_nodes, cands.src))
-        dtype = z.dtype
-        borrow = cands.feat_eid >= 0
-        if borrow.any():
-            rows = np.zeros(len(cands), dtype=np.int64)
-            rows[borrow] = et.event_rows(cands.feat_eid[borrow])
-            feat_rows = ad.mul(ad.take(et.edge_f, rows),
-                               ad.constant(borrow[:, None].astype(dtype)))
-        else:
+        # one-hop and third-hop borrow an edge row for every candidate,
+        # random borrows none
+        if cfg.strategy == "random":
             feat_rows = ad.constant(
-                np.zeros((len(cands), self.params.d_model), dtype=dtype))
+                np.zeros((len(cands), self.params.d_model), dtype=z.dtype))
+        else:
+            feat_rows = ad.take(et.edge_f, et.event_rows(cands.feat_eid))
         zhat, fhat = time_map_batch(z_rows, feat_rows, cands.t_new, t_max,
                                     cands.t_sample, self.te_cfg)
         m, rho, sel = gumbel_topk_select(

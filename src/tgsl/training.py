@@ -411,7 +411,7 @@ class Trainer:
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch} batch {bi}")
                 tape.backward(total)
-            ad.adam_step(self.opt.params, self.opt)
+            ad.adam_step(self.opt)
             if self.moco is not None:
                 moco_step(self.moco, self.q_params, keys)
             rec["loss_ori"].append(float(loss_ori.values))
@@ -453,21 +453,20 @@ class Trainer:
         neg = sample_negatives(store.dst[ids], self.eval_dst_pool,
                                _seed(seed, 7, len(ids)))
         t_ref = self.split.t_max_train + 1.0
-        et_cache = None
-        if self.learner is not None and use_augmented:
-            with ad.no_grad():
-                et_cache = etgnn_forward(self.split.usable_train_ids, store,
-                                         self.tgsl_params, self.te_cfg)
+        augmented = self.learner is not None and use_augmented
         scores, labels = [], []
         bs = cfg.batch_size
         with ad.no_grad():
+            if augmented:
+                et_cache = etgnn_forward(self.split.usable_train_ids, store,
+                                         self.tgsl_params, self.te_cfg)
             for bi in range(0, len(ids), bs):
                 batch = ids[bi:bi + bs]
                 src, dst = store.src[batch], store.dst[batch]
                 tss = store.ts[batch]
                 nb = neg[bi:bi + bs]
                 b = len(batch)
-                if self.learner is not None and use_augmented:
+                if augmented:
                     view, _ = self.learner.propose(
                         self.train_index, np.concatenate([src, dst]),
                         t_ref=t_ref, t_max=self.split.t_max_train,

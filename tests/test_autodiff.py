@@ -34,7 +34,7 @@ def test_shape_errors_name_op_and_shapes():
         ad.matmul(a, b)
     with pytest.raises(ad.ShapeError, match="concat"):
         ad.concat([a, ad.constant(np.zeros((2, 4)))], axis=0)
-    with pytest.raises(ad.ShapeError, match=r"matmul: a 1-D lhs \(3,\)"):
+    with pytest.raises(ad.ShapeError, match=r"matmul: \(3,\) @ \(2, 3, 4\)"):
         ad.matmul(ad.constant(np.zeros(3)), ad.constant(np.zeros((2, 3, 4))))
     z = ad.constant
     slots = [z(np.zeros((2, 3, 4)))] * 3
@@ -234,7 +234,7 @@ def test_five_op_composite_matches_finite_differences():
 
     def f(a, b):
         h = ad.relu(ad.matmul(a, b))            # matmul, relu
-        return ad.mean(ad.mul(ad.sin(h), h))    # sin, mul, mean
+        return ad.mean(ad.mul(ad.tanh(h), h))   # tanh, mul, mean
 
     res = ad.grad_check(f, [rng.standard_normal((3, 4)),
                             rng.standard_normal((4, 2))])
@@ -290,7 +290,7 @@ def test_adam_first_step_magnitude_is_lr():
     p = ad.param(np.array([1.0]))
     p._grad = np.array([0.5])
     st = ad.AdamState([p], lr=1e-3)
-    ad.adam_step([p], st)
+    ad.adam_step(st)
     assert abs(abs(1.0 - p.values[0]) - 1e-3) < 1e-6
     assert np.all(p.grad == 0)         # grads zeroed afterwards
     assert st.step_count == 1
@@ -299,7 +299,7 @@ def test_adam_first_step_magnitude_is_lr():
 def test_adam_zero_grad_leaves_params_unchanged():
     p = ad.param(np.array([1.0, -2.0]))
     st = ad.AdamState([p], lr=1e-2)
-    ad.adam_step([p], st)
+    ad.adam_step(st)
     assert np.array_equal(p.values, [1.0, -2.0])
 
 
@@ -309,7 +309,7 @@ def test_adam_identical_params_identical_updates():
     a._grad = np.array([0.3])
     b._grad = np.array([0.3])
     st = ad.AdamState([a, b], lr=1e-2)
-    ad.adam_step([a, b], st)
+    ad.adam_step(st)
     assert np.array_equal(a.values, b.values)
 
 
@@ -318,7 +318,7 @@ def test_adam_missing_grad_names_parameter():
     p._grad = None
     st = ad.AdamState([p])
     with pytest.raises(ValueError, match="enc.w"):
-        ad.adam_step([p], st)
+        ad.adam_step(st)
 
 
 # ---------------------------------------------------------------------------

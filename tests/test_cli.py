@@ -242,6 +242,7 @@ def test_train_empty_transductive_val_set_exits_data(tmp_path, capsys):
     assert rc == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.strip() == "data error: empty transductive val set"
+    assert not list(tmp_path.glob("run-*"))    # no empty run directory
 
 
 def test_train_single_node_negative_pool_exits_data(tmp_path, capsys):
@@ -253,6 +254,7 @@ def test_train_single_node_negative_pool_exits_data(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip() == ("data error: pool has a single node equal to a "
                            "positive destination")
+    assert not list(tmp_path.glob("run-*"))
 
 
 def test_verify_fast_suites_pass():
@@ -447,3 +449,4 @@ def test_train_non_finite_loss_exits_check_fail(tmp_path, capsys):
     assert rc == cli.EXIT_CHECK_FAIL
     err = capsys.readouterr().err.strip().splitlines()
     assert "non-finite loss" in err[-1]
+    assert not list(tmp_path.glob("run-*"))

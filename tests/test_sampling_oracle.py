@@ -11,6 +11,8 @@ windows wider than the degree, self-loops, and both with and without an
 event-id cutoff.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -395,24 +397,44 @@ def test_visible_window_matches_loop(seed):
                                                 max_eid)])
 
 
+def context_and_grads(fn, params, et, w, *args):
+    """The context rows and the gradients of sum(h * w) reaching each
+    `tgsl.lstm.*` tensor and the edge rows (a fresh leaf copy of them)."""
+    edge_f = ad.param(et.edge_f.values.copy())
+    lstm = [params[f"tgsl.lstm.{n}"] for n in ("wx", "wh", "b")]
+    for p in lstm:
+        p.zero_grad()
+    with ad.Tape() as tape:
+        h = fn(params, ts.EtgnnOutput(et.event_ids, edge_f), *args)
+        if h.requires_grad:
+            tape.backward(ad.sum_(ad.mul(h, ad.constant(w))))
+    return [h.values] + [p.grad.copy() for p in lstm] + [edge_f.grad]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_context_predict_matches_loop(seed):
+    # the masked input gate against the blended state update: the rows
+    # and every gradient, bitwise, in float32 and float64
     rng = np.random.default_rng(300 + seed)
     store = random_store(seed)
-    params = ts.TgslParams(4, 3, 3, layers=1, seed=seed)
     cfg = TimeEncodingConfig(4)
-    for idx in indexes(store, rng):
+    for dtype, idx in itertools.product((np.float32, np.float64),
+                                        indexes(store, rng)):
+        params = ts.TgslParams(4, 3, 3, layers=1, seed=seed, dtype=dtype)
         nodes, t = queries(store, rng, b=12)
         t_cut = float(t[1])
+        w = rng.standard_normal((len(nodes), 4)).astype(dtype)
         for max_eid in cutoffs(store):
             window = ref_visible_window(idx, nodes, t_cut, 1, max_eid)
-            et = ts.etgnn_forward(window, store, params, cfg)
+            with ad.no_grad():
+                et = ts.etgnn_forward(window, store, params, cfg)
             for n_rnn in (1, 3, 50):
-                got = ts.context_predict_batch(params, et, idx, nodes, t_cut,
-                                               n_rnn, max_eid)
-                want = ref_context_predict_batch(params, et, idx, nodes,
-                                                 t_cut, n_rnn, max_eid)
-                assert_same([got.values], [want.values])
+                args = (idx, nodes, t_cut, n_rnn, max_eid)
+                assert_same(
+                    context_and_grads(ts.context_predict_batch, params, et,
+                                      w, *args),
+                    context_and_grads(ref_context_predict_batch, params, et,
+                                      w, *args))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -163,6 +163,26 @@ def test_context_depends_only_on_last_n_rnn_edges():
     assert np.array_equal(base, after)
 
 
+def test_context_records_19_tape_entries_per_step():
+    # the gather, two products, two adds, four narrows, three sigmoids and
+    # a tanh for the gates, the input gate's mask, then c and h in five
+    store = synth_generate(2, 6, 6, 120, 0.1, seed=7)
+    idx = NeighborIndex.build(store)
+    params = ts.TgslParams(4, 2, 2, layers=1, seed=2)
+    with ad.no_grad():
+        et = ts.etgnn_forward(np.arange(len(store)), store, params,
+                              TimeEncodingConfig(4))
+    et = ts.EtgnnOutput(et.event_ids, ad.param(et.edge_f.values))
+    t_cut = float(store.ts[-1]) + 1.0
+    for n_rnn in (1, 3, 5):
+        # the ones with at least n_rnn events, so every step runs
+        nodes = np.flatnonzero(np.diff(idx.offsets) >= n_rnn)
+        assert len(nodes)
+        with ad.Tape() as tape:
+            ts.context_predict_batch(params, et, idx, nodes, t_cut, n_rnn)
+        assert len(tape) == 19 * n_rnn
+
+
 # ---------------------------------------------------------------------------
 # candidate sampling
 
@@ -495,3 +515,38 @@ def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
         assert len(rows) and np.abs(want).max() > 0
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert (borrowed > 0) == (strategy != "random")
+
+
+@pytest.mark.parametrize("strategy", ts.STRATEGIES)
+def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
+    """One-hop and third-hop candidates read the ET-GNN row of the edge
+    they borrow; random candidates read zero rows."""
+    store, split, idx, pool = candidate_fixture()
+    params = ts.TgslParams(8, store.node_dim, store.edge_dim, layers=2,
+                           seed=4)
+    learner = ts.StructureLearner(
+        params, TimeEncodingConfig(8), store,
+        RunConfig(strategy=strategy, k=2, n_can=4, n_rnn=3, fanouts="3,2,2"),
+        pool)
+    seen = []
+
+    def spy(z_rows, f_rows, *args):
+        seen.append(f_rows)
+        return time_map(z_rows, f_rows, *args)
+
+    time_map = ts.time_map_batch
+    monkeypatch.setattr(ts, "time_map_batch", spy)
+    t_ref = float(store.ts[300])
+    _, det = learner.propose(idx, store.src[300:330], t_ref=t_ref,
+                             t_max=split.t_max_train, seed=6, view_base=idx,
+                             max_eid=300)
+    (f_rows,) = seen
+    feat, et = det["candidates"].feat_eid, det["etgnn"]
+    assert f_rows.shape == (len(feat), 8) and len(feat)
+    assert f_rows.dtype == np.float32
+    if strategy == "random":
+        assert np.all(feat == -1) and np.all(f_rows.values == 0)
+    else:
+        assert np.all(feat >= 0)
+        assert np.array_equal(f_rows.values,
+                              et.edge_f.values[et.event_rows(feat)])
