@@ -4,28 +4,30 @@ temporal attention encoder with its link-scoring head."""
 import numpy as np
 
 from tgsl import autodiff as ad
-from tgsl.encoder import (EncoderParams, TgatEncoder, TimeEncodingConfig,
-                          time_context, time_encode)
+from tgsl.encoder import (EncoderParams, TgatEncoder, time_context,
+                          time_encode, time_frequencies)
 from tgsl.graph import NeighborIndex, synth_generate
 
-cfg = TimeEncodingConfig(16)
-print(f"omega spans {cfg.omega[0]:.3g} .. {cfg.omega[-1]:.3g} "
-      f"(omega_i = sqrt(d)^(-i / sqrt(d)), sqrt(d) = {np.sqrt(cfg.d)})")
+# the frequencies depend on the width d alone: every consumer passes d
+d = 16
+omega = time_frequencies(d)
+print(f"omega spans {omega[0]:.3g} .. {omega[-1]:.3g} "
+      f"(omega_i = sqrt(d)^(-i / sqrt(d)), sqrt(d) = {np.sqrt(d)})")
 
 # TE(0) is all ones; components always stay in [-1, 1]
-print("TE(0)      :", time_encode(0.0, cfg)[:4], "...")
-print("TE(1234.5) :", np.round(time_encode(1234.5, cfg)[:4], 3), "...")
+print("TE(0)      :", time_encode(0.0, d)[:4], "...")
+print("TE(1234.5) :", np.round(time_encode(1234.5, d)[:4], 3), "...")
 
-# s(0) is the identity mapping; s(-d) mirrors s(d) around 1
-print("s(0)       :", time_context(0.0, cfg)[:4], "...")
-print("s(+3) + s(-3) - 2 =", np.abs(time_context(3.0, cfg)
-                                    + time_context(-3.0, cfg) - 2).max())
+# s(0) is the identity mapping; s(-x) mirrors s(x) around 1
+print("s(0)       :", time_context(0.0, d)[:4], "...")
+print("s(+3) + s(-3) - 2 =", np.abs(time_context(3.0, d)
+                                    + time_context(-3.0, d) - 2).max())
 
 # --- encode nodes at a query time -------------------------------------------
 store = synth_generate(2, 30, 30, 1500, 0.1, seed=4)
 index = NeighborIndex.build(store)
-params = EncoderParams(d_model=16, layers=2, heads=2, d_hidden=32, seed=0)
-enc = TgatEncoder(params, cfg, store, n_nb=10)
+params = EncoderParams(d_model=d, layers=2, heads=2, d_hidden=32, seed=0)
+enc = TgatEncoder(params, store, n_nb=10)   # time encodings d_model wide
 
 nodes = np.array([0, 1, 2, 30, 31])
 t = 1200.0

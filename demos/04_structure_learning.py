@@ -6,7 +6,7 @@ resulting augmented view the encoder consumes."""
 import numpy as np
 
 from tgsl import autodiff as ad
-from tgsl.encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
+from tgsl.encoder import EncoderParams, TgatEncoder, time_frequencies
 from tgsl.graph import NeighborIndex, chronological_split, synth_generate
 from tgsl.structure import StructureLearner, TgslParams, visible_window
 from tgsl.training import RunConfig
@@ -14,8 +14,11 @@ from tgsl.training import RunConfig
 store = synth_generate(2, 40, 40, 2500, 0.1, seed=11)
 split = chronological_split(store, mask_frac=0.1, seed=0)
 index = NeighborIndex.build(store, split.usable_train_ids)
-cfg = TimeEncodingConfig(16)
 tgsl_params = TgslParams(16, store.node_dim, store.edge_dim, layers=2, seed=1)
+# the ET-GNN's time encodings and the time map's contexts use the
+# frequencies of the model width, the same ones the encoder uses
+omega = time_frequencies(tgsl_params.d_model)
+print(f"time frequencies at d={len(omega)}: {omega[0]:.3g} .. {omega[-1]:.3g}")
 
 batch = split.usable_train_ids[600:680]
 sources = np.unique(np.concatenate([store.src[batch], store.dst[batch]]))
@@ -31,7 +34,7 @@ train_nodes = np.unique(np.concatenate(
 
 for strategy in ("one-hop", "third-hop", "random"):
     run_cfg = RunConfig(strategy=strategy, k=4, n_can=8, n_rnn=6)
-    learner = StructureLearner(tgsl_params, cfg, store, run_cfg, train_nodes)
+    learner = StructureLearner(tgsl_params, store, run_cfg, train_nodes)
     with ad.Tape() as tape:
         view, detail = learner.propose(index, sources, t_ref=t0,
                                        t_max=split.t_max_train, seed=5,
@@ -51,8 +54,8 @@ for strategy in ("one-hop", "third-hop", "random"):
 
 # --- the encoder sees added edges as weighted neighbors ----------------------
 enc_params = EncoderParams(16, layers=1, heads=2, d_hidden=24, seed=2)
-enc = TgatEncoder(enc_params, cfg, store, n_nb=10)
-learner = StructureLearner(tgsl_params, cfg, store,
+enc = TgatEncoder(enc_params, store, n_nb=10)
+learner = StructureLearner(tgsl_params, store,
                            RunConfig(strategy="one-hop", k=4, n_can=8, n_rnn=6))
 view, _ = learner.propose(index, sources, t_ref=t0,
                           t_max=split.t_max_train, seed=5, view_base=index,

@@ -11,8 +11,8 @@ evaluation.
 from . import autodiff, encoder, graph, structure, training, verify
 from .autodiff import (AdamState, GradCheckResult, ParamSet, Tape, Tensor,
                        adam_step, grad_check, no_grad, verification_mode)
-from .encoder import (EncoderParams, TgatEncoder, TimeEncodingConfig,
-                      time_context, time_encode)
+from .encoder import (EncoderParams, TgatEncoder, time_context, time_encode,
+                      time_frequencies)
 from .graph import (EventStore, NeighborIndex, SplitSpec, chronological_split,
                     load_events, sample_negatives, save_events, sparsify,
                     synth_generate)

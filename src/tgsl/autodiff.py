@@ -515,8 +515,8 @@ def _row_groups(rows):
     return rows[starts], group, rank, int(rank.max()) + 1
 
 
-def temporal_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
-                       wv, heads, added=None):
+def temporal_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
+                       heads, added=None):
     """One multi-head temporal attention layer over n slots per row
     (TGAT, Xu et al. 2020); returns the [B, heads*d_k] head outputs.
 
@@ -533,31 +533,30 @@ def temporal_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
     `h_self`, `h_nbr` and `e_slot` may be narrower than d (te_nbr is d
     wide): an input of width w stands for itself zero-padded to d, so it
     reads only the top w rows of its block of wq, wk and wv, and the rows
-    it does not read get an exactly zero gradient. `mask` and `w_slot` are
-    [B, n] arrays: mask is 1 for a real slot, w_slot is the slot's value
-    weight. `added`, if given, is (positions, rows, weights): P distinct
-    (row, slot) positions in row-major order, as np.nonzero gives them,
-    with [P, d] rows and [P] weights that add to e and w there. Their
-    logits, pooled terms and gradients are formed at those P positions
-    only: each row's added positions are packed into a [R, k, .] block
-    (R rows with additions, k the most in one row), so each of their
-    products is one batched matmul. A row with every slot padded outputs
-    zero. The backward follows the same reassociation and returns None for
-    any input that does not require a gradient."""
+    it does not read get an exactly zero gradient. `mask` is a [B, n]
+    array, 1 for a filled slot and 0 for a pad, and is also each slot's
+    value weight w. `added`, if given, is (positions, rows, weights): P
+    distinct filled (row, slot) positions in row-major order, as
+    np.nonzero gives them, with [P, d] rows that add to e there and [P]
+    weights written over w there. Their logits, pooled terms and gradients
+    are formed at those P positions only: each row's added positions are
+    packed into a [R, k, .] block (R rows with additions, k the most in
+    one row), so each of their products is one batched matmul. A row with
+    every slot padded outputs zero. The backward follows the same
+    reassociation and returns None for any input that does not require a
+    gradient."""
     b, n = mask.shape
     d = te_nbr.shape[-1]
     hk = wq.shape[1]
     ws, wn, we = (t.shape[-1] for t in (h_self, h_nbr, e_slot))
     if (hk % heads or max(ws, wn, we) > d or h_self.shape != (b, ws)
             or h_nbr.shape != (b, n, wn) or e_slot.shape != (b, n, we)
-            or te_nbr.shape != (b, n, d) or np.shape(w_slot) != (b, n)
-            or wq.shape != (2 * d, hk)
+            or te_nbr.shape != (b, n, d) or wq.shape != (2 * d, hk)
             or wk.shape != (3 * d, hk) or wv.shape != (3 * d, hk)):
         raise ShapeError(
             f"temporal_attention: {heads} heads, widths <= {d}, shapes "
-            f"{[t.shape for t in (h_self, h_nbr, e_slot, te_nbr)]}, w_slot "
-            f"{np.shape(w_slot)}, mask {mask.shape}, weights "
-            f"{[wq.shape, wk.shape, wv.shape]}")
+            f"{[t.shape for t in (h_self, h_nbr, e_slot, te_nbr)]}, mask "
+            f"{mask.shape}, weights {[wq.shape, wk.shape, wv.shape]}")
     inputs = (h_self, h_nbr, e_slot, te_nbr, wq, wk, wv)
     sparse = False
     if added is not None:
@@ -617,9 +616,9 @@ def temporal_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
     logits += ((mask - 1.0) * 1e9)[:, :, None].astype(logits.dtype)
     attn = np.exp(logits - logits.max(axis=1, keepdims=True))
     attn /= attn.sum(axis=1, keepdims=True)                   # [B, n, h]
-    w_all = np.array(w_slot, dtype=attn.dtype)
+    w_all = np.array(mask, dtype=attn.dtype)
     if sparse:
-        w_all[rows, cols] += w_add.values
+        w_all[rows, cols] = w_add.values
     u = attn * w_all[:, :, None]
     ut = u.transpose(0, 2, 1)
     parts = [ut @ x for x in xs]                              # [B, h, w]

@@ -259,16 +259,17 @@ def _train_one(cfg, store, split, seed):
 
 def load_run(manifest_path):
     """Read a run's manifest and parameter snapshot, then rebuild its
-    trainer. The files are parsed before any data is built: a malformed
-    manifest or snapshot raises ConfigError, a missing snapshot
-    FileNotFoundError. A snapshot that does not fit the rebuilt model (a
-    missing group, or a tensor name or shape that differs) raises
-    ConfigError once the model exists."""
+    trainer. The files and the config are checked before any data is
+    built: a malformed manifest, config or snapshot raises ConfigError, a
+    missing snapshot FileNotFoundError. A snapshot that does not fit the
+    rebuilt model (a missing group, or a tensor name or shape that
+    differs) raises ConfigError once the model exists."""
     run_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
         cfg = RunConfig(**manifest["config"])
+        cfg.validate()
         # cmd_eval reports run_id: a manifest without one is bad too
         seed, params, _ = (manifest[k] for k in ("seed", "params", "run_id"))
         snap = {}
@@ -278,7 +279,6 @@ def load_run(manifest_path):
                 snap.setdefault(group, {})[name] = z[key]
     except (ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
         raise ConfigError(f"bad manifest {manifest_path}: {e}")
-    cfg.validate()
     store = build_store(cfg)
     store, split = build_split(cfg, store)
     trainer = make_trainer(cfg, store, split, seed)
@@ -322,7 +322,8 @@ def cmd_synth(args):
                                jitter=cfg.synth_jitter)
         out = args.out or "synth.csv"
         parent = os.path.dirname(os.path.abspath(out))
-        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        if (os.path.isdir(out) or not os.path.isdir(parent)
+                or not os.access(parent, os.W_OK)):
             print(f"unwritable path: {out}", file=sys.stderr)
             return EXIT_CONFIG
         save_events(store, out)

@@ -2,19 +2,21 @@
 
 The time encoding is a fixed (non-learnable) cosine feature map, evaluated
 in float64 once per distinct time gap and cast once; the same frequency
-vector also drives the time-context mapping used to project embeddings
-across time gaps. The reference encoder is a TGAT-style multi-head
-attention over each node's most recent neighbors, where augmented edges
-contribute value vectors scaled by their relaxed selection weight.
-Each layer's attention is one `autodiff.temporal_attention` op: with one
-query per (node, t) row, the query is folded into W_k and the slots are
-pooled before W_v, so no per-slot key or value is ever formed. The node
-and edge feature tables keep their raw widths; the op reads a narrow input
-as itself zero-padded to d_model, touching only the weight rows it fills.
-Added edges reach it as their slot positions with one cand_features row
-and one rho weight each, so only those positions cost added-slot work. Its
-backward returns no gradient for a constant input (the time encodings, the
-real events' edge rows, the bottom layer's neighbor states).
+vector, `time_frequencies(d)`, also drives the time-context mapping used to
+project embeddings across time gaps; it depends on the width d only. The
+reference encoder is a TGAT-style multi-head attention over each node's
+most recent neighbors, where augmented edges contribute value vectors
+scaled by their relaxed selection weight. Each layer's attention is one
+`autodiff.temporal_attention` op: with one query per (node, t) row, the
+query is folded into W_k and the slots are pooled before W_v, so no
+per-slot key or value is ever formed. The node and edge feature tables keep
+their raw widths; the op reads a narrow input as itself zero-padded to
+d_model, touching only the weight rows it fills. Added edges reach it as
+their slot positions with one cand_features row and one rho weight each, so
+only those positions cost added-slot work; a real slot weighs 1 and a pad
+0, as the mask says. Its backward returns no gradient for a constant input
+(the time encodings, the real events' edge rows, the bottom layer's
+neighbor states).
 """
 
 import math
@@ -24,29 +26,27 @@ import numpy as np
 from . import autodiff as ad
 
 __all__ = [
-    "TimeEncodingConfig", "time_encode", "time_context",
+    "time_frequencies", "time_encode", "time_context",
     "EncoderParams", "TgatEncoder",
 ]
 
 
-class TimeEncodingConfig:
-    """Frequencies omega_i = sqrt(d)^{-(i-1)/sqrt(d)}, fixed for a run."""
-
-    def __init__(self, d):
-        if d < 1:
-            raise ValueError("time encoding dimension must be >= 1")
-        self.d = d
-        root = math.sqrt(d)
-        self.omega = root ** (-np.arange(d, dtype=np.float64) / root)
+def time_frequencies(d):
+    """Frequencies omega_i = sqrt(d)^{-(i-1)/sqrt(d)}, i = 1..d."""
+    if d < 1:
+        raise ValueError("time encoding dimension must be >= 1")
+    root = math.sqrt(d)
+    return root ** (-np.arange(d, dtype=np.float64) / root)
 
 
-def time_encode(t, cfg, dtype=np.float64):
-    """cos(t * omega), elementwise. Accepts scalars or arrays; the omega
-    axis is appended last. cos is evaluated in float64 once per distinct
-    value of t, cast once to dtype and gathered, so the result equals the
-    direct form byte for byte (cos is even, so -0.0 and 0.0 may merge). A
-    strictly increasing 1-D t (the ET-GNN's event times) is its own set of
-    distinct values, so one comparison replaces the sort."""
+def time_encode(t, d, dtype=np.float64):
+    """cos(t * omega) with omega = time_frequencies(d). Accepts scalars or
+    arrays; the omega axis is appended last. cos is evaluated in float64
+    once per distinct value of t, cast once to dtype and gathered, so the
+    result equals the direct form byte for byte (cos is even, so -0.0 and
+    0.0 may merge). A strictly increasing 1-D t (the ET-GNN's event times)
+    is its own set of distinct values, so one comparison replaces the
+    sort."""
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("time_encode: non-finite timestamp")
@@ -54,16 +54,17 @@ def time_encode(t, cfg, dtype=np.float64):
         u, inv = t, np.arange(len(t))
     else:
         u, inv = np.unique(t, return_inverse=True)
-    return np.cos(u[:, None] * cfg.omega).astype(dtype)[inv.reshape(t.shape)]
+    return np.cos(u[:, None] * time_frequencies(d)).astype(dtype)[
+        inv.reshape(t.shape)]
 
 
-def time_context(delta, cfg, dtype=np.float64):
-    """sin(delta * omega) + 1; delta may be negative (the sign encodes
-    projecting into the past vs the future)."""
-    d = np.asarray(delta, dtype=np.float64)
-    if not np.all(np.isfinite(d)):
+def time_context(delta, d, dtype=np.float64):
+    """sin(delta * omega) + 1 with omega = time_frequencies(d); delta may be
+    negative (the sign encodes projecting into the past vs the future)."""
+    delta = np.asarray(delta, dtype=np.float64)
+    if not np.all(np.isfinite(delta)):
         raise ValueError("time_context: non-finite delta")
-    return (np.sin(d[..., None] * cfg.omega) + 1.0).astype(dtype)
+    return (np.sin(delta[..., None] * time_frequencies(d)) + 1.0).astype(dtype)
 
 
 class EncoderParams(ad.ParamSet):
@@ -110,12 +111,8 @@ class TgatEncoder:
     edge j, with feature row cand_features[j] and weight rho[j].
     """
 
-    def __init__(self, params, cfg, store, n_nb=20):
-        if cfg.d != params.d_model:
-            raise ValueError("time encoding dim must equal d_model "
-                             "(one omega drives TE and the time context)")
+    def __init__(self, params, store, n_nb=20):
         self.params = params
-        self.cfg = cfg
         self.n_nb = n_nb
         self.dtype = params.dtype
         for what, table in (("node feature", store.node_features),
@@ -147,8 +144,9 @@ class TgatEncoder:
         for a real event, rho[j] for added edge j (event id -1 - j) and 0
         for a pad. Layer 0 is the node feature rows at their raw width.
         The attention itself is one ad.temporal_attention op, which gets
-        the real events' edge rows at their raw width and the added slots
-        as positions with their cand_features rows and rho weights."""
+        the real events' edge rows at their raw width, the mask as the
+        slot weights, and the added slots as positions with their
+        cand_features rows and rho weights."""
         if layer == 0:
             return ad.constant(self.node_feat[nodes])
         pre = f"enc.l{layer - 1}."
@@ -176,8 +174,8 @@ class TgatEncoder:
         h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, w))
 
         # real events bring their edge row and weight 1; added edge j
-        # brings cand_features[j] and rho[j] at its position only; pads
-        # bring zeros
+        # brings cand_features[j] and rho[j] in place of its row and
+        # weight; pads bring zeros
         real_m = mask * (eids >= 0)
         e_rows = self.edge_feat[self.feat_ids[np.where(real_m > 0, eids, 0)]]
         e_rows[real_m == 0] = 0
@@ -188,12 +186,12 @@ class TgatEncoder:
             added = (pos, ad.take(view.cand_features, j),
                      ad.take(view.rho, j))
 
-        te_nbr = ad.constant(time_encode(ts[:, None] - tss, self.cfg,
+        te_nbr = ad.constant(time_encode(ts[:, None] - tss, p.d_model,
                                          dtype=self.dtype))
         head = ad.temporal_attention(h_self, h_nbr, ad.constant(e_rows),
-                                     te_nbr, real_m, mask,
-                                     p[pre + "wq"], p[pre + "wk"],
-                                     p[pre + "wv"], p.heads, added)
+                                     te_nbr, mask, p[pre + "wq"],
+                                     p[pre + "wk"], p[pre + "wv"], p.heads,
+                                     added)
         # the merge MLP reads the top rows of w1 that (head || h_self) fills
         w1 = p[pre + "w1"]
         if head.shape[1] + w < w1.shape[0]:

@@ -41,7 +41,7 @@ class TgslParams(ad.ParamSet):
     updates edges only) and edge updates `tgsl.l{l}.wf`, plus the LSTM
     `tgsl.lstm.{wx,wh,b}`: 2 * layers + 2 tensors. Layer dims follow the
     raw feature dims at layer 1 and the model dim afterwards; the time
-    block is d_model wide (shared omega)."""
+    block is d_model wide, the encoder's time encoding at that width."""
 
     def __init__(self, d_model, d_node, d_edge, layers=2, seed=0,
                  dtype=np.float32):
@@ -88,7 +88,7 @@ class EtgnnOutput:
         return pos
 
 
-def etgnn_forward(event_ids, store, params, cfg):
+def etgnn_forward(event_ids, store, params):
     """Run the edge-centric GNN over the given (already time-filtered)
     events; inputs are the raw feature rows. Every layer gathers each
     endpoint's state once and updates the edges, f' = relu(concat(f,
@@ -106,7 +106,7 @@ def etgnn_forward(event_ids, store, params, cfg):
 
     h = ad.constant(store.node_features[nodes].astype(dtype))
     f = ad.constant(store.edge_features[store.feat_ids[event_ids]].astype(dtype))
-    te = ad.constant(time_encode(store.ts[event_ids], cfg, dtype=dtype))
+    te = ad.constant(time_encode(store.ts[event_ids], params.d_model, dtype))
     last = params.layers - 1
     if last > 0:
         seg = np.concatenate([d_l, s_l])
@@ -135,8 +135,8 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
     non-decreasing time order; returns the final hidden states [S, d].
     Rows are left-padded, so a row's mask is 0 before its first edge and 1
     from it on; the mask multiplies the input gate, which keeps the zero
-    initial state until that edge. Nodes without history keep it to the
-    end."""
+    initial state until that edge (nodes without history keep it to the
+    end). The first step multiplies no zero state: c = i * g, no h @ wh."""
     nodes = np.asarray(nodes, dtype=np.int64)
     s = len(nodes)
     dm = params.d_model
@@ -152,23 +152,23 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
         r, c = np.nonzero(valid)
         rows[r, c + shift[r]] = et.event_rows(eids[valid])
         mask[r, c + shift[r]] = 1.0
-    zeros = ad.constant(np.zeros((s, dm), dtype=dtype))
     if not mask.any():
-        return zeros
+        return ad.constant(np.zeros((s, dm), dtype=dtype))
     start = int(np.flatnonzero(mask.any(axis=0))[0])
-    h, c = zeros, zeros
     wx, wh, b = (params["tgsl.lstm.wx"], params["tgsl.lstm.wh"],
                  params["tgsl.lstm.b"])
     for t in range(start, n_rnn):
-        x = ad.take(et.edge_f, rows[:, t])
-        gates = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h, wh)), b)
+        gates = ad.matmul(ad.take(et.edge_f, rows[:, t]), wx)
+        if t > start:
+            gates = ad.add(gates, ad.matmul(h, wh))
+        gates = ad.add(gates, b)
         # a closed input gate keeps c, and so h, exactly zero
         i_g = ad.mul(ad.sigmoid(ad.narrow(gates, 1, 0, dm)),
                      ad.constant(mask[:, t:t + 1]))
-        f_g = ad.sigmoid(ad.narrow(gates, 1, dm, dm))
         g_g = ad.tanh(ad.narrow(gates, 1, 2 * dm, dm))
         o_g = ad.sigmoid(ad.narrow(gates, 1, 3 * dm, dm))
-        c = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
+        c = ad.mul(i_g, g_g) if t == start else ad.add(ad.mul(
+            ad.sigmoid(ad.narrow(gates, 1, dm, dm)), c), ad.mul(i_g, g_g))
         h = ad.mul(o_g, ad.tanh(c))
     return h
 
@@ -309,12 +309,12 @@ def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
 # ---------------------------------------------------------------------------
 # time mapping and selection
 
-def time_map_batch(z_rows, f_rows, t_new, t_max, t_sample, cfg):
+def time_map_batch(z_rows, f_rows, t_new, t_max, t_sample):
     """Project context rows to t_new and candidate feature rows from their
     sampled time to t_new, via elementwise time-context products."""
-    dtype = z_rows.dtype
-    s_ctx = ad.constant(time_context(t_new - t_max, cfg, dtype=dtype))
-    s_feat = ad.constant(time_context(t_new - t_sample, cfg, dtype=dtype))
+    dtype, d = z_rows.dtype, z_rows.shape[1]
+    s_ctx = ad.constant(time_context(t_new - t_max, d, dtype=dtype))
+    s_feat = ad.constant(time_context(t_new - t_sample, d, dtype=dtype))
     return ad.mul(z_rows, s_ctx), ad.mul(f_rows, s_feat)
 
 
@@ -473,11 +473,10 @@ class StructureLearner:
     candidates -> time mapping -> Gumbel-Top-K -> augmented view.
 
     Reads strategy, k, n_can, n_rnn, tau_gumbel and fanouts from the run
-    config; te_cfg is the time encoding shared with the encoder."""
+    config."""
 
-    def __init__(self, params, te_cfg, store, cfg, random_pool=None):
+    def __init__(self, params, store, cfg, random_pool=None):
         self.params = params
-        self.te_cfg = te_cfg
         self.store = store
         self.cfg = cfg
         self.random_pool = random_pool
@@ -502,7 +501,7 @@ class StructureLearner:
             levels = self.params.layers + (
                 len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
             window = visible_window(index, src_nodes, t_ref, levels, max_eid)
-            et = etgnn_forward(window, self.store, self.params, self.te_cfg)
+            et = etgnn_forward(window, self.store, self.params)
         z = context_predict_batch(self.params, et, index, src_nodes, t_ref,
                                   cfg.n_rnn, max_eid)
         cands = sample_candidates(
@@ -520,7 +519,7 @@ class StructureLearner:
         else:
             feat_rows = ad.take(et.edge_f, et.event_rows(cands.feat_eid))
         zhat, fhat = time_map_batch(z_rows, feat_rows, cands.t_new, t_max,
-                                    cands.t_sample, self.te_cfg)
+                                    cands.t_sample)
         m, rho, sel = gumbel_topk_select(
             zhat, fhat, cands.src, cfg.k, cfg.tau_gumbel, seed + 1, mode)
         view = build_augmented_view(view_base, cands, sel, fhat, rho)

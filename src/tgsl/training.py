@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
+from .encoder import EncoderParams, TgatEncoder
 from .graph import DataError, NeighborIndex, sample_negatives
 from .structure import (STRATEGIES, StructureLearner, TgslParams,
                         etgnn_forward)
@@ -84,6 +84,13 @@ class RunConfig:
     out_dir: str = "runs"
 
     def validate(self):
+        for f in fields(self):      # seeds, fanouts: their parsers check
+            v = getattr(self, f.name)
+            if f.name not in ("seeds", "fanouts") and (
+                    isinstance(v, bool) != (f.type is bool) or not isinstance(
+                        v, (int, float) if f.type is float else f.type)):
+                raise ConfigError(f"{f.name} must be {f.type.__name__}, "
+                                  f"got {v!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of "
                               f"{', '.join(STRATEGIES)}; got {self.strategy!r}")
@@ -336,7 +343,6 @@ class Trainer:
         self.split = split
         self.cfg = cfg
         self.seed = seed
-        self.te_cfg = TimeEncodingConfig(cfg.d_model)
         self.train_index = NeighborIndex.build(store, split.usable_train_ids)
         self.full_index = NeighborIndex.build(store)
 
@@ -349,8 +355,7 @@ class Trainer:
         enc_shape = (cfg.d_model, cfg.layers, cfg.heads, cfg.d_hidden)
         self.q_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
         try:
-            self.q_enc = TgatEncoder(self.q_params, self.te_cfg, store,
-                                     n_nb=cfg.n_nb)
+            self.q_enc = TgatEncoder(self.q_params, store, n_nb=cfg.n_nb)
         except ValueError as e:     # features wider than d_model
             raise ConfigError(str(e)) from e
         self.moco = self.k_enc = None
@@ -358,7 +363,7 @@ class Trainer:
             # the query's seed: the key set starts as an exact copy
             k_params = EncoderParams(*enc_shape, seed=_seed(seed, 1))
             self.moco = MoCoState(k_params, cfg.moco_momentum, cfg.moco_queue)
-            self.k_enc = TgatEncoder(k_params, self.te_cfg, store, cfg.n_nb)
+            self.k_enc = TgatEncoder(k_params, store, cfg.n_nb)
 
         params = self.q_params.parameters()
         if cfg.use_tgsl:
@@ -366,8 +371,8 @@ class Trainer:
                                           store.edge_dim,
                                           layers=cfg.etgnn_layers,
                                           seed=_seed(seed, 2))
-            self.learner = StructureLearner(self.tgsl_params, self.te_cfg,
-                                            store, cfg, self.train_nodes)
+            self.learner = StructureLearner(self.tgsl_params, store, cfg,
+                                            self.train_nodes)
             params = params + self.tgsl_params.parameters()
         else:
             self.tgsl_params = None
@@ -459,7 +464,7 @@ class Trainer:
         with ad.no_grad():
             if augmented:
                 et_cache = etgnn_forward(self.split.usable_train_ids, store,
-                                         self.tgsl_params, self.te_cfg)
+                                         self.tgsl_params)
             for bi in range(0, len(ids), bs):
                 batch = ids[bi:bi + bs]
                 src, dst = store.src[batch], store.dst[batch]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
+from .encoder import EncoderParams, TgatEncoder
 from .graph import EventStore, NeighborIndex, chronological_split, synth_generate
 from .structure import (STRATEGIES, StructureLearner, TgslParams,
                         context_predict_batch, etgnn_forward,
@@ -57,8 +57,7 @@ def _primitive_cases(rng):
     lhs = c(rng.standard_normal((2, 3, 4)))
     # attention over 3 rows x 4 slots at d=4, 2 heads: row 0 all padded,
     # row 1 all real; narrow node states (width 3) and edge rows (width
-    # 2); w_slot 1 on real slots and 0 on pads and added ones, whose
-    # [P, 4] rows and [P] weights are differentiable inputs
+    # 2); added slots bring differentiable [P, 4] rows and [P] weights
     mask = (rng.random((3, 4)) < 0.7).astype(np.float64)
     mask[0], mask[1] = 0.0, 1.0
     added = mask * (rng.random((3, 4)) < 0.5)
@@ -70,8 +69,8 @@ def _primitive_cases(rng):
 
     def attention(h_self, h_nbr, e_slot, e_add, w_add, wq, wk, wv):
         return ad.sum_(ad.mul(ad.temporal_attention(
-            h_self, h_nbr, e_slot, te_nbr, mask - added, mask, wq, wk, wv,
-            2, (pos, e_add, w_add)), w34))
+            h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv, 2,
+            (pos, e_add, w_add)), w34))
 
     return [
         ("add", lambda a, b: ad.sum_(ad.mul(ad.add(a, b), w)),
@@ -146,13 +145,12 @@ def toy_mtl_setup(d_model=8, seed=13):
     store = synth_generate(2, 3, 3, 10, 0.2, seed=seed)
     split = chronological_split(store)
     index = NeighborIndex.build(store, split.usable_train_ids)
-    cfg = TimeEncodingConfig(d_model)
     enc_p = EncoderParams(d_model, layers=1, heads=1, d_hidden=6,
                           seed=seed + 1, dtype=np.float64)
-    enc = TgatEncoder(enc_p, cfg, store, n_nb=4)
+    enc = TgatEncoder(enc_p, store, n_nb=4)
     tg_p = TgslParams(d_model, store.node_dim, store.edge_dim, layers=1,
                       seed=seed + 2, dtype=np.float64)
-    learner = StructureLearner(tg_p, cfg, store,
+    learner = StructureLearner(tg_p, store,
                                RunConfig(strategy="one-hop", k=2, n_can=4,
                                          n_rnn=3))
     rng = np.random.default_rng(seed + 3)
@@ -318,7 +316,6 @@ def leakage_suite(trials=50, seed=11):
         nodes = rng.integers(0, store.num_nodes, size=4)
         tss = np.full(4, t)
         d = 8
-        cfg = TimeEncodingConfig(d)
         enc_p = EncoderParams(d, layers=2, heads=2, d_hidden=8,
                               seed=int(rng.integers(1e6)))
         tg_p = TgslParams(d, store.node_dim, store.edge_dim, layers=2,
@@ -328,13 +325,13 @@ def leakage_suite(trials=50, seed=11):
 
         def outputs(st):
             idx = NeighborIndex.build(st)
-            enc = TgatEncoder(enc_p, cfg, st, n_nb=5)
+            enc = TgatEncoder(enc_p, st, n_nb=5)
             emb = enc.encode_batch(idx, nodes, tss).values
             visible = np.flatnonzero(st.ts < t)
-            et = etgnn_forward(visible, st, tg_p, cfg)
+            et = etgnn_forward(visible, st, tg_p)
             z = context_predict_batch(tg_p, et, idx, nodes, t, 4).values
             out = [emb, et.edge_f.values, z]
-            learner = StructureLearner(tg_p, cfg, st, run_cfg, pool)
+            learner = StructureLearner(tg_p, st, run_cfg, pool)
             for mode in ("stochastic", "noise-free"):
                 view, _ = learner.propose(
                     idx, nodes, t_ref=t, t_max=t, seed=trial, view_base=idx,

@@ -18,7 +18,7 @@ from tgsl import autodiff as ad
 from tgsl import cli
 from tgsl import training as tt
 from tgsl import verify
-from tgsl.encoder import TimeEncodingConfig, time_context, time_encode
+from tgsl.encoder import time_context, time_encode
 from tgsl.graph import chronological_split, load_events, sparsify, synth_generate
 
 
@@ -59,10 +59,9 @@ def test_criterion_2_gumbel_distribution():
 # 3. closed-form exactness
 
 def test_criterion_3_closed_forms():
-    cfg = TimeEncodingConfig(100)
-    te0 = np.array_equal(time_encode(0.0, cfg), np.ones(100))
-    s0 = np.array_equal(time_context(0.0, cfg), np.ones(100))
-    sym = all(np.allclose(time_context(-d, cfg), 2.0 - time_context(d, cfg),
+    te0 = np.array_equal(time_encode(0.0, 100), np.ones(100))
+    s0 = np.array_equal(time_context(0.0, 100), np.ones(100))
+    sym = all(np.allclose(time_context(-d, 100), 2.0 - time_context(d, 100),
                           rtol=0, atol=1e-14)
               for d in (0.5, 17.3, 9999.0))
     m = 512

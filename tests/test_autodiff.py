@@ -40,8 +40,8 @@ def test_shape_errors_name_op_and_shapes():
     slots = [z(np.zeros((2, 3, 4)))] * 3
     with pytest.raises(ad.ShapeError, match=r"temporal_attention.*\(12, 5\)"):
         ad.temporal_attention(z(np.zeros((2, 4))), *slots, np.ones((2, 3)),
-                              np.ones((2, 3)), z(np.zeros((8, 4))),
-                              z(np.zeros((12, 5))), z(np.zeros((12, 4))), 2)
+                              z(np.zeros((8, 4))), z(np.zeros((12, 5))),
+                              z(np.zeros((12, 4))), 2)
 
 
 # one primitive per family: elementwise, matmul, concat, gather, reduction

@@ -66,11 +66,14 @@ def test_synth_noise_zero_roundtrip(tmp_path):
     assert cross == 0.0
 
 
-def test_synth_unwritable_path(tmp_path):
-    rc = cli.main(["synth", "--out", "/nonexistent-dir/x.csv",
-                   "--set", "synth_events=10", "--set", "synth_users=2",
-                   "--set", "synth_items=2"])
-    assert rc == cli.EXIT_CONFIG
+def test_synth_unwritable_path(tmp_path, capsys):
+    # a missing parent directory, and a target that is a directory
+    for out in ("/nonexistent-dir/x.csv", str(tmp_path)):
+        rc = cli.main(["synth", "--out", out,
+                       "--set", "synth_events=10", "--set", "synth_users=2",
+                       "--set", "synth_items=2"])
+        assert rc == cli.EXIT_CONFIG, out
+        assert "unwritable path" in capsys.readouterr().err
 
 
 def _set_args(pairs):
@@ -303,12 +306,21 @@ def test_sweep_bad_k_grid_exits_config(tmp_path):
 @pytest.mark.parametrize("text", ["not json {",
                                   '{"config": {"bogus": 1}, "seed": 0}',
                                   '{"config": {}, "params": "params.npz"}',
-                                  '{"config": {}, "seed": 0}'])
+                                  '{"config": {}, "seed": 0}',
+                                  '{"config": {"k": "8"}, "seed": 0, '
+                                  '"params": "params.npz", "run_id": "r"}',
+                                  '{"config": {"alpha": "x"}, "seed": 0, '
+                                  '"params": "params.npz", "run_id": "r"}'])
 def test_eval_bad_manifest_exits_config(tmp_path, capsys, text):
     path = tmp_path / "manifest.json"
     path.write_text(text)
     assert cli.main(["eval", str(path)]) == cli.EXIT_CONFIG
-    assert "bad manifest" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad manifest" in err
+    # a mistyped config value is named before the snapshot is read
+    for key in ("k", "alpha"):
+        if f'"{key}": "' in text:
+            assert f"{key} must be" in err
 
 
 @pytest.fixture(scope="module")

@@ -11,41 +11,36 @@ from tgsl.structure import AugmentedView
 
 
 def test_omega_defaults_and_decay():
-    cfg = te.TimeEncodingConfig(100)
-    assert cfg.omega[0] == 1.0
-    assert abs(cfg.omega[99] - 10 ** (-9.9)) < 1e-22
-    assert np.all(np.diff(cfg.omega) < 0)
+    omega = te.time_frequencies(100)
+    assert omega[0] == 1.0
+    assert abs(omega[99] - 10 ** (-9.9)) < 1e-22
+    assert np.all(np.diff(omega) < 0)
 
 
 def test_time_encode_zero_is_ones():
-    cfg = te.TimeEncodingConfig(16)
-    assert np.array_equal(te.time_encode(0.0, cfg), np.ones(16))
+    assert np.array_equal(te.time_encode(0.0, 16), np.ones(16))
 
 
 def test_time_encode_range():
-    cfg = te.TimeEncodingConfig(32)
     for t in (0.1, 3.7, 1e5, -2.0):
-        v = te.time_encode(t, cfg)
+        v = te.time_encode(t, 32)
         assert np.all(v >= -1.0) and np.all(v <= 1.0)
 
 
 def test_time_context_zero_is_ones():
-    cfg = te.TimeEncodingConfig(16)
-    assert np.array_equal(te.time_context(0.0, cfg), np.ones(16))
+    assert np.array_equal(te.time_context(0.0, 16), np.ones(16))
 
 
 def test_time_context_odd_symmetry_machine_precision():
-    cfg = te.TimeEncodingConfig(24)
     for d in (0.3, 12.0, 4567.8):
-        lhs = te.time_context(-d, cfg)
-        rhs = 2.0 - te.time_context(d, cfg)
+        lhs = te.time_context(-d, 24)
+        rhs = 2.0 - te.time_context(d, 24)
         # one rounding step of difference at most (values live in [0, 2])
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-14)
 
 
 def test_time_context_range():
-    cfg = te.TimeEncodingConfig(16)
-    v = te.time_context(np.linspace(-50, 50, 999), cfg)
+    v = te.time_context(np.linspace(-50, 50, 999), 16)
     assert np.all(v >= 0.0) and np.all(v <= 2.0)
 
 
@@ -53,23 +48,22 @@ def test_time_encode_float32_is_the_rounded_float64_value():
     """At Wikipedia-scale times (up to 2.7e6 s), cos(t * omega) computed in
     float32 drifts by about 0.1; the encoding must stay the float64 value
     rounded once."""
-    cfg = te.TimeEncodingConfig(100)
     t = np.random.default_rng(0).uniform(0.0, 2.7e6, 4000)
-    want = te.time_encode(t, cfg).astype(np.float32)
-    got = te.time_encode(t, cfg, dtype=np.float32)
+    want = te.time_encode(t, 100).astype(np.float32)
+    got = te.time_encode(t, 100, dtype=np.float32)
     assert got.dtype == np.float32
     assert np.abs(got - want).max() <= 1e-6
     in_f32 = np.cos(t.astype(np.float32)[:, None]
-                    * cfg.omega.astype(np.float32))
+                    * te.time_frequencies(100).astype(np.float32))
     assert np.abs(in_f32 - want).max() > 1e-2
 
 
-def direct_time_encode(t, cfg, dtype=np.float64):
+def direct_time_encode(t, d, dtype=np.float64):
     """The direct form: cos over the whole (..., d) grid, then one cast."""
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("time_encode: non-finite timestamp")
-    return np.cos(t[..., None] * cfg.omega).astype(dtype)
+    return np.cos(t[..., None] * te.time_frequencies(d)).astype(dtype)
 
 
 def time_grids():
@@ -97,22 +91,21 @@ def time_grids():
 @pytest.mark.parametrize("case", [name for name, _ in time_grids()])
 def test_time_encode_matches_direct_form_bytes(case, dtype):
     t = dict(time_grids())[case]
-    cfg = te.TimeEncodingConfig(100)
-    got = te.time_encode(t, cfg, dtype=dtype)
-    want = direct_time_encode(t, cfg, dtype=dtype)
+    got = te.time_encode(t, 100, dtype=dtype)
+    want = direct_time_encode(t, 100, dtype=dtype)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
 def test_time_encode_sorts_nothing_for_increasing_times(monkeypatch):
     t = np.cumsum(np.random.default_rng(2).uniform(0.5, 9.0, 500))
-    want = direct_time_encode(t, te.TimeEncodingConfig(16))
+    want = direct_time_encode(t, 16)
 
     def no_sort(*args, **kwargs):
         raise AssertionError("np.unique called on increasing times")
 
     monkeypatch.setattr(np, "unique", no_sort)
-    got = te.time_encode(t, te.TimeEncodingConfig(16))
+    got = te.time_encode(t, 16)
     assert got.tobytes() == want.tobytes()
 
 
@@ -120,13 +113,12 @@ def test_time_encode_sorts_nothing_for_increasing_times(monkeypatch):
 def test_time_encode_rejects_non_finite_among_repeats(bad):
     t = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 1.0, bad, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
-        te.time_encode(t, te.TimeEncodingConfig(8))
+        te.time_encode(t, 8)
 
 
 def test_encodings_bit_reproducible():
-    cfg = te.TimeEncodingConfig(16)
-    a = te.time_encode(123.456, cfg)
-    b = te.time_encode(123.456, cfg)
+    a = te.time_encode(123.456, 16)
+    b = te.time_encode(123.456, 16)
     assert np.array_equal(a, b)
 
 
@@ -147,7 +139,6 @@ def test_hand_computed_single_head_attention():
     neighbors, then the two-layer merge on (attn_out||h_self)."""
     store = two_neighbor_store()
     idx = NeighborIndex.build(store)
-    cfg = te.TimeEncodingConfig(2)
     p = te.EncoderParams(2, layers=1, heads=1, d_hidden=2, seed=0,
                          dtype=np.float64)
     rng = np.random.default_rng(42)
@@ -155,7 +146,7 @@ def test_hand_computed_single_head_attention():
     for key in keys:
         p["enc.l0." + key].values[...] = rng.standard_normal(
             p["enc.l0." + key].shape)
-    enc = te.TgatEncoder(p, cfg, store, n_nb=4)
+    enc = te.TgatEncoder(p, store, n_nb=4)
     got = enc.encode_batch(idx, [0], [3.0]).values[0]
 
     # independent numpy evaluation
@@ -163,7 +154,8 @@ def test_hand_computed_single_head_attention():
     h_self = store.node_features[0].astype(np.float64)
     h_nbr = store.node_features[[1, 2]].astype(np.float64)
     e = store.edge_features.astype(np.float64)
-    te_nbr = np.cos((3.0 - np.array([1.0, 2.0]))[:, None] * cfg.omega)
+    te_nbr = np.cos((3.0 - np.array([1.0, 2.0]))[:, None]
+                    * te.time_frequencies(2))
     q = np.concatenate([h_self, np.ones(2)]) @ lp["wq"]
     kv_in = np.concatenate([h_nbr, e, te_nbr], axis=1)
     k = kv_in @ lp["wk"]
@@ -180,9 +172,8 @@ def test_hand_computed_single_head_attention():
 def test_empty_history_deterministic_finite():
     store = two_neighbor_store()
     idx = NeighborIndex.build(store)
-    cfg = te.TimeEncodingConfig(2)
     p = te.EncoderParams(2, layers=2, heads=1, d_hidden=4, seed=1)
-    enc = te.TgatEncoder(p, cfg, store, n_nb=4)
+    enc = te.TgatEncoder(p, store, n_nb=4)
     a = enc.encode_batch(idx, [2], [1.0]).values[0]   # nothing before t=1
     b = enc.encode_batch(idx, [2], [1.0]).values[0]
     assert np.array_equal(a, b)
@@ -192,9 +183,8 @@ def test_empty_history_deterministic_finite():
 def test_leakage_future_event_perturbation():
     store = synth_generate(2, 6, 6, 80, 0.1, seed=4)
     idx = NeighborIndex.build(store)
-    cfg = te.TimeEncodingConfig(8)
     p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
-    enc = te.TgatEncoder(p, cfg, store, n_nb=5)
+    enc = te.TgatEncoder(p, store, n_nb=5)
     t = float(store.ts[50])
     nodes = np.arange(6)
     base = enc.encode_batch(idx, nodes, np.full(6, t)).values.copy()
@@ -203,7 +193,7 @@ def test_leakage_future_event_perturbation():
     feats[60:] += 5.0
     mut = EventStore(store.src, store.dst, store.ts, store.feat_ids,
                      store.node_features, feats, store.num_users)
-    enc2 = te.TgatEncoder(p, cfg, mut, n_nb=5)
+    enc2 = te.TgatEncoder(p, mut, n_nb=5)
     after = enc2.encode_batch(NeighborIndex.build(mut), nodes,
                               np.full(6, t)).values
     assert np.array_equal(base, after)
@@ -214,7 +204,7 @@ def test_view_without_additions_encodes_as_its_base(layers):
     store = synth_generate(2, 6, 6, 80, 0.1, seed=4)
     idx = NeighborIndex.build(store, np.arange(60))
     p = te.EncoderParams(8, layers=layers, heads=2, d_hidden=8, seed=5)
-    enc = te.TgatEncoder(p, te.TimeEncodingConfig(8), store, n_nb=5)
+    enc = te.TgatEncoder(p, store, n_nb=5)
     nodes = np.concatenate([store.src[50:60], store.dst[50:60]])
     tss = np.concatenate([store.ts[50:60], store.ts[50:60]])
     for max_eid in (None, 50):
@@ -234,12 +224,11 @@ def test_sparsified_store_reads_features_through_feat_ids():
                       thin.node_features, thin.edge_features[thin.feat_ids],
                       thin.num_users)
     p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
-    cfg = te.TimeEncodingConfig(8)
     nodes = np.concatenate([thin.src[-20:], thin.dst[-20:]])
     tss = np.concatenate([thin.ts[-20:], thin.ts[-20:]])
-    got = te.TgatEncoder(p, cfg, thin, n_nb=5).encode_batch(
+    got = te.TgatEncoder(p, thin, n_nb=5).encode_batch(
         NeighborIndex.build(thin), nodes, tss).values
-    want = te.TgatEncoder(p, cfg, flat, n_nb=5).encode_batch(
+    want = te.TgatEncoder(p, flat, n_nb=5).encode_batch(
         NeighborIndex.build(flat), nodes, tss).values
     assert np.array_equal(got, want)
 
@@ -265,21 +254,32 @@ def scatter_dense(rows, pos, shape):
     return ad.take(ad.concat([zero, rows], axis=0), idx)
 
 
-def composed_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
-                       wv, heads, added=None):
-    """Test oracle: the attention layer composed from primitives, with
-    per-slot keys and values from the concatenated (h_nbr || e_slot ||
-    te_nbr) input and a (h_self || 1) query. Narrow inputs are zero-padded
-    to d and the added rows and weights are scattered into dense grids."""
+def composed_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
+                       heads, added=None):
+    """Test oracle: the attention layer composed from primitives. Narrow
+    inputs are zero-padded to d, the added rows are scattered into a dense
+    grid added to e_slot, and the slot weights are the mask with the added
+    weights scattered over it; then `dense_attention`."""
     b, n, dm = te_nbr.shape
-    dk = wq.shape[1] // heads
     h_self, h_nbr, e_slot = (pad_to(t, dm) for t in (h_self, h_nbr, e_slot))
-    if not isinstance(w_slot, ad.Tensor):
-        w_slot = ad.constant(w_slot)
+    w_dense = ad.constant(mask)
     if added is not None:
         pos, e_add, w_add = added
         e_slot = ad.add(e_slot, scatter_dense(e_add, pos, (b, n, dm)))
-        w_slot = ad.add(w_slot, scatter_dense(w_add, pos, (b, n)))
+        kept = mask.copy()
+        kept[pos] = 0.0
+        w_dense = ad.add(ad.constant(kept), scatter_dense(w_add, pos, (b, n)))
+    return dense_attention(h_self, h_nbr, e_slot, te_nbr, w_dense, mask, wq,
+                           wk, wv, heads)
+
+
+def dense_attention(h_self, h_nbr, e_slot, te_nbr, w_dense, mask, wq, wk, wv,
+                    heads):
+    """The composed attention block on d-wide inputs and a dense [B, n]
+    slot weight tensor: per-slot keys and values from the concatenated
+    (h_nbr || e_slot || te_nbr) input and a (h_self || 1) query."""
+    b, n, dm = te_nbr.shape
+    dk = wq.shape[1] // heads
     q_in = ad.concat([h_self, ad.constant(np.ones((b, dm)))], axis=1)
     kv_in = ad.concat([h_nbr, e_slot, te_nbr], axis=2)
     q = ad.reshape(ad.matmul(q_in, wq), (b, 1, heads, dk))
@@ -288,7 +288,7 @@ def composed_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask, wq, wk,
     logits = ad.scale(ad.sum_(ad.mul(q, k), axis=3), 1.0 / math.sqrt(dk))
     neg = ad.constant(((mask - 1.0) * 1e9)[:, :, None])
     attn = ad.softmax(ad.add(logits, neg), axis=1)
-    v_eff = ad.mul(v, ad.reshape(w_slot, (b, n, 1, 1)))
+    v_eff = ad.mul(v, ad.reshape(w_dense, (b, n, 1, 1)))
     head = ad.sum_(ad.mul(ad.reshape(attn, (b, n, heads, 1)), v_eff), axis=1)
     return ad.reshape(head, (b, heads * dk))
 
@@ -302,11 +302,11 @@ WIDTHS = {"full": (8, 8, 8), "narrow": (3, 3, 2), "mixed": (8, 5, 1)}
 def attention_case(rng, b=6, n=5, dm=8, dtype=np.float64, widths=None,
                    sparse=False):
     """Random inputs as the encoder builds them: row 0 has every slot
-    padded, row 1 none. w_slot is 1 on real slots and 0 on pads; an added
-    slot weighs rho in (0, 1) in w_slot itself or, if `sparse`, 0.5 there
-    plus rho as the added part's weight next to its [P, d] row (the
-    encoder passes 0 there; the op adds the two). Returns (tensor inputs
-    by name, w_slot, mask, added positions or None)."""
+    padded, row 1 none. If `sparse`, some real slots are added ones, each
+    with a [P, d] row (its e_slot row is random here; the encoder passes
+    zeros there and the op adds the two) and a weight rho in (0, 1), which
+    replaces the mask's 1 there. Returns (tensor inputs by name, mask,
+    added positions or None)."""
     ws, wn, we = widths or (dm, dm, dm)
     mask = (rng.random((b, n)) < 0.6).astype(dtype)
     mask[0], mask[1] = 0.0, 1.0
@@ -319,22 +319,21 @@ def attention_case(rng, b=6, n=5, dm=8, dtype=np.float64, widths=None,
     arrays = {k: rng.standard_normal(s).astype(dtype)
               for k, s in shapes.items()}
     if not sparse:
-        return arrays, (mask - added + added * rho).astype(dtype), mask, None
+        return arrays, mask, None
     pos = np.nonzero(added)
     arrays["e_add"] = rng.standard_normal((len(pos[0]), dm)).astype(dtype)
     arrays["w_add"] = rho[pos].astype(dtype)
-    return arrays, (mask - 0.5 * added).astype(dtype), mask, pos
+    return arrays, mask, pos
 
 
-def run_attention(fn, arrays, w_slot, mask, heads, pos=None, const=(),
-                  weight=None):
+def run_attention(fn, arrays, mask, heads, pos=None, const=(), weight=None):
     """fn's output, and the gradients of sum(out * weight) by input name;
     inputs named in `const` are constants."""
     ts = {k: (ad.constant(v) if k in const else ad.param(v.copy(), name=k))
           for k, v in arrays.items()}
     added = None if pos is None else (pos, ts["e_add"], ts["w_add"])
     with ad.Tape() as tape:
-        out = fn(*(ts[k] for k in ATTENTION_INPUTS[:4]), w_slot, mask,
+        out = fn(*(ts[k] for k in ATTENTION_INPUTS[:4]), mask,
                  *(ts[k] for k in ATTENTION_INPUTS[4:]), heads, added)
         if weight is not None:
             tape.backward(ad.sum_(ad.mul(out, ad.constant(weight))))
@@ -352,18 +351,18 @@ def close(got, want, rtol):
 @pytest.mark.parametrize("const", [(), ("te_nbr",), ("h_nbr", "te_nbr"),
                                    ("e_slot", "te_nbr")])
 def test_temporal_attention_matches_composed_oracle(heads, const):
-    """Every input width layout, with the added slots as a sparse part or
-    folded into w_slot (no added part): output and every gradient."""
+    """Every input width layout, with and without added slots: output and
+    every gradient."""
     rng = np.random.default_rng(heads * 10 + len(const))
     for widths in WIDTHS.values():
         for sparse in (False, True):
-            arrays, w_slot, mask, pos = attention_case(
-                rng, widths=widths, sparse=sparse)
+            arrays, mask, pos = attention_case(rng, widths=widths,
+                                               sparse=sparse)
             weight = rng.standard_normal((len(mask), arrays["wq"].shape[1]))
-            got, got_g = run_attention(ad.temporal_attention, arrays, w_slot,
-                                       mask, heads, pos, const, weight)
-            want, want_g = run_attention(composed_attention, arrays, w_slot,
-                                         mask, heads, pos, const, weight)
+            got, got_g = run_attention(ad.temporal_attention, arrays, mask,
+                                       heads, pos, const, weight)
+            want, want_g = run_attention(composed_attention, arrays, mask,
+                                         heads, pos, const, weight)
             assert close(got, want, 1e-10)
             assert set(got_g) == set(want_g)
             for k in got_g:
@@ -375,16 +374,16 @@ def test_temporal_attention_narrow_inputs_read_only_their_rows():
     """A narrow input gives the same output as itself zero-padded, and the
     weight rows it does not read get an exactly zero gradient."""
     rng = np.random.default_rng(8)
-    arrays, w_slot, mask, _ = attention_case(rng, widths=WIDTHS["narrow"])
+    arrays, mask, _ = attention_case(rng, widths=WIDTHS["narrow"])
     dm = arrays["te_nbr"].shape[2]
     padded = {k: (np.concatenate([v, np.zeros(v.shape[:-1]
                                               + (dm - v.shape[-1],))], -1)
                   if k in ("h_self", "h_nbr", "e_slot") else v)
               for k, v in arrays.items()}
     weight = rng.standard_normal((len(mask), dm))
-    got, grads = run_attention(ad.temporal_attention, arrays, w_slot, mask,
-                               2, weight=weight)
-    want, _ = run_attention(ad.temporal_attention, padded, w_slot, mask, 2)
+    got, grads = run_attention(ad.temporal_attention, arrays, mask, 2,
+                               weight=weight)
+    want, _ = run_attention(ad.temporal_attention, padded, mask, 2)
     assert close(got, want, 1e-12)
     assert np.all(grads["wq"][3:dm] == 0) and np.any(grads["wq"][:3] != 0)
     for k in ("wk", "wv"):
@@ -395,14 +394,14 @@ def test_temporal_attention_narrow_inputs_read_only_their_rows():
 
 def test_temporal_attention_returns_none_for_constants():
     rng = np.random.default_rng(3)
-    arrays, w_slot, mask, pos = attention_case(rng, sparse=True)
+    arrays, mask, pos = attention_case(rng, sparse=True)
     const = ("h_nbr", "e_slot", "te_nbr", "w_add")
     ts = {k: ad.constant(v) if k in const else ad.param(v)
           for k, v in arrays.items()}
     names = ATTENTION_INPUTS + ("e_add", "w_add")
     with ad.Tape() as tape:
         out = ad.temporal_attention(
-            *(ts[k] for k in ATTENTION_INPUTS[:4]), w_slot, mask,
+            *(ts[k] for k in ATTENTION_INPUTS[:4]), mask,
             *(ts[k] for k in ATTENTION_INPUTS[4:]), 2,
             (pos, ts["e_add"], ts["w_add"]))
     (inputs, _, bw), = tape.entries
@@ -413,14 +412,14 @@ def test_temporal_attention_returns_none_for_constants():
 
 def test_temporal_attention_empty_added_part_is_none():
     rng = np.random.default_rng(4)
-    arrays, w_slot, mask, _ = attention_case(rng, widths=WIDTHS["narrow"])
+    arrays, mask, _ = attention_case(rng, widths=WIDTHS["narrow"])
     empty = dict(arrays, e_add=np.zeros((0, 8)), w_add=np.zeros(0))
     nowhere = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     weight = rng.standard_normal((len(mask), 8))
-    got, got_g = run_attention(ad.temporal_attention, empty, w_slot, mask, 2,
+    got, got_g = run_attention(ad.temporal_attention, empty, mask, 2,
                                nowhere, weight=weight)
-    want, want_g = run_attention(ad.temporal_attention, arrays, w_slot, mask,
-                                 2, weight=weight)
+    want, want_g = run_attention(ad.temporal_attention, arrays, mask, 2,
+                                 weight=weight)
     assert np.array_equal(got, want)
     assert got_g.pop("e_add").size == 0 and got_g.pop("w_add").size == 0
     for k in want_g:
@@ -431,8 +430,8 @@ def shape_cases():
     """(name, the args that break one rule) for each shape rule."""
     z = ad.constant
     h, s3 = z(np.zeros((2, 4))), z(np.zeros((2, 3, 4)))
-    w = dict(h_self=h, h_nbr=s3, e_slot=s3, te_nbr=s3, w_slot=np.ones((2, 3)),
-             mask=np.ones((2, 3)), wq=z(np.zeros((8, 4))),
+    w = dict(h_self=h, h_nbr=s3, e_slot=s3, te_nbr=s3, mask=np.ones((2, 3)),
+             wq=z(np.zeros((8, 4))),
              wk=z(np.zeros((12, 4))), wv=z(np.zeros((12, 4))), heads=2,
              added=((np.array([0, 1]), np.array([2, 0])),
                     z(np.zeros((2, 4))), z(np.zeros(2))))
@@ -443,7 +442,6 @@ def shape_cases():
     yield "e_slot-wider-than-d", dict(w, e_slot=z(np.zeros((2, 3, 6)))), \
         r"\(2, 3, 6\)"
     yield "h_nbr-rows", dict(w, h_nbr=z(np.zeros((2, 2, 4)))), r"\(2, 2, 4\)"
-    yield "w_slot", dict(w, w_slot=np.ones((3, 2))), r"w_slot \(3, 2\)"
     yield "added-rows-width", dict(
         w, added=(pos, z(np.zeros((2, 3))), w["added"][2])), r"\(2, 3\)"
     yield "added-weights", dict(
@@ -475,7 +473,7 @@ def test_attention_weights_normalized_under_mask():
     row with every slot padded outputs zero."""
     rng = np.random.default_rng(5)
     for dtype in (np.float32, np.float64):
-        arrays, _, mask, _ = attention_case(rng, b=8, n=6, dtype=dtype)
+        arrays, mask, _ = attention_case(rng, b=8, n=6, dtype=dtype)
         assert not mask[0].any() and mask[1:].any(axis=1).all()
         # with only the te block read by W_v, a slot's value is 1, so each
         # output is the attention mass on real slots
@@ -483,20 +481,18 @@ def test_attention_weights_normalized_under_mask():
         dm = probe["h_self"].shape[1]
         probe["wv"] = np.zeros_like(arrays["wv"])
         probe["wv"][2 * dm:] = 1.0 / dm
-        mass, _ = run_attention(ad.temporal_attention, probe,
-                                mask.astype(dtype), mask, 2)
+        mass, _ = run_attention(ad.temporal_attention, probe, mask, 2)
         tol = 1e-6 if dtype == np.float32 else 1e-12
         assert np.allclose(mass[1:], 1.0, rtol=0, atol=tol)
         assert np.all(mass[0] == 0)
 
-        base, _ = run_attention(ad.temporal_attention, arrays, mask, mask, 2)
+        base, _ = run_attention(ad.temporal_attention, arrays, mask, 2)
         pads = (mask == 0)[:, :, None]
         for k in ("h_nbr", "e_slot", "te_nbr"):
             moved = dict(arrays)
             moved[k] = np.where(pads, arrays[k] + rng.standard_normal(
                 arrays[k].shape).astype(dtype), arrays[k])
-            got, _ = run_attention(ad.temporal_attention, moved, mask, mask,
-                                   2)
+            got, _ = run_attention(ad.temporal_attention, moved, mask, 2)
             assert np.array_equal(got, base), k
         assert np.all(base[0] == 0)
 
@@ -508,7 +504,7 @@ def test_encode_batch_tape_entries_per_layer():
     store = synth_generate(2, 6, 6, 80, 0.1, seed=4)
     idx = NeighborIndex.build(store, np.arange(60))
     p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
-    enc = te.TgatEncoder(p, te.TimeEncodingConfig(8), store, n_nb=5)
+    enc = te.TgatEncoder(p, store, n_nb=5)
     rng = np.random.default_rng(0)
     t_add = float(store.ts[55])
     view = AugmentedView(
@@ -535,7 +531,7 @@ def test_encode_batch_matches_direct_time_encode(monkeypatch):
     def run():
         rng = np.random.default_rng(0)
         p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
-        enc = te.TgatEncoder(p, te.TimeEncodingConfig(8), store, n_nb=5)
+        enc = te.TgatEncoder(p, store, n_nb=5)
         view = AugmentedView(
             idx, store.src[50:56], store.dst[:6], np.full(6, t_add),
             cand_features=ad.param(
@@ -597,17 +593,17 @@ def padded_dense_embed(enc, view, nodes, ts, layer, max_eid=None):
     added_m = mask * (eids < 0)
     e_rows = padded(enc.edge_feat)[enc.feat_ids[np.where(real_m > 0, eids, 0)]]
     e_slot = ad.constant(e_rows * (real_m[:, :, None] > 0))
-    w_slot = ad.constant(real_m)
+    w_dense = ad.constant(real_m)
     if added_m.any():
         j = np.maximum(-1 - eids, 0)
         e_slot = ad.add(e_slot, ad.mul(ad.take(view.cand_features, j),
                                        ad.constant(added_m[:, :, None])))
-        w_slot = ad.add(w_slot, ad.mul(ad.take(view.rho, j),
-                                       ad.constant(added_m)))
-    te_nbr = ad.constant(te.time_encode(ts[:, None] - tss, enc.cfg))
-    head = composed_attention(h_self, h_nbr, e_slot, te_nbr, w_slot, mask,
-                              p[pre + "wq"], p[pre + "wk"], p[pre + "wv"],
-                              p.heads)
+        w_dense = ad.add(w_dense, ad.mul(ad.take(view.rho, j),
+                                         ad.constant(added_m)))
+    te_nbr = ad.constant(te.time_encode(ts[:, None] - tss, dm))
+    head = dense_attention(h_self, h_nbr, e_slot, te_nbr, w_dense, mask,
+                           p[pre + "wq"], p[pre + "wk"], p[pre + "wv"],
+                           p.heads)
     merged = ad.concat([head, h_self], axis=1)
     hid = ad.relu(ad.add(ad.matmul(merged, p[pre + "w1"]), p[pre + "b1"]))
     return ad.add(ad.matmul(hid, p[pre + "w2"]), p[pre + "b2"])
@@ -635,7 +631,7 @@ def test_encode_batch_matches_padded_dense_oracle(widths, additions, layers):
     def run(embed):
         p = te.EncoderParams(dm, layers=layers, heads=2, d_hidden=8, seed=5,
                              dtype=np.float64)
-        enc = te.TgatEncoder(p, te.TimeEncodingConfig(dm), store, n_nb=5)
+        enc = te.TgatEncoder(p, store, n_nb=5)
         r = np.random.default_rng(0)
         view = AugmentedView(idx)
         if additions:
@@ -678,7 +674,7 @@ def test_depth_validation_and_bad_node():
     store = two_neighbor_store()
     idx = NeighborIndex.build(store)
     enc = te.TgatEncoder(te.EncoderParams(2, layers=1, heads=1, d_hidden=2),
-                         te.TimeEncodingConfig(2), store, n_nb=2)
+                         store, n_nb=2)
     with pytest.raises(ValueError, match="node"):
         enc.encode_batch(idx, [99], [1.0])
 
@@ -696,7 +692,7 @@ def score(enc, u, v):
 def make_encoder(seed=0, dm=4):
     store = synth_generate(2, 4, 4, 30, 0.0, seed=seed)
     p = te.EncoderParams(dm, layers=1, heads=1, d_hidden=4, seed=seed)
-    return te.TgatEncoder(p, te.TimeEncodingConfig(dm), store, n_nb=3), store
+    return te.TgatEncoder(p, store, n_nb=3), store
 
 
 def test_zero_head_scores_half():
@@ -724,7 +720,7 @@ def test_hand_set_head_matches_manual():
                        np.zeros((1, 1)))
     p = te.EncoderParams(1, layers=1, heads=1, d_hidden=1, seed=0,
                          dtype=np.float64)
-    enc = te.TgatEncoder(p, te.TimeEncodingConfig(1), store, n_nb=2)
+    enc = te.TgatEncoder(p, store, n_nb=2)
     p["score.w1"].values[...] = [[2.0], [-1.0]]
     p["score.b1"].values[...] = [0.5]
     p["score.w2"].values[...] = [[1.5]]
@@ -738,11 +734,4 @@ def test_feature_dim_exceeding_model_dim_rejected():
     store = synth_generate(4, 8, 8, 20, 0.0, seed=0)   # 4-dim features
     with pytest.raises(ValueError, match="d_model"):
         te.TgatEncoder(te.EncoderParams(2, layers=1, heads=1, d_hidden=2),
-                       te.TimeEncodingConfig(2), store)
-
-
-def test_omega_must_match_model_dim():
-    store = synth_generate(2, 4, 4, 10, 0.0, seed=0)
-    with pytest.raises(ValueError, match="omega|d_model"):
-        te.TgatEncoder(te.EncoderParams(4, layers=1, heads=1, d_hidden=2),
-                       te.TimeEncodingConfig(8), store)
+                       store)

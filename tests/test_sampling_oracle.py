@@ -18,7 +18,6 @@ import pytest
 
 from tgsl import autodiff as ad
 from tgsl import structure as ts
-from tgsl.encoder import TimeEncodingConfig
 from tgsl.graph import EventStore, NeighborIndex
 
 
@@ -417,7 +416,6 @@ def test_context_predict_matches_loop(seed):
     # and every gradient, bitwise, in float32 and float64
     rng = np.random.default_rng(300 + seed)
     store = random_store(seed)
-    cfg = TimeEncodingConfig(4)
     for dtype, idx in itertools.product((np.float32, np.float64),
                                         indexes(store, rng)):
         params = ts.TgslParams(4, 3, 3, layers=1, seed=seed, dtype=dtype)
@@ -427,7 +425,7 @@ def test_context_predict_matches_loop(seed):
         for max_eid in cutoffs(store):
             window = ref_visible_window(idx, nodes, t_cut, 1, max_eid)
             with ad.no_grad():
-                et = ts.etgnn_forward(window, store, params, cfg)
+                et = ts.etgnn_forward(window, store, params)
             for n_rnn in (1, 3, 50):
                 args = (idx, nodes, t_cut, n_rnn, max_eid)
                 assert_same(

@@ -3,7 +3,7 @@ import pytest
 
 from tgsl import autodiff as ad
 from tgsl import structure as ts
-from tgsl.encoder import EncoderParams, TgatEncoder, TimeEncodingConfig
+from tgsl.encoder import EncoderParams, TgatEncoder, time_frequencies
 from tgsl.graph import EventStore, NeighborIndex, chronological_split, synth_generate
 from tgsl.training import RunConfig
 
@@ -30,8 +30,7 @@ def test_etgnn_zero_weights_zero_output():
     for p in params.parameters():
         if p.name.startswith("tgsl.l"):
             p.values[...] = 0.0
-    out = ts.etgnn_forward(np.array([0]), store, params,
-                           TimeEncodingConfig(4))
+    out = ts.etgnn_forward(np.array([0]), store, params)
     assert np.all(out.edge_f.values == 0)
 
 
@@ -46,14 +45,13 @@ def test_etgnn_hand_computed_two_layers():
                        rng.standard_normal((3, 3)))
     dm = 4
     params = ts.TgslParams(dm, 2, 3, layers=2, seed=3, dtype=np.float64)
-    cfg = TimeEncodingConfig(dm)
-    out = ts.etgnn_forward(np.arange(3), store, params, cfg)
+    out = ts.etgnn_forward(np.arange(3), store, params)
 
     relu = lambda v: np.maximum(v, 0.0)
     w = {p.name: p.values for p in params.parameters()}
     h0 = store.node_features
     f0 = store.edge_features[store.feat_ids]
-    te = [np.cos(ti * cfg.omega) for ti in t]
+    te = [np.cos(ti * time_frequencies(dm)) for ti in t]
     h1 = []
     for v in range(3):
         msgs = [np.concatenate([h0[d if s == v else s], f0[e], te[e]])
@@ -78,9 +76,8 @@ def test_etgnn_duplicate_neighbors_mean_idempotent():
     three = EventStore([0, 0, 0], [1, 1, 1], [2.0, 2.0, 2.0], [0, 0, 0],
                        np.zeros((2, 2), np.float32), feats)
     params = ts.TgslParams(4, 2, 2, layers=2, seed=1)
-    cfg = TimeEncodingConfig(4)
-    f1 = ts.etgnn_forward(np.array([0]), one, params, cfg).edge_f.values
-    f3 = ts.etgnn_forward(np.arange(3), three, params, cfg).edge_f.values
+    f1 = ts.etgnn_forward(np.array([0]), one, params).edge_f.values
+    f3 = ts.etgnn_forward(np.arange(3), three, params).edge_f.values
     assert np.abs(f1).sum() > 0
     assert np.allclose(f3, np.repeat(f1, 3, axis=0), rtol=1e-6)
 
@@ -88,8 +85,7 @@ def test_etgnn_duplicate_neighbors_mean_idempotent():
 def test_etgnn_empty_window():
     store = single_edge_store()
     params = ts.TgslParams(4, 2, 2, layers=1, seed=0)
-    out = ts.etgnn_forward(np.array([], dtype=np.int64), store, params,
-                           TimeEncodingConfig(4))
+    out = ts.etgnn_forward(np.array([], dtype=np.int64), store, params)
     assert out.edge_f.shape == (0, 4)
 
 
@@ -116,8 +112,7 @@ def test_context_no_history_is_zero():
     store = synth_generate(2, 4, 4, 20, 0.0, seed=0)
     idx = NeighborIndex.build(store)
     params = ts.TgslParams(4, 2, 2, layers=1, seed=2)
-    cfg = TimeEncodingConfig(4)
-    et = ts.etgnn_forward(np.arange(10), store, params, cfg)
+    et = ts.etgnn_forward(np.arange(10), store, params)
     emb = context(0, et, idx, 4, params, t_cut=0.0)
     assert np.all(emb == 0)
 
@@ -125,9 +120,8 @@ def test_context_no_history_is_zero():
 def test_context_length_one_matches_hand_lstm():
     store = single_edge_store(t=1.0)
     params = ts.TgslParams(4, 2, 2, layers=1, seed=5, dtype=np.float64)
-    cfg = TimeEncodingConfig(4)
     idx = NeighborIndex.build(store)
-    et = ts.etgnn_forward(np.array([0]), store, params, cfg)
+    et = ts.etgnn_forward(np.array([0]), store, params)
     got = context(0, et, idx, 3, params, t_cut=5.0)
 
     x = et.edge_f.values[0]
@@ -142,13 +136,12 @@ def test_context_depends_only_on_last_n_rnn_edges():
     store = synth_generate(2, 6, 6, 120, 0.1, seed=7)
     idx = NeighborIndex.build(store)
     params = ts.TgslParams(4, 2, 2, layers=1, seed=2)
-    cfg = TimeEncodingConfig(4)
     node = int(store.src[0])
     t_cut = float(store.ts[-1]) + 1.0
     _, ei, _ = idx.neighbors_before(node, t_cut, 10_000)
     assert len(ei) > 3
 
-    et = ts.etgnn_forward(np.arange(len(store)), store, params, cfg)
+    et = ts.etgnn_forward(np.arange(len(store)), store, params)
     base = context(node, et, idx, 3, params, t_cut=t_cut)
 
     # perturb the feature of an edge OLDER than the last 3: no effect
@@ -157,7 +150,7 @@ def test_context_depends_only_on_last_n_rnn_edges():
     feats[store.feat_ids[old_eid]] += 7.0
     mut = EventStore(store.src, store.dst, store.ts, store.feat_ids,
                      store.node_features, feats, store.num_users)
-    et2 = ts.etgnn_forward(np.arange(len(mut)), mut, params, cfg)
+    et2 = ts.etgnn_forward(np.arange(len(mut)), mut, params)
     after = context(node, et2, NeighborIndex.build(mut), 3, params,
                     t_cut=t_cut)
     assert np.array_equal(base, after)
@@ -165,13 +158,14 @@ def test_context_depends_only_on_last_n_rnn_edges():
 
 def test_context_records_19_tape_entries_per_step():
     # the gather, two products, two adds, four narrows, three sigmoids and
-    # a tanh for the gates, the input gate's mask, then c and h in five
+    # a tanh for the gates, the input gate's mask, then c and h in five;
+    # the first step multiplies no zero state, so it has no h @ wh, its
+    # add, forget gate (narrow, sigmoid), f * c or its add: 13 entries
     store = synth_generate(2, 6, 6, 120, 0.1, seed=7)
     idx = NeighborIndex.build(store)
     params = ts.TgslParams(4, 2, 2, layers=1, seed=2)
     with ad.no_grad():
-        et = ts.etgnn_forward(np.arange(len(store)), store, params,
-                              TimeEncodingConfig(4))
+        et = ts.etgnn_forward(np.arange(len(store)), store, params)
     et = ts.EtgnnOutput(et.event_ids, ad.param(et.edge_f.values))
     t_cut = float(store.ts[-1]) + 1.0
     for n_rnn in (1, 3, 5):
@@ -180,7 +174,7 @@ def test_context_records_19_tape_entries_per_step():
         assert len(nodes)
         with ad.Tape() as tape:
             ts.context_predict_batch(params, et, idx, nodes, t_cut, n_rnn)
-        assert len(tape) == 19 * n_rnn
+        assert len(tape) == 13 + 19 * (n_rnn - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,39 +246,37 @@ def test_unknown_strategy_rejected():
 # ---------------------------------------------------------------------------
 # time mapping
 
-def time_map_one(z, f, t_new, t_ctx, t_sample, cfg):
+def time_map_one(z, f, t_new, t_ctx, t_sample):
     """Map one context and one candidate feature row to t_new through
     time_map_batch; t_ctx is the time the context was predicted at."""
     zh, fh = ts.time_map_batch(ad.constant(np.asarray(z)[None, :]),
                                ad.constant(np.asarray(f)[None, :]),
                                np.array([t_new]), t_ctx,
-                               np.array([t_sample]), cfg)
+                               np.array([t_sample]))
     return zh.values[0], fh.values[0]
 
 
 def test_time_map_identity_at_matching_times():
-    cfg = TimeEncodingConfig(4)
     z = np.array([1.0, -2.0, 0.5, 3.0])
     f = np.array([0.1, 0.2, 0.3, 0.4])
-    zh, fh = time_map_one(z, f, 100.0, 100.0, 100.0, cfg)
+    zh, fh = time_map_one(z, f, 100.0, 100.0, 100.0)
     assert np.array_equal(zh, z)
     assert np.array_equal(fh, f)
 
 
 def test_time_map_zero_context_stays_zero():
-    cfg = TimeEncodingConfig(4)
-    zh, _ = time_map_one(np.zeros(4), np.ones(4), 31.4, 100.0, 77.7, cfg)
+    zh, _ = time_map_one(np.zeros(4), np.ones(4), 31.4, 100.0, 77.7)
     assert np.all(zh == 0)
 
 
 def test_time_map_matches_closed_form():
-    cfg = TimeEncodingConfig(8)
     rng = np.random.default_rng(0)
     z = rng.standard_normal(8)
     f = rng.standard_normal(8)
-    zh, fh = time_map_one(z, f, 13.0, 50.0, 20.0, cfg)
-    assert np.allclose(zh, z * (np.sin((13.0 - 50.0) * cfg.omega) + 1))
-    assert np.allclose(fh, f * (np.sin((13.0 - 20.0) * cfg.omega) + 1))
+    zh, fh = time_map_one(z, f, 13.0, 50.0, 20.0)
+    omega = time_frequencies(8)
+    assert np.allclose(zh, z * (np.sin((13.0 - 50.0) * omega) + 1))
+    assert np.allclose(fh, f * (np.sin((13.0 - 20.0) * omega) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +334,7 @@ def test_gradient_reaches_learner_parameters(etgnn_layers):
     split = chronological_split(store)
     idx = NeighborIndex.build(store, split.usable_train_ids)
     params = ts.TgslParams(8, 2, 2, layers=etgnn_layers, seed=4)
-    learner = ts.StructureLearner(params, TimeEncodingConfig(8), store,
+    learner = ts.StructureLearner(params, store,
                                   RunConfig(strategy="one-hop", k=3, n_can=5,
                                             n_rnn=4))
     with ad.Tape() as tape:
@@ -417,7 +409,7 @@ def test_min_k_candidate_count_added_per_source():
     split = chronological_split(store)
     idx = NeighborIndex.build(store, split.usable_train_ids)
     params = ts.TgslParams(8, 2, 2, layers=1, seed=4)
-    learner = ts.StructureLearner(params, TimeEncodingConfig(8), store,
+    learner = ts.StructureLearner(params, store,
                                   RunConfig(strategy="one-hop", k=2, n_can=6,
                                             n_rnn=4))
     view, det = learner.propose(idx, store.src[150:190],
@@ -450,11 +442,9 @@ def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch, strategy):
     store = synth_generate(2, 10, 10, 300, 0.1, seed=2)
     split = chronological_split(store)
     idx = NeighborIndex.build(store, split.usable_train_ids)
-    te = TimeEncodingConfig(8)
     learner = ts.StructureLearner(ts.TgslParams(8, 2, 2, layers=1, seed=4),
-                                  te, store,
-                                  RunConfig(strategy=strategy, k=2, n_can=6,
-                                            n_rnn=4),
+                                  store, RunConfig(strategy=strategy, k=2,
+                                                   n_can=6, n_rnn=4),
                                   np.arange(store.num_nodes))
     batch = np.arange(150, 190)
     view, _ = learner.propose(idx, store.src[batch],
@@ -463,7 +453,7 @@ def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch, strategy):
                               view_base=idx, max_eid=150)
     assert view.num_added > 0
     enc = TgatEncoder(EncoderParams(8, layers=2, heads=2, d_hidden=8),
-                      te, store, n_nb=5)
+                      store, n_nb=5)
     enc.encode_batch(view, store.src[batch], store.ts[batch], max_eid=150)
     assert len(calls) == 0
 
@@ -487,12 +477,11 @@ def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
     so a window one ring too shallow shows."""
     store = synth_generate(2, 2000, 2000, 12_000, 0.1, seed=21)
     idx = NeighborIndex.build(store)
-    te = TimeEncodingConfig(8)
     params = ts.TgslParams(8, store.node_dim, store.edge_dim,
                            layers=etgnn_layers, seed=3, dtype=np.float64)
     cfg = RunConfig(strategy=strategy, k=2, n_can=6, n_rnn=4,
                     fanouts="3,2,2", etgnn_layers=etgnn_layers)
-    learner = ts.StructureLearner(params, te, store, cfg,
+    learner = ts.StructureLearner(params, store, cfg,
                                   np.arange(store.num_nodes))
     borrowed = 0
     for start in (6000, 9000, 11_990):
@@ -508,7 +497,7 @@ def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
         borrowed += int((feat >= 0).sum())
         rows = np.unique(np.concatenate([ctx[mask > 0], feat[feat >= 0]]))
         prefix = np.unique(idx.eid[(idx.ts < t_ref) & (idx.eid < start)])
-        full = ts.etgnn_forward(prefix, store, params, te)
+        full = ts.etgnn_forward(prefix, store, params)
         et = det["etgnn"]
         got = et.edge_f.values[et.event_rows(rows)]
         want = full.edge_f.values[full.event_rows(rows)]
@@ -525,7 +514,7 @@ def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
     params = ts.TgslParams(8, store.node_dim, store.edge_dim, layers=2,
                            seed=4)
     learner = ts.StructureLearner(
-        params, TimeEncodingConfig(8), store,
+        params, store,
         RunConfig(strategy=strategy, k=2, n_can=4, n_rnn=3, fanouts="3,2,2"),
         pool)
     seen = []
