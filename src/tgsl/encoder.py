@@ -16,10 +16,13 @@ their slot positions with one cand_features row and one rho weight each, so
 only those positions cost added-slot work; a real slot weighs 1 and a pad
 0, as the mask says. Its backward returns no gradient for a constant input
 (the time encodings, the real events' edge rows, the bottom layer's
-neighbor states).
+neighbor states). Those constants, the neighbor blocks and the (node, t)
+dedup form a parameter-free EncodePlan, built once and applied by any
+encoder of the same config.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from . import autodiff as ad
 
 __all__ = [
     "time_frequencies", "time_encode", "time_context",
-    "EncoderParams", "TgatEncoder",
+    "EncoderParams", "LayerPlan", "EncodePlan", "TgatEncoder",
 ]
 
 
@@ -101,6 +104,47 @@ class EncoderParams(ad.ParamSet):
         add("score.b2", (1,), d_hidden)
 
 
+class LayerPlan(NamedTuple):
+    """One layer of an EncodePlan, b rows of n slots: `inverse` gathers the
+    layer's b self rows and b * n slot rows from the distinct rows below
+    (None at layer 1, whose rows are node feature rows); the [b, n] slot
+    mask; the real events' edge rows at their raw width; the [b, n, d] time
+    encodings; and the added slots' np.nonzero positions with their
+    added-edge indices."""
+    inverse: object
+    mask: np.ndarray
+    e_rows: np.ndarray
+    te: np.ndarray
+    positions: tuple
+    added: np.ndarray
+
+
+class EncodePlan(NamedTuple):
+    """The parameter-free part of one encode: the view, pairs and max_eid
+    it was built for, `base`, the node ids of the layer-0 rows, and one
+    LayerPlan per layer, bottom first. It reads the view's cand_features
+    and rho when applied, so it is valid only while its view is."""
+    view: object
+    nodes: np.ndarray
+    ts: np.ndarray
+    max_eid: object
+    base: np.ndarray
+    layers: list
+
+
+def _distinct_pairs(nodes, ts):
+    """The distinct (node, t) pairs in (node, t) order and each pair's
+    index among them: the rows and inverse of np.unique over the stacked
+    pairs with axis=0, from one lexsort."""
+    order = np.lexsort((ts, nodes))
+    n_s, t_s = nodes[order], ts[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (n_s[1:] != n_s[:-1]) | (t_s[1:] != t_s[:-1])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return n_s[new], t_s[new], inverse
+
+
 class TgatEncoder:
     """Multi-head temporal attention over a graph view.
 
@@ -109,6 +153,12 @@ class TgatEncoder:
     Slots with event ids >= 0 are real events, whose feature rows are
     edge_features[feat_ids[eid]]; a slot with id -1 - j is the view's added
     edge j, with feature row cand_features[j] and weight rho[j].
+
+    encode_batch is apply(plan(...)): plan() gathers everything that does
+    not depend on the parameters into an EncodePlan, and apply() runs the
+    layers on it. Encoders of the same config and store can apply one
+    another's plans, so a training batch's momentum key encoder and query
+    encoder share one.
     """
 
     def __init__(self, params, store, n_nb=20):
@@ -127,78 +177,110 @@ class TgatEncoder:
         self.edge_feat = store.edge_features.astype(self.dtype)
         self.feat_ids = store.feat_ids
 
-    # -- recursive embedding
+    # -- embedding: a parameter-free plan, then the layers applied to it
 
-    def encode_batch(self, view, nodes, ts, max_eid=None):
-        """Embeddings for (node, t) pairs; returns a [B, d_model] tensor."""
+    def encode_batch(self, view, nodes, ts, max_eid=None, plan=None):
+        """Embeddings for (node, t) pairs; returns a [B, d_model] tensor.
+        It is apply(plan(view, nodes, ts, max_eid)); a caller that already
+        built that plan (a training batch shares one between the key and
+        query encoders) passes it as `plan`."""
+        if plan is None:
+            plan = self.plan(view, nodes, ts, max_eid)
+        elif not (plan.view is view and plan.max_eid == max_eid
+                  and np.array_equal(plan.nodes, nodes)
+                  and np.array_equal(plan.ts, ts)):
+            raise ValueError("encode_batch: the plan was built for other "
+                             "pairs, view or max_eid")
+        return self.apply(plan)
+
+    def plan(self, view, nodes, ts, max_eid=None):
+        """The parameter-free part of encoding (node, t) pairs on `view`,
+        as an EncodePlan for apply(). Each layer attends over the view's
+        n_nb most recent slots before t, so the plan queries the view top
+        layer first: a layer's rows are the (node, t) pairs the layer
+        above reads, its self pairs followed by its slot pairs. Above
+        layer 1 identical pairs are deduplicated; at layer 1 the rows are
+        node feature rows, a flat gather for which dedup would cost more
+        than it saves. The time encodings of every layer's gaps come from
+        one time_encode call."""
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= len(self.node_feat)):
             raise ValueError("encode_batch: node id outside the graph")
-        return self._embed(view, nodes, ts, self.params.layers, max_eid)
+        q_nodes, q_ts = nodes, ts
+        tops, gaps = [], []
+        for layer in range(self.params.layers, 0, -1):
+            ids, eids, tss, mask = view.batch_neighbors(nodes, ts, self.n_nb,
+                                                        max_eid)
+            # real events bring their edge row and weight 1; added edge j
+            # is a position that brings cand_features[j] and rho[j] in
+            # apply; pads bring zeros
+            real_m = mask * (eids >= 0)
+            e_rows = self.edge_feat[self.feat_ids[np.where(real_m > 0, eids, 0)]]
+            e_rows[real_m == 0] = 0
+            pos = np.nonzero((mask > 0) & (eids < 0))
+            gaps.append((ts[:, None] - tss).ravel())
+            nodes = np.concatenate([nodes, ids.ravel()])
+            ts = np.concatenate([ts, tss.ravel()])
+            inverse = None
+            if layer > 1:
+                nodes, ts, inverse = _distinct_pairs(nodes, ts)
+            tops.append((inverse, mask, e_rows, pos, -1 - eids[pos]))
+        layers = []
+        if gaps:
+            te = time_encode(np.concatenate(gaps), self.params.d_model,
+                             dtype=self.dtype)
+            end = len(te)
+            for inverse, mask, e_rows, pos, j in reversed(tops):
+                start = end - mask.size
+                layers.append(LayerPlan(
+                    inverse, mask, e_rows,
+                    te[start:end].reshape(*mask.shape, -1), pos, j))
+                end = start
+        return EncodePlan(view, q_nodes, q_ts, max_eid, nodes, layers)
 
-    def _embed(self, view, nodes, ts, layer, max_eid):
-        """Layer-`layer` embeddings of (node, t) pairs: attention over the
-        view's n_nb most recent slots before t, recursing one layer down
-        for the self and neighbor states. Each slot's value is scaled by 1
-        for a real event, rho[j] for added edge j (event id -1 - j) and 0
-        for a pad. Layer 0 is the node feature rows at their raw width.
-        The attention itself is one ad.temporal_attention op, which gets
-        the real events' edge rows at their raw width, the mask as the
-        slot weights, and the added slots as positions with their
-        cand_features rows and rho weights."""
-        if layer == 0:
-            return ad.constant(self.node_feat[nodes])
-        pre = f"enc.l{layer - 1}."
+    def apply(self, plan):
+        """Embeddings of a plan's pairs under this encoder's parameters;
+        returns a [B, d_model] tensor. Layer 0 is the node feature rows at
+        their raw width; each layer above is one ad.temporal_attention op
+        over the layer below's self and slot rows, whose slot values are
+        scaled by 1 for a real event, rho[j] for added edge j and 0 for a
+        pad, then the merge MLP. The op gets the real events' edge rows at
+        their raw width, the mask as the slot weights, and the added slots
+        as positions with their cand_features rows and rho weights. Tape
+        entries are recorded bottom layer first, each layer's after those
+        of the layers below it."""
         p = self.params
-        b = len(nodes)
-        ids, eids, tss, mask = view.batch_neighbors(nodes, ts, self.n_nb,
-                                                    max_eid)
-        n = ids.shape[1]
-
-        # one recursion covers self and neighbor embeddings; below layer 1
-        # identical (node, t) pairs are deduplicated, at layer 1 the lookup
-        # is a flat constant gather and dedup would cost more than it saves
-        all_nodes = np.concatenate([nodes, ids.ravel()])
-        all_ts = np.concatenate([ts, tss.ravel()])
-        if layer == 1:
-            emb = self._embed(view, all_nodes, all_ts, 0, max_eid)
-        else:
-            pairs = np.stack([all_nodes.astype(np.float64), all_ts], axis=1)
-            uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-            sub = self._embed(view, uniq[:, 0].astype(np.int64), uniq[:, 1],
-                              layer - 1, max_eid)
-            emb = ad.take(sub, inverse.reshape(-1))
-        w = emb.shape[1]
-        h_self = ad.narrow(emb, 0, 0, b)
-        h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, w))
-
-        # real events bring their edge row and weight 1; added edge j
-        # brings cand_features[j] and rho[j] in place of its row and
-        # weight; pads bring zeros
-        real_m = mask * (eids >= 0)
-        e_rows = self.edge_feat[self.feat_ids[np.where(real_m > 0, eids, 0)]]
-        e_rows[real_m == 0] = 0
-        pos = np.nonzero((mask > 0) & (eids < 0))
-        added = None
-        if len(pos[0]):
-            j = -1 - eids[pos]
-            added = (pos, ad.take(view.cand_features, j),
-                     ad.take(view.rho, j))
-
-        te_nbr = ad.constant(time_encode(ts[:, None] - tss, p.d_model,
-                                         dtype=self.dtype))
-        head = ad.temporal_attention(h_self, h_nbr, ad.constant(e_rows),
-                                     te_nbr, mask, p[pre + "wq"],
-                                     p[pre + "wk"], p[pre + "wv"], p.heads,
-                                     added)
-        # the merge MLP reads the top rows of w1 that (head || h_self) fills
-        w1 = p[pre + "w1"]
-        if head.shape[1] + w < w1.shape[0]:
-            w1 = ad.narrow(w1, 0, 0, head.shape[1] + w)
-        merged = ad.concat([head, h_self], axis=1)
-        hid = ad.relu(ad.add(ad.matmul(merged, w1), p[pre + "b1"]))
-        return ad.add(ad.matmul(hid, p[pre + "w2"]), p[pre + "b2"])
+        if len(plan.layers) != p.layers:
+            raise ValueError(f"apply: a {len(plan.layers)}-layer plan for a "
+                             f"{p.layers}-layer encoder")
+        emb = ad.constant(self.node_feat[plan.base])
+        for l, (inverse, mask, e_rows, te_nbr, pos, j) in enumerate(
+                plan.layers):
+            pre = f"enc.l{l}."
+            b, n = mask.shape
+            if inverse is not None:
+                emb = ad.take(emb, inverse)
+            w = emb.shape[1]
+            h_self = ad.narrow(emb, 0, 0, b)
+            h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, w))
+            added = None
+            if len(j):
+                added = (pos, ad.take(plan.view.cand_features, j),
+                         ad.take(plan.view.rho, j))
+            head = ad.temporal_attention(h_self, h_nbr, ad.constant(e_rows),
+                                         ad.constant(te_nbr), mask,
+                                         p[pre + "wq"], p[pre + "wk"],
+                                         p[pre + "wv"], p.heads, added)
+            # the merge MLP reads the top rows of w1 that (head || h_self)
+            # fills
+            w1 = p[pre + "w1"]
+            if head.shape[1] + w < w1.shape[0]:
+                w1 = ad.narrow(w1, 0, 0, head.shape[1] + w)
+            merged = ad.concat([head, h_self], axis=1)
+            hid = ad.relu(ad.add(ad.matmul(merged, w1), p[pre + "b1"]))
+            emb = ad.add(ad.matmul(hid, p[pre + "w2"]), p[pre + "b2"])
+        return emb
 
     # -- link scoring head
 

@@ -473,51 +473,59 @@ class StructureLearner:
     candidates -> time mapping -> Gumbel-Top-K -> augmented view.
 
     Reads strategy, k, n_can, n_rnn, tau_gumbel and fanouts from the run
-    config."""
+    config. Random candidates borrow no edge row, so their feature rows are
+    zero, their score m = zhat . fhat is exactly 0 and rho is the squashed
+    noise alone: no parameter reaches it. So under `random`, `learns` is
+    False: propose runs neither the ET-GNN nor the LSTM, and the context
+    rows it maps are zero as well."""
 
     def __init__(self, params, store, cfg, random_pool=None):
         self.params = params
         self.store = store
         self.cfg = cfg
         self.random_pool = random_pool
+        self.learns = cfg.strategy != "random"
 
     def propose(self, index, src_nodes, *, t_ref, t_max, seed, view_base,
                 mode="stochastic", max_eid=None, etgnn_cache=None):
         """Build the augmented view for a batch of source nodes. Candidates
         come from `index`; the view inserts the selected ones into
         `view_base`. Returns (view, detail dict) — the view is ephemeral to
-        this batch."""
+        this batch; the detail's context and etgnn are None when the
+        learner does not learn."""
         cfg = self.cfg
         src_nodes = np.unique(np.asarray(src_nodes, dtype=np.int64))
         if cfg.k == 0:
             return AugmentedView(view_base), {}
         fanouts = cfg.fanout_list()
-        if etgnn_cache is not None:
+        et = z = None
+        if self.learns:
             et = etgnn_cache
-        else:
-            # an L-layer edge row reads the edges of its endpoints' L-1
-            # rings; the rows read belong to the sources' own edges and to
-            # the last hop of a walk, which starts len(fanouts) - 1 away
-            levels = self.params.layers + (
-                len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
-            window = visible_window(index, src_nodes, t_ref, levels, max_eid)
-            et = etgnn_forward(window, self.store, self.params)
-        z = context_predict_batch(self.params, et, index, src_nodes, t_ref,
-                                  cfg.n_rnn, max_eid)
+            if et is None:
+                # an L-layer edge row reads the edges of its endpoints' L-1
+                # rings; the rows read belong to the sources' own edges and
+                # to the last hop of a walk, which starts len(fanouts) - 1
+                # away
+                levels = self.params.layers + (
+                    len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
+                window = visible_window(index, src_nodes, t_ref, levels,
+                                        max_eid)
+                et = etgnn_forward(window, self.store, self.params)
+            z = context_predict_batch(self.params, et, index, src_nodes,
+                                      t_ref, cfg.n_rnn, max_eid)
         cands = sample_candidates(
             src_nodes, cfg.strategy, index, cfg.n_can, seed, t_ref=t_ref,
             t_max=t_max, random_pool=self.random_pool, max_eid=max_eid,
             fanouts=fanouts)
         if len(cands) == 0:
             return AugmentedView(view_base), {"candidates": cands}
-        z_rows = ad.take(z, np.searchsorted(src_nodes, cands.src))
-        # one-hop and third-hop borrow an edge row for every candidate,
-        # random borrows none
-        if cfg.strategy == "random":
-            feat_rows = ad.constant(
-                np.zeros((len(cands), self.params.d_model), dtype=z.dtype))
-        else:
+        if self.learns:
+            # one-hop and third-hop borrow an edge row for every candidate
+            z_rows = ad.take(z, np.searchsorted(src_nodes, cands.src))
             feat_rows = ad.take(et.edge_f, et.event_rows(cands.feat_eid))
+        else:
+            z_rows = feat_rows = ad.constant(np.zeros(
+                (len(cands), self.params.d_model), dtype=self.params.dtype))
         zhat, fhat = time_map_batch(z_rows, feat_rows, cands.t_new, t_max,
                                     cands.t_sample)
         m, rho, sel = gumbel_topk_select(

@@ -10,6 +10,7 @@ inductive protocols, with inference on the augmented view in noise-free
 mode.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -109,11 +110,14 @@ class RunConfig:
         if self.d_model % self.heads:
             raise ConfigError(f"heads must divide d_model {self.d_model}, "
                               f"got {self.heads}")
-        for key in ("tau_gumbel", "tau_cl"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be > 0, got "
+        for key in ("tau_gumbel", "tau_cl", "lr"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0, got "
                                   f"{getattr(self, key)}")
-        for key in ("alpha", "moco_momentum"):
+        if not 0 <= self.synth_jitter < math.inf:
+            raise ConfigError(f"synth_jitter must be finite and >= 0, got "
+                              f"{self.synth_jitter}")
+        for key in ("alpha", "moco_momentum", "synth_noise"):
             if not (0.0 <= getattr(self, key) <= 1.0):
                 raise ConfigError(f"{key} must be in [0, 1], got "
                                   f"{getattr(self, key)}")
@@ -225,17 +229,19 @@ def info_nce_batch(q, k_pos, queue, tau):
 
 
 def batch_loss(enc, learner, index, src, dst, neg, tss, *, max_eid, t_max,
-               seed, keys, queue, alpha, tau):
+               seed, keys, queue, alpha, tau, plan=None):
     """The multi-task loss of one training batch of (src, dst, t) events
     with negatives `neg`: link BCE on `index`, and with a structure learner
     also link BCE on the view it proposes into `index`, and with `keys`
     alpha times the InfoNCE of the view's [src | dst] embeddings against
-    `keys` and `queue`. Returns (loss_ori, loss_aug, loss_cl, total), with
-    None for each term that is absent; total sums the others."""
+    `keys` and `queue`. `plan`, if given, is the encode plan of the
+    [src | dst | neg] pairs on `index`, which the original-view pass then
+    applies. Returns (loss_ori, loss_aug, loss_cl, total), with None for
+    each term that is absent; total sums the others."""
     b = len(src)
     nodes3 = np.concatenate([src, dst, neg])
     ts3 = np.concatenate([tss, tss, tss])
-    emb_ori = enc.encode_batch(index, nodes3, ts3, max_eid=max_eid)
+    emb_ori = enc.encode_batch(index, nodes3, ts3, max_eid=max_eid, plan=plan)
     loss_ori = bce_link_loss(*enc.score_links(emb_ori, b))
     if learner is None:
         return loss_ori, None, None, loss_ori
@@ -334,9 +340,15 @@ class Trainer:
     """Owns the encoders, structure learner, optimizer and MoCo state for
     one run of `cfg` (a RunConfig) under one training seed. Only a weighted
     contrastive term (use_tgsl on, alpha > 0) gets MoCo state and a key
-    encoder; otherwise both are None and loss_cl reads 0. With use_tgsl
-    off it is the plain encoder baseline (single supervised loss, no
-    augmentation at inference)."""
+    encoder; otherwise both are None and loss_cl reads 0. With a key
+    encoder, each training batch builds one encode plan of its [src | dst
+    | neg] pairs on the original view, which the key encoder applies
+    (keeping the [src | dst] rows) and the query's original-view pass
+    reuses; the plan and the batch's tape are dropped before the next
+    batch. Under strategy=random
+    the learner does not learn, so its tensors are kept out of Adam (they
+    stay in the snapshot). With use_tgsl off it is the plain encoder
+    baseline (single supervised loss, no augmentation at inference)."""
 
     def __init__(self, store, split, cfg, seed):
         self.store = store
@@ -373,7 +385,10 @@ class Trainer:
                                           seed=_seed(seed, 2))
             self.learner = StructureLearner(self.tgsl_params, store, cfg,
                                             self.train_nodes)
-            params = params + self.tgsl_params.parameters()
+            # no tgsl tensor reaches the loss when the learner does not
+            # learn (random candidates): they stay at init, out of Adam
+            if self.learner.learns:
+                params = params + self.tgsl_params.parameters()
         else:
             self.tgsl_params = None
             self.learner = None
@@ -397,13 +412,17 @@ class Trainer:
             start_eid = int(batch[0])
             neg = sample_negatives(dst, self.train_dst_pool,
                                    _seed(self.seed, epoch, bi, 3))
-            keys = queue = None
+            keys = queue = plan = None
             if self.moco is not None:
+                # one plan of the original view's [src | dst | neg] pairs
+                # serves the key pass, which keeps the [src | dst] rows,
+                # and the query's original-view pass
+                plan = self.q_enc.plan(
+                    self.train_index, np.concatenate([src, dst, neg]),
+                    np.concatenate([tss, tss, tss]), max_eid=start_eid)
                 with ad.no_grad():
-                    k_emb = self.k_enc.encode_batch(
-                        self.train_index, np.concatenate([src, dst]),
-                        np.concatenate([tss, tss]), max_eid=start_eid)
-                keys = _l2_rows_np(k_emb.values)
+                    k_emb = self.k_enc.apply(plan)
+                keys = _l2_rows_np(k_emb.values[:2 * len(batch)])
                 queue = self.moco.queue
             with ad.Tape() as tape:
                 loss_ori, loss_aug, loss_cl, total = batch_loss(
@@ -411,11 +430,14 @@ class Trainer:
                     neg, tss, max_eid=start_eid,
                     t_max=self.split.t_max_train,
                     seed=_seed(self.seed, epoch, bi, 1), keys=keys,
-                    queue=queue, alpha=cfg.alpha, tau=cfg.tau_cl)
+                    queue=queue, alpha=cfg.alpha, tau=cfg.tau_cl, plan=plan)
                 if not np.isfinite(total.values):
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch} batch {bi}")
                 tape.backward(total)
+            # the tape holds this batch's arrays: free it now, not when the
+            # next batch opens its own, after its plan and key pass
+            tape = None
             ad.adam_step(self.opt)
             if self.moco is not None:
                 moco_step(self.moco, self.q_params, keys)
@@ -462,7 +484,8 @@ class Trainer:
         scores, labels = [], []
         bs = cfg.batch_size
         with ad.no_grad():
-            if augmented:
+            et_cache = None
+            if augmented and self.learner.learns:
                 et_cache = etgnn_forward(self.split.usable_train_ids, store,
                                          self.tgsl_params)
             for bi in range(0, len(ids), bs):

@@ -341,3 +341,75 @@ def test_grad_check_flags_relu_kink():
 def test_grad_check_rejects_nonfinite_fn():
     with pytest.raises(ad.NonFiniteError):
         ad.grad_check(lambda x: ad.sum_(ad.log(x)), [np.array([5e-6])])
+
+
+# ---------------------------------------------------------------------------
+# the sorted scatter-add behind take's backward and segment_sum
+
+def _scatter_cases():
+    rng = np.random.default_rng(3)
+    heavy = np.zeros(12_000, dtype=np.int64)
+    heavy[:600] = np.arange(600)          # one target takes 11,401 rows
+    signed = np.where(rng.random((3000, 100)) < 0.5, np.float32(-0.0),
+                      np.float32(0.0)).astype(np.float32)
+    return {
+        "random": (900, rng.integers(0, 900, 12_600),
+                   rng.standard_normal((12_600, 100)).astype(np.float32)),
+        "heavy": (600, heavy,
+                  rng.standard_normal((12_000, 100)).astype(np.float32)),
+        "signed-zeros": (50, rng.integers(0, 50, 3000), signed),
+        "empty": (10, np.zeros(0, dtype=np.int64),
+                  np.zeros((0, 100), dtype=np.float32)),
+        "width-1": (40, rng.integers(0, 40, 5000),
+                    rng.standard_normal((5000, 1)).astype(np.float32)),
+        "width-2": (40, rng.integers(0, 40, 5000),
+                    rng.standard_normal((5000, 2)).astype(np.float32)),
+        "1-d": (40, rng.integers(0, 40, 5000),
+                rng.standard_normal(5000).astype(np.float32)),
+        "3-d": (70, rng.integers(0, 70, 4000),
+                rng.standard_normal((4000, 4, 8)).astype(np.float32)),
+        "float64": (300, rng.integers(0, 300, 8000),
+                    rng.standard_normal((8000, 64))),
+        "2-d-index": (30, rng.integers(0, 30, (40, 50)),
+                      rng.standard_normal((40, 50, 48)).astype(np.float32)),
+        # -1 and 59 name one row, which must not land in one round twice
+        "negative-index": (60, rng.integers(-60, 60, 6000),
+                           rng.standard_normal((6000, 40)).astype(np.float32)),
+    }
+
+
+@pytest.mark.parametrize("min_width", [None, 2])
+@pytest.mark.parametrize("case", sorted(_scatter_cases()))
+def test_scatter_add_matches_add_at_bitwise(case, min_width, monkeypatch):
+    """_scatter_add equals np.add.at byte for byte, into zeros and into
+    values already there; min_width 2 sends narrow rows down the sorted
+    path too, where its axis-0 reduce must still add in sequence."""
+    if min_width is not None:
+        monkeypatch.setattr(ad, "_SORTED_SCATTER_MIN", min_width)
+    n, idx, vals = _scatter_cases()[case]
+    shape = (n,) + vals.shape[idx.ndim:]
+    for start in (np.zeros(shape, dtype=vals.dtype),
+                  np.random.default_rng(1).standard_normal(shape)
+                  .astype(vals.dtype)):
+        want = start.copy()
+        np.add.at(want, idx, vals)
+        got = ad._scatter_add(start.copy(), idx, vals)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_take_and_segment_sum_scatter_like_add_at():
+    """take's gradient and segment_sum's forward are np.add.at's sums, bit
+    for bit, on rows wide enough for the sorted path."""
+    rng = np.random.default_rng(4)
+    idx = rng.integers(0, 200, 3000)
+    idx[:1500] = 7
+    vals = rng.standard_normal((3000, 64)).astype(np.float32)
+    want = np.zeros((200, 64), dtype=np.float32)
+    np.add.at(want, idx, vals)
+    assert ad.segment_sum(ad.constant(vals), idx, 200).values.tobytes() == \
+        want.tobytes()
+    a = ad.param(rng.standard_normal((200, 64)).astype(np.float32))
+    with ad.Tape() as tape:
+        loss = ad.sum_(ad.mul(ad.take(a, idx), ad.constant(vals)))
+    tape.backward(loss)
+    assert a.grad.tobytes() == want.tobytes()

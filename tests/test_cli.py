@@ -287,7 +287,9 @@ def test_train_determinism_byte_identical_metrics(tmp_path):
     "tau_cl=0", "d_model=0", "strategy=third-hop fanouts=0,1,1", "layers=0",
     "moco_queue=0", "n_can=0", "n_rnn=0", "d_hidden=0", "max_epochs=0",
     "mask_frac=1.0", "moco_momentum=2", "synth_events=0",
-    "synth_communities=20"])
+    "synth_communities=20", "lr=-0.01", "lr=0", "lr=nan", "lr=inf",
+    "synth_noise=1.5", "synth_noise=nan", "synth_jitter=-1",
+    "synth_jitter=inf", "tau_gumbel=inf", "tau_cl=inf"])
 def test_train_bad_value_exits_config(tmp_path, capsys, bad):
     """`bad` is one or more space-separated --set pairs; the last one names
     the key the error must mention."""

@@ -735,3 +735,76 @@ def test_feature_dim_exceeding_model_dim_rejected():
     with pytest.raises(ValueError, match="d_model"):
         te.TgatEncoder(te.EncoderParams(2, layers=1, heads=1, d_hidden=2),
                        store)
+
+
+# ---------------------------------------------------------------------------
+# the encode plan
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_distinct_pairs_match_unique_rows_and_inverse(seed):
+    rng = np.random.default_rng(seed)
+    nodes = rng.integers(0, 30, 4000)
+    ts = rng.integers(0, 40, 4000).astype(np.float64) * 0.5
+    ts[::7] = 0.0
+    pairs = np.stack([nodes.astype(np.float64), ts], axis=1)
+    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    got_n, got_t, got_inv = te._distinct_pairs(nodes, ts)
+    assert np.array_equal(got_n, uniq[:, 0].astype(np.int64))
+    assert got_t.tobytes() == uniq[:, 1].tobytes()
+    assert np.array_equal(got_inv, inverse.reshape(-1))
+    empty = te._distinct_pairs(nodes[:0], ts[:0])
+    assert [len(x) for x in empty] == [0, 0, 0]
+
+
+def plan_fixture(layers):
+    store = synth_generate(2, 30, 30, 900, 0.1, seed=6)
+    idx = NeighborIndex.build(store, np.arange(800))
+    batch = np.arange(700, 760)
+    src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
+    neg = np.random.default_rng(0).permutation(dst)
+    encs = [te.TgatEncoder(te.EncoderParams(16, layers=layers, heads=2,
+                                            d_hidden=16, seed=s), store,
+                           n_nb=8) for s in (1, 2)]
+    return idx, src, dst, neg, tss, int(batch[0]), encs
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_key_rows_of_a_shared_plan_match_their_own_encode(layers):
+    """The key pass applies the plan of [src | dst | neg] built by the
+    query encoder; its first 2b rows are, bit for bit, the key encoder's
+    own encode of [src | dst]."""
+    idx, src, dst, neg, tss, max_eid, (q_enc, k_enc) = plan_fixture(layers)
+    b = len(src)
+    plan = q_enc.plan(idx, np.concatenate([src, dst, neg]),
+                      np.concatenate([tss, tss, tss]), max_eid)
+    with ad.no_grad():
+        got = k_enc.apply(plan).values[:2 * b]
+        want = k_enc.encode_batch(idx, np.concatenate([src, dst]),
+                                  np.concatenate([tss, tss]),
+                                  max_eid).values
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_encode_batch_with_a_plan_records_the_same_tape(layers):
+    """Passing the plan changes nothing: the same output bytes, tape
+    length and gradients; a plan of other pairs is refused."""
+    idx, src, dst, neg, tss, max_eid, (q_enc, _) = plan_fixture(layers)
+    nodes = np.concatenate([src, dst, neg])
+    ts3 = np.concatenate([tss, tss, tss])
+    plan = q_enc.plan(idx, nodes, ts3, max_eid)
+    runs = []
+    for given in (None, plan):
+        with ad.Tape() as tape:
+            out = q_enc.encode_batch(idx, nodes, ts3, max_eid, plan=given)
+            tape.backward(ad.sum_(ad.mul(out, out)))
+        runs.append((out.values.tobytes(), len(tape),
+                     [p.grad.tobytes() for p in q_enc.params.parameters()
+                      if p.name.startswith("enc.")]))
+        for p in q_enc.params.parameters():
+            p.zero_grad()
+    assert runs[0] == runs[1]
+    with pytest.raises(ValueError, match="plan"):
+        q_enc.encode_batch(idx, nodes[::-1], ts3, max_eid, plan=plan)
+    with pytest.raises(ValueError, match="plan"):
+        q_enc.encode_batch(idx, nodes, ts3, max_eid - 1, plan=plan)

@@ -495,6 +495,10 @@ def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
                                               start)
         feat = det["candidates"].feat_eid
         borrowed += int((feat >= 0).sum())
+        if strategy == "random":
+            # no row reaches rho, so propose runs no ET-GNN to read
+            assert det["etgnn"] is None and det["context"] is None
+            continue
         rows = np.unique(np.concatenate([ctx[mask > 0], feat[feat >= 0]]))
         prefix = np.unique(idx.eid[(idx.ts < t_ref) & (idx.eid < start)])
         full = ts.etgnn_forward(prefix, store, params)

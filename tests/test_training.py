@@ -391,3 +391,32 @@ def test_evaluate_reports_both_settings():
         assert 0.0 <= rep.acc <= 1.0
         assert 0.0 <= rep.ap <= 1.0
     assert trans.setting == "transductive"
+
+
+def test_random_strategy_runs_no_learner_and_keeps_it_out_of_adam(
+        monkeypatch):
+    """Random candidates borrow no edge row, so no tgsl tensor reaches
+    rho: the ET-GNN and the LSTM never run, the tgsl tensors are not in
+    Adam and stay at their init, and the snapshot still holds them."""
+    from tgsl import structure
+
+    def never(*args, **kwargs):
+        raise AssertionError("the learner ran under strategy=random")
+
+    monkeypatch.setattr(structure, "etgnn_forward", never)
+    monkeypatch.setattr(structure, "context_predict_batch", never)
+    monkeypatch.setattr(tt, "etgnn_forward", never)
+    store = synth_generate(2, 20, 20, 700, 0.1, seed=11)
+    split = chronological_split(store, mask_frac=0.1, seed=2)
+    cfg = tt.RunConfig(**dict(TINY, strategy="random"), alpha=0.5, k=3)
+    tr = tt.Trainer(store, split, cfg, 0)
+    assert not tr.learner.learns
+    init = tr.tgsl_params.state_dict()
+    in_adam = {id(p) for p in tr.opt.params}
+    assert not any(id(p) in in_adam for p in tr.tgsl_params.parameters())
+    tr.train_epoch(0)
+    tr.evaluate("transductive", "val", limit=100)
+    snap = tr.snapshot()
+    assert list(snap["tgsl"]) == list(init)
+    for name, values in init.items():
+        assert snap["tgsl"][name].tobytes() == values.tobytes(), name
