@@ -17,8 +17,13 @@ ET-GNN runs over a visible window of `layers + (len(fanouts) - 1 if
 third-hop else 0)` rings, exactly as deep as the edge rows the learner
 reads, so those rows equal the ones computed over the whole visible prefix.
 The learner reads only edge rows, so the ET-GNN's last layer updates edges
-only: `tgsl.l{l}.wh` exists for l < L-1, `tgsl.l{l}.wf` for every l.
+only: `tgsl.l{l}.wh` exists for l < L-1, `tgsl.l{l}.wf` for every l. At
+inference the cut and the parameters are fixed, so the ET-GNN over the
+training events and every node's context are computed once per
+evaluation (`StructureLearner.inference_cache`) and read by each batch.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +35,7 @@ __all__ = [
     "TgslParams", "EtgnnOutput", "etgnn_forward", "context_predict_batch",
     "CandidateBatch", "sample_candidates", "time_map_batch",
     "gumbel_topk_select", "AugmentedView", "build_augmented_view",
-    "visible_window", "StructureLearner",
+    "visible_window", "InferenceCache", "StructureLearner",
 ]
 
 STRATEGIES = ("one-hop", "third-hop", "random")
@@ -72,20 +77,30 @@ class TgslParams(ad.ParamSet):
 
 class EtgnnOutput:
     """Layer-L edge embeddings over a visible event window: row i belongs
-    to event_ids[i] (sorted ascending), and event_rows maps ids to rows."""
+    to event_ids[i] (sorted ascending, distinct). event_rows maps ids to
+    rows through a dense array over [event_ids[0], event_ids[-1]], built
+    once per output, with -1 on the ids the window skips."""
 
     def __init__(self, event_ids, edge_f):
         self.event_ids = event_ids
         self.edge_f = edge_f
+        self._lo = int(event_ids[0]) if len(event_ids) else 0
+        self._row = np.full(int(event_ids[-1]) - self._lo + 1
+                            if len(event_ids) else 0, -1, dtype=np.int64)
+        self._row[event_ids - self._lo] = np.arange(len(event_ids))
 
     def event_rows(self, eids):
-        eids = np.asarray(eids, dtype=np.int64)
-        pos = np.searchsorted(self.event_ids, eids)
-        pos = np.clip(pos, 0, max(len(self.event_ids) - 1, 0))
-        if len(self.event_ids) == 0 or not np.array_equal(
-                self.event_ids[pos], eids):
+        """Rows of the given event ids; KeyError if any is not in the
+        window (below or above its range, or on a gap inside it)."""
+        off = np.asarray(eids, dtype=np.int64) - self._lo
+        if len(off) == 0:
+            return off
+        if off.min() < 0 or off.max() >= len(self._row):
             raise KeyError("event id outside the visible window")
-        return pos
+        rows = self._row[off]
+        if rows.min() < 0:
+            raise KeyError("event id outside the visible window")
+        return rows
 
 
 def etgnn_forward(event_ids, store, params):
@@ -398,16 +413,15 @@ class AugmentedView:
         a_ids, a_j, a_ts, a_mask = self.added.batch_neighbors(nodes, ts, n)
         if not a_mask.any():
             return ids, eids, tss, mask
-        b = len(ids)
-        valid = np.concatenate([mask, a_mask], axis=1)
+        valid = np.concatenate([mask, a_mask], axis=1) > 0
         t_all = np.concatenate([tss, a_ts], axis=1)
-        kind = np.broadcast_to(np.repeat([0, 1], n), (b, 2 * n))
-        index = np.concatenate([np.broadcast_to(np.arange(n), (b, n)), a_j],
-                               axis=1)
-        # pads sort first, then entries by (t, kind, index); the last
-        # min(total, n) per row are the most recent ones
-        order = np.lexsort((index, kind, t_all, valid), axis=1)
-        m = np.minimum(valid.sum(axis=1), n).astype(np.int64)
+        # pads (at -inf) sort first, then entries by t; at equal t the
+        # stable sort keeps column order: base columns, then added ones,
+        # which their CSR holds in (t, j) order. The last min(total, n)
+        # per row are the most recent ones
+        order = np.argsort(np.where(valid, t_all, -np.inf), axis=1,
+                           kind="stable")
+        m = np.minimum(valid.sum(axis=1), n)
         col = np.arange(n)
         keep = col < m[:, None]
         take = np.take_along_axis(
@@ -430,13 +444,15 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho):
     if len(selected_idx) == 0:
         return AugmentedView(base)
     sel = np.asarray(selected_idx, dtype=np.int64)
-    key = np.stack([cands.src[sel].astype(np.float64),
-                    cands.dst[sel].astype(np.float64),
-                    cands.t_new[sel]], axis=1)
-    _, first, inv = np.unique(key, axis=0, return_index=True,
-                              return_inverse=True)
-    inv = inv.reshape(-1)
-    if len(first) != len(sel):
+    src, dst, t = cands.src[sel], cands.dst[sel], cands.t_new[sel]
+    order = np.lexsort((t, dst, src))
+    s_o, d_o, t_o = src[order], dst[order], t[order]
+    new = np.ones(len(sel), dtype=bool)
+    new[1:] = (s_o[1:] != s_o[:-1]) | (d_o[1:] != d_o[:-1]) | (
+        t_o[1:] != t_o[:-1])
+    if not new.all():
+        inv = np.empty(len(sel), dtype=np.int64)
+        inv[order] = np.cumsum(new) - 1
         order = np.lexsort((np.arange(len(sel)), -rho.values[sel], inv))
         sel = sel[np.sort(order[_ranks(inv[order]) == 0])]
     fh = ad.take(fhat, sel)
@@ -468,12 +484,24 @@ def visible_window(index, nodes, t_ref, levels=2, max_eid=None):
     return np.unique(np.concatenate(eids))
 
 
+class InferenceCache(NamedTuple):
+    """What `propose` reads per node when the cut, the index and the
+    parameters are fixed, as at evaluation: the ET-GNN output over the
+    given events, the sorted node ids, and their context rows (one row per
+    node, in node order). Valid only while the parameters do not change."""
+    etgnn: EtgnnOutput
+    nodes: np.ndarray
+    context: ad.Tensor
+
+
 class StructureLearner:
     """End-to-end proposer: window -> edge embeddings -> contexts ->
     candidates -> time mapping -> Gumbel-Top-K -> augmented view.
 
     Reads strategy, k, n_can, n_rnn, tau_gumbel and fanouts from the run
-    config. Random candidates borrow no edge row, so their feature rows are
+    config. Training proposes per batch, its cut moving with the batch;
+    inference builds an `inference_cache` once and proposes from it.
+    Random candidates borrow no edge row, so their feature rows are
     zero, their score m = zhat . fhat is exactly 0 and rho is the squashed
     noise alone: no parameter reaches it. So under `random`, `learns` is
     False: propose runs neither the ET-GNN nor the LSTM, and the context
@@ -486,31 +514,48 @@ class StructureLearner:
         self.random_pool = random_pool
         self.learns = cfg.strategy != "random"
 
+    def inference_cache(self, index, event_ids, nodes, t_ref):
+        """The ET-GNN over `event_ids` and one LSTM context call over the
+        distinct `nodes`, at cut t_ref on `index`, for every `propose` of
+        these nodes at that cut."""
+        et = etgnn_forward(event_ids, self.store, self.params)
+        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        z = context_predict_batch(self.params, et, index, nodes, t_ref,
+                                  self.cfg.n_rnn)
+        return InferenceCache(et, nodes, z)
+
     def propose(self, index, src_nodes, *, t_ref, t_max, seed, view_base,
-                mode="stochastic", max_eid=None, etgnn_cache=None):
+                mode="stochastic", max_eid=None, cache=None):
         """Build the augmented view for a batch of source nodes. Candidates
         come from `index`; the view inserts the selected ones into
-        `view_base`. Returns (view, detail dict) — the view is ephemeral to
-        this batch; the detail's context and etgnn are None when the
-        learner does not learn."""
+        `view_base`. Without a cache, the ET-GNN runs over the sources'
+        visible window and the LSTM over the sources; a cache (an
+        `inference_cache` at this t_ref and index, holding every source)
+        supplies both, and its rows are read by node. Returns (view,
+        detail dict) — the view is ephemeral to this batch; the detail's
+        context (rows of the sources, or of the cache's nodes) and etgnn
+        are None when the learner does not learn."""
         cfg = self.cfg
         src_nodes = np.unique(np.asarray(src_nodes, dtype=np.int64))
         if cfg.k == 0:
             return AugmentedView(view_base), {}
         fanouts = cfg.fanout_list()
         et = z = None
-        if self.learns:
-            et = etgnn_cache
-            if et is None:
-                # an L-layer edge row reads the edges of its endpoints' L-1
-                # rings; the rows read belong to the sources' own edges and
-                # to the last hop of a walk, which starts len(fanouts) - 1
-                # away
-                levels = self.params.layers + (
-                    len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
-                window = visible_window(index, src_nodes, t_ref, levels,
-                                        max_eid)
-                et = etgnn_forward(window, self.store, self.params)
+        if self.learns and cache is not None:
+            et, nodes, z = cache
+            pos = np.minimum(np.searchsorted(nodes, src_nodes),
+                             len(nodes) - 1)
+            if len(nodes) == 0 or not np.array_equal(nodes[pos], src_nodes):
+                raise KeyError("source node outside the inference cache")
+        elif self.learns:
+            # an L-layer edge row reads the edges of its endpoints' L-1
+            # rings; the rows read belong to the sources' own edges and
+            # to the last hop of a walk, which starts len(fanouts) - 1 away
+            levels = self.params.layers + (
+                len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
+            window = visible_window(index, src_nodes, t_ref, levels, max_eid)
+            et = etgnn_forward(window, self.store, self.params)
+            nodes = src_nodes
             z = context_predict_batch(self.params, et, index, src_nodes,
                                       t_ref, cfg.n_rnn, max_eid)
         cands = sample_candidates(
@@ -521,7 +566,7 @@ class StructureLearner:
             return AugmentedView(view_base), {"candidates": cands}
         if self.learns:
             # one-hop and third-hop borrow an edge row for every candidate
-            z_rows = ad.take(z, np.searchsorted(src_nodes, cands.src))
+            z_rows = ad.take(z, np.searchsorted(nodes, cands.src))
             feat_rows = ad.take(et.edge_f, et.event_rows(cands.feat_eid))
         else:
             z_rows = feat_rows = ad.constant(np.zeros(

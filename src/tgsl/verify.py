@@ -305,8 +305,9 @@ def leakage_suite(trials=50, seed=11):
     """Outputs at time t must not move when events at or after t change:
     the encoder on the plain index, ET-GNN and the LSTM context over the
     visible window, and the structure learner's proposal (stochastic and
-    noise-free, the strategy cycling per trial) with the encoder on the
-    augmented view it builds."""
+    noise-free, the strategy cycling per trial, per batch and through an
+    inference cache at t) with the encoder on the augmented view it
+    builds."""
     rng = np.random.default_rng(seed)
     pool = np.arange(16)            # random-strategy pool no perturbation moves
     worst = 0.0
@@ -332,13 +333,18 @@ def leakage_suite(trials=50, seed=11):
             z = context_predict_batch(tg_p, et, idx, nodes, t, 4).values
             out = [emb, et.edge_f.values, z]
             learner = StructureLearner(tg_p, st, run_cfg, pool)
-            for mode in ("stochastic", "noise-free"):
-                view, _ = learner.propose(
-                    idx, nodes, t_ref=t, t_max=t, seed=trial, view_base=idx,
-                    mode=mode)
-                out.append(np.zeros(0) if view.rho is None
-                           else view.rho.values)
-                out.append(enc.encode_batch(view, nodes, tss).values)
+            # per batch, and through an inference cache built at t
+            caches = [None]
+            if learner.learns:
+                caches.append(learner.inference_cache(idx, visible, nodes, t))
+            for cache in caches:
+                for mode in ("stochastic", "noise-free"):
+                    view, _ = learner.propose(
+                        idx, nodes, t_ref=t, t_max=t, seed=trial,
+                        view_base=idx, mode=mode, cache=cache)
+                    out.append(np.zeros(0) if view.rho is None
+                               else view.rho.values)
+                    out.append(enc.encode_batch(view, nodes, tss).values)
             return out
 
         base = outputs(store)

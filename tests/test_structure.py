@@ -5,7 +5,7 @@ from tgsl import autodiff as ad
 from tgsl import structure as ts
 from tgsl.encoder import EncoderParams, TgatEncoder, time_frequencies
 from tgsl.graph import EventStore, NeighborIndex, chronological_split, synth_generate
-from tgsl.training import RunConfig
+from tgsl.training import RunConfig, Trainer
 
 
 def single_edge_store(t=0.0):
@@ -87,6 +87,35 @@ def test_etgnn_empty_window():
     params = ts.TgslParams(4, 2, 2, layers=1, seed=0)
     out = ts.etgnn_forward(np.array([], dtype=np.int64), store, params)
     assert out.edge_f.shape == (0, 4)
+
+
+def test_event_rows_of_no_ids_is_empty():
+    for ids in (np.zeros(0, dtype=np.int64), np.array([3, 5])):
+        rows = ts.EtgnnOutput(ids, None).event_rows([])
+        assert rows.shape == (0,) and rows.dtype == np.int64
+
+
+def test_event_rows_match_searchsorted():
+    ids = np.array([4, 5, 8, 10])
+    q = np.array([10, 4, 8, 8, 5])
+    rows = ts.EtgnnOutput(ids, None).event_rows(q)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, np.searchsorted(ids, q))
+
+
+@pytest.mark.parametrize("ids, eids", [
+    ([4, 5, 8, 10], [6]),          # a gap inside the range
+    ([4, 5, 8, 10], [5, 9]),
+    ([4, 5, 8, 10], [3]),          # below
+    ([4, 5, 8, 10], [11]),         # above
+    ([4, 5, 8, 10], [-1]),         # random's feature id
+    ([0, 2], [-1]),                # must not wrap to the last row
+    ([], [0]),                     # an empty window
+])
+def test_event_rows_outside_the_window_raise(ids, eids):
+    out = ts.EtgnnOutput(np.asarray(ids, dtype=np.int64), None)
+    with pytest.raises(KeyError):
+        out.event_rows(eids)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +433,104 @@ def test_dedupe_keeps_larger_rho():
     assert view.rho.values[0] == np.float64(0.8)
 
 
+def lexsort_batch_neighbors(view, nodes, ts_, n, max_eid=None):
+    """The augmented merge as a four-key lexsort (pads first, then t, then
+    base before added, then column or j): the reference for the stable
+    argsort over the slot times."""
+    ids, eids, tss, mask = view.base.batch_neighbors(nodes, ts_, n, max_eid)
+    a_ids, a_j, a_ts, a_mask = view.added.batch_neighbors(nodes, ts_, n)
+    if not a_mask.any():
+        return ids, eids, tss, mask
+    b = len(ids)
+    valid = np.concatenate([mask, a_mask], axis=1)
+    t_all = np.concatenate([tss, a_ts], axis=1)
+    kind = np.broadcast_to(np.repeat([0, 1], n), (b, 2 * n))
+    index = np.concatenate([np.broadcast_to(np.arange(n), (b, n)), a_j],
+                           axis=1)
+    order = np.lexsort((index, kind, t_all, valid), axis=1)
+    m = np.minimum(valid.sum(axis=1), n).astype(np.int64)
+    col = np.arange(n)
+    keep = col < m[:, None]
+    take = np.take_along_axis(
+        order, np.where(keep, 2 * n - m[:, None] + col, 0), axis=1)
+
+    def pick(block, pad):
+        return np.where(keep, np.take_along_axis(block, take, axis=1), pad)
+
+    return (pick(np.concatenate([ids, a_ids], axis=1), 0),
+            pick(np.concatenate([eids, -1 - a_j], axis=1), 0),
+            pick(t_all, 0.0), keep.astype(np.float64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_augmented_merge_matches_lexsort_form(seed):
+    """Added edges at base event times and several at one t, rows holding
+    more than n entries: the same bytes as the four-key lexsort."""
+    rng = np.random.default_rng(seed)
+    store = synth_generate(2, 6, 6, 80, 0.1, seed=seed)   # integer times
+    idx = NeighborIndex.build(store)
+    c = 40
+    add_src = rng.integers(0, store.num_nodes, size=c)
+    add_dst = rng.integers(0, store.num_nodes, size=c)
+    add_t = store.ts[rng.integers(0, len(store), size=c)]
+    add_t[c // 2:] = add_t[0]
+    view = ts.AugmentedView(idx, add_src, add_dst, add_t,
+                            ad.constant(np.ones((c, 2))),
+                            ad.constant(np.full(c, 0.5)))
+    nodes = np.repeat(np.arange(store.num_nodes), 3)
+    tq = np.concatenate([add_t[:len(nodes) // 2], np.full(
+        len(nodes) - len(nodes) // 2, store.ts[-1] + 1.0)])
+    for n in (1, 2, 3, 8, 40):
+        for max_eid in (None, 50):
+            got = view.batch_neighbors(nodes, tq, n, max_eid)
+            want = lexsort_batch_neighbors(view, nodes, tq, n, max_eid)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            assert [x.dtype for x in got] == [x.dtype for x in want]
+
+
+def unique_dedupe(cands, sel, rho):
+    """The selection build_augmented_view keeps, deduplicated through
+    np.unique over the float64 (src, dst, t_new) stack: the reference for
+    the one-lexsort dedup."""
+    key = np.stack([cands.src[sel].astype(np.float64),
+                    cands.dst[sel].astype(np.float64),
+                    cands.t_new[sel]], axis=1)
+    _, first, inv = np.unique(key, axis=0, return_index=True,
+                              return_inverse=True)
+    inv = inv.reshape(-1)
+    if len(first) != len(sel):
+        order = np.lexsort((np.arange(len(sel)), -rho[sel], inv))
+        sel = sel[np.sort(order[ts._ranks(inv[order]) == 0])]
+    return sel
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dedupe_matches_unique_form(seed):
+    """Duplicate triples with equal rho inside groups, and a selection
+    with no duplicates: the same edges, rows and rho as np.unique."""
+    rng = np.random.default_rng(seed)
+    store = synth_generate(2, 8, 8, 100, 0.1, seed=1)
+    idx = NeighborIndex.build(store)
+    c = 80
+    cands = ts.CandidateBatch(rng.integers(0, 4, size=c),
+                              rng.integers(0, 3, size=c),
+                              rng.integers(0, 3, size=c).astype(float),
+                              np.zeros(c), np.full(c, -1))
+    rho = rng.choice([0.4, 0.4, 0.7], size=c).astype(np.float32)
+    fhat = ad.constant(np.arange(c, dtype=np.float64)[:, None])
+    for sel in (np.sort(rng.choice(c, size=50, replace=False)),
+                np.arange(c), np.array([3])):
+        view = ts.build_augmented_view(idx, cands, sel, fhat,
+                                       ad.constant(rho))
+        want = unique_dedupe(cands, sel, rho)
+        got = view.cand_features.values[:, 0].astype(np.int64)
+        assert got.tobytes() == want.tobytes()
+        assert view.rho.values.tobytes() == rho[want].tobytes()
+        assert view.added.eid.tobytes() == ts.AugmentedView(
+            idx, cands.src[want], cands.dst[want],
+            cands.t_new[want]).added.eid.tobytes()
+
+
 def test_min_k_candidate_count_added_per_source():
     store = synth_generate(2, 10, 10, 300, 0.1, seed=2)
     split = chronological_split(store)
@@ -543,3 +670,53 @@ def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
         assert np.all(feat >= 0)
         assert np.array_equal(f_rows.values,
                               et.edge_f.values[et.event_rows(feat)])
+
+
+@pytest.mark.parametrize("etgnn_layers", [1, 2])
+@pytest.mark.parametrize("strategy", ["one-hop", "third-hop"])
+def test_cached_propose_matches_per_batch_propose(strategy, etgnn_layers):
+    """Evaluation's proposals through one inference cache equal the
+    per-batch path (window ET-GNN, then the batch's own contexts) byte for
+    byte: selection, rho and the view's neighbor blocks, in both settings.
+    The cache's LSTM starts at the earliest column over all its nodes, so
+    a batch whose nodes have short histories runs extra masked steps."""
+    store = synth_generate(2, 30, 30, 1500, 0.1, seed=11)
+    split = chronological_split(store, mask_frac=0.1, seed=2)
+    cfg = RunConfig(d_model=8, layers=1, heads=2, d_hidden=8, n_nb=5, k=3,
+                    n_can=5, n_rnn=40, strategy=strategy, fanouts="3,2,2",
+                    etgnn_layers=etgnn_layers, alpha=0.0)
+    tr = Trainer(store, split, cfg, 0)
+    t_ref = split.t_max_train + 1.0
+    extra_steps = added = 0
+    for setting in ("transductive", "inductive"):
+        ids = tr._eval_ids(setting, "test")
+        with ad.no_grad():
+            cache = tr.learner.inference_cache(
+                tr.train_index, split.usable_train_ids,
+                np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
+            hist = tr.train_index.batch_neighbors(
+                cache.nodes, t_ref, cfg.n_rnn)[3].sum(axis=1)
+            for bi in range(0, len(ids), 16):
+                b = ids[bi:bi + 16]
+                nodes = np.concatenate([store.src[b], store.dst[b],
+                                        store.dst[b][::-1]])
+                tss = np.tile(store.ts[b], 3)
+                out = []
+                for c in (cache, None):
+                    view, det = tr.learner.propose(
+                        tr.train_index, nodes[:2 * len(b)], t_ref=t_ref,
+                        t_max=split.t_max_train, seed=bi,
+                        view_base=tr.full_index, mode="noise-free", cache=c)
+                    out.append([x.tobytes() for x in (
+                        det["selected"], det["rho"].values,
+                        *view.batch_neighbors(nodes, tss, cfg.n_nb))])
+                assert out[0] == out[1]
+                added += view.num_added
+                own = hist[np.isin(cache.nodes, nodes)]
+                extra_steps += int(own.max() < hist.max())
+    assert extra_steps > 0 and added > 0
+    outside = np.setdiff1d(np.arange(store.num_nodes), cache.nodes)[:1]
+    with pytest.raises(KeyError, match="inference cache"):
+        tr.learner.propose(tr.train_index, outside, t_ref=t_ref,
+                           t_max=split.t_max_train, seed=0,
+                           view_base=tr.full_index, cache=cache)

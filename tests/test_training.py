@@ -335,6 +335,20 @@ def test_key_params_start_equal_to_query_params():
         assert np.array_equal(key[name], query[name]), name
 
 
+def test_key_params_own_their_arrays():
+    # moco_step writes the key arrays in place: the query must not move
+    tr, _, _ = tiny_setup()
+    for kp, qp in zip(tr.moco.key_params.parameters(),
+                      tr.q_params.parameters()):
+        assert not np.shares_memory(kp.values, qp.values), qp.name
+    query = tr.q_params.state_dict()
+    for p in tr.moco.key_params.parameters():
+        p.values += 1.0
+    tt.moco_step(tr.moco, tr.q_params, np.ones((2, tr.q_params.d_model)))
+    for name, values in tr.q_params.state_dict().items():
+        assert values.tobytes() == query[name].tobytes(), name
+
+
 def test_key_encoder_untouched_by_training_gradients():
     tr, _, _ = tiny_setup()
     tr.train_epoch(0)
@@ -405,7 +419,6 @@ def test_random_strategy_runs_no_learner_and_keeps_it_out_of_adam(
 
     monkeypatch.setattr(structure, "etgnn_forward", never)
     monkeypatch.setattr(structure, "context_predict_batch", never)
-    monkeypatch.setattr(tt, "etgnn_forward", never)
     store = synth_generate(2, 20, 20, 700, 0.1, seed=11)
     split = chronological_split(store, mask_frac=0.1, seed=2)
     cfg = tt.RunConfig(**dict(TINY, strategy="random"), alpha=0.5, k=3)
@@ -420,3 +433,33 @@ def test_random_strategy_runs_no_learner_and_keeps_it_out_of_adam(
     assert list(snap["tgsl"]) == list(init)
     for name, values in init.items():
         assert snap["tgsl"][name].tobytes() == values.tobytes(), name
+
+
+@pytest.mark.parametrize("strategy", ["one-hop", "third-hop", "random"])
+@pytest.mark.parametrize("setting", ["transductive", "inductive"])
+def test_evaluate_builds_contexts_once(strategy, setting, monkeypatch):
+    """The cut and the parameters are fixed over an evaluate call, so a
+    learning learner builds every scored node's context in one LSTM call
+    and the ET-GNN in one forward; under random neither runs."""
+    from tgsl import structure
+    calls = []
+
+    def counted(name):
+        fn = getattr(structure, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(structure, name, wrapper)
+
+    for name in ("context_predict_batch", "etgnn_forward", "visible_window"):
+        counted(name)
+    store = synth_generate(2, 20, 20, 700, 0.1, seed=11)
+    split = chronological_split(store, mask_frac=0.1, seed=2)
+    cfg = tt.RunConfig(**dict(TINY, strategy=strategy, batch_size=8),
+                       alpha=0.0, k=3)
+    tr = tt.Trainer(store, split, cfg, 0)
+    assert len(tr._eval_ids(setting, "test")) > cfg.batch_size
+    tr.evaluate(setting, "test")
+    once = 1 if strategy != "random" else 0
+    assert calls == ["etgnn_forward", "context_predict_batch"] * once
