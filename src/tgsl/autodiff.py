@@ -8,8 +8,7 @@ last use, when the op that produced it is replayed. A backward closure
 returns None for an input that does not require a gradient, so no
 gradient is ever formed for a constant. `matmul` takes an N-D lhs and a
 2-D rhs only, and computes each gradient as one 2-D GEMM over the folded
-leading axes. The primitives are the ones the model calls, plus `exp` and
-`softmax`, from which the tests compose the attention oracle. Training
+leading axes. The primitives are the ones the model calls. Training
 runs in float32, verification suites in float64 — gradient checks are
 unreliable in float32.
 """
@@ -23,8 +22,8 @@ __all__ = [
     "AdamState", "adam_step", "GradCheckResult", "grad_check",
     "param", "constant", "init_uniform",
     "add", "sub", "mul", "div", "scale", "matmul", "concat", "narrow",
-    "reshape", "take", "segment_sum", "sigmoid", "relu", "tanh", "exp",
-    "log", "sqrt", "clip", "sum_", "mean", "logsumexp", "softmax",
+    "reshape", "take", "segment_sum", "sigmoid", "relu", "tanh",
+    "log", "sqrt", "clip", "sum_", "mean", "logsumexp",
     "temporal_attention", "ShapeError", "NonFiniteError",
 ]
 
@@ -477,11 +476,6 @@ def tanh(a):
     return _record("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
 
 
-def exp(a):
-    out = np.exp(a.values)
-    return _record("exp", (a,), out, lambda g: (g * out,))
-
-
 def log(a):
     return _record("log", (a,), np.log(a.values),
                    lambda g: (g / a.values,))
@@ -541,11 +535,6 @@ def logsumexp(a, axis=None, keepdims=False):
         return (np.asarray(g).reshape(out_k.shape) * soft,)
 
     return _record("logsumexp", (a,), out, bw)
-
-
-def softmax(a, axis=-1):
-    """exp(a - logsumexp(a)), composed from recorded primitives."""
-    return exp(sub(a, logsumexp(a, axis=axis, keepdims=True)))
 
 
 def _row_groups(rows):

@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
+from .graph import by_ids
 
 __all__ = [
     "time_frequencies", "time_encode", "time_context",
@@ -135,8 +136,9 @@ class EncodePlan(NamedTuple):
 def _distinct_pairs(nodes, ts):
     """The distinct (node, t) pairs in (node, t) order and each pair's
     index among them: the rows and inverse of np.unique over the stacked
-    pairs with axis=0, from one lexsort."""
-    order = np.lexsort((ts, nodes))
+    pairs with axis=0, from a stable sort by t and then an id order by
+    node."""
+    order = by_ids(np.argsort(ts, kind="stable"), nodes)
     n_s, t_s = nodes[order], ts[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (n_s[1:] != n_s[:-1]) | (t_s[1:] != t_s[:-1])

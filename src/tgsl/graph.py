@@ -4,7 +4,9 @@ Events are undirected timestamped interactions (src, dst, t, feature row) on
 a node-id space where bipartite item ids sit after the user ids. Everything
 downstream (neighbor queries, splits, sampling) is built on the invariant
 that events are sorted by timestamp with ties broken by ingestion order, so
-"strictly before t" is always well defined.
+"strictly before t" is always well defined. Node and event ids are small
+dense integers, so ids are ordered and deduplicated in linear time
+(`id_order`, `node_set`), each result equal to the comparison sort's.
 """
 
 import math
@@ -15,12 +17,66 @@ import numpy as np
 __all__ = [
     "EventStore", "NeighborIndex", "SplitSpec", "load_events", "save_events",
     "chronological_split", "sparsify", "synth_generate",
-    "sample_negatives",
+    "sample_negatives", "id_order", "by_ids", "id_presence", "node_set",
 ]
 
 
 class DataError(ValueError):
     """Malformed input data (bad rows, inconsistent stores)."""
+
+
+def id_order(keys):
+    """`np.argsort(keys, kind="stable")` for non-negative int keys, in
+    linear time: least-significant-digit passes over 16-bit digits, each a
+    stable argsort of a uint16 array, which numpy runs as a radix sort.
+    The largest key sets the number of passes (one below 2**16)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if len(keys) == 0:
+        return np.zeros(0, dtype=np.intp)
+    if keys.min() < 0:
+        raise ValueError("id_order: negative key")
+    top = int(keys.max())
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def by_ids(order, *keys):
+    """`order` re-sorted stably by each id key in turn, the last key
+    primary: with `order` a stable argsort of a float key f, this is
+    `np.lexsort((f, *keys))`, ties left in index order."""
+    for key in keys:
+        order = order[id_order(key[order])]
+    return order
+
+
+def id_presence(bound, *ids):
+    """A bool array over [0, bound), True at every id of the given
+    arrays (each id in that range)."""
+    present = np.zeros(bound, dtype=bool)
+    for part in ids:
+        present[np.asarray(part, dtype=np.int64)] = True
+    return present
+
+
+def node_set(bound, *ids):
+    """The distinct ids of the given arrays, sorted: `np.unique` of their
+    concatenation, from an O(bound) presence array."""
+    return np.flatnonzero(id_presence(bound, *ids))
+
+
+def edge_entries(src, dst, eids, ts):
+    """Each edge's two CSR entries side by side, the source's first:
+    (owners, peers, eids, ts), each of length 2 * len(src)."""
+    owners = np.empty(2 * len(src), dtype=np.int64)
+    owners[0::2], owners[1::2] = src, dst
+    peers = np.empty_like(owners)
+    peers[0::2], peers[1::2] = dst, src
+    return owners, peers, np.repeat(eids, 2), np.repeat(ts, 2)
 
 
 class EventStore:
@@ -94,26 +150,29 @@ class NeighborIndex:
 
     @classmethod
     def build(cls, store, event_ids=None):
+        """The index over `event_ids` (all events when None), which must
+        ascend strictly: each event's two entries are laid out side by
+        side in event-id order, so one stable id order by owner gives the
+        (owner, event id) order, a self-loop's source entry first."""
         if event_ids is None:
             event_ids = np.arange(len(store), dtype=np.int64)
         else:
             event_ids = np.asarray(event_ids, dtype=np.int64)
+            if np.any(event_ids[1:] <= event_ids[:-1]):
+                raise ValueError("NeighborIndex.build: event ids must "
+                                 "ascend strictly")
         s, d = store.src[event_ids], store.dst[event_ids]
-        t = store.ts[event_ids]
-        owners = np.concatenate([s, d])
-        peers = np.concatenate([d, s])
-        eids = np.concatenate([event_ids, event_ids])
-        tss = np.concatenate([t, t])
-        # sort by (owner, event id); event id order == (ts, ingestion) order
-        order = np.lexsort((eids, owners))
-        return cls.from_order(store.num_nodes, order, owners, peers, eids, tss)
+        owners, peers, eids, ts = edge_entries(s, d, event_ids,
+                                             store.ts[event_ids])
+        return cls.from_order(store.num_nodes, id_order(owners), owners,
+                              peers, eids, ts)
 
     @classmethod
     def from_order(cls, num_nodes, order, owners, peers, eids, ts):
         """CSR over the entries taken in `order`, which must sort them by
         owner and, within an owner, by non-decreasing ts (and eid, for
         queries that pass max_eid)."""
-        counts = np.bincount(owners[order], minlength=num_nodes)
+        counts = np.bincount(owners, minlength=num_nodes)
         offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(num_nodes, peers[order], eids[order], ts[order], offsets)
@@ -195,22 +254,18 @@ class SplitSpec:
 def _compute_mask(store, n_train, mask_frac, seed):
     """Unseen-in-training nodes plus a seeded sample of other val/test-active
     nodes; returns (sorted masked ids, usable train event ids)."""
-    train_nodes = np.unique(np.concatenate([store.src[:n_train],
-                                            store.dst[:n_train]]))
-    later_nodes = np.unique(np.concatenate([store.src[n_train:],
-                                            store.dst[n_train:]]))
-    unseen = np.setdiff1d(later_nodes, train_nodes, assume_unique=True)
-    masked = unseen
-    k = int(math.floor(mask_frac * store.num_nodes))
+    v = store.num_nodes
+    in_train = id_presence(v, store.src[:n_train], store.dst[:n_train])
+    later = id_presence(v, store.src[n_train:], store.dst[n_train:])
+    masked = later & ~in_train
+    k = int(math.floor(mask_frac * v))
     if k > 0:
-        pool = np.intersect1d(later_nodes, train_nodes, assume_unique=True)
+        pool = np.flatnonzero(later & in_train)
         rng = np.random.default_rng(seed)
-        extra = rng.choice(pool, size=min(k, len(pool)), replace=False)
-        masked = np.union1d(unseen, extra)
-    touches = (np.isin(store.src[:n_train], masked)
-               | np.isin(store.dst[:n_train], masked))
+        masked[rng.choice(pool, size=min(k, len(pool)), replace=False)] = True
+    touches = masked[store.src[:n_train]] | masked[store.dst[:n_train]]
     usable = np.flatnonzero(~touches).astype(np.int64)
-    return masked.astype(np.int64), usable
+    return np.flatnonzero(masked).astype(np.int64), usable
 
 
 def _split_spec(store, n_train, n_val, mask_frac, seed):
@@ -365,16 +420,23 @@ def load_events(path):
             feats.append(fv)
     if not users:
         raise DataError(f"{path}: no data rows")
+    num_users = max(users) + 1
+    num_nodes = num_users + max(items) + 1
+    width = max(n_feat, 1)
+    try:
+        node_features = np.zeros((num_nodes, width), dtype=np.float32)
+    except (MemoryError, ValueError, OverflowError):
+        raise DataError(
+            f"{path}: largest node id {max(max(users), max(items))} implies "
+            f"a node table of {num_nodes} rows x {width} float32 "
+            f"({num_nodes * width * 4 / 2**30:.1f} GiB), which cannot be "
+            "allocated") from None
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     tss = np.asarray(tss, dtype=np.float64)
     feats = np.asarray(feats, dtype=np.float32).reshape(len(users), n_feat)
-    num_users = int(users.max()) + 1
-    dst = num_users + items
     order = np.argsort(tss, kind="stable")
-    num_nodes = num_users + int(items.max()) + 1
-    node_features = np.zeros((num_nodes, max(n_feat, 1)), dtype=np.float32)
-    return EventStore(users[order], dst[order], tss[order],
+    return EventStore(users[order], num_users + items[order], tss[order],
                       np.arange(len(users), dtype=np.int64),
                       node_features, feats[order], num_users=num_users)
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoder import time_context, time_encode
-from .graph import NeighborIndex
+from .graph import (NeighborIndex, by_ids, edge_entries, id_order,
+                    id_presence, node_set)
 
 __all__ = [
     "TgslParams", "EtgnnOutput", "etgnn_forward", "context_predict_batch",
@@ -111,13 +112,15 @@ def etgnn_forward(event_ids, store, params):
     nodes, h' = relu(concat(h, mean message) @ wh), where a node's message
     is the mean over its events of concat(other endpoint's state, f, TE(t)).
     The last layer's node update would feed nothing, so it is not computed:
-    one layer is a single per-edge MLP."""
+    one layer is a single per-edge MLP. Node states are rows of the
+    window's node set, found through a dense node id -> row map."""
     event_ids = np.asarray(event_ids, dtype=np.int64)
     dtype = params.dtype
     src, dst = store.src[event_ids], store.dst[event_ids]
-    nodes = np.unique(np.concatenate([src, dst]))
-    s_l = np.searchsorted(nodes, src)
-    d_l = np.searchsorted(nodes, dst)
+    nodes = node_set(store.num_nodes, src, dst)
+    local = np.empty(store.num_nodes, dtype=np.intp)
+    local[nodes] = np.arange(len(nodes))
+    s_l, d_l = local[src], local[dst]
 
     h = ad.constant(store.node_features[nodes].astype(dtype))
     f = ad.constant(store.edge_features[store.feat_ids[event_ids]].astype(dtype))
@@ -230,8 +233,15 @@ def _draw(nodes, index, n, rng, t_ref, max_eid):
 
 
 def _first_of_each(key):
-    """Positions of the first occurrence of every key, in order."""
-    return np.sort(np.unique(key, return_index=True)[1])
+    """Positions of the first occurrence of every (non-negative) key, in
+    order: the heads of the groups of a stable id order."""
+    order = id_order(key)
+    k_o = key[order]
+    head = np.ones(len(key), dtype=bool)
+    head[1:] = k_o[1:] != k_o[:-1]
+    first = np.zeros(len(key), dtype=bool)
+    first[order[head]] = True
+    return np.flatnonzero(first)
 
 
 def _ranks(group):
@@ -360,7 +370,7 @@ def gumbel_topk_select(zhat, fhat, src_of, k, tau, seed,
     src_of = np.asarray(src_of)
     # per-source top-K, vectorized: sort by (source, -rho, index), keep the
     # first K ranks of every group; ties resolve to the earlier candidate
-    order = np.lexsort((np.arange(c), -rho.values, src_of))
+    order = by_ids(np.argsort(-rho.values, kind="stable"), src_of)
     sel = np.sort(order[_ranks(src_of[order]) < k])
     return m, rho, sel
 
@@ -391,14 +401,13 @@ class AugmentedView:
         add_src = np.asarray(add_src, dtype=np.int64)
         add_dst = np.asarray(add_dst, dtype=np.int64)
         add_t = np.asarray(add_t, dtype=np.float64)
-        j = np.arange(len(add_src), dtype=np.int64)
-        owners = np.concatenate([add_src, add_dst])
-        peers = np.concatenate([add_dst, add_src])
-        js = np.concatenate([j, j])
-        ts = np.concatenate([add_t, add_t])
+        owners, peers, js, ts = edge_entries(
+            add_src, add_dst, np.arange(len(add_src), dtype=np.int64), add_t)
+        # entries stand in (j, side) order, so a stable sort by t and then
+        # by owner gives (owner, t, j)
         self.added = NeighborIndex.from_order(
-            base.num_nodes, np.lexsort((js, ts, owners)), owners, peers, js,
-            ts)
+            base.num_nodes, by_ids(np.argsort(ts, kind="stable"), owners),
+            owners, peers, js, ts)
 
     @property
     def num_added(self):
@@ -445,7 +454,7 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho):
         return AugmentedView(base)
     sel = np.asarray(selected_idx, dtype=np.int64)
     src, dst, t = cands.src[sel], cands.dst[sel], cands.t_new[sel]
-    order = np.lexsort((t, dst, src))
+    order = by_ids(np.argsort(t, kind="stable"), dst, src)
     s_o, d_o, t_o = src[order], dst[order], t[order]
     new = np.ones(len(sel), dtype=bool)
     new[1:] = (s_o[1:] != s_o[:-1]) | (d_o[1:] != d_o[:-1]) | (
@@ -453,7 +462,7 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho):
     if not new.all():
         inv = np.empty(len(sel), dtype=np.int64)
         inv[order] = np.cumsum(new) - 1
-        order = np.lexsort((np.arange(len(sel)), -rho.values[sel], inv))
+        order = by_ids(np.argsort(-rho.values[sel], kind="stable"), inv)
         sel = sel[np.sort(order[_ranks(inv[order]) == 0])]
     fh = ad.take(fhat, sel)
     rh = ad.take(rho, sel)
@@ -466,8 +475,11 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho):
 
 def visible_window(index, nodes, t_ref, levels=2, max_eid=None):
     """Event ids incident to the sources and their first (levels-1) rings,
-    restricted to strictly before t_ref (and the optional event-id cutoff)."""
-    level = seen = np.unique(np.asarray(nodes, dtype=np.int64))
+    restricted to strictly before t_ref (and the optional event-id cutoff),
+    sorted. Each ring is the sorted set of the last ring's neighbors not
+    seen before, kept as presence arrays over the node ids."""
+    seen = id_presence(index.num_nodes, nodes)
+    level = np.flatnonzero(seen)
     eids = []
     for _ in range(levels):
         lo, cut = index.ranges_before(level, t_ref, max_eid)
@@ -475,13 +487,14 @@ def visible_window(index, nodes, t_ref, levels=2, max_eid=None):
         if len(pos) == 0:
             break
         eids.append(index.eid[pos])
-        level = np.setdiff1d(index.nbr[pos], seen)
-        seen = np.union1d(seen, level)
+        ring = id_presence(index.num_nodes, index.nbr[pos]) & ~seen
+        level = np.flatnonzero(ring)
+        seen |= ring
         if len(level) == 0:
             break
     if not eids:
         return np.zeros(0, dtype=np.int64)
-    return np.unique(np.concatenate(eids))
+    return node_set(max(int(e.max()) for e in eids) + 1, *eids)
 
 
 class InferenceCache(NamedTuple):
@@ -519,7 +532,7 @@ class StructureLearner:
         distinct `nodes`, at cut t_ref on `index`, for every `propose` of
         these nodes at that cut."""
         et = etgnn_forward(event_ids, self.store, self.params)
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        nodes = node_set(self.store.num_nodes, nodes)
         z = context_predict_batch(self.params, et, index, nodes, t_ref,
                                   self.cfg.n_rnn)
         return InferenceCache(et, nodes, z)
@@ -536,7 +549,7 @@ class StructureLearner:
         context (rows of the sources, or of the cache's nodes) and etgnn
         are None when the learner does not learn."""
         cfg = self.cfg
-        src_nodes = np.unique(np.asarray(src_nodes, dtype=np.int64))
+        src_nodes = node_set(index.num_nodes, src_nodes)
         if cfg.k == 0:
             return AugmentedView(view_base), {}
         fanouts = cfg.fanout_list()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoder import EncoderParams, TgatEncoder
-from .graph import DataError, NeighborIndex, sample_negatives
+from .graph import DataError, NeighborIndex, node_set, sample_negatives
 from .structure import STRATEGIES, StructureLearner, TgslParams
 # not called here; bound only because benchmark/test_benchmark.py checks
 # that its tracer restores this binding: drop it with that check
@@ -362,10 +362,10 @@ class Trainer:
         self.full_index = NeighborIndex.build(store)
 
         usable = split.usable_train_ids
-        self.train_nodes = np.unique(np.concatenate(
-            [store.src[usable], store.dst[usable]]))
-        self.train_dst_pool = np.unique(store.dst[usable])
-        self.eval_dst_pool = np.unique(store.dst)
+        v = store.num_nodes
+        self.train_nodes = node_set(v, store.src[usable], store.dst[usable])
+        self.train_dst_pool = node_set(v, store.dst[usable])
+        self.eval_dst_pool = node_set(v, store.dst)
 
         self.q_params = EncoderParams(cfg.d_model, cfg.layers, cfg.heads,
                                       cfg.d_hidden, seed=_seed(seed, 1))

@@ -131,6 +131,22 @@ def test_train_bad_dataset_exit_code(tmp_path):
     assert rc == cli.EXIT_CONFIG or rc == cli.EXIT_DATA
 
 
+# the node table a 10**17 id implies (about 355 PiB) exceeds any process's
+# address space, so its allocation fails whatever the overcommit policy;
+# 2**100 does not fit an int64
+@pytest.mark.parametrize("user_id", [10**17, 2**100])
+def test_train_huge_node_id_exits_data(tmp_path, capsys, user_id):
+    csv = tmp_path / "huge.csv"
+    csv.write_text("user_id,item_id,timestamp,state_label,f0\n"
+                   f"{user_id},0,1.0,0,0.5\n1,1,2.0,0,0.5\n2,0,3.0,0,0.1\n")
+    out = str(tmp_path / "runs")
+    rc = cli.main(["train", "--out", out, "--set", f"dataset={csv}"])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"largest node id {user_id}" in err and "node table" in err
+    assert not os.path.exists(out)
+
+
 def test_train_invalid_key_exit_code(tmp_path):
     rc = cli.main(["train", "--set", "bogus=1", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG

@@ -273,6 +273,13 @@ def composed_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
                            wk, wv, heads)
 
 
+def softmax(a, axis):
+    """exp(a - logsumexp(a)) from primitives the gradient suite checks:
+    for y <= 0, exp(y) = sigmoid(y) / sigmoid(-y) without cancellation."""
+    y = ad.sub(a, ad.logsumexp(a, axis=axis, keepdims=True))
+    return ad.div(ad.sigmoid(y), ad.sigmoid(ad.scale(y, -1.0)))
+
+
 def dense_attention(h_self, h_nbr, e_slot, te_nbr, w_dense, mask, wq, wk, wv,
                     heads):
     """The composed attention block on d-wide inputs and a dense [B, n]
@@ -287,7 +294,7 @@ def dense_attention(h_self, h_nbr, e_slot, te_nbr, w_dense, mask, wq, wk, wv,
     v = ad.reshape(ad.matmul(kv_in, wv), (b, n, heads, dk))
     logits = ad.scale(ad.sum_(ad.mul(q, k), axis=3), 1.0 / math.sqrt(dk))
     neg = ad.constant(((mask - 1.0) * 1e9)[:, :, None])
-    attn = ad.softmax(ad.add(logits, neg), axis=1)
+    attn = softmax(ad.add(logits, neg), axis=1)
     v_eff = ad.mul(v, ad.reshape(w_dense, (b, n, 1, 1)))
     head = ad.sum_(ad.mul(ad.reshape(attn, (b, n, heads, 1)), v_eff), axis=1)
     return ad.reshape(head, (b, heads * dk))
@@ -742,18 +749,20 @@ def test_feature_dim_exceeding_model_dim_rejected():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_distinct_pairs_match_unique_rows_and_inverse(seed):
-    rng = np.random.default_rng(seed)
-    nodes = rng.integers(0, 30, 4000)
-    ts = rng.integers(0, 40, 4000).astype(np.float64) * 0.5
-    ts[::7] = 0.0
-    pairs = np.stack([nodes.astype(np.float64), ts], axis=1)
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    got_n, got_t, got_inv = te._distinct_pairs(nodes, ts)
-    assert np.array_equal(got_n, uniq[:, 0].astype(np.int64))
-    assert got_t.tobytes() == uniq[:, 1].tobytes()
-    assert np.array_equal(got_inv, inverse.reshape(-1))
-    empty = te._distinct_pairs(nodes[:0], ts[:0])
-    assert [len(x) for x in empty] == [0, 0, 0]
+    """Node ids from 0 and across a 16-bit digit."""
+    for first_id in (0, 2**16 - 15):
+        rng = np.random.default_rng(seed)
+        nodes = first_id + rng.integers(0, 30, 4000)
+        ts = rng.integers(0, 40, 4000).astype(np.float64) * 0.5
+        ts[::7] = 0.0
+        pairs = np.stack([nodes.astype(np.float64), ts], axis=1)
+        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        got_n, got_t, got_inv = te._distinct_pairs(nodes, ts)
+        assert np.array_equal(got_n, uniq[:, 0].astype(np.int64))
+        assert got_t.tobytes() == uniq[:, 1].tobytes()
+        assert np.array_equal(got_inv, inverse.reshape(-1))
+        empty = te._distinct_pairs(nodes[:0], ts[:0])
+        assert [len(x) for x in empty] == [0, 0, 0]
 
 
 def plan_fixture(layers):

@@ -97,6 +97,91 @@ def test_split_rejects_empty_and_bad_args():
         tg.chronological_split(store, mask_frac=1.0)
 
 
+def set_ops_mask(store, n_train, mask_frac, seed):
+    """The split's mask through np.unique, setdiff1d, intersect1d, union1d
+    and isin: the reference for the presence-array form."""
+    train_nodes = np.unique(np.concatenate([store.src[:n_train],
+                                            store.dst[:n_train]]))
+    later_nodes = np.unique(np.concatenate([store.src[n_train:],
+                                            store.dst[n_train:]]))
+    masked = np.setdiff1d(later_nodes, train_nodes, assume_unique=True)
+    k = int(np.floor(mask_frac * store.num_nodes))
+    if k > 0:
+        pool = np.intersect1d(later_nodes, train_nodes, assume_unique=True)
+        rng = np.random.default_rng(seed)
+        extra = rng.choice(pool, size=min(k, len(pool)), replace=False)
+        masked = np.union1d(masked, extra)
+    touches = (np.isin(store.src[:n_train], masked)
+               | np.isin(store.dst[:n_train], masked))
+    return masked.astype(np.int64), np.flatnonzero(~touches).astype(np.int64)
+
+
+@pytest.mark.parametrize("mask_frac", [0.0, 0.05, 0.3, 0.9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_split_mask_matches_set_ops_form(mask_frac, seed):
+    store = tg.synth_generate(3, 40, 40, 400, 0.2, seed=seed)
+    for n_train in (1, 200, 400):
+        got = tg._compute_mask(store, n_train, mask_frac, seed)
+        want = set_ops_mask(store, n_train, mask_frac, seed)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert [x.dtype for x in got] == [x.dtype for x in want]
+
+
+# ---------------------------------------------------------------------------
+# id orders and id sets
+
+def id_cases():
+    """(name, keys): empty, one key, all keys equal, and random keys below
+    bounds on both sides of each 16-bit digit, each holding the bound's
+    largest key."""
+    rng = np.random.default_rng(0)
+    yield "empty", np.zeros(0, dtype=np.int64)
+    yield "one", np.array([7], dtype=np.int64)
+    yield "all-equal", np.full(500, 70_000, dtype=np.int64)
+    for bound in (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32 + 3, 2**33):
+        keys = rng.integers(0, bound, size=3000)
+        keys[:200] = rng.integers(0, 4, size=200)   # ties
+        keys[-1] = bound - 1
+        yield f"below-{bound}", rng.permutation(keys)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in id_cases()])
+def test_id_order_is_the_stable_argsort(name):
+    keys = dict(id_cases())[name]
+    got = tg.id_order(keys)
+    want = np.argsort(keys, kind="stable")
+    assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+
+def test_id_order_rejects_negative_keys():
+    with pytest.raises(ValueError, match="negative"):
+        tg.id_order(np.array([3, -1, 2]))
+
+
+@pytest.mark.parametrize("high", [3, 2**16 + 2, 2**35])
+def test_by_ids_after_a_float_sort_is_the_lexsort(high):
+    """Float ties (including -0.0 and 0.0) and id ties in both keys."""
+    rng = np.random.default_rng(high)
+    for m in (0, 1, 2000):
+        f = rng.choice([-0.0, 0.0, 0.5, 1.5, -2.0], size=m)
+        a = rng.choice(rng.integers(0, high, size=6), size=m)
+        b = rng.choice(rng.integers(0, high, size=6), size=m)
+        got = tg.by_ids(np.argsort(f, kind="stable"), a, b)
+        want = np.lexsort((f, a, b))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bound", [1, 5, 2**16 - 1, 2**16, 2**16 + 1])
+def test_node_set_is_unique(bound):
+    rng = np.random.default_rng(bound)
+    parts = [rng.integers(0, bound, size=m) for m in (0, 1, 900, 40)]
+    parts[2][-1] = bound - 1
+    for some in ([], parts[:1], parts[1:2], parts, [np.full(30, bound - 1)]):
+        got = tg.node_set(bound, *some)
+        want = np.unique(np.concatenate(some or [np.zeros(0, np.int64)]))
+        assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+
 # ---------------------------------------------------------------------------
 # neighbor queries
 
@@ -144,6 +229,55 @@ def test_neighbor_index_rebuild_equality():
             and np.array_equal(a.nbr, b.nbr)
             and np.array_equal(a.eid, b.eid)
             and np.array_equal(a.ts, b.ts))
+
+
+def lexsort_index(store, event_ids=None):
+    """The index with both endpoint lists stacked and one (owner, event id)
+    lexsort: the reference for the id-ordered build."""
+    if event_ids is None:
+        event_ids = np.arange(len(store), dtype=np.int64)
+    s, d = store.src[event_ids], store.dst[event_ids]
+    owners = np.concatenate([s, d])
+    eids = np.concatenate([event_ids, event_ids])
+    order = np.lexsort((eids, owners))
+    counts = np.bincount(owners, minlength=store.num_nodes)
+    offsets = np.zeros(store.num_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return (np.concatenate([d, s])[order], eids[order],
+            np.concatenate([store.ts[event_ids]] * 2)[order], offsets)
+
+
+def random_store(rng, num_nodes, n_events):
+    """Uniform endpoints (some events self-loops) at non-decreasing times
+    with repeats."""
+    src = rng.integers(0, num_nodes, size=n_events)
+    dst = rng.integers(0, num_nodes, size=n_events)
+    dst[::9] = src[::9]
+    ts = np.sort(rng.integers(0, n_events // 4 + 1, size=n_events)
+                 ).astype(np.float64)
+    return EventStore(src, dst, ts, np.arange(n_events),
+                      np.zeros((num_nodes, 1)), np.zeros((n_events, 1)))
+
+
+@pytest.mark.parametrize("num_nodes,n_events", [
+    (1, 5), (7, 300), (500, 4000), (70_000, 6000)])
+def test_build_matches_lexsort_index(num_nodes, n_events):
+    rng = np.random.default_rng(num_nodes)
+    store = random_store(rng, num_nodes, n_events)
+    some = np.flatnonzero(rng.random(n_events) < 0.6)
+    for event_ids in (None, some, some[:1], some[:0]):
+        idx = NeighborIndex.build(store, event_ids)
+        want = lexsort_index(store, event_ids)
+        got = (idx.nbr, idx.eid, idx.ts, idx.offsets)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert [x.dtype for x in got] == [x.dtype for x in want]
+
+
+@pytest.mark.parametrize("event_ids", [[0, 2, 2, 5], [3, 1], [4, 5, 0]])
+def test_build_rejects_ids_not_strictly_ascending(event_ids):
+    store = tg.synth_generate(2, 4, 4, 10, 0.0, seed=0)
+    with pytest.raises(ValueError, match="ascend"):
+        NeighborIndex.build(store, event_ids)
 
 
 def test_no_event_at_or_after_query_time_is_returned():

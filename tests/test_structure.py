@@ -357,6 +357,73 @@ def test_bad_tau_and_k_rejected():
         ts.gumbel_topk_select(zh, zh, np.zeros(2), 0, 1.0, seed=0)
 
 
+def lexsort_topk(rho, src_of, k):
+    """Per-source top-K through one (source, -rho, index) lexsort: the
+    reference for the float sort followed by an id order."""
+    order = np.lexsort((np.arange(len(rho)), -rho, src_of))
+    return np.sort(order[ts._ranks(src_of[order]) < k])
+
+
+@pytest.mark.parametrize("high", [5, 2**16 + 30, 2**33])
+@pytest.mark.parametrize("mode", ["stochastic", "noise-free"])
+def test_topk_matches_lexsort_form(high, mode):
+    """Unsorted sources from a few ids (past one or two 16-bit digits),
+    and in noise-free mode repeated rows, so rho ties inside groups."""
+    rng = np.random.default_rng(high)
+    c = 700
+    src = rng.choice(rng.integers(0, high, size=12), size=c)
+    rows = rng.standard_normal((5, 3))[rng.integers(0, 5, size=c)]
+    zh, fh = ad.constant(rows), ad.constant(np.ones((c, 3)))
+    for k in (1, 3, 100):
+        _, rho, sel = ts.gumbel_topk_select(zh, fh, src, k, 0.7, seed=k,
+                                            mode=mode)
+        if mode == "noise-free":
+            assert len(np.unique(rho.values)) < c
+        assert sel.tobytes() == lexsort_topk(rho.values, src, k).tobytes()
+
+
+def lexsort_added_csr(num_nodes, add_src, add_dst, add_t):
+    """The added edges' CSR with both endpoint lists stacked and one
+    (owner, t, j) lexsort: the reference for AugmentedView's."""
+    j = np.arange(len(add_src), dtype=np.int64)
+    owners = np.concatenate([add_src, add_dst])
+    order = np.lexsort((np.concatenate([j, j]),
+                        np.concatenate([add_t, add_t]), owners))
+    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=num_nodes), out=offsets[1:])
+    return (np.concatenate([add_dst, add_src])[order],
+            np.concatenate([j, j])[order],
+            np.concatenate([add_t, add_t])[order], offsets)
+
+
+@pytest.mark.parametrize("num_nodes", [6, 2**16 + 9])
+def test_added_csr_matches_lexsort_form(num_nodes):
+    """Few endpoints and few times, so a node owns edges as source and as
+    destination at one t, and self-loops: the (owner, t, j) lexsort."""
+    rng = np.random.default_rng(num_nodes)
+    base = NeighborIndex.build(EventStore(
+        [0], [1], [1.0], [0], np.zeros((num_nodes, 1)), np.zeros((1, 1))))
+    ids = rng.integers(0, num_nodes, size=5)
+    for c in (0, 1, 300):
+        add_src, add_dst = rng.choice(ids, size=c), rng.choice(ids, size=c)
+        add_t = rng.integers(0, 4, size=c).astype(np.float64)
+        added = ts.AugmentedView(base, add_src, add_dst, add_t).added
+        got = (added.nbr, added.eid, added.ts, added.offsets)
+        want = lexsort_added_csr(num_nodes, add_src, add_dst, add_t)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert [x.dtype for x in got] == [x.dtype for x in want]
+
+
+def test_first_of_each_matches_unique_form():
+    rng = np.random.default_rng(3)
+    for high in (1, 40, 2**16 + 3, 2**40):
+        for m in (0, 1, 2000):
+            key = rng.choice(rng.integers(0, high, size=50), size=m)
+            want = np.sort(np.unique(key, return_index=True)[1])
+            got = ts._first_of_each(key)
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("etgnn_layers", [1, 2, 3])
 def test_gradient_reaches_learner_parameters(etgnn_layers):
     store = synth_generate(2, 10, 10, 200, 0.1, seed=3)
@@ -507,28 +574,30 @@ def unique_dedupe(cands, sel, rho):
 @pytest.mark.parametrize("seed", range(4))
 def test_dedupe_matches_unique_form(seed):
     """Duplicate triples with equal rho inside groups, and a selection
-    with no duplicates: the same edges, rows and rho as np.unique."""
-    rng = np.random.default_rng(seed)
-    store = synth_generate(2, 8, 8, 100, 0.1, seed=1)
-    idx = NeighborIndex.build(store)
-    c = 80
-    cands = ts.CandidateBatch(rng.integers(0, 4, size=c),
-                              rng.integers(0, 3, size=c),
-                              rng.integers(0, 3, size=c).astype(float),
-                              np.zeros(c), np.full(c, -1))
-    rho = rng.choice([0.4, 0.4, 0.7], size=c).astype(np.float32)
-    fhat = ad.constant(np.arange(c, dtype=np.float64)[:, None])
-    for sel in (np.sort(rng.choice(c, size=50, replace=False)),
-                np.arange(c), np.array([3])):
-        view = ts.build_augmented_view(idx, cands, sel, fhat,
-                                       ad.constant(rho))
-        want = unique_dedupe(cands, sel, rho)
-        got = view.cand_features.values[:, 0].astype(np.int64)
-        assert got.tobytes() == want.tobytes()
-        assert view.rho.values.tobytes() == rho[want].tobytes()
-        assert view.added.eid.tobytes() == ts.AugmentedView(
-            idx, cands.src[want], cands.dst[want],
-            cands.t_new[want]).added.eid.tobytes()
+    with no duplicates, on ids from 0 and across a 16-bit digit: the same
+    edges, rows and rho as np.unique."""
+    for first_id in (0, 2**16 - 2):
+        rng = np.random.default_rng(seed)
+        store = synth_generate(2, first_id + 8, 8, 100, 0.1, seed=1)
+        idx = NeighborIndex.build(store)
+        c = 80
+        cands = ts.CandidateBatch(first_id + rng.integers(0, 4, size=c),
+                                  first_id + rng.integers(0, 3, size=c),
+                                  rng.integers(0, 3, size=c).astype(float),
+                                  np.zeros(c), np.full(c, -1))
+        rho = rng.choice([0.4, 0.4, 0.7], size=c).astype(np.float32)
+        fhat = ad.constant(np.arange(c, dtype=np.float64)[:, None])
+        for sel in (np.sort(rng.choice(c, size=50, replace=False)),
+                    np.arange(c), np.array([3])):
+            view = ts.build_augmented_view(idx, cands, sel, fhat,
+                                           ad.constant(rho))
+            want = unique_dedupe(cands, sel, rho)
+            got = view.cand_features.values[:, 0].astype(np.int64)
+            assert got.tobytes() == want.tobytes()
+            assert view.rho.values.tobytes() == rho[want].tobytes()
+            assert view.added.eid.tobytes() == ts.AugmentedView(
+                idx, cands.src[want], cands.dst[want],
+                cands.t_new[want]).added.eid.tobytes()
 
 
 def test_min_k_candidate_count_added_per_source():
@@ -583,6 +652,39 @@ def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch, strategy):
                       store, n_nb=5)
     enc.encode_batch(view, store.src[batch], store.ts[batch], max_eid=150)
     assert len(calls) == 0
+
+
+def set_ops_window(index, nodes, t_ref, levels=2, max_eid=None):
+    """The visible window through np.unique, setdiff1d and union1d: the
+    reference for the presence-array form."""
+    level = seen = np.unique(np.asarray(nodes, dtype=np.int64))
+    eids = []
+    for _ in range(levels):
+        lo, cut = index.ranges_before(level, t_ref, max_eid)
+        pos = ts._flat_ranges(lo, cut)
+        if len(pos) == 0:
+            break
+        eids.append(index.eid[pos])
+        level = np.setdiff1d(index.nbr[pos], seen)
+        seen = np.union1d(seen, level)
+        if len(level) == 0:
+            break
+    if not eids:
+        return np.zeros(0, dtype=np.int64)
+    return np.unique(np.concatenate(eids))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 4])
+def test_visible_window_matches_set_ops_form(levels):
+    rng = np.random.default_rng(levels)
+    store = synth_generate(3, 40, 40, 1500, 0.2, seed=levels)
+    idx = NeighborIndex.build(store, np.arange(0, 1500, 2))
+    for m in (0, 1, 30):
+        nodes = rng.integers(0, store.num_nodes, size=m)
+        for t_ref, max_eid in ((0.0, None), (700.0, None), (2000.0, 900)):
+            got = ts.visible_window(idx, nodes, t_ref, levels, max_eid)
+            want = set_ops_window(idx, nodes, t_ref, levels, max_eid)
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
 
 
 def test_visible_window_respects_cutoffs():
