@@ -26,7 +26,9 @@ t0 = float(store.ts[batch[0]])
 print(f"batch of {len(batch)} events, {len(sources)} source nodes, "
       f"window closes at t={t0}")
 
-win = visible_window(index, sources, t0, levels=2, max_eid=int(batch[0]))
+# every query of the batch runs on the index cut before its first event
+cut = index.prefix(int(batch[0]))
+win = visible_window(cut, sources, t0, levels=2)
 print(f"visible window: {len(win)} events strictly before the batch")
 
 train_nodes = np.unique(np.concatenate(
@@ -36,10 +38,9 @@ for strategy in ("one-hop", "third-hop", "random"):
     run_cfg = RunConfig(strategy=strategy, k=4, n_can=8, n_rnn=6)
     learner = StructureLearner(tgsl_params, store, run_cfg, train_nodes)
     with ad.Tape() as tape:
-        view, detail = learner.propose(index, sources, t_ref=t0,
+        view, detail = learner.propose(cut, sources, t_ref=t0,
                                        t_max=split.t_max_train, seed=5,
-                                       view_base=index, mode="stochastic",
-                                       max_eid=int(batch[0]))
+                                       view_base=cut, mode="stochastic")
         cands = detail["candidates"]
         rho = detail["rho"]
         print(f"\n{strategy}: {len(cands)} candidates -> "
@@ -65,13 +66,10 @@ enc_params = EncoderParams(16, layers=1, heads=2, d_hidden=24, seed=2)
 enc = TgatEncoder(enc_params, store, n_nb=10)
 learner = StructureLearner(tgsl_params, store,
                            RunConfig(strategy="one-hop", k=4, n_can=8, n_rnn=6))
-view, _ = learner.propose(index, sources, t_ref=t0,
-                          t_max=split.t_max_train, seed=5, view_base=index,
-                          mode="noise-free", max_eid=int(batch[0]))
-plain = enc.encode_batch(index, sources[:6], np.full(6, t0),
-                         max_eid=int(batch[0]))
-augmented = enc.encode_batch(view, sources[:6], np.full(6, t0),
-                             max_eid=int(batch[0]))
+view, _ = learner.propose(cut, sources, t_ref=t0, t_max=split.t_max_train,
+                          seed=5, view_base=cut, mode="noise-free")
+plain = enc.encode_batch(cut, sources[:6], np.full(6, t0))
+augmented = enc.encode_batch(view, sources[:6], np.full(6, t0))
 delta = np.abs(plain.values - augmented.values).max(axis=1)
 print("\nmax embedding shift caused by the added edges per node:",
       np.round(delta, 4))

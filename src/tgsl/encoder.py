@@ -121,14 +121,14 @@ class LayerPlan(NamedTuple):
 
 
 class EncodePlan(NamedTuple):
-    """The parameter-free part of one encode: the view, pairs and max_eid
-    it was built for, `base`, the node ids of the layer-0 rows, and one
-    LayerPlan per layer, bottom first. It reads the view's cand_features
-    and rho when applied, so it is valid only while its view is."""
+    """The parameter-free part of one encode: the view (a prefix carries
+    its cut) and pairs it was built for, `base`, the node ids of the
+    layer-0 rows, and one LayerPlan per layer, bottom first. It reads the
+    view's cand_features and rho when applied, so it is valid only while
+    its view is."""
     view: object
     nodes: np.ndarray
     ts: np.ndarray
-    max_eid: object
     base: np.ndarray
     layers: list
 
@@ -150,8 +150,8 @@ def _distinct_pairs(nodes, ts):
 class TgatEncoder:
     """Multi-head temporal attention over a graph view.
 
-    A view is anything whose batch_neighbors(nodes, ts, n, max_eid) returns
-    (ids, eids, tss, mask) blocks: a NeighborIndex or an AugmentedView.
+    A view is anything whose batch_neighbors(nodes, ts, n) returns (ids,
+    eids, tss, mask) blocks: a NeighborIndex or an AugmentedView.
     Slots with event ids >= 0 are real events, whose feature rows are
     edge_features[feat_ids[eid]]; a slot with id -1 - j is the view's added
     edge j, with feature row cand_features[j] and weight rho[j].
@@ -181,21 +181,20 @@ class TgatEncoder:
 
     # -- embedding: a parameter-free plan, then the layers applied to it
 
-    def encode_batch(self, view, nodes, ts, max_eid=None, plan=None):
+    def encode_batch(self, view, nodes, ts, plan=None):
         """Embeddings for (node, t) pairs; returns a [B, d_model] tensor.
-        It is apply(plan(view, nodes, ts, max_eid)); a caller that already
-        built that plan (a training batch shares one between the key and
-        query encoders) passes it as `plan`."""
+        It is apply(plan(view, nodes, ts)); a caller that already built
+        that plan (a training batch shares one between the key and query
+        encoders) passes it as `plan`."""
         if plan is None:
-            plan = self.plan(view, nodes, ts, max_eid)
-        elif not (plan.view is view and plan.max_eid == max_eid
-                  and np.array_equal(plan.nodes, nodes)
+            plan = self.plan(view, nodes, ts)
+        elif not (plan.view is view and np.array_equal(plan.nodes, nodes)
                   and np.array_equal(plan.ts, ts)):
             raise ValueError("encode_batch: the plan was built for other "
-                             "pairs, view or max_eid")
+                             "pairs or another view")
         return self.apply(plan)
 
-    def plan(self, view, nodes, ts, max_eid=None):
+    def plan(self, view, nodes, ts):
         """The parameter-free part of encoding (node, t) pairs on `view`,
         as an EncodePlan for apply(). Each layer attends over the view's
         n_nb most recent slots before t, so the plan queries the view top
@@ -212,8 +211,7 @@ class TgatEncoder:
         q_nodes, q_ts = nodes, ts
         tops, gaps = [], []
         for layer in range(self.params.layers, 0, -1):
-            ids, eids, tss, mask = view.batch_neighbors(nodes, ts, self.n_nb,
-                                                        max_eid)
+            ids, eids, tss, mask = view.batch_neighbors(nodes, ts, self.n_nb)
             # real events bring their edge row and weight 1; added edge j
             # is a position that brings cand_features[j] and rho[j] in
             # apply; pads bring zeros
@@ -239,7 +237,7 @@ class TgatEncoder:
                     inverse, mask, e_rows,
                     te[start:end].reshape(*mask.shape, -1), pos, j))
                 end = start
-        return EncodePlan(view, q_nodes, q_ts, max_eid, nodes, layers)
+        return EncodePlan(view, q_nodes, q_ts, nodes, layers)
 
     def apply(self, plan):
         """Embeddings of a plan's pairs under this encoder's parameters;

@@ -4,9 +4,10 @@ Events are undirected timestamped interactions (src, dst, t, feature row) on
 a node-id space where bipartite item ids sit after the user ids. Everything
 downstream (neighbor queries, splits, sampling) is built on the invariant
 that events are sorted by timestamp with ties broken by ingestion order, so
-"strictly before t" is always well defined. Node and event ids are small
-dense integers, so ids are ordered and deduplicated in linear time
-(`id_order`, `node_set`), each result equal to the comparison sort's.
+"strictly before t" is always well defined, and so is "before event id e",
+the cut of `NeighborIndex.prefix(e)`. Node and event ids are small dense
+integers, so ids are ordered and deduplicated in linear time (`id_order`,
+`node_set`), each result equal to the comparison sort's.
 """
 
 import math
@@ -141,12 +142,13 @@ class NeighborIndex:
     is one vectorised search over those ranges (`ranges_before`) followed
     by gathers; no query loops over rows in Python."""
 
-    def __init__(self, num_nodes, nbr, eid, ts, offsets):
+    def __init__(self, num_nodes, nbr, eid, ts, offsets, max_eid=None):
         self.num_nodes = num_nodes
         self.nbr = nbr
         self.eid = eid
         self.ts = ts
         self.offsets = offsets
+        self.max_eid = max_eid
 
     @classmethod
     def build(cls, store, event_ids=None):
@@ -170,18 +172,25 @@ class NeighborIndex:
     @classmethod
     def from_order(cls, num_nodes, order, owners, peers, eids, ts):
         """CSR over the entries taken in `order`, which must sort them by
-        owner and, within an owner, by non-decreasing ts (and eid, for
-        queries that pass max_eid)."""
+        owner and, within an owner, by non-decreasing ts (and eid, if the
+        index is to be cut by `prefix`)."""
         counts = np.bincount(owners, minlength=num_nodes)
         offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(num_nodes, peers[order], eids[order], ts[order], offsets)
 
-    def ranges_before(self, nodes, ts, max_eid=None):
+    def prefix(self, eid):
+        """This index, also cut before event id `eid`, on the same CSR
+        arrays: it answers as the index over the earlier events does."""
+        return type(self)(self.num_nodes, self.nbr, self.eid, self.ts,
+                          self.offsets, eid if self.max_eid is None
+                          else min(eid, self.max_eid))
+
+    def ranges_before(self, nodes, ts):
         """For each (node, t) row, the CSR range [lo, cut) of the node's
-        entries strictly before t, and before event id max_eid when given:
-        a per-row `searchsorted(side="left")`, run as one bisection over
-        all rows. `ts` may be a scalar."""
+        entries strictly before t (and before the index's max_eid): a
+        per-row `searchsorted(side="left")`, run as one bisection over all
+        rows. `ts` may be a scalar."""
         nodes = np.asarray(nodes, dtype=np.int64)
         t = np.broadcast_to(np.asarray(ts, dtype=np.float64), nodes.shape)
         lo = self.offsets[nodes]
@@ -194,26 +203,25 @@ class NeighborIndex:
             a, b = cut[act], end[act]
             mid = (a + b) >> 1
             before = self.ts[mid] < t[act]
-            if max_eid is not None:
-                before &= self.eid[mid] < max_eid
+            if self.max_eid is not None:
+                before &= self.eid[mid] < self.max_eid
             cut[act] = np.where(before, mid + 1, a)
             end[act] = np.where(before, b, mid)
             act = act[cut[act] < end[act]]
         return lo, cut
 
-    def neighbors_before(self, node, t, n, max_eid=None):
-        """The n most recent entries strictly before time t (and before
-        event id max_eid when given), ascending."""
-        lo, cut = self.ranges_before([node], [t], max_eid)
+    def neighbors_before(self, node, t, n):
+        """The n most recent entries strictly before time t, ascending."""
+        lo, cut = self.ranges_before([node], [t])
         sl = slice(max(int(lo[0]), int(cut[0]) - n), int(cut[0]))
         return self.nbr[sl], self.eid[sl], self.ts[sl]
 
-    def batch_neighbors(self, nodes, ts, n, max_eid=None):
+    def batch_neighbors(self, nodes, ts, n):
         """Right-padded [B, n] neighbor blocks: ids, event ids, timestamps
         and a {0,1} mask, holding each row's n most recent entries strictly
         before its time (as `neighbors_before`; `ts` may be a scalar).
         Padded slots carry node 0 at time 0."""
-        lo, cut = self.ranges_before(nodes, ts, max_eid)
+        lo, cut = self.ranges_before(nodes, ts)
         start = np.maximum(lo, cut - n)
         col = np.arange(n)
         valid = col < (cut - start)[:, None]
@@ -253,12 +261,13 @@ class SplitSpec:
 
 def _compute_mask(store, n_train, mask_frac, seed):
     """Unseen-in-training nodes plus a seeded sample of other val/test-active
-    nodes; returns (sorted masked ids, usable train event ids)."""
+    nodes, mask_frac of the nodes that occur; returns (sorted masked ids,
+    usable train event ids)."""
     v = store.num_nodes
     in_train = id_presence(v, store.src[:n_train], store.dst[:n_train])
     later = id_presence(v, store.src[n_train:], store.dst[n_train:])
     masked = later & ~in_train
-    k = int(math.floor(mask_frac * v))
+    k = int(math.floor(mask_frac * np.count_nonzero(in_train | later)))
     if k > 0:
         pool = np.flatnonzero(later & in_train)
         rng = np.random.default_rng(seed)

@@ -147,8 +147,7 @@ def etgnn_forward(event_ids, store, params):
 # ---------------------------------------------------------------------------
 # sequence-predicted context embeddings
 
-def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
-                          max_eid=None):
+def context_predict_batch(params, et, index, nodes, t_cut, n_rnn):
     """LSTM over each node's most recent <= n_rnn edge embeddings in
     non-decreasing time order; returns the final hidden states [S, d].
     Rows are left-padded, so a row's mask is 0 before its first edge and 1
@@ -162,8 +161,7 @@ def context_predict_batch(params, et, index, nodes, t_cut, n_rnn,
     rows = np.zeros((s, n_rnn), dtype=np.int64)
     mask = np.zeros((s, n_rnn), dtype=dtype)
     if len(et.event_ids):
-        _, eids, _, valid = index.batch_neighbors(nodes, t_cut, n_rnn,
-                                                  max_eid)
+        _, eids, _, valid = index.batch_neighbors(nodes, t_cut, n_rnn)
         valid = valid > 0
         # right-padded block -> left padding: shift row i by n_rnn - k_i
         shift = n_rnn - valid.sum(axis=1)
@@ -215,13 +213,13 @@ def _flat_ranges(lo, cut):
             + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt))
 
 
-def _draw(nodes, index, n, rng, t_ref, max_eid):
+def _draw(nodes, index, n, rng, t_ref):
     """The one draw rule: per row of `nodes` with history, in row order,
-    one permutation of its history before t_ref (and max_eid); the first
+    one permutation of its history before t_ref on `index`; the first
     occurrence of each neighbor in permutation order is kept, up to n per
     row (at least one). Returns (row, CSR position) pairs in row order,
     then permutation order."""
-    lo, cut = index.ranges_before(nodes, t_ref, max_eid)
+    lo, cut = index.ranges_before(nodes, t_ref)
     has = np.flatnonzero(cut > lo)
     perm = [rng.permutation(int(cut[i] - lo[i])) for i in has]
     row = np.repeat(has, cut[has] - lo[has])
@@ -265,7 +263,7 @@ def _partial_draw(rows, size, m, rng):
     return r
 
 
-def _walk(src, index, fanouts, rng, t_ref, max_eid):
+def _walk(src, index, fanouts, rng, t_ref):
     """Rows (source position, CSR position of the last hop's edge) of the
     third-hop endpoints: hop h applies `_draw` with n = fanouts[h] to every
     (source, node) frontier row, then drops nodes the row's source has
@@ -273,7 +271,7 @@ def _walk(src, index, fanouts, rng, t_ref, max_eid):
     owner, node = np.arange(len(src)), src
     visited = owner * np.int64(index.num_nodes) + src
     for fanout in fanouts:
-        row, pos = _draw(node, index, fanout, rng, t_ref, max_eid)
+        row, pos = _draw(node, index, fanout, rng, t_ref)
         owner, node = owner[row], index.nbr[pos]
         key = owner * np.int64(index.num_nodes) + node
         first = _first_of_each(key)
@@ -284,8 +282,7 @@ def _walk(src, index, fanouts, rng, t_ref, max_eid):
 
 
 def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
-                      t_max, random_pool=None, max_eid=None,
-                      fanouts=(10, 3, 3)):
+                      t_max, random_pool=None, fanouts=(10, 3, 3)):
     """Up to n_can candidate destinations per source node, grouped by
     source in source order, from one seeded generator.
 
@@ -321,9 +318,9 @@ def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
         return CandidateBatch(src_nodes[row], head[row, col], t_new,
                               t_new.copy(), np.full(len(row), -1))
     if strategy == "one-hop":
-        row, pos = _draw(src_nodes, index, n_can, rng, t_ref, max_eid)
+        row, pos = _draw(src_nodes, index, n_can, rng, t_ref)
     else:
-        row, pos = _walk(src_nodes, index, fanouts, rng, t_ref, max_eid)
+        row, pos = _walk(src_nodes, index, fanouts, rng, t_ref)
         keep = _ranks(row) < n_can
         row, pos = row[keep], pos[keep]
     t_new = rng.uniform(0.0, t_max, size=len(row))
@@ -413,12 +410,12 @@ class AugmentedView:
     def num_added(self):
         return 0 if self.cand_features is None else self.cand_features.shape[0]
 
-    def batch_neighbors(self, nodes, ts, n, max_eid=None):
+    def batch_neighbors(self, nodes, ts, n):
         """The base block merged with the added edges strictly before each
         row's time: the n most recent of both, ascending and left-aligned.
         At equal t base entries come first, base ones by column and added
         ones by j. Added edge j sits in its slot with event id -1 - j."""
-        ids, eids, tss, mask = self.base.batch_neighbors(nodes, ts, n, max_eid)
+        ids, eids, tss, mask = self.base.batch_neighbors(nodes, ts, n)
         a_ids, a_j, a_ts, a_mask = self.added.batch_neighbors(nodes, ts, n)
         if not a_mask.any():
             return ids, eids, tss, mask
@@ -473,16 +470,16 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho):
 # ---------------------------------------------------------------------------
 # window collection and the end-to-end proposer
 
-def visible_window(index, nodes, t_ref, levels=2, max_eid=None):
+def visible_window(index, nodes, t_ref, levels=2):
     """Event ids incident to the sources and their first (levels-1) rings,
-    restricted to strictly before t_ref (and the optional event-id cutoff),
+    strictly before t_ref on `index` (and before its cut, if a prefix),
     sorted. Each ring is the sorted set of the last ring's neighbors not
     seen before, kept as presence arrays over the node ids."""
     seen = id_presence(index.num_nodes, nodes)
     level = np.flatnonzero(seen)
     eids = []
     for _ in range(levels):
-        lo, cut = index.ranges_before(level, t_ref, max_eid)
+        lo, cut = index.ranges_before(level, t_ref)
         pos = _flat_ranges(lo, cut)
         if len(pos) == 0:
             break
@@ -538,7 +535,7 @@ class StructureLearner:
         return InferenceCache(et, nodes, z)
 
     def propose(self, index, src_nodes, *, t_ref, t_max, seed, view_base,
-                mode="stochastic", max_eid=None, cache=None):
+                mode="stochastic", cache=None):
         """Build the augmented view for a batch of source nodes. Candidates
         come from `index`; the view inserts the selected ones into
         `view_base`. Without a cache, the ET-GNN runs over the sources'
@@ -566,15 +563,14 @@ class StructureLearner:
             # to the last hop of a walk, which starts len(fanouts) - 1 away
             levels = self.params.layers + (
                 len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
-            window = visible_window(index, src_nodes, t_ref, levels, max_eid)
+            window = visible_window(index, src_nodes, t_ref, levels)
             et = etgnn_forward(window, self.store, self.params)
             nodes = src_nodes
             z = context_predict_batch(self.params, et, index, src_nodes,
-                                      t_ref, cfg.n_rnn, max_eid)
+                                      t_ref, cfg.n_rnn)
         cands = sample_candidates(
             src_nodes, cfg.strategy, index, cfg.n_can, seed, t_ref=t_ref,
-            t_max=t_max, random_pool=self.random_pool, max_eid=max_eid,
-            fanouts=fanouts)
+            t_max=t_max, random_pool=self.random_pool, fanouts=fanouts)
         if len(cands) == 0:
             return AugmentedView(view_base), {"candidates": cands}
         if self.learns:

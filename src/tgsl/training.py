@@ -231,8 +231,8 @@ def info_nce_batch(q, k_pos, queue, tau):
     return ad.mean(ad.sub(lse, p0))
 
 
-def batch_loss(enc, learner, index, src, dst, neg, tss, *, max_eid, t_max,
-               seed, keys, queue, alpha, tau, plan=None):
+def batch_loss(enc, learner, index, src, dst, neg, tss, *, t_max, seed, keys,
+               queue, alpha, tau, plan=None):
     """The multi-task loss of one training batch of (src, dst, t) events
     with negatives `neg`: link BCE on `index`, and with a structure learner
     also link BCE on the view it proposes into `index`, and with `keys`
@@ -244,14 +244,14 @@ def batch_loss(enc, learner, index, src, dst, neg, tss, *, max_eid, t_max,
     b = len(src)
     nodes3 = np.concatenate([src, dst, neg])
     ts3 = np.concatenate([tss, tss, tss])
-    emb_ori = enc.encode_batch(index, nodes3, ts3, max_eid=max_eid, plan=plan)
+    emb_ori = enc.encode_batch(index, nodes3, ts3, plan=plan)
     loss_ori = bce_link_loss(*enc.score_links(emb_ori, b))
     if learner is None:
         return loss_ori, None, None, loss_ori
     view, _ = learner.propose(
         index, np.concatenate([src, dst]), t_ref=float(tss[0]), t_max=t_max,
-        seed=seed, view_base=index, mode="stochastic", max_eid=max_eid)
-    emb_aug = enc.encode_batch(view, nodes3, ts3, max_eid=max_eid)
+        seed=seed, view_base=index, mode="stochastic")
+    emb_aug = enc.encode_batch(view, nodes3, ts3)
     loss_aug = bce_link_loss(*enc.score_links(emb_aug, b))
     if keys is None:
         return loss_ori, loss_aug, None, ad.add(loss_ori, loss_aug)
@@ -413,7 +413,8 @@ class Trainer:
         rec = {"loss_ori": [], "loss_aug": [], "loss_cl": [], "total": []}
         for bi, batch in enumerate(self._batches()):
             src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
-            start_eid = int(batch[0])
+            # no query of a batch sees the batch's own events
+            index = self.train_index.prefix(int(batch[0]))
             neg = sample_negatives(dst, self.train_dst_pool,
                                    _seed(self.seed, epoch, bi, 3))
             keys = queue = plan = None
@@ -421,17 +422,15 @@ class Trainer:
                 # one plan of the original view's [src | dst | neg] pairs
                 # serves the key pass, which keeps the [src | dst] rows,
                 # and the query's original-view pass
-                plan = self.q_enc.plan(
-                    self.train_index, np.concatenate([src, dst, neg]),
-                    np.concatenate([tss, tss, tss]), max_eid=start_eid)
+                plan = self.q_enc.plan(index, np.concatenate([src, dst, neg]),
+                                       np.concatenate([tss, tss, tss]))
                 with ad.no_grad():
                     k_emb = self.k_enc.apply(plan)
                 keys = _l2_rows_np(k_emb.values[:2 * len(batch)])
                 queue = self.moco.queue
             with ad.Tape() as tape:
                 loss_ori, loss_aug, loss_cl, total = batch_loss(
-                    self.q_enc, self.learner, self.train_index, src, dst,
-                    neg, tss, max_eid=start_eid,
+                    self.q_enc, self.learner, index, src, dst, neg, tss,
                     t_max=self.split.t_max_train,
                     seed=_seed(self.seed, epoch, bi, 1), keys=keys,
                     queue=queue, alpha=cfg.alpha, tau=cfg.tau_cl, plan=plan)

@@ -1,8 +1,6 @@
-"""The public surface: every exported name resolves, and the demos run
-(01-04) or at least import only names that exist (05-06, which train for
-minutes)."""
+"""The public surface: every exported name resolves, and every demo runs
+to completion (05 and 06 train for a few seconds)."""
 
-import ast
 import importlib
 import os
 import pkgutil
@@ -31,22 +29,10 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-@pytest.mark.parametrize("prefix", ["01", "02", "03", "04"])
+@pytest.mark.parametrize("prefix", ["01", "02", "03", "04", "05", "06"])
 def test_quick_demo_runs(prefix):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, demo(prefix)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
-
-@pytest.mark.parametrize("prefix", ["05", "06"])
-def test_long_demo_imports_resolve(prefix):
-    with open(demo(prefix), encoding="utf-8") as f:
-        tree = ast.parse(f.read())
-    missing = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module.startswith("tgsl"):
-            mod = importlib.import_module(node.module)
-            missing += [f"{node.module}.{a.name}" for a in node.names
-                        if not hasattr(mod, a.name)]
-    assert missing == []

@@ -264,6 +264,29 @@ def test_train_empty_transductive_val_set_exits_data(tmp_path, capsys):
     assert not list(tmp_path.glob("run-*"))    # no empty run directory
 
 
+def test_train_csv_with_an_id_gap_masks_by_occurring_nodes(tmp_path):
+    # user 7 renumbered to 200000 spans 200k ids with 80 nodes: sized by
+    # the id range, the extra mask would take every val/test-active node
+    # and leave no transductive val set
+    dense = tmp_path / "dense.csv"
+    assert cli.main(["synth", "--out", str(dense), "--seed", "2"]
+                    + _set_args(["synth_users=40", "synth_items=40",
+                                 "synth_events=3000"])) == 0
+    head, *rows = dense.read_text().splitlines()
+    rows = ["200000" + r[1:] if r.startswith("7,") else r for r in rows]
+    assert sum(r.startswith("200000,") for r in rows) > 0
+    gap = tmp_path / "gap.csv"
+    gap.write_text("\n".join([head] + rows) + "\n")
+    out = str(tmp_path / "runs")
+    sets = [f"dataset={gap}", "mask_frac=0.1", "d_model=8", "layers=1",
+            "heads=2", "d_hidden=12", "etgnn_layers=1", "n_nb=5",
+            "batch_size=200", "max_epochs=1", "k=3", "n_can=5", "n_rnn=4",
+            "alpha=0.0", "seeds=3"]
+    assert cli.main(["train", "--out", out] + _set_args(sets)) == 0
+    (run,) = os.listdir(out)
+    assert cli.main(["eval", os.path.join(out, run, "manifest.json")]) == 0
+
+
 def test_train_single_node_negative_pool_exits_data(tmp_path, capsys):
     # masking nearly every node leaves one training destination, which
     # cannot be drawn as a negative for itself

@@ -207,9 +207,9 @@ def test_view_without_additions_encodes_as_its_base(layers):
     enc = te.TgatEncoder(p, store, n_nb=5)
     nodes = np.concatenate([store.src[50:60], store.dst[50:60]])
     tss = np.concatenate([store.ts[50:60], store.ts[50:60]])
-    for max_eid in (None, 50):
-        want = enc.encode_batch(idx, nodes, tss, max_eid).values
-        got = enc.encode_batch(AugmentedView(idx), nodes, tss, max_eid).values
+    for base in (idx, idx.prefix(50)):
+        want = enc.encode_batch(base, nodes, tss).values
+        got = enc.encode_batch(AugmentedView(base), nodes, tss).values
         assert np.array_equal(got, want)
 
 
@@ -565,7 +565,7 @@ def test_encode_batch_matches_direct_time_encode(monkeypatch):
         assert g.tobytes() == want.tobytes()
 
 
-def padded_dense_embed(enc, view, nodes, ts, layer, max_eid=None):
+def padded_dense_embed(enc, view, nodes, ts, layer):
     """Test oracle: the encoder before narrow inputs and sparse added
     slots. Feature tables are zero-padded to d_model, every slot gathers
     cand_features and rho and a mask zeroes all but the added ones, and
@@ -582,17 +582,17 @@ def padded_dense_embed(enc, view, nodes, ts, layer, max_eid=None):
         return ad.constant(padded(enc.node_feat)[nodes])
     pre = f"enc.l{layer - 1}."
     b = len(nodes)
-    ids, eids, tss, mask = view.batch_neighbors(nodes, ts, enc.n_nb, max_eid)
+    ids, eids, tss, mask = view.batch_neighbors(nodes, ts, enc.n_nb)
     n = ids.shape[1]
     all_nodes = np.concatenate([nodes, ids.ravel()])
     all_ts = np.concatenate([ts, tss.ravel()])
     if layer == 1:
-        emb = padded_dense_embed(enc, view, all_nodes, all_ts, 0, max_eid)
+        emb = padded_dense_embed(enc, view, all_nodes, all_ts, 0)
     else:
         pairs = np.stack([all_nodes.astype(np.float64), all_ts], axis=1)
         uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
         sub = padded_dense_embed(enc, view, uniq[:, 0].astype(np.int64),
-                                 uniq[:, 1], layer - 1, max_eid)
+                                 uniq[:, 1], layer - 1)
         emb = ad.take(sub, inverse.reshape(-1))
     h_self = ad.narrow(emb, 0, 0, b)
     h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, dm))
@@ -766,15 +766,17 @@ def test_distinct_pairs_match_unique_rows_and_inverse(seed):
 
 
 def plan_fixture(layers):
+    """A batch of 60 events and the index its queries run on: the one over
+    the first 800 events, cut before the batch."""
     store = synth_generate(2, 30, 30, 900, 0.1, seed=6)
-    idx = NeighborIndex.build(store, np.arange(800))
     batch = np.arange(700, 760)
+    idx = NeighborIndex.build(store, np.arange(800)).prefix(int(batch[0]))
     src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
     neg = np.random.default_rng(0).permutation(dst)
     encs = [te.TgatEncoder(te.EncoderParams(16, layers=layers, heads=2,
                                             d_hidden=16, seed=s), store,
                            n_nb=8) for s in (1, 2)]
-    return idx, src, dst, neg, tss, int(batch[0]), encs
+    return idx, src, dst, neg, tss, encs
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -782,30 +784,30 @@ def test_key_rows_of_a_shared_plan_match_their_own_encode(layers):
     """The key pass applies the plan of [src | dst | neg] built by the
     query encoder; its first 2b rows are, bit for bit, the key encoder's
     own encode of [src | dst]."""
-    idx, src, dst, neg, tss, max_eid, (q_enc, k_enc) = plan_fixture(layers)
+    idx, src, dst, neg, tss, (q_enc, k_enc) = plan_fixture(layers)
     b = len(src)
     plan = q_enc.plan(idx, np.concatenate([src, dst, neg]),
-                      np.concatenate([tss, tss, tss]), max_eid)
+                      np.concatenate([tss, tss, tss]))
     with ad.no_grad():
         got = k_enc.apply(plan).values[:2 * b]
         want = k_enc.encode_batch(idx, np.concatenate([src, dst]),
-                                  np.concatenate([tss, tss]),
-                                  max_eid).values
+                                  np.concatenate([tss, tss])).values
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_encode_batch_with_a_plan_records_the_same_tape(layers):
     """Passing the plan changes nothing: the same output bytes, tape
-    length and gradients; a plan of other pairs is refused."""
-    idx, src, dst, neg, tss, max_eid, (q_enc, _) = plan_fixture(layers)
+    length and gradients; a plan of other pairs, or of another view (here
+    the index cut one event earlier), is refused."""
+    idx, src, dst, neg, tss, (q_enc, _) = plan_fixture(layers)
     nodes = np.concatenate([src, dst, neg])
     ts3 = np.concatenate([tss, tss, tss])
-    plan = q_enc.plan(idx, nodes, ts3, max_eid)
+    plan = q_enc.plan(idx, nodes, ts3)
     runs = []
     for given in (None, plan):
         with ad.Tape() as tape:
-            out = q_enc.encode_batch(idx, nodes, ts3, max_eid, plan=given)
+            out = q_enc.encode_batch(idx, nodes, ts3, plan=given)
             tape.backward(ad.sum_(ad.mul(out, out)))
         runs.append((out.values.tobytes(), len(tape),
                      [p.grad.tobytes() for p in q_enc.params.parameters()
@@ -814,6 +816,7 @@ def test_encode_batch_with_a_plan_records_the_same_tape(layers):
             p.zero_grad()
     assert runs[0] == runs[1]
     with pytest.raises(ValueError, match="plan"):
-        q_enc.encode_batch(idx, nodes[::-1], ts3, max_eid, plan=plan)
+        q_enc.encode_batch(idx, nodes[::-1], ts3, plan=plan)
     with pytest.raises(ValueError, match="plan"):
-        q_enc.encode_batch(idx, nodes, ts3, max_eid - 1, plan=plan)
+        q_enc.encode_batch(idx.prefix(idx.max_eid - 1), nodes, ts3,
+                           plan=plan)

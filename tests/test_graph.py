@@ -97,15 +97,43 @@ def test_split_rejects_empty_and_bad_args():
         tg.chronological_split(store, mask_frac=1.0)
 
 
+def gapped(store, at, gap):
+    """The store with every node id >= `at` moved up by `gap`: the same
+    graph, its ids in the same order, `gap` unused ids in the table."""
+    def shift(ids):
+        return np.where(ids >= at, ids + gap, ids)
+    feats = np.zeros((store.num_nodes + gap, store.node_dim), np.float32)
+    return EventStore(shift(store.src), shift(store.dst), store.ts,
+                      store.feat_ids, feats, store.edge_features), shift
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_split_mask_of_a_store_with_an_id_gap_is_its_dense_twins(seed):
+    """The extra mask is sized by the nodes that occur, not by the id
+    range: a store whose ids skip 5000 unused ones masks exactly the
+    renumbered nodes of its dense twin, and keeps the same train events."""
+    dense = tg.synth_generate(3, 40, 40, 400, 0.2, seed=seed)
+    sparse, shift = gapped(dense, 30, 5000)
+    for mask_frac in (0.0, 0.05, 0.3):
+        a = tg.chronological_split(dense, mask_frac=mask_frac, seed=seed)
+        b = tg.chronological_split(sparse, mask_frac=mask_frac, seed=seed)
+        assert np.array_equal(b.masked_nodes, shift(a.masked_nodes))
+        assert np.array_equal(b.usable_train_ids, a.usable_train_ids)
+    # the twin's extra mask is a few nodes, not every val/test-active one
+    unseen = tg.chronological_split(dense, mask_frac=0.0).masked_nodes
+    assert 0 < len(a.masked_nodes) - len(unseen) <= 0.3 * dense.num_nodes
+
+
 def set_ops_mask(store, n_train, mask_frac, seed):
     """The split's mask through np.unique, setdiff1d, intersect1d, union1d
-    and isin: the reference for the presence-array form."""
+    and isin: the reference for the presence-array form. The extra mask
+    takes mask_frac of the nodes that occur."""
     train_nodes = np.unique(np.concatenate([store.src[:n_train],
                                             store.dst[:n_train]]))
     later_nodes = np.unique(np.concatenate([store.src[n_train:],
                                             store.dst[n_train:]]))
     masked = np.setdiff1d(later_nodes, train_nodes, assume_unique=True)
-    k = int(np.floor(mask_frac * store.num_nodes))
+    k = int(np.floor(mask_frac * len(np.union1d(train_nodes, later_nodes))))
     if k > 0:
         pool = np.intersect1d(later_nodes, train_nodes, assume_unique=True)
         rng = np.random.default_rng(seed)
@@ -119,12 +147,13 @@ def set_ops_mask(store, n_train, mask_frac, seed):
 @pytest.mark.parametrize("mask_frac", [0.0, 0.05, 0.3, 0.9])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_split_mask_matches_set_ops_form(mask_frac, seed):
-    store = tg.synth_generate(3, 40, 40, 400, 0.2, seed=seed)
-    for n_train in (1, 200, 400):
-        got = tg._compute_mask(store, n_train, mask_frac, seed)
-        want = set_ops_mask(store, n_train, mask_frac, seed)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        assert [x.dtype for x in got] == [x.dtype for x in want]
+    dense = tg.synth_generate(3, 40, 40, 400, 0.2, seed=seed)
+    for store in (dense, gapped(dense, 30, 5000)[0]):
+        for n_train in (1, 200, 400):
+            got = tg._compute_mask(store, n_train, mask_frac, seed)
+            want = set_ops_mask(store, n_train, mask_frac, seed)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            assert [x.dtype for x in got] == [x.dtype for x in want]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ the visible window and the duplicate resolution of added edges. The
 candidate references make the same generator calls in the same order as
 the batched draws. Every test asserts bitwise equality on random stores
 with tied integer timestamps, repeated query nodes, nodes without history,
-windows wider than the degree, self-loops, and both with and without an
-event-id cutoff.
+windows wider than the degree, self-loops, and both on an index and on its
+`prefix` at an event-id cutoff; the references take that cutoff as an
+argument.
 """
 
 import itertools
@@ -311,6 +312,12 @@ def cutoffs(store):
     return [None, 0, len(store) // 3, len(store) + 5]
 
 
+def cut(idx, max_eid):
+    """The index a query at cutoff `max_eid` runs on: its prefix there, or
+    the index itself without a cutoff."""
+    return idx if max_eid is None else idx.prefix(max_eid)
+
+
 def assert_same(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -333,28 +340,63 @@ def test_batch_neighbors_matches_loop(seed):
         nodes, t = queries(store, rng)
         for n in (1, 3, 200):
             for max_eid in cutoffs(store):
-                assert_same(idx.batch_neighbors(nodes, t, n, max_eid),
+                assert_same(cut(idx, max_eid).batch_neighbors(nodes, t, n),
                             ref_batch_neighbors(idx, nodes, t, n, max_eid))
                 for u, tq in zip(nodes[:8], t[:8]):
                     assert_same(
-                        idx.neighbors_before(int(u), tq, n, max_eid),
+                        cut(idx, max_eid).neighbors_before(int(u), tq, n),
                         ref_neighbors_before(idx, int(u), tq, n, max_eid))
 
 
-def random_view(store, idx, rng, n_add=30):
-    """Added edges at integer times (tying base and query times), with
-    self-loops and edges on nodes without base history."""
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prefix_answers_as_the_index_over_earlier_events(seed):
+    """idx.prefix(e) shares idx's arrays and answers every query as the
+    index built over idx's events below e: at cutoffs whose event ties
+    others in time, queried at that time, just after it and at random."""
+    rng = np.random.default_rng(800 + seed)
+    store = random_store(seed)
+    sub = np.sort(rng.choice(len(store), size=len(store) // 2, replace=False))
+    tied = np.flatnonzero(np.diff(store.ts) == 0) + 1   # ts[e] == ts[e - 1]
+    cuts = [0, len(store) + 5, *rng.choice(tied, 4),
+            *rng.integers(0, len(store), 4)]
+    for ids in (np.arange(len(store)), sub, np.zeros(0, np.int64)):
+        idx = NeighborIndex.build(store, ids)
+        for e in map(int, cuts):
+            got = idx.prefix(e)
+            want = NeighborIndex.build(store, ids[ids < e])
+            for arr in ("nbr", "eid", "ts", "offsets"):
+                assert getattr(got, arr) is getattr(idx, arr)
+            nodes, t = queries(store, rng)
+            t_e = float(store.ts[min(e, len(store) - 1)])
+            t[6:10] = [t_e, t_e, t_e + 0.5, t_e + 1]
+            for n in (1, 3, 200):
+                assert_same(got.batch_neighbors(nodes, t, n),
+                            want.batch_neighbors(nodes, t, n))
+                for u, tq in zip(nodes[:10], t[:10]):
+                    assert_same(got.neighbors_before(int(u), tq, n),
+                                want.neighbors_before(int(u), tq, n))
+            # a prefix of a prefix keeps the earlier cutoff
+            assert_same(got.prefix(e + 7).batch_neighbors(nodes, t, 5),
+                        want.batch_neighbors(nodes, t, 5))
+
+
+def random_additions(store, rng, n_add=30):
+    """Added edges (add_src, add_dst, add_t) at integer times (tying base
+    and query times), with self-loops and edges on nodes without base
+    history."""
     add_src = rng.integers(0, store.num_nodes, size=n_add)
     add_dst = rng.integers(0, store.num_nodes, size=n_add)
     add_src[:3] = add_dst[:3]
     add_src[3] = store.num_nodes - 1
     add_t = rng.integers(0, int(store.ts.max()) + 2, size=n_add).astype(float)
     add_t[4:6] = store.ts[:2]
-    view = ts.AugmentedView(idx, add_src, add_dst, add_t,
-                            ad.constant(np.ones((n_add, 2))),
+    return add_src, add_dst, add_t
+
+
+def augmented(base, adds):
+    n_add = len(adds[0])
+    return ts.AugmentedView(base, *adds, ad.constant(np.ones((n_add, 2))),
                             ad.constant(np.full(n_add, 0.5)))
-    ref = RefAugmentedView(idx, add_src, add_dst, add_t)
-    return view, ref, add_t
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -362,12 +404,14 @@ def test_augmented_merge_matches_loop(seed):
     rng = np.random.default_rng(100 + seed)
     store = random_store(seed)
     for idx in indexes(store, rng):
-        view, ref, add_t = random_view(store, idx, rng)
+        adds = random_additions(store, rng)
+        ref = RefAugmentedView(idx, *adds)
         nodes, t = queries(store, rng)
-        t[6:10] = add_t[:4]                     # query t == an added t
-        for n in (1, 4, 200):
-            for max_eid in cutoffs(store):
-                assert_same(view.batch_neighbors(nodes, t, n, max_eid),
+        t[6:10] = adds[2][:4]                   # query t == an added t
+        for max_eid in cutoffs(store):
+            view = augmented(cut(idx, max_eid), adds)
+            for n in (1, 4, 200):
+                assert_same(view.batch_neighbors(nodes, t, n),
                             ref.batch_neighbors(nodes, t, n, max_eid))
 
 
@@ -390,8 +434,8 @@ def test_visible_window_matches_loop(seed):
         for levels in (1, 2, 3):
             for max_eid in cutoffs(store):
                 t_ref = float(t[0])
-                assert_same([ts.visible_window(idx, nodes, t_ref, levels,
-                                               max_eid)],
+                assert_same([ts.visible_window(cut(idx, max_eid), nodes,
+                                               t_ref, levels)],
                             [ref_visible_window(idx, nodes, t_ref, levels,
                                                 max_eid)])
 
@@ -427,12 +471,12 @@ def test_context_predict_matches_loop(seed):
             with ad.no_grad():
                 et = ts.etgnn_forward(window, store, params)
             for n_rnn in (1, 3, 50):
-                args = (idx, nodes, t_cut, n_rnn, max_eid)
                 assert_same(
                     context_and_grads(ts.context_predict_batch, params, et,
-                                      w, *args),
+                                      w, cut(idx, max_eid), nodes, t_cut,
+                                      n_rnn),
                     context_and_grads(ref_context_predict_batch, params, et,
-                                      w, *args))
+                                      w, idx, nodes, t_cut, n_rnn, max_eid))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -443,11 +487,12 @@ def test_one_hop_candidates_match_loop(seed):
         nodes, t = queries(store, rng, b=15)
         for n_can in (0, 1, 3, 100):
             for max_eid in cutoffs(store):
-                kw = dict(t_ref=float(t[0]), t_max=float(store.ts.max()),
-                          max_eid=max_eid)
-                got = ts.sample_candidates(nodes, "one-hop", idx, n_can,
-                                           seed, **kw)
-                want = ref_one_hop_candidates(nodes, idx, n_can, seed, **kw)
+                kw = dict(t_ref=float(t[0]), t_max=float(store.ts.max()))
+                got = ts.sample_candidates(nodes, "one-hop",
+                                           cut(idx, max_eid), n_can, seed,
+                                           **kw)
+                want = ref_one_hop_candidates(nodes, idx, n_can, seed,
+                                              max_eid=max_eid, **kw)
                 assert_same_candidates(got, want)
 
 
@@ -487,12 +532,12 @@ def test_third_hop_candidates_match_loop(seed):
             for n_can in (1, 3, 100):
                 for max_eid in cutoffs(store):
                     kw = dict(t_ref=float(t[0]),
-                              t_max=float(store.ts.max()), max_eid=max_eid,
-                              fanouts=fanouts)
-                    got = ts.sample_candidates(nodes, "third-hop", idx,
-                                               n_can, seed, **kw)
+                              t_max=float(store.ts.max()), fanouts=fanouts)
+                    got = ts.sample_candidates(nodes, "third-hop",
+                                               cut(idx, max_eid), n_can,
+                                               seed, **kw)
                     want = ref_third_hop_candidates(nodes, idx, n_can, seed,
-                                                    **kw)
+                                                    max_eid=max_eid, **kw)
                     assert_same_candidates(got, want)
 
 

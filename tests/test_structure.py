@@ -434,10 +434,11 @@ def test_gradient_reaches_learner_parameters(etgnn_layers):
                                   RunConfig(strategy="one-hop", k=3, n_can=5,
                                             n_rnn=4))
     with ad.Tape() as tape:
-        view, det = learner.propose(idx, store.src[100:130],
+        cut = idx.prefix(100)
+        view, det = learner.propose(cut, store.src[100:130],
                                     t_ref=float(store.ts[100]),
                                     t_max=split.t_max_train, seed=6,
-                                    view_base=idx, max_eid=100)
+                                    view_base=cut)
         loss = ad.add(ad.sum_(view.rho),
                       ad.sum_(ad.mul(view.cand_features, view.cand_features)))
         tape.backward(loss)
@@ -500,11 +501,11 @@ def test_dedupe_keeps_larger_rho():
     assert view.rho.values[0] == np.float64(0.8)
 
 
-def lexsort_batch_neighbors(view, nodes, ts_, n, max_eid=None):
+def lexsort_batch_neighbors(view, nodes, ts_, n):
     """The augmented merge as a four-key lexsort (pads first, then t, then
     base before added, then column or j): the reference for the stable
     argsort over the slot times."""
-    ids, eids, tss, mask = view.base.batch_neighbors(nodes, ts_, n, max_eid)
+    ids, eids, tss, mask = view.base.batch_neighbors(nodes, ts_, n)
     a_ids, a_j, a_ts, a_mask = view.added.batch_neighbors(nodes, ts_, n)
     if not a_mask.any():
         return ids, eids, tss, mask
@@ -541,16 +542,16 @@ def test_augmented_merge_matches_lexsort_form(seed):
     add_dst = rng.integers(0, store.num_nodes, size=c)
     add_t = store.ts[rng.integers(0, len(store), size=c)]
     add_t[c // 2:] = add_t[0]
-    view = ts.AugmentedView(idx, add_src, add_dst, add_t,
-                            ad.constant(np.ones((c, 2))),
-                            ad.constant(np.full(c, 0.5)))
     nodes = np.repeat(np.arange(store.num_nodes), 3)
     tq = np.concatenate([add_t[:len(nodes) // 2], np.full(
         len(nodes) - len(nodes) // 2, store.ts[-1] + 1.0)])
-    for n in (1, 2, 3, 8, 40):
-        for max_eid in (None, 50):
-            got = view.batch_neighbors(nodes, tq, n, max_eid)
-            want = lexsort_batch_neighbors(view, nodes, tq, n, max_eid)
+    for base in (idx, idx.prefix(50)):
+        view = ts.AugmentedView(base, add_src, add_dst, add_t,
+                                ad.constant(np.ones((c, 2))),
+                                ad.constant(np.full(c, 0.5)))
+        for n in (1, 2, 3, 8, 40):
+            got = view.batch_neighbors(nodes, tq, n)
+            want = lexsort_batch_neighbors(view, nodes, tq, n)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
             assert [x.dtype for x in got] == [x.dtype for x in want]
 
@@ -608,10 +609,11 @@ def test_min_k_candidate_count_added_per_source():
     learner = ts.StructureLearner(params, store,
                                   RunConfig(strategy="one-hop", k=2, n_can=6,
                                             n_rnn=4))
-    view, det = learner.propose(idx, store.src[150:190],
+    cut = idx.prefix(150)
+    view, det = learner.propose(cut, store.src[150:190],
                                 t_ref=float(store.ts[150]),
                                 t_max=split.t_max_train, seed=5,
-                                view_base=idx, max_eid=150)
+                                view_base=cut)
     cands = det["candidates"]
     sel = det["selected"]
     per_source_cand = {s: np.count_nonzero(cands.src == s)
@@ -643,24 +645,25 @@ def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch, strategy):
                                                    n_can=6, n_rnn=4),
                                   np.arange(store.num_nodes))
     batch = np.arange(150, 190)
-    view, _ = learner.propose(idx, store.src[batch],
+    cut = idx.prefix(150)
+    view, _ = learner.propose(cut, store.src[batch],
                               t_ref=float(store.ts[150]),
                               t_max=split.t_max_train, seed=5,
-                              view_base=idx, max_eid=150)
+                              view_base=cut)
     assert view.num_added > 0
     enc = TgatEncoder(EncoderParams(8, layers=2, heads=2, d_hidden=8),
                       store, n_nb=5)
-    enc.encode_batch(view, store.src[batch], store.ts[batch], max_eid=150)
+    enc.encode_batch(view, store.src[batch], store.ts[batch])
     assert len(calls) == 0
 
 
-def set_ops_window(index, nodes, t_ref, levels=2, max_eid=None):
+def set_ops_window(index, nodes, t_ref, levels=2):
     """The visible window through np.unique, setdiff1d and union1d: the
     reference for the presence-array form."""
     level = seen = np.unique(np.asarray(nodes, dtype=np.int64))
     eids = []
     for _ in range(levels):
-        lo, cut = index.ranges_before(level, t_ref, max_eid)
+        lo, cut = index.ranges_before(level, t_ref)
         pos = ts._flat_ranges(lo, cut)
         if len(pos) == 0:
             break
@@ -681,17 +684,18 @@ def test_visible_window_matches_set_ops_form(levels):
     idx = NeighborIndex.build(store, np.arange(0, 1500, 2))
     for m in (0, 1, 30):
         nodes = rng.integers(0, store.num_nodes, size=m)
-        for t_ref, max_eid in ((0.0, None), (700.0, None), (2000.0, 900)):
-            got = ts.visible_window(idx, nodes, t_ref, levels, max_eid)
-            want = set_ops_window(idx, nodes, t_ref, levels, max_eid)
+        for t_ref, cut in ((0.0, idx), (700.0, idx),
+                           (2000.0, idx.prefix(900))):
+            got = ts.visible_window(cut, nodes, t_ref, levels)
+            want = set_ops_window(cut, nodes, t_ref, levels)
             assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
 
 
 def test_visible_window_respects_cutoffs():
     store = synth_generate(2, 10, 10, 300, 0.1, seed=6)
     idx = NeighborIndex.build(store)
-    win = ts.visible_window(idx, np.array([0, 1]), float(store.ts[200]),
-                            levels=2, max_eid=200)
+    win = ts.visible_window(idx.prefix(200), np.array([0, 1]),
+                            float(store.ts[200]), levels=2)
     assert np.all(win < 200)
     assert np.all(store.ts[win] < store.ts[200])
 
@@ -718,10 +722,10 @@ def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
         t_ref = float(store.ts[start])
         sources = np.unique(np.concatenate([store.src[batch],
                                             store.dst[batch]]))
-        _, det = learner.propose(idx, sources, t_ref=t_ref, t_max=t_ref,
-                                 seed=start, view_base=idx, max_eid=start)
-        _, ctx, _, mask = idx.batch_neighbors(sources, t_ref, cfg.n_rnn,
-                                              start)
+        cut = idx.prefix(start)
+        _, det = learner.propose(cut, sources, t_ref=t_ref, t_max=t_ref,
+                                 seed=start, view_base=cut)
+        _, ctx, _, mask = cut.batch_neighbors(sources, t_ref, cfg.n_rnn)
         feat = det["candidates"].feat_eid
         borrowed += int((feat >= 0).sum())
         if strategy == "random":
@@ -759,9 +763,9 @@ def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
     time_map = ts.time_map_batch
     monkeypatch.setattr(ts, "time_map_batch", spy)
     t_ref = float(store.ts[300])
-    _, det = learner.propose(idx, store.src[300:330], t_ref=t_ref,
-                             t_max=split.t_max_train, seed=6, view_base=idx,
-                             max_eid=300)
+    cut = idx.prefix(300)
+    _, det = learner.propose(cut, store.src[300:330], t_ref=t_ref,
+                             t_max=split.t_max_train, seed=6, view_base=cut)
     (f_rows,) = seen
     feat, et = det["candidates"].feat_eid, det["etgnn"]
     assert f_rows.shape == (len(feat), 8) and len(feat)

@@ -5,7 +5,7 @@ import pytest
 
 from tgsl import autodiff as ad
 from tgsl import training as tt
-from tgsl.graph import chronological_split, synth_generate
+from tgsl.graph import NeighborIndex, chronological_split, synth_generate
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +295,10 @@ def test_batch_loss_without_keys_has_no_contrastive_term():
     batch = tr._batches()[1]
     src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
     neg = dst[::-1].copy()
-    args = (tr.q_enc, tr.learner, tr.train_index, src, dst, neg, tss)
-    kw = dict(max_eid=int(batch[0]), t_max=split.t_max_train, seed=5,
-              queue=None, alpha=0.5, tau=0.2)
+    args = (tr.q_enc, tr.learner, tr.train_index.prefix(int(batch[0])), src,
+            dst, neg, tss)
+    kw = dict(t_max=split.t_max_train, seed=5, queue=None, alpha=0.5,
+              tau=0.2)
     ori, aug, cl, total = tt.batch_loss(*args, keys=None, **kw)
     assert cl is None
     assert np.float32(total.values) == (np.float32(ori.values)
@@ -311,6 +312,41 @@ def test_batch_loss_without_keys_has_no_contrastive_term():
     assert float(aug2.values) == float(aug.values)
     want = float(ori2.values) + float(aug2.values) + 0.5 * float(cl2.values)
     assert abs(float(total2.values) - want) <= 1e-6 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("strategy", ["one-hop", "third-hop", "random"])
+def test_batch_loss_on_a_prefix_equals_the_index_below_the_batch(strategy,
+                                                                 layers):
+    """A batch's queries run on the train index's prefix at its first
+    event: every loss and every gradient equals, bit for bit, those on
+    the index built over the usable events below that event."""
+    store = synth_generate(2, 20, 20, 700, 0.1, seed=11)
+    split = chronological_split(store, mask_frac=0.1, seed=2)
+    cfg = tt.RunConfig(**dict(TINY, strategy=strategy, layers=layers,
+                              etgnn_layers=layers, fanouts="3,2,2"),
+                       alpha=0.5, k=3)
+    tr = tt.Trainer(store, split, cfg, 0)
+    batch = tr._batches()[2]
+    src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
+    rng = np.random.default_rng(1)
+    neg = rng.permutation(dst)
+    keys = rng.standard_normal((2 * len(batch), cfg.d_model))
+    queue = rng.standard_normal((16, cfg.d_model))
+    usable = split.usable_train_ids
+    runs = []
+    for index in (tr.train_index.prefix(int(batch[0])),
+                  NeighborIndex.build(store, usable[usable < batch[0]])):
+        for p in tr.opt.params:
+            p.zero_grad()
+        with ad.Tape() as tape:
+            losses = tt.batch_loss(tr.q_enc, tr.learner, index, src, dst, neg,
+                                   tss, t_max=split.t_max_train, seed=5,
+                                   keys=keys, queue=queue, alpha=0.5, tau=0.2)
+            tape.backward(losses[3])
+        runs.append([x.values.tobytes() for x in losses]
+                    + [p.grad.tobytes() for p in tr.opt.params])
+    assert runs[0] == runs[1]
 
 
 def test_k_zero_degenerates_to_original_graph():
