@@ -168,11 +168,10 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}{tag})"
 
-def param(values, name=None, requires_grad=True):
+def param(values, name=None):
     """A learnable leaf: owns a zero grad grid from birth."""
-    t = Tensor(np.asarray(values), requires_grad=requires_grad, name=name)
-    if requires_grad:
-        t._ensure_grad()
+    t = Tensor(np.asarray(values), requires_grad=True, name=name)
+    t._ensure_grad()
     return t
 
 

@@ -140,7 +140,7 @@ def _json(obj):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_train(args):
+def _train_config(args):
     cfg = parse_config(args.config, args.set or [])
     if args.seed is not None:
         cfg.seeds = str(args.seed)
@@ -149,6 +149,14 @@ def cmd_train(args):
     if args.sparsify is not None:
         cfg.sparsify_n = args.sparsify
     cfg.validate()
+    return cfg
+
+
+def cmd_train(args):
+    return _train_runs(_train_config(args))
+
+
+def _train_runs(cfg):
     try:
         store = build_store(cfg)
         store, split = build_split(cfg, store)
@@ -272,6 +280,8 @@ def load_run(manifest_path):
         cfg.validate()
         # cmd_eval reports run_id: a manifest without one is bad too
         seed, params, _ = (manifest[k] for k in ("seed", "params", "run_id"))
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         snap = {}
         with np.load(os.path.join(run_dir, params)) as z:
             for key in z.files:
@@ -315,6 +325,7 @@ def cmd_synth(args):
     cfg = parse_config(args.config, args.set or [])
     if args.seed is not None:
         cfg.synth_seed = args.seed
+    cfg.validate()
     try:
         store = synth_generate(cfg.synth_communities, cfg.synth_users,
                                cfg.synth_items, cfg.synth_events,
@@ -349,7 +360,8 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
-    """Train over a strategy x K grid (one run per cell per seed)."""
+    """Train over a strategy x K grid (one run per cell per seed). Every
+    cell's config is checked before the first cell trains."""
     strategies = (args.strategies.split(",") if args.strategies
                   else list(STRATEGIES))
     try:
@@ -358,15 +370,12 @@ def cmd_sweep(args):
     except ValueError:
         raise ConfigError(f"--k-grid expects comma-separated integers, "
                           f"got {args.k_grid!r}")
-    status = EXIT_OK
-    for strat in strategies:
-        for k in k_grid:
-            overrides = list(args.set or []) + [f"strategy={strat}", f"k={k}"]
-            sub = argparse.Namespace(config=args.config, set=overrides,
-                                     seed=args.seed, out=args.out,
-                                     sparsify=args.sparsify)
-            status = max(status, cmd_train(sub))
-    return status
+    cells = [list(args.set or []) + [f"strategy={s}", f"k={k}"]
+             for s in strategies for k in k_grid]
+    cfgs = [_train_config(argparse.Namespace(
+        config=args.config, set=cell, seed=args.seed, out=args.out,
+        sparsify=args.sparsify)) for cell in cells]
+    return max(_train_runs(cfg) for cfg in cfgs)
 
 
 def main(argv=None):

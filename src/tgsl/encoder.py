@@ -160,7 +160,7 @@ class TgatEncoder:
     not depend on the parameters into an EncodePlan, and apply() runs the
     layers on it. Encoders of the same config and store can apply one
     another's plans, so a training batch's momentum key encoder and query
-    encoder share one.
+    encoder share the plan of its original view.
     """
 
     def __init__(self, params, store, n_nb=20):
@@ -181,18 +181,12 @@ class TgatEncoder:
 
     # -- embedding: a parameter-free plan, then the layers applied to it
 
-    def encode_batch(self, view, nodes, ts, plan=None):
+    def encode_batch(self, view, nodes, ts):
         """Embeddings for (node, t) pairs; returns a [B, d_model] tensor.
-        It is apply(plan(view, nodes, ts)); a caller that already built
-        that plan (a training batch shares one between the key and query
-        encoders) passes it as `plan`."""
-        if plan is None:
-            plan = self.plan(view, nodes, ts)
-        elif not (plan.view is view and np.array_equal(plan.nodes, nodes)
-                  and np.array_equal(plan.ts, ts)):
-            raise ValueError("encode_batch: the plan was built for other "
-                             "pairs or another view")
-        return self.apply(plan)
+        It is apply(plan(view, nodes, ts)); a caller that needs the plan
+        itself (a training batch's original-view pass) builds it with
+        plan() and applies it."""
+        return self.apply(self.plan(view, nodes, ts))
 
     def plan(self, view, nodes, ts):
         """The parameter-free part of encoding (node, t) pairs on `view`,

@@ -17,10 +17,11 @@ ET-GNN runs over a visible window of `layers + (len(fanouts) - 1 if
 third-hop else 0)` rings, exactly as deep as the edge rows the learner
 reads, so those rows equal the ones computed over the whole visible prefix.
 The learner reads only edge rows, so the ET-GNN's last layer updates edges
-only: `tgsl.l{l}.wh` exists for l < L-1, `tgsl.l{l}.wf` for every l. At
-inference the cut and the parameters are fixed, so the ET-GNN over the
-training events and every node's context are computed once per
-evaluation (`StructureLearner.inference_cache`) and read by each batch.
+only: `tgsl.l{l}.wh` exists for l < L-1, `tgsl.l{l}.wf` for every l. The
+learner reads the ET-GNN and context rows by node from one
+`LearnerInputs`: built per batch in training, and at inference, where the
+cut and the parameters are fixed, once per evaluation over the training
+events and every scored node.
 """
 
 from typing import NamedTuple
@@ -36,7 +37,7 @@ __all__ = [
     "TgslParams", "EtgnnOutput", "etgnn_forward", "context_predict_batch",
     "CandidateBatch", "sample_candidates", "time_map_batch",
     "gumbel_topk_select", "AugmentedView", "build_augmented_view",
-    "visible_window", "InferenceCache", "StructureLearner",
+    "visible_window", "LearnerInputs", "StructureLearner",
 ]
 
 STRATEGIES = ("one-hop", "third-hop", "random")
@@ -494,11 +495,10 @@ def visible_window(index, nodes, t_ref, levels=2):
     return node_set(max(int(e.max()) for e in eids) + 1, *eids)
 
 
-class InferenceCache(NamedTuple):
-    """What `propose` reads per node when the cut, the index and the
-    parameters are fixed, as at evaluation: the ET-GNN output over the
-    given events, the sorted node ids, and their context rows (one row per
-    node, in node order). Valid only while the parameters do not change."""
+class LearnerInputs(NamedTuple):
+    """What `propose` reads per node: the ET-GNN output over some events,
+    the sorted node ids, and their context rows (one row per node, in node
+    order). Valid only while the parameters and the cut do not change."""
     etgnn: EtgnnOutput
     nodes: np.ndarray
     context: ad.Tensor
@@ -509,8 +509,9 @@ class StructureLearner:
     candidates -> time mapping -> Gumbel-Top-K -> augmented view.
 
     Reads strategy, k, n_can, n_rnn, tau_gumbel and fanouts from the run
-    config. Training proposes per batch, its cut moving with the batch;
-    inference builds an `inference_cache` once and proposes from it.
+    config. `propose` reads its ET-GNN and context rows from `inputs`,
+    built per batch in training, its cut moving with the batch, and once
+    per evaluation at inference.
     Random candidates borrow no edge row, so their feature rows are
     zero, their score m = zhat . fhat is exactly 0 and rho is the squashed
     noise alone: no parameter reaches it. So under `random`, `learns` is
@@ -524,7 +525,7 @@ class StructureLearner:
         self.random_pool = random_pool
         self.learns = cfg.strategy != "random"
 
-    def inference_cache(self, index, event_ids, nodes, t_ref):
+    def inputs(self, index, event_ids, nodes, t_ref):
         """The ET-GNN over `event_ids` and one LSTM context call over the
         distinct `nodes`, at cut t_ref on `index`, for every `propose` of
         these nodes at that cut."""
@@ -532,42 +533,37 @@ class StructureLearner:
         nodes = node_set(self.store.num_nodes, nodes)
         z = context_predict_batch(self.params, et, index, nodes, t_ref,
                                   self.cfg.n_rnn)
-        return InferenceCache(et, nodes, z)
+        return LearnerInputs(et, nodes, z)
 
     def propose(self, index, src_nodes, *, t_ref, t_max, seed, view_base,
-                mode="stochastic", cache=None):
+                mode="stochastic", inputs=None):
         """Build the augmented view for a batch of source nodes. Candidates
         come from `index`; the view inserts the selected ones into
-        `view_base`. Without a cache, the ET-GNN runs over the sources'
-        visible window and the LSTM over the sources; a cache (an
-        `inference_cache` at this t_ref and index, holding every source)
-        supplies both, and its rows are read by node. Returns (view,
-        detail dict) — the view is ephemeral to this batch; the detail's
-        context (rows of the sources, or of the cache's nodes) and etgnn
-        are None when the learner does not learn."""
+        `view_base`. The ET-GNN and context rows are read by node from
+        `inputs` (by `inputs()` at this t_ref and index, holding every
+        source), by default built over the sources' visible window.
+        Returns (view, detail dict) — the view is ephemeral to this batch;
+        the detail's context (rows of the inputs' nodes) and etgnn are
+        None when the learner does not learn."""
         cfg = self.cfg
         src_nodes = node_set(index.num_nodes, src_nodes)
         if cfg.k == 0:
             return AugmentedView(view_base), {}
         fanouts = cfg.fanout_list()
         et = z = None
-        if self.learns and cache is not None:
-            et, nodes, z = cache
-            pos = np.minimum(np.searchsorted(nodes, src_nodes),
-                             len(nodes) - 1)
-            if len(nodes) == 0 or not np.array_equal(nodes[pos], src_nodes):
-                raise KeyError("source node outside the inference cache")
-        elif self.learns:
-            # an L-layer edge row reads the edges of its endpoints' L-1
-            # rings; the rows read belong to the sources' own edges and
-            # to the last hop of a walk, which starts len(fanouts) - 1 away
-            levels = self.params.layers + (
-                len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
-            window = visible_window(index, src_nodes, t_ref, levels)
-            et = etgnn_forward(window, self.store, self.params)
-            nodes = src_nodes
-            z = context_predict_batch(self.params, et, index, src_nodes,
-                                      t_ref, cfg.n_rnn)
+        if self.learns:
+            if inputs is None:
+                # an L-layer edge row reads the edges of its endpoints'
+                # L-1 rings; the rows read belong to the sources' own edges
+                # and to a walk's last hop, len(fanouts) - 1 rings away
+                levels = self.params.layers + (
+                    len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
+                inputs = self.inputs(
+                    index, visible_window(index, src_nodes, t_ref, levels),
+                    src_nodes, t_ref)
+            et, nodes, z = inputs
+            if not np.isin(src_nodes, nodes).all():
+                raise KeyError("source node outside the learner inputs")
         cands = sample_candidates(
             src_nodes, cfg.strategy, index, cfg.n_can, seed, t_ref=t_ref,
             t_max=t_max, random_pool=self.random_pool, fanouts=fanouts)

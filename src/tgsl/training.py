@@ -136,6 +136,12 @@ class RunConfig:
                                   f"got {getattr(self, key)!r}")
         if not self.seed_list():
             raise ConfigError("seeds must name at least one seed")
+        for key, low in (("seeds", min(self.seed_list())),
+                         ("synth_seed", self.synth_seed),
+                         ("split_seed", self.split_seed)):
+            if low < 0:
+                raise ConfigError(f"{key} must be >= 0, got "
+                                  f"{getattr(self, key)!r}")
         if min(self.fanout_list()) < 1:
             raise ConfigError(f"fanouts must all be >= 1, got "
                               f"{self.fanouts!r}")
@@ -168,10 +174,10 @@ def average_precision(labels, scores):
     return float(prec[ranked == 1].sum() / n_pos)
 
 
-def accuracy_score(labels, scores, threshold=0.5):
+def accuracy_score(labels, scores):
     labels = np.asarray(labels)
     scores = np.asarray(scores)
-    return float(((scores > threshold) == (labels == 1)).mean())
+    return float(((scores > 0.5) == (labels == 1)).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -231,27 +237,23 @@ def info_nce_batch(q, k_pos, queue, tau):
     return ad.mean(ad.sub(lse, p0))
 
 
-def batch_loss(enc, learner, index, src, dst, neg, tss, *, t_max, seed, keys,
-               queue, alpha, tau, plan=None):
-    """The multi-task loss of one training batch of (src, dst, t) events
-    with negatives `neg`: link BCE on `index`, and with a structure learner
-    also link BCE on the view it proposes into `index`, and with `keys`
-    alpha times the InfoNCE of the view's [src | dst] embeddings against
-    `keys` and `queue`. `plan`, if given, is the encode plan of the
-    [src | dst | neg] pairs on `index`, which the original-view pass then
-    applies. Returns (loss_ori, loss_aug, loss_cl, total), with None for
-    each term that is absent; total sums the others."""
-    b = len(src)
-    nodes3 = np.concatenate([src, dst, neg])
-    ts3 = np.concatenate([tss, tss, tss])
-    emb_ori = enc.encode_batch(index, nodes3, ts3, plan=plan)
+def batch_loss(enc, learner, plan, *, t_max, seed, keys, queue, alpha, tau):
+    """The multi-task loss of one training batch, given as `plan`, the
+    encode plan of its [src | dst | neg] pairs on the original view (the
+    index cut before the batch): link BCE on that view, and with a
+    structure learner also link BCE on the view it proposes into it, and
+    with `keys` alpha times the InfoNCE of that view's [src | dst]
+    embeddings against `keys` and `queue`. Returns (loss_ori, loss_aug,
+    loss_cl, total), None for each absent term; total sums the others."""
+    b = len(plan.nodes) // 3
+    emb_ori = enc.apply(plan)
     loss_ori = bce_link_loss(*enc.score_links(emb_ori, b))
     if learner is None:
         return loss_ori, None, None, loss_ori
     view, _ = learner.propose(
-        index, np.concatenate([src, dst]), t_ref=float(tss[0]), t_max=t_max,
-        seed=seed, view_base=index, mode="stochastic")
-    emb_aug = enc.encode_batch(view, nodes3, ts3)
+        plan.view, plan.nodes[:2 * b], t_ref=float(plan.ts[0]), t_max=t_max,
+        seed=seed, view_base=plan.view, mode="stochastic")
+    emb_aug = enc.encode_batch(view, plan.nodes, plan.ts)
     loss_aug = bce_link_loss(*enc.score_links(emb_aug, b))
     if keys is None:
         return loss_ori, loss_aug, None, ad.add(loss_ori, loss_aug)
@@ -344,14 +346,14 @@ class Trainer:
     one run of `cfg` (a RunConfig) under one training seed. Only a weighted
     contrastive term (use_tgsl on, alpha > 0) gets MoCo state and a key
     encoder, whose parameters start as a copy of the query's; otherwise
-    both are None and loss_cl reads 0. With a key encoder, each training
-    batch builds one encode plan of its [src | dst | neg] pairs on the
-    original view, which the key encoder applies (keeping the [src | dst]
-    rows) and the query's original-view pass reuses; the plan and the
-    batch's tape are dropped before the next batch. Under strategy=random
-    the learner does not learn, so its tensors are kept out of Adam (they
-    stay in the snapshot). With use_tgsl off it is the plain encoder
-    baseline (single supervised loss, no augmentation at inference)."""
+    both are None and loss_cl reads 0. Each training batch builds one
+    encode plan of its [src | dst | neg] pairs on the train index cut
+    before the batch, which the query's original-view pass and the key
+    encoder, if any, apply; the plan and the batch's tape are dropped
+    before the next batch. Under strategy=random the learner does not
+    learn, so its tensors are kept out of Adam (they stay in the
+    snapshot). With use_tgsl off it is the plain encoder baseline (single
+    supervised loss, no augmentation at inference)."""
 
     def __init__(self, store, split, cfg, seed):
         self.store = store
@@ -417,30 +419,27 @@ class Trainer:
             index = self.train_index.prefix(int(batch[0]))
             neg = sample_negatives(dst, self.train_dst_pool,
                                    _seed(self.seed, epoch, bi, 3))
-            keys = queue = plan = None
+            plan = self.q_enc.plan(index, np.concatenate([src, dst, neg]),
+                                   np.concatenate([tss, tss, tss]))
+            keys = queue = None
             if self.moco is not None:
-                # one plan of the original view's [src | dst | neg] pairs
-                # serves the key pass, which keeps the [src | dst] rows,
-                # and the query's original-view pass
-                plan = self.q_enc.plan(index, np.concatenate([src, dst, neg]),
-                                       np.concatenate([tss, tss, tss]))
                 with ad.no_grad():
                     k_emb = self.k_enc.apply(plan)
                 keys = _l2_rows_np(k_emb.values[:2 * len(batch)])
                 queue = self.moco.queue
             with ad.Tape() as tape:
                 loss_ori, loss_aug, loss_cl, total = batch_loss(
-                    self.q_enc, self.learner, index, src, dst, neg, tss,
+                    self.q_enc, self.learner, plan,
                     t_max=self.split.t_max_train,
                     seed=_seed(self.seed, epoch, bi, 1), keys=keys,
-                    queue=queue, alpha=cfg.alpha, tau=cfg.tau_cl, plan=plan)
+                    queue=queue, alpha=cfg.alpha, tau=cfg.tau_cl)
                 if not np.isfinite(total.values):
                     raise RuntimeError(
                         f"non-finite loss at epoch {epoch} batch {bi}")
                 tape.backward(total)
-            # the tape holds this batch's arrays: free it now, not when the
-            # next batch opens its own, after its plan and key pass
-            tape = None
+            # the tape and the plan hold this batch's arrays: free them
+            # now, not when the next batch builds its own
+            tape = plan = None
             ad.adam_step(self.opt)
             if self.moco is not None:
                 moco_step(self.moco, self.q_params, keys)
@@ -478,8 +477,8 @@ class Trainer:
         use_augmented is off / no learner is attached). The cut, the train
         index and the parameters are fixed for the whole call, so a
         learning learner's ET-GNN over the training events and the context
-        rows of every scored source and destination are built once, as an
-        inference cache that every batch's proposal reads and that is
+        rows of every scored source and destination are built once, as
+        the learner inputs that every batch's proposal reads and that are
         dropped when the call returns."""
         cfg = self.cfg
         store = self.store
@@ -492,9 +491,9 @@ class Trainer:
         scores, labels = [], []
         bs = cfg.batch_size
         with ad.no_grad():
-            cache = None
+            inputs = None
             if augmented and self.learner.learns:
-                cache = self.learner.inference_cache(
+                inputs = self.learner.inputs(
                     self.train_index, self.split.usable_train_ids,
                     np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
             for bi in range(0, len(ids), bs):
@@ -508,7 +507,7 @@ class Trainer:
                         self.train_index, np.concatenate([src, dst]),
                         t_ref=t_ref, t_max=self.split.t_max_train,
                         seed=_seed(seed, 5, bi), view_base=self.full_index,
-                        mode="noise-free", cache=cache)
+                        mode="noise-free", inputs=inputs)
                 else:
                     view = self.full_index
                 emb = self.q_enc.encode_batch(

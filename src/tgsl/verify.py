@@ -151,17 +151,19 @@ def toy_mtl_setup(d_model=8, seed=13):
                                          n_rnn=3))
     rng = np.random.default_rng(seed + 3)
     queue = rng.standard_normal((4, d_model))
-    src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
-    neg = np.array([store.dst[0]] * len(batch))
     keys = rng.standard_normal((2 * len(batch), d_model))  # frozen positives
+    # parameter-free, so one plan serves every probe; each negative is dst[0]
+    plan = enc.plan(index, np.concatenate([store.src[batch], store.dst[batch],
+                                           np.full(len(batch), store.dst[0])]),
+                    np.tile(store.ts[batch], 3))
     n_enc = len(enc_p.parameters())
 
     def loss_fn(*probes):
         enc_p.replace_tensors(probes[:n_enc])
         tg_p.replace_tensors(probes[n_enc:])
-        return batch_loss(enc, learner, index, src, dst, neg, tss,
-                          t_max=split.t_max_train, seed=seed + 4, keys=keys,
-                          queue=queue, alpha=0.5, tau=0.2)[3]
+        return batch_loss(enc, learner, plan, t_max=split.t_max_train,
+                          seed=seed + 4, keys=keys, queue=queue, alpha=0.5,
+                          tau=0.2)[3]
 
     start = [p.values.copy() for p in enc_p.parameters() + tg_p.parameters()]
     return loss_fn, start
@@ -253,9 +255,9 @@ def _brute_ap(labels, scores):
     return area
 
 
-def _brute_acc(labels, scores, thr=0.5):
+def _brute_acc(labels, scores):
     hits = sum(1 for l, s in zip(labels, scores)
-               if (s > thr) == (l == 1))
+               if (s > 0.5) == (l == 1))
     return hits / len(labels)
 
 
@@ -299,8 +301,8 @@ def leakage_suite(trials=50, seed=11):
     """Outputs at time t must not move when events at or after t change:
     the encoder on the plain index, ET-GNN and the LSTM context over the
     visible window, and the structure learner's proposal (stochastic and
-    noise-free, the strategy cycling per trial, per batch and through an
-    inference cache at t) with the encoder on the augmented view it
+    noise-free, the strategy cycling per trial, with learner inputs built
+    per batch and once at t) with the encoder on the augmented view it
     builds."""
     rng = np.random.default_rng(seed)
     pool = np.arange(16)            # random-strategy pool no perturbation moves
@@ -327,15 +329,15 @@ def leakage_suite(trials=50, seed=11):
             z = context_predict_batch(tg_p, et, idx, nodes, t, 4).values
             out = [emb, et.edge_f.values, z]
             learner = StructureLearner(tg_p, st, run_cfg, pool)
-            # per batch, and through an inference cache built at t
-            caches = [None]
+            # inputs built per batch, and once at t
+            given = [None]
             if learner.learns:
-                caches.append(learner.inference_cache(idx, visible, nodes, t))
-            for cache in caches:
+                given.append(learner.inputs(idx, visible, nodes, t))
+            for inputs in given:
                 for mode in ("stochastic", "noise-free"):
                     view, _ = learner.propose(
                         idx, nodes, t_ref=t, t_max=t, seed=trial,
-                        view_base=idx, mode=mode, cache=cache)
+                        view_base=idx, mode=mode, inputs=inputs)
                     out.append(np.zeros(0) if view.rho is None
                                else view.rho.values)
                     out.append(enc.encode_batch(view, nodes, tss).values)

@@ -344,6 +344,35 @@ def test_sweep_bad_k_grid_exits_config(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--seed", "-1"], "seeds"),
+    (["train", "--set", "seeds=-3"], "seeds"),
+    (["train", "--set", "synth_seed=-1"], "synth_seed"),
+    (["train", "--set", "split_seed=-1"], "split_seed"),
+    (["synth", "--seed", "-1"], "synth_seed"),
+])
+def test_negative_seed_exits_config(tmp_path, capsys, argv, key):
+    """A negative seed is named as a config error before any data is built
+    or written, from --seed, --set, or synth's --seed."""
+    out = str(tmp_path / "out")
+    rc = cli.main(argv[:1] + ["--out", out] + _set_args(fast_overrides())
+                  + argv[1:])
+    assert rc == cli.EXIT_CONFIG
+    assert f"{key} must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("grid", [["--strategies", "one-hop,bogus",
+                                   "--k-grid", "3"],
+                                  ["--strategies", "one-hop",
+                                   "--k-grid", "3,0"]])
+def test_sweep_checks_every_cell_before_the_first_trains(tmp_path, grid):
+    rc = cli.main(["sweep", "--out", str(tmp_path)] + grid
+                  + _set_args(fast_overrides()))
+    assert rc == cli.EXIT_CONFIG
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("text", ["not json {",
                                   '{"config": {"bogus": 1}, "seed": 0}',
                                   '{"config": {}, "params": "params.npz"}',
@@ -393,8 +422,17 @@ def _key_without_bar(run_dir, manifest):
     np.savez(os.path.join(run_dir, manifest["params"]), w=np.ones(2))
 
 
+def _negative_seed(run_dir, manifest):
+    manifest["seed"] = -1
+
+
+def _seed_not_an_int(run_dir, manifest):
+    manifest["seed"] = "x"
+
+
 @pytest.mark.parametrize("corrupt", [_drop_run_id, _params_not_npz,
-                                     _key_without_bar])
+                                     _key_without_bar, _negative_seed,
+                                     _seed_not_an_int])
 def test_eval_bad_trained_run_exits_config_before_any_work(
         tmp_path, capsys, monkeypatch, trained_run, corrupt):
     run_dir = str(tmp_path / "run")

@@ -781,11 +781,11 @@ def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
 @pytest.mark.parametrize("etgnn_layers", [1, 2])
 @pytest.mark.parametrize("strategy", ["one-hop", "third-hop"])
 def test_cached_propose_matches_per_batch_propose(strategy, etgnn_layers):
-    """Evaluation's proposals through one inference cache equal the
+    """Evaluation's proposals from one set of learner inputs equal the
     per-batch path (window ET-GNN, then the batch's own contexts) byte for
     byte: selection, rho and the view's neighbor blocks, in both settings.
-    The cache's LSTM starts at the earliest column over all its nodes, so
-    a batch whose nodes have short histories runs extra masked steps."""
+    The inputs' LSTM starts at the earliest column over all their nodes,
+    so a batch whose nodes have short histories runs extra masked steps."""
     store = synth_generate(2, 30, 30, 1500, 0.1, seed=11)
     split = chronological_split(store, mask_frac=0.1, seed=2)
     cfg = RunConfig(d_model=8, layers=1, heads=2, d_hidden=8, n_nb=5, k=3,
@@ -797,32 +797,33 @@ def test_cached_propose_matches_per_batch_propose(strategy, etgnn_layers):
     for setting in ("transductive", "inductive"):
         ids = tr._eval_ids(setting, "test")
         with ad.no_grad():
-            cache = tr.learner.inference_cache(
+            inputs = tr.learner.inputs(
                 tr.train_index, split.usable_train_ids,
                 np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
             hist = tr.train_index.batch_neighbors(
-                cache.nodes, t_ref, cfg.n_rnn)[3].sum(axis=1)
+                inputs.nodes, t_ref, cfg.n_rnn)[3].sum(axis=1)
             for bi in range(0, len(ids), 16):
                 b = ids[bi:bi + 16]
                 nodes = np.concatenate([store.src[b], store.dst[b],
                                         store.dst[b][::-1]])
                 tss = np.tile(store.ts[b], 3)
                 out = []
-                for c in (cache, None):
+                for given in (inputs, None):
                     view, det = tr.learner.propose(
                         tr.train_index, nodes[:2 * len(b)], t_ref=t_ref,
                         t_max=split.t_max_train, seed=bi,
-                        view_base=tr.full_index, mode="noise-free", cache=c)
+                        view_base=tr.full_index, mode="noise-free",
+                        inputs=given)
                     out.append([x.tobytes() for x in (
                         det["selected"], det["rho"].values,
                         *view.batch_neighbors(nodes, tss, cfg.n_nb))])
                 assert out[0] == out[1]
                 added += view.num_added
-                own = hist[np.isin(cache.nodes, nodes)]
+                own = hist[np.isin(inputs.nodes, nodes)]
                 extra_steps += int(own.max() < hist.max())
     assert extra_steps > 0 and added > 0
-    outside = np.setdiff1d(np.arange(store.num_nodes), cache.nodes)[:1]
-    with pytest.raises(KeyError, match="inference cache"):
+    outside = np.setdiff1d(np.arange(store.num_nodes), inputs.nodes)[:1]
+    with pytest.raises(KeyError, match="learner inputs"):
         tr.learner.propose(tr.train_index, outside, t_ref=t_ref,
                            t_max=split.t_max_train, seed=0,
-                           view_base=tr.full_index, cache=cache)
+                           view_base=tr.full_index, inputs=inputs)

@@ -295,8 +295,9 @@ def test_batch_loss_without_keys_has_no_contrastive_term():
     batch = tr._batches()[1]
     src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
     neg = dst[::-1].copy()
-    args = (tr.q_enc, tr.learner, tr.train_index.prefix(int(batch[0])), src,
-            dst, neg, tss)
+    args = (tr.q_enc, tr.learner, tr.q_enc.plan(
+        tr.train_index.prefix(int(batch[0])), np.concatenate([src, dst, neg]),
+        np.concatenate([tss, tss, tss])))
     kw = dict(t_max=split.t_max_train, seed=5, queue=None, alpha=0.5,
               tau=0.2)
     ori, aug, cl, total = tt.batch_loss(*args, keys=None, **kw)
@@ -340,8 +341,10 @@ def test_batch_loss_on_a_prefix_equals_the_index_below_the_batch(strategy,
         for p in tr.opt.params:
             p.zero_grad()
         with ad.Tape() as tape:
-            losses = tt.batch_loss(tr.q_enc, tr.learner, index, src, dst, neg,
-                                   tss, t_max=split.t_max_train, seed=5,
+            plan = tr.q_enc.plan(index, np.concatenate([src, dst, neg]),
+                                 np.concatenate([tss, tss, tss]))
+            losses = tt.batch_loss(tr.q_enc, tr.learner, plan,
+                                   t_max=split.t_max_train, seed=5,
                                    keys=keys, queue=queue, alpha=0.5, tau=0.2)
             tape.backward(losses[3])
         runs.append([x.values.tobytes() for x in losses]
