@@ -1,9 +1,12 @@
 """Temporal attention encoder and shared time encodings.
 
 The time encoding is a fixed (non-learnable) cosine feature map, evaluated
-in float64 once per distinct time gap and cast once; the same frequency
-vector, `time_frequencies(d)`, also drives the time-context mapping used to
-project embeddings across time gaps; it depends on the width d only. The
+once per distinct time gap; the same frequency vector, `time_frequencies(d)`,
+also drives the time-context mapping used to project embeddings across time
+gaps; it depends on the width d only. In float64 both are the direct form;
+in float32 both reduce each argument exactly to one period in float64 and
+evaluate the function in float32, within 3e-7 of the float64 value rounded
+once (and equal to it past the exact reduction's range). The
 reference encoder is a TGAT-style multi-head attention over each node's
 most recent neighbors, where augmented edges contribute value vectors
 scaled by their relaxed selection weight. Each layer's attention is one
@@ -43,14 +46,64 @@ def time_frequencies(d):
     return root ** (-np.arange(d, dtype=np.float64) / root)
 
 
+# 2*pi as P1 + P2 + P3 (Cody-Waite): P1 and P2 hold at most 26 significant
+# bits, so k * P1 and k * P2 are exact for |k| <= _K_EXACT, and P3 is the
+# float64 nearest the rest (the sum is within 6e-33 of 2*pi).
+_P1 = float.fromhex("0x1.921fb58p+2")
+_P2 = float.fromhex("-0x1.dde974p-25")
+_P3 = float.fromhex("0x1.1a62633145c07p-52")
+_INV_2PI = 1.0 / (2.0 * math.pi)
+_K_EXACT = 2.0 ** 26
+# elements per block of the float32 path: its float64 temporaries stay
+# small next to the result, whatever the grid's size
+_TRIG_BLOCK = 1 << 15
+
+
+def _sin_plus_one(x, out=None):
+    out = np.sin(x, out=out)
+    out += 1.0
+    return out
+
+
+def _periodic(u, d, fn, dtype):
+    """fn(u * omega) with omega = time_frequencies(d) appended as the last
+    axis, for the periodic fn = cos or sin + 1 of period 2*pi. Any dtype
+    but float32 gets the direct form, fn in float64 cast once. float32
+    reduces each float64 product x to r = x - k * 2*pi in [-pi, pi], k =
+    rint(x / (2*pi)), with the three-part split above, and evaluates fn on
+    r rounded to float32; an element with |k| > _K_EXACT, past the exact
+    reduction, takes the direct form. Each element's value depends on that
+    element alone, whatever block it falls in."""
+    omega = time_frequencies(d)
+    if np.dtype(dtype) != np.float32:
+        return fn(u[..., None] * omega).astype(dtype)
+    flat = u.reshape(-1)
+    out = np.empty((len(flat), d), dtype=np.float32)
+    step = max(1, _TRIG_BLOCK // d)
+    for a in range(0, len(flat), step):
+        x = flat[a:a + step, None] * omega
+        k = np.rint(x * _INV_2PI)
+        r = x - k * _P1
+        r -= k * _P2
+        r -= k * _P3
+        o = out[a:a + step]
+        fn(r.astype(np.float32), out=o)
+        far = np.abs(k) > _K_EXACT
+        o[far] = fn(x[far])
+    return out.reshape(*u.shape, d)
+
+
 def time_encode(t, d, dtype=np.float64):
     """cos(t * omega) with omega = time_frequencies(d). Accepts scalars or
-    arrays; the omega axis is appended last. cos is evaluated in float64
-    once per distinct value of t, cast once to dtype and gathered, so the
-    result equals the direct form byte for byte (cos is even, so -0.0 and
-    0.0 may merge). A strictly increasing 1-D t (the ET-GNN's event times)
-    is its own set of distinct values, so one comparison replaces the
-    sort."""
+    arrays; the omega axis is appended last. cos is evaluated once per
+    distinct value of t and gathered (cos is even, so -0.0 and 0.0 may
+    merge); a strictly increasing 1-D t (the ET-GNN's event times) is its
+    own set of distinct values, so one comparison replaces the sort. In
+    float64 the values are the direct form's; in float32 cos runs in
+    float32 on the argument reduced exactly to one period in float64, which
+    is within 3e-7 of the float64 value rounded once, and beyond the exact
+    reduction's range (|t * omega| > 2*pi * 2**26, about 4.2e8) it is that
+    value."""
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("time_encode: non-finite timestamp")
@@ -58,17 +111,19 @@ def time_encode(t, d, dtype=np.float64):
         u, inv = t, np.arange(len(t))
     else:
         u, inv = np.unique(t, return_inverse=True)
-    return np.cos(u[:, None] * time_frequencies(d)).astype(dtype)[
-        inv.reshape(t.shape)]
+    return _periodic(u, d, np.cos, dtype)[inv.reshape(t.shape)]
 
 
 def time_context(delta, d, dtype=np.float64):
     """sin(delta * omega) + 1 with omega = time_frequencies(d); delta may be
-    negative (the sign encodes projecting into the past vs the future)."""
+    negative (the sign encodes projecting into the past vs the future).
+    In float64 the values are the direct form's; float32 takes
+    time_encode's reduced kernel, within 3e-7 of the float64 value rounded
+    once and equal to it beyond the exact reduction's range."""
     delta = np.asarray(delta, dtype=np.float64)
     if not np.all(np.isfinite(delta)):
         raise ValueError("time_context: non-finite delta")
-    return (np.sin(delta[..., None] * time_frequencies(d)) + 1.0).astype(dtype)
+    return _periodic(delta, d, _sin_plus_one, dtype)
 
 
 class EncoderParams(ad.ParamSet):

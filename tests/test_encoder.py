@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,8 +47,9 @@ def test_time_context_range():
 
 def test_time_encode_float32_is_the_rounded_float64_value():
     """At Wikipedia-scale times (up to 2.7e6 s), cos(t * omega) computed in
-    float32 drifts by about 0.1; the encoding must stay the float64 value
-    rounded once."""
+    float32 drifts by about 0.1; the encoding, cos in float32 of the
+    argument reduced to one period in float64, must stay within 1e-6 of the
+    float64 value rounded once."""
     t = np.random.default_rng(0).uniform(0.0, 2.7e6, 4000)
     want = te.time_encode(t, 100).astype(np.float32)
     got = te.time_encode(t, 100, dtype=np.float32)
@@ -58,11 +60,85 @@ def test_time_encode_float32_is_the_rounded_float64_value():
     assert np.abs(in_f32 - want).max() > 1e-2
 
 
+TRIG_SCALES = (1e2, 2.7e6, 1.7e9, 1e12)
+
+
+@pytest.mark.parametrize("d", [16, 100])
+@pytest.mark.parametrize("scale", TRIG_SCALES)
+@pytest.mark.parametrize("name", ["time_encode", "time_context"])
+def test_float32_time_features_are_the_float64_value_within_3e7(name, scale,
+                                                                 d):
+    """float32 is within 3e-7 of the float64 value rounded once and, past
+    the exact reduction (|t * omega| > 2*pi * 2**26), is those bytes."""
+    fn = getattr(te, name)
+    t = np.random.default_rng(3).uniform(-scale, scale, 3000)
+    want = fn(t, d).astype(np.float32)
+    got = fn(t, d, dtype=np.float32)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.abs(got.astype(np.float64) - want).max() <= 3e-7
+    far = np.abs(t[:, None] * te.time_frequencies(d)) > (
+        2 * np.pi * (2.0 ** 26 + 1))
+    assert far.any() == (scale >= 1.7e9)
+    assert got[far].tobytes() == want[far].tobytes()
+
+
+def test_two_pi_split_has_exact_26_bit_products():
+    two_pi = Fraction("6.283185307179586476925286766559005768394338798750")
+    for part in (te._P1, te._P2):
+        assert (math.frexp(part)[0] * 2 ** 26).is_integer()
+    split = sum(Fraction(p) for p in (te._P1, te._P2, te._P3))
+    assert abs(split - two_pi) < Fraction(1, 2 ** 100)
+
+
+@pytest.mark.parametrize("d", [16, 100])
+@pytest.mark.parametrize("name", ["time_encode", "time_context"])
+def test_float32_time_features_of_zero_are_exact_ones(name, d):
+    got = getattr(te, name)(np.array([[0.0, -0.0], [-0.0, 0.0]]), d,
+                            dtype=np.float32)
+    assert got.dtype == np.float32
+    assert got.tobytes() == np.ones((2, 2, d), dtype=np.float32).tobytes()
+
+
+@pytest.mark.parametrize("scale", TRIG_SCALES)
+def test_float32_time_features_keep_their_symmetry(scale):
+    """cos is even bytewise; sin + 1 is odd about 1 within one float32 ulp
+    at 2."""
+    t = np.random.default_rng(4).uniform(0.0, scale, 2000)
+    ulp2 = np.spacing(np.float32(2.0))
+    for d in (16, 100):
+        pos = te.time_encode(t, d, dtype=np.float32)
+        assert te.time_encode(-t, d, dtype=np.float32).tobytes() == \
+            pos.tobytes()
+        lhs = te.time_context(-t, d, dtype=np.float32)
+        rhs = np.float32(2.0) - te.time_context(t, d, dtype=np.float32)
+        assert np.abs(lhs - rhs).max() <= ulp2
+
+
+@pytest.mark.parametrize("block", [1, 7, te._TRIG_BLOCK])
+def test_float32_time_feature_rows_do_not_depend_on_their_block(monkeypatch,
+                                                                block):
+    """A row's bytes equal those it has when computed alone, whichever
+    block and offset it takes; some rows are past the exact reduction."""
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-2.7e6, 2.7e6, 2500)
+    t[::97] = rng.uniform(-1e12, 1e12, len(t[::97]))
+    alone = {(fn, d): np.concatenate([fn(t[i:i + 1], d, dtype=np.float32)
+                                      for i in range(len(t))])
+             for fn in (te.time_encode, te.time_context) for d in (1, 3, 16)}
+    monkeypatch.setattr(te, "_TRIG_BLOCK", block)
+    for (fn, d), want in alone.items():
+        assert fn(t, d, dtype=np.float32).tobytes() == want.tobytes()
+
+
 def direct_time_encode(t, d, dtype=np.float64):
-    """The direct form: cos over the whole (..., d) grid, then one cast."""
+    """The direct form: cos over the whole (..., d) grid, then one cast; in
+    float32, the element-wise kernel over the whole grid. Neither
+    deduplicates nor gathers."""
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise ValueError("time_encode: non-finite timestamp")
+    if np.dtype(dtype) == np.float32:
+        return te._periodic(t, d, np.cos, dtype)
     return np.cos(t[..., None] * te.time_frequencies(d)).astype(dtype)
 
 
