@@ -369,7 +369,8 @@ def concat(tensors, axis=0):
 
 
 def narrow(a, axis, start, length):
-    """Contiguous slice along one axis (the inverse piece of concat)."""
+    """Contiguous slice along one axis (the inverse piece of concat): a
+    view of `a`'s values, which no primitive writes into."""
     if start < 0 or start + length > a.shape[axis]:
         raise ShapeError(
             f"narrow: [{start}:{start + length}] outside axis {axis} of {a.shape}")
@@ -382,7 +383,7 @@ def narrow(a, axis, start, length):
         full[idx] = g
         return (full,)
 
-    return _record("narrow", (a,), a.values[idx].copy(), bw)
+    return _record("narrow", (a,), a.values[idx], bw)
 
 
 def reshape(a, shape):
@@ -546,13 +547,13 @@ def _row_groups(rows):
     return rows[starts], group, rank, int(rank.max()) + 1
 
 
-def temporal_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
-                       heads, added=None):
+def temporal_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv, heads,
+                       added=None):
     """One multi-head temporal attention layer over n slots per row
     (TGAT, Xu et al. 2020); returns the [B, heads*d_k] head outputs.
 
     Row b has one query q = (h_self || 1) @ wq, and slot s has the key and
-    value input x_s = (h_nbr_s || e_s || te_nbr_s), each block d wide. Head
+    value input x_s = (h_nbr_s || e_s || te_s), each block d wide. Head
     h takes a = softmax_s(q_h . (x_s @ wk_h) / sqrt(d_k) - 1e9 (1 -
     mask_s)) and returns sum_s a_s w_s (x_s @ wv_h). Because each row has
     one query, the query is folded into W_k, q_h . (x_s W_k,h) = x_s .
@@ -561,7 +562,12 @@ def temporal_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
     value is formed, and the layer costs O(B n 3d heads), not O(B n 3d
     heads d_k).
 
-    `h_self`, `h_nbr` and `e_slot` may be narrower than d (te_nbr is d
+    `te` is the slots' time encodings as a pair (table, inverse): a
+    [U, d] table of distinct rows and a [B, n] integer array, so that
+    te_s = table[inverse[b, s]]. The op gathers the [B, n, d] block in its
+    forward and again in its backward, and keeps neither on the tape; a
+    table that requires a gradient gets the slots' rows scatter-added.
+    `h_self`, `h_nbr` and `e_slot` may be narrower than d (the table is d
     wide): an input of width w stands for itself zero-padded to d, so it
     reads only the top w rows of its block of wq, wk and wv, and the rows
     it does not read get an exactly zero gradient. `mask` is a [B, n]
@@ -577,18 +583,25 @@ def temporal_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
     reassociation and returns None for any input that does not require a
     gradient."""
     b, n = mask.shape
-    d = te_nbr.shape[-1]
+    table, te_inv = te
+    te_inv = np.asarray(te_inv)
+    d = table.shape[-1]
     hk = wq.shape[1]
     ws, wn, we = (t.shape[-1] for t in (h_self, h_nbr, e_slot))
     if (hk % heads or max(ws, wn, we) > d or h_self.shape != (b, ws)
             or h_nbr.shape != (b, n, wn) or e_slot.shape != (b, n, we)
-            or te_nbr.shape != (b, n, d) or wq.shape != (2 * d, hk)
+            or table.values.ndim != 2 or te_inv.shape != (b, n)
+            or te_inv.dtype.kind not in "iu"
+            or (te_inv.size and (te_inv.min() < 0
+                                 or te_inv.max() >= len(table.values)))
+            or wq.shape != (2 * d, hk)
             or wk.shape != (3 * d, hk) or wv.shape != (3 * d, hk)):
         raise ShapeError(
             f"temporal_attention: {heads} heads, widths <= {d}, shapes "
-            f"{[t.shape for t in (h_self, h_nbr, e_slot, te_nbr)]}, mask "
+            f"{[t.shape for t in (h_self, h_nbr, e_slot, table)]}, time "
+            f"rows {te_inv.shape} of {te_inv.dtype} in range, mask "
             f"{mask.shape}, weights {[wq.shape, wk.shape, wv.shape]}")
-    inputs = (h_self, h_nbr, e_slot, te_nbr, wq, wk, wv)
+    inputs = (h_self, h_nbr, e_slot, table, wq, wk, wv)
     sparse = False
     if added is not None:
         (rows, cols), e_add, w_add = added
@@ -610,7 +623,7 @@ def temporal_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
             inputs += (e_add, w_add)
     dk = hk // heads
     c = 1.0 / math.sqrt(dk)
-    xs = (h_nbr.values, e_slot.values, te_nbr.values)
+    xs = (h_nbr.values, e_slot.values, table.values[te_inv])
     # the rows of wk and wv read: each block's top rows, the whole e block
     # when added rows are present; spans index the read rows
     we_r = d if sparse else we
@@ -680,6 +693,8 @@ def temporal_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
                                 .transpose(1, 0, 2).reshape(r, hk), wv)
         g_pool = np.ascontiguousarray(
             (g3 @ wv3.transpose(0, 2, 1)).transpose(1, 0, 2))  # [B, h, r]
+        # the slots' inputs, the time block gathered again
+        xs = (h_nbr.values, e_slot.values, table.values[te_inv])
         g_u = sum(x @ g_pool[:, :, sp].transpose(0, 2, 1)
                   for x, sp in zip(xs, spans))                 # [B, n, h]
         if sparse:
@@ -690,14 +705,20 @@ def temporal_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
         g_a = g_u * w_all[:, :, None]
         g_l = attn * (g_a - (g_a * attn).sum(axis=1, keepdims=True))
         g_lt = g_l.transpose(0, 2, 1)
-        g_x = tuple(
+        g_x = [
             u @ g_pool[:, :, sp] + g_l @ qt[:, sp].transpose(0, 2, 1)
             if t.requires_grad else None
-            for t, sp in zip((h_nbr, e_slot, te_nbr), spans))
+            for t, sp in zip((h_nbr, e_slot, table), spans)]
+        if g_x[2] is not None:
+            g_x[2] = _scatter_add(np.zeros_like(table.values), te_inv, g_x[2])
         # qt's gradient pools the slots by g_l, as the forward pools by u
         g_parts = [g_lt @ x for x in xs]
+        # the time block is not needed again: free it before the added
+        # slots' [R, k, d] products below
+        del xs
         if sparse:
             g_parts[1] = pad_e(g_parts[1], g_l[rows, cols], e_pk)
+            del e_pk
         g_qt = np.concatenate(g_parts, axis=2)
         g_qt = g_qt.transpose(1, 0, 2) * c                     # [h, B, r]
         if wk.requires_grad:
@@ -710,7 +731,7 @@ def temporal_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
             g_wq[d:] = g_q.sum(axis=0)
         if h_self.requires_grad:
             g_self = g_q @ wq_v[:ws].T
-        grads = (g_self,) + g_x + (g_wq, g_wk, g_wv)
+        grads = (g_self, *g_x, g_wq, g_wk, g_wv)
         if not sparse:
             return grads
         g_e = g_w = None

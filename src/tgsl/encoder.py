@@ -17,11 +17,13 @@ their raw widths; the op reads a narrow input as itself zero-padded to
 d_model, touching only the weight rows it fills. Added edges reach it as
 their slot positions with one cand_features row and one rho weight each, so
 only those positions cost added-slot work; a real slot weighs 1 and a pad
-0, as the mask says. Its backward returns no gradient for a constant input
-(the time encodings, the real events' edge rows, the bottom layer's
-neighbor states). Those constants, the neighbor blocks and the (node, t)
-dedup form a parameter-free EncodePlan, built once and applied by any
-encoder of the same config.
+0, as the mask says. The slots' time encodings reach it as a table of the
+distinct gaps' rows and an int32 inverse; it gathers the [B, n, d] block
+in its forward and backward and keeps it on no tape. Its backward returns
+no gradient for a constant input (the time encodings, the real events'
+edge rows, the bottom layer's neighbor states). Those constants, the
+neighbor blocks and the (node, t) dedup form a parameter-free EncodePlan,
+built once and applied by any encoder of the same config.
 """
 
 import math
@@ -104,14 +106,20 @@ def time_encode(t, d, dtype=np.float64):
     is within 3e-7 of the float64 value rounded once, and beyond the exact
     reduction's range (|t * omega| > 2*pi * 2**26, about 4.2e8) it is that
     value."""
-    t = np.asarray(t, dtype=np.float64)
+    table, inverse = _time_table(np.asarray(t, dtype=np.float64), d, dtype)
+    return table[inverse]
+
+
+def _time_table(t, d, dtype):
+    """time_encode's (table, inverse): the (U, d) rows of t's U distinct
+    values and each element's row among them, shaped like t."""
     if not np.all(np.isfinite(t)):
         raise ValueError("time_encode: non-finite timestamp")
     if t.ndim == 1 and np.all(t[1:] > t[:-1]):
         u, inv = t, np.arange(len(t))
     else:
         u, inv = np.unique(t, return_inverse=True)
-    return _periodic(u, d, np.cos, dtype)[inv.reshape(t.shape)]
+    return _periodic(u, d, np.cos, dtype), inv.reshape(t.shape)
 
 
 def time_context(delta, d, dtype=np.float64):
@@ -164,9 +172,11 @@ class LayerPlan(NamedTuple):
     """One layer of an EncodePlan, b rows of n slots: `inverse` gathers the
     layer's b self rows and b * n slot rows from the distinct rows below
     (None at layer 1, whose rows are node feature rows); the [b, n] slot
-    mask; the real events' edge rows at their raw width; the [b, n, d] time
-    encodings; and the added slots' np.nonzero positions with their
-    added-edge indices."""
+    mask; the real events' edge rows at their raw width; the time
+    encodings as a pair (table, int32 [b, n] inverse), the table holding
+    one (U, d) row per distinct gap of the plan's layers, shared by them;
+    and the added slots' np.nonzero positions with their added-edge
+    indices."""
     inverse: object
     mask: np.ndarray
     e_rows: np.ndarray
@@ -251,8 +261,9 @@ class TgatEncoder:
         above reads, its self pairs followed by its slot pairs. Above
         layer 1 identical pairs are deduplicated; at layer 1 the rows are
         node feature rows, a flat gather for which dedup would cost more
-        than it saves. The time encodings of every layer's gaps come from
-        one time_encode call."""
+        than it saves. The time encodings of every layer's gaps are one
+        table, evaluated once per distinct gap, and each layer keeps an
+        int32 inverse into it, never the gathered [b, n, d] block."""
         nodes = np.asarray(nodes, dtype=np.int64)
         ts = np.asarray(ts, dtype=np.float64)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= len(self.node_feat)):
@@ -277,14 +288,15 @@ class TgatEncoder:
             tops.append((inverse, mask, e_rows, pos, -1 - eids[pos]))
         layers = []
         if gaps:
-            te = time_encode(np.concatenate(gaps), self.params.d_model,
-                             dtype=self.dtype)
-            end = len(te)
+            table, te_inv = _time_table(np.concatenate(gaps),
+                                        self.params.d_model, self.dtype)
+            end = len(te_inv)
             for inverse, mask, e_rows, pos, j in reversed(tops):
                 start = end - mask.size
-                layers.append(LayerPlan(
-                    inverse, mask, e_rows,
-                    te[start:end].reshape(*mask.shape, -1), pos, j))
+                rows = te_inv[start:end].reshape(mask.shape)
+                layers.append(LayerPlan(inverse, mask, e_rows,
+                                        (table, rows.astype(np.int32)),
+                                        pos, j))
                 end = start
         return EncodePlan(view, q_nodes, q_ts, nodes, layers)
 
@@ -304,7 +316,7 @@ class TgatEncoder:
             raise ValueError(f"apply: a {len(plan.layers)}-layer plan for a "
                              f"{p.layers}-layer encoder")
         emb = ad.constant(self.node_feat[plan.base])
-        for l, (inverse, mask, e_rows, te_nbr, pos, j) in enumerate(
+        for l, (inverse, mask, e_rows, (table, te_inv), pos, j) in enumerate(
                 plan.layers):
             pre = f"enc.l{l}."
             b, n = mask.shape
@@ -318,7 +330,7 @@ class TgatEncoder:
                 added = (pos, ad.take(plan.view.cand_features, j),
                          ad.take(plan.view.rho, j))
             head = ad.temporal_attention(h_self, h_nbr, ad.constant(e_rows),
-                                         ad.constant(te_nbr), mask,
+                                         (ad.constant(table), te_inv), mask,
                                          p[pre + "wq"], p[pre + "wk"],
                                          p[pre + "wv"], p.heads, added)
             # the merge MLP reads the top rows of w1 that (head || h_self)

@@ -64,12 +64,14 @@ def _primitive_cases(rng):
     added[1, 2] = 1.0
     pos = np.nonzero(added)
     n_add = len(pos[0])
-    te_nbr = c(rng.uniform(-1.0, 1.0, (3, 4, 4)))
+    # the slots' time rows as a table, one row per slot
+    te = (c(rng.uniform(-1.0, 1.0, (3, 4, 4)).reshape(12, 4)),
+          np.arange(12).reshape(3, 4))
     w34 = c(rng.standard_normal((3, 4)))
 
     def attention(h_self, h_nbr, e_slot, e_add, w_add, wq, wk, wv):
         return ad.sum_(ad.mul(ad.temporal_attention(
-            h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv, 2,
+            h_self, h_nbr, e_slot, te, mask, wq, wk, wv, 2,
             (pos, e_add, w_add)), w34))
 
     return [

@@ -37,9 +37,10 @@ def test_shape_errors_name_op_and_shapes():
     with pytest.raises(ad.ShapeError, match=r"matmul: \(3,\) @ \(2, 3, 4\)"):
         ad.matmul(ad.constant(np.zeros(3)), ad.constant(np.zeros((2, 3, 4))))
     z = ad.constant
-    slots = [z(np.zeros((2, 3, 4)))] * 3
+    slots = [z(np.zeros((2, 3, 4)))] * 2
+    te = (z(np.zeros((6, 4))), np.arange(6).reshape(2, 3))
     with pytest.raises(ad.ShapeError, match=r"temporal_attention.*\(12, 5\)"):
-        ad.temporal_attention(z(np.zeros((2, 4))), *slots, np.ones((2, 3)),
+        ad.temporal_attention(z(np.zeros((2, 4))), *slots, te, np.ones((2, 3)),
                               z(np.zeros((8, 4))), z(np.zeros((12, 5))),
                               z(np.zeros((12, 4))), 2)
 
@@ -271,6 +272,67 @@ def test_concat_narrow_roundtrip_routes_grads_disjointly():
         t.backward(ad.sum_(back_a))
     assert np.all(a.grad == 1.0)
     assert np.all(b.grad == 0.0)   # gradient of the a-slice never leaks to b
+
+
+def test_narrow_is_a_view_of_its_input():
+    a = ad.param(np.arange(24.0).reshape(4, 6))
+    for axis, start, length in ((0, 1, 2), (1, 2, 3)):
+        out = ad.narrow(a, axis, start, length)
+        assert np.shares_memory(out.values, a.values)
+        assert np.array_equal(out.values, np.take(
+            a.values, np.arange(start, start + length), axis=axis))
+
+
+def _reachable_arrays(fn, tensors):
+    """Every array a grad-suite case reads: its argument tensors and the
+    tensors and arrays its closure holds, in tuples too."""
+    out, todo = [], list(tensors) + [
+        c.cell_contents for c in fn.__closure__ or ()]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, ad.Tensor):
+            out.append(x.values)
+        elif isinstance(x, np.ndarray):
+            out.append(x)
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+    return out
+
+
+def _grad_cases():
+    from tgsl import verify
+    return verify._primitive_cases(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("case", [name for name, _, _ in _grad_cases()])
+def test_no_primitive_writes_into_its_inputs(case):
+    """For every primitive the grad suite checks, neither its forward nor
+    its backward changes a byte of any array it reads, nor of the output
+    gradient its backward is given: narrow's outputs are views, so a
+    write into an input would reach the tensor it was narrowed from."""
+    (fn, args), = [(f, a) for name, f, a in _grad_cases() if name == case]
+    xs = [ad.param(np.array(a, dtype=np.float64)) for a in args]
+    arrays = _reachable_arrays(fn, xs)
+    before = [a.tobytes() for a in arrays]
+    with ad.Tape() as tape:
+        loss = fn(*xs)
+    assert [a.tobytes() for a in arrays] == before
+    calls = []
+
+    def checked(inputs, bw):
+        def run(g):
+            seen = [t.values.tobytes() for t in inputs] + [g.tobytes()]
+            grads = bw(g)
+            assert [t.values.tobytes() for t in inputs] + [g.tobytes()] \
+                == seen
+            calls.append(bw)
+            return grads
+        return run
+
+    tape.entries = [(i, o, checked(i, bw)) for i, o, bw in tape.entries]
+    tape.backward(loss)
+    assert len(calls) == len(tape.entries)
+    assert [a.tobytes() for a in arrays] == before
 
 
 def test_no_grad_suppresses_recording():

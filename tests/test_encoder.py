@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -330,13 +331,17 @@ def scatter_dense(rows, pos, shape):
     return ad.take(ad.concat([zero, rows], axis=0), idx)
 
 
-def composed_attention(h_self, h_nbr, e_slot, te_nbr, mask, wq, wk, wv,
+def composed_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv,
                        heads, added=None):
-    """Test oracle: the attention layer composed from primitives. Narrow
-    inputs are zero-padded to d, the added rows are scattered into a dense
-    grid added to e_slot, and the slot weights are the mask with the added
+    """Test oracle: the attention layer composed from primitives. The time
+    rows are gathered from their table by a recorded take, narrow inputs
+    are zero-padded to d, the added rows are scattered into a dense grid
+    added to e_slot, and the slot weights are the mask with the added
     weights scattered over it; then `dense_attention`."""
-    b, n, dm = te_nbr.shape
+    table, te_inv = te
+    b, n = mask.shape
+    dm = table.shape[1]
+    te_nbr = ad.reshape(ad.take(table, te_inv.reshape(-1)), (b, n, dm))
     h_self, h_nbr, e_slot = (pad_to(t, dm) for t in (h_self, h_nbr, e_slot))
     w_dense = ad.constant(mask)
     if added is not None:
@@ -376,20 +381,22 @@ def dense_attention(h_self, h_nbr, e_slot, te_nbr, w_dense, mask, wq, wk, wv,
     return ad.reshape(head, (b, heads * dk))
 
 
-ATTENTION_INPUTS = ("h_self", "h_nbr", "e_slot", "te_nbr", "wq", "wk", "wv")
+ATTENTION_INPUTS = ("h_self", "h_nbr", "e_slot", "te", "wq", "wk", "wv")
 # (h_self, h_nbr, e_slot) widths at d = 8: full, as the encoder's bottom
 # layer feeds them, and each of its own width
 WIDTHS = {"full": (8, 8, 8), "narrow": (3, 3, 2), "mixed": (8, 5, 1)}
 
 
 def attention_case(rng, b=6, n=5, dm=8, dtype=np.float64, widths=None,
-                   sparse=False):
+                   sparse=False, distinct=False):
     """Random inputs as the encoder builds them: row 0 has every slot
-    padded, row 1 none. If `sparse`, some real slots are added ones, each
-    with a [P, d] row (its e_slot row is random here; the encoder passes
-    zeros there and the op adds the two) and a weight rho in (0, 1), which
-    replaces the mask's 1 there. Returns (tensor inputs by name, mask,
-    added positions or None)."""
+    padded, row 1 none. The time rows are a table "te" and its integer
+    inverse "te_inv": one row per slot in row-major order, or if
+    `distinct`, b * n // 3 rows each slot picks from at random. If
+    `sparse`, some real slots are added ones, each with a [P, d] row (its
+    e_slot row is random here; the encoder passes zeros there and the op
+    adds the two) and a weight rho in (0, 1), which replaces the mask's 1
+    there. Returns (inputs by name, mask, added positions or None)."""
     ws, wn, we = widths or (dm, dm, dm)
     mask = (rng.random((b, n)) < 0.6).astype(dtype)
     mask[0], mask[1] = 0.0, 1.0
@@ -401,6 +408,11 @@ def attention_case(rng, b=6, n=5, dm=8, dtype=np.float64, widths=None,
               "wv": (3 * dm, dm)}
     arrays = {k: rng.standard_normal(s).astype(dtype)
               for k, s in shapes.items()}
+    arrays["te"] = arrays.pop("te_nbr").reshape(b * n, dm)
+    arrays["te_inv"] = np.arange(b * n).reshape(b, n)
+    if distinct:
+        arrays["te"] = arrays["te"][:b * n // 3]
+        arrays["te_inv"] = rng.integers(0, b * n // 3, (b, n))
     if not sparse:
         return arrays, mask, None
     pos = np.nonzero(added)
@@ -413,10 +425,11 @@ def run_attention(fn, arrays, mask, heads, pos=None, const=(), weight=None):
     """fn's output, and the gradients of sum(out * weight) by input name;
     inputs named in `const` are constants."""
     ts = {k: (ad.constant(v) if k in const else ad.param(v.copy(), name=k))
-          for k, v in arrays.items()}
+          for k, v in arrays.items() if k != "te_inv"}
     added = None if pos is None else (pos, ts["e_add"], ts["w_add"])
     with ad.Tape() as tape:
-        out = fn(*(ts[k] for k in ATTENTION_INPUTS[:4]), mask,
+        out = fn(*(ts[k] for k in ATTENTION_INPUTS[:3]),
+                 (ts["te"], arrays["te_inv"]), mask,
                  *(ts[k] for k in ATTENTION_INPUTS[4:]), heads, added)
         if weight is not None:
             tape.backward(ad.sum_(ad.mul(out, ad.constant(weight))))
@@ -431,26 +444,29 @@ def close(got, want, rtol):
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("const", [(), ("te_nbr",), ("h_nbr", "te_nbr"),
-                                   ("e_slot", "te_nbr")])
+@pytest.mark.parametrize("const", [(), ("te",), ("h_nbr", "te"),
+                                   ("e_slot", "te")])
 def test_temporal_attention_matches_composed_oracle(heads, const):
-    """Every input width layout, with and without added slots: output and
+    """Every input width layout, with and without added slots, on a time
+    table with one row per slot and on one whose rows repeat: output and
     every gradient."""
     rng = np.random.default_rng(heads * 10 + len(const))
-    for widths in WIDTHS.values():
-        for sparse in (False, True):
-            arrays, mask, pos = attention_case(rng, widths=widths,
-                                               sparse=sparse)
-            weight = rng.standard_normal((len(mask), arrays["wq"].shape[1]))
-            got, got_g = run_attention(ad.temporal_attention, arrays, mask,
-                                       heads, pos, const, weight)
-            want, want_g = run_attention(composed_attention, arrays, mask,
-                                         heads, pos, const, weight)
-            assert close(got, want, 1e-10)
-            assert set(got_g) == set(want_g)
-            for k in got_g:
-                assert got_g[k].shape == arrays[k].shape
-                assert close(got_g[k], want_g[k], 1e-10), (k, widths, sparse)
+    for widths, sparse, distinct in itertools.product(
+            WIDTHS.values(), (False, True), (False, True)):
+        arrays, mask, pos = attention_case(rng, widths=widths,
+                                           sparse=sparse,
+                                           distinct=distinct)
+        weight = rng.standard_normal((len(mask), arrays["wq"].shape[1]))
+        got, got_g = run_attention(ad.temporal_attention, arrays, mask,
+                                   heads, pos, const, weight)
+        want, want_g = run_attention(composed_attention, arrays, mask,
+                                     heads, pos, const, weight)
+        assert close(got, want, 1e-10)
+        assert set(got_g) == set(want_g)
+        for k in got_g:
+            assert got_g[k].shape == arrays[k].shape
+            assert close(got_g[k], want_g[k], 1e-10), (k, widths, sparse,
+                                                        distinct)
 
 
 def test_temporal_attention_narrow_inputs_read_only_their_rows():
@@ -458,7 +474,7 @@ def test_temporal_attention_narrow_inputs_read_only_their_rows():
     weight rows it does not read get an exactly zero gradient."""
     rng = np.random.default_rng(8)
     arrays, mask, _ = attention_case(rng, widths=WIDTHS["narrow"])
-    dm = arrays["te_nbr"].shape[2]
+    dm = arrays["te"].shape[1]
     padded = {k: (np.concatenate([v, np.zeros(v.shape[:-1]
                                               + (dm - v.shape[-1],))], -1)
                   if k in ("h_self", "h_nbr", "e_slot") else v)
@@ -478,13 +494,14 @@ def test_temporal_attention_narrow_inputs_read_only_their_rows():
 def test_temporal_attention_returns_none_for_constants():
     rng = np.random.default_rng(3)
     arrays, mask, pos = attention_case(rng, sparse=True)
-    const = ("h_nbr", "e_slot", "te_nbr", "w_add")
+    const = ("h_nbr", "e_slot", "te", "w_add")
     ts = {k: ad.constant(v) if k in const else ad.param(v)
-          for k, v in arrays.items()}
+          for k, v in arrays.items() if k != "te_inv"}
     names = ATTENTION_INPUTS + ("e_add", "w_add")
     with ad.Tape() as tape:
         out = ad.temporal_attention(
-            *(ts[k] for k in ATTENTION_INPUTS[:4]), mask,
+            *(ts[k] for k in ATTENTION_INPUTS[:3]),
+            (ts["te"], arrays["te_inv"]), mask,
             *(ts[k] for k in ATTENTION_INPUTS[4:]), 2,
             (pos, ts["e_add"], ts["w_add"]))
     (inputs, _, bw), = tape.entries
@@ -509,11 +526,44 @@ def test_temporal_attention_empty_added_part_is_none():
         assert np.array_equal(got_g[k], want_g[k]), k
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_temporal_attention_time_table_matches_gathered_rows(sparse, heads,
+                                                             dtype):
+    """A table of distinct time rows with an int32 inverse gives, bit for
+    bit, the output and every gradient of the same rows gathered one per
+    slot with an arange inverse; the table's gradient is those slots'
+    gradients added into their rows in slot order, as np.add.at adds."""
+    rng = np.random.default_rng(20 + heads)
+    arrays, mask, pos = attention_case(rng, dtype=dtype, sparse=sparse,
+                                       distinct=True)
+    arrays["te_inv"] = arrays["te_inv"].astype(np.int32)
+    b, n = mask.shape
+    rows = arrays["te"][arrays["te_inv"]].reshape(b * n, -1)
+    gathered = dict(arrays, te=rows, te_inv=np.arange(b * n).reshape(b, n))
+    weight = rng.standard_normal((b, arrays["wq"].shape[1])).astype(dtype)
+    got, got_g = run_attention(ad.temporal_attention, arrays, mask, heads,
+                               pos, weight=weight)
+    want, want_g = run_attention(ad.temporal_attention, gathered, mask, heads,
+                                 pos, weight=weight)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    table_g = np.zeros_like(arrays["te"])
+    np.add.at(table_g, arrays["te_inv"].reshape(-1), want_g.pop("te"))
+    assert got_g.pop("te").tobytes() == table_g.tobytes()
+    assert got_g.keys() == want_g.keys()
+    for k in want_g:
+        assert got_g[k].dtype == dtype, k
+        assert got_g[k].tobytes() == want_g[k].tobytes(), k
+
+
 def shape_cases():
     """(name, the args that break one rule) for each shape rule."""
     z = ad.constant
     h, s3 = z(np.zeros((2, 4))), z(np.zeros((2, 3, 4)))
-    w = dict(h_self=h, h_nbr=s3, e_slot=s3, te_nbr=s3, mask=np.ones((2, 3)),
+    table = z(np.zeros((6, 4)))
+    w = dict(h_self=h, h_nbr=s3, e_slot=s3,
+             te=(table, np.arange(6).reshape(2, 3)), mask=np.ones((2, 3)),
              wq=z(np.zeros((8, 4))),
              wk=z(np.zeros((12, 4))), wv=z(np.zeros((12, 4))), heads=2,
              added=((np.array([0, 1]), np.array([2, 0])),
@@ -525,6 +575,16 @@ def shape_cases():
     yield "e_slot-wider-than-d", dict(w, e_slot=z(np.zeros((2, 3, 6)))), \
         r"\(2, 3, 6\)"
     yield "h_nbr-rows", dict(w, h_nbr=z(np.zeros((2, 2, 4)))), r"\(2, 2, 4\)"
+    yield "time-rows-shape", dict(
+        w, te=(table, np.arange(6).reshape(3, 2))), r"time rows \(3, 2\)"
+    yield "time-rows-outside", dict(
+        w, te=(table, np.arange(1, 7).reshape(2, 3))), r"time rows \(2, 3\)"
+    yield "time-rows-negative", dict(
+        w, te=(table, -np.arange(6).reshape(2, 3))), r"time rows \(2, 3\)"
+    yield "time-rows-float", dict(
+        w, te=(table, np.zeros((2, 3)))), "float64"
+    yield "time-table-1d", dict(
+        w, te=(z(np.zeros(6)), np.arange(6).reshape(2, 3))), r"\(6,\)"
     yield "added-rows-width", dict(
         w, added=(pos, z(np.zeros((2, 3))), w["added"][2])), r"\(2, 3\)"
     yield "added-weights", dict(
@@ -560,7 +620,7 @@ def test_attention_weights_normalized_under_mask():
         assert not mask[0].any() and mask[1:].any(axis=1).all()
         # with only the te block read by W_v, a slot's value is 1, so each
         # output is the attention mass on real slots
-        probe = dict(arrays, te_nbr=np.ones_like(arrays["te_nbr"]))
+        probe = dict(arrays, te=np.ones_like(arrays["te"]))
         dm = probe["h_self"].shape[1]
         probe["wv"] = np.zeros_like(arrays["wv"])
         probe["wv"][2 * dm:] = 1.0 / dm
@@ -571,9 +631,11 @@ def test_attention_weights_normalized_under_mask():
 
         base, _ = run_attention(ad.temporal_attention, arrays, mask, 2)
         pads = (mask == 0)[:, :, None]
-        for k in ("h_nbr", "e_slot", "te_nbr"):
+        for k in ("h_nbr", "e_slot", "te"):
             moved = dict(arrays)
-            moved[k] = np.where(pads, arrays[k] + rng.standard_normal(
+            # the table has one row per slot, in row-major order
+            where = pads.reshape(-1, 1) if k == "te" else pads
+            moved[k] = np.where(where, arrays[k] + rng.standard_normal(
                 arrays[k].shape).astype(dtype), arrays[k])
             got, _ = run_attention(ad.temporal_attention, moved, mask, 2)
             assert np.array_equal(got, base), k
@@ -632,7 +694,9 @@ def test_encode_batch_matches_direct_time_encode(monkeypatch):
         return out.values, grads + [view.cand_features.grad, view.rho.grad]
 
     out, grads = run()
-    monkeypatch.setattr(te, "time_encode", direct_time_encode)
+    monkeypatch.setattr(te, "_time_table", lambda t, d, dtype: (
+        direct_time_encode(t, d, dtype).reshape(-1, d),
+        np.arange(t.size).reshape(t.shape)))
     want_out, want_grads = run()
     assert out.tobytes() == want_out.tobytes()
     assert len(grads) == len(want_grads)
@@ -853,6 +917,49 @@ def plan_fixture(layers):
                                             d_hidden=16, seed=s), store,
                            n_nb=8) for s in (1, 2)]
     return idx, src, dst, neg, tss, encs
+
+
+def test_plan_keeps_time_encodings_as_a_distinct_gap_table():
+    """A 2-layer d=100 plan on an augmented view: both layers share one
+    table with a row per distinct gap of either layer, each keeps an int32
+    [b, n] inverse whose rows are time_encode of its gaps, and no array in
+    the plan is as large as a layer's gathered [b, n, d] block."""
+    store = synth_generate(2, 30, 30, 600, 0.1, seed=7)
+    idx = NeighborIndex.build(store, np.arange(500))
+    rng = np.random.default_rng(1)
+    view = AugmentedView(
+        idx, store.src[480:500], store.dst[:20],
+        np.sort(rng.uniform(store.ts[400], store.ts[499], 20)),
+        cand_features=ad.param(rng.standard_normal((20, 4))),
+        rho=ad.param(rng.uniform(0.1, 0.9, 20)))
+    enc = te.TgatEncoder(te.EncoderParams(100, layers=2, heads=2, seed=3),
+                         store, n_nb=20)
+    batch = np.arange(500, 560)
+    nodes = np.concatenate([store.src[batch], store.dst[batch]])
+    ts = np.concatenate([store.ts[batch], store.ts[batch]])
+    plan = enc.plan(view, nodes, ts)
+    # the oracle's queries, top layer first, dedup by np.unique
+    gaps = []
+    for layer in (2, 1):
+        ids, eids, tss, _ = view.batch_neighbors(nodes, ts, 20)
+        gaps.insert(0, ts[:, None] - tss)
+        pairs = np.unique(np.stack([np.concatenate([nodes, ids.ravel()]),
+                                    np.concatenate([ts, tss.ravel()])], 1),
+                          axis=0)
+        nodes, ts = pairs[:, 0].astype(np.int64), pairs[:, 1]
+    assert (eids < 0).any()
+    table = plan.layers[0].te[0]
+    assert len(table) == len(np.unique(np.concatenate(
+        [g.ravel() for g in gaps])))
+    grids = [lp.mask.size * 100 for lp in plan.layers]
+    for lp, g in zip(plan.layers, gaps):
+        assert lp.te[0] is table
+        assert lp.te[1].dtype == np.int32 and lp.te[1].shape == g.shape
+        assert table[lp.te[1]].tobytes() == te.time_encode(
+            g, 100, dtype=np.float32).tobytes()
+        held = [x for x in lp if isinstance(x, np.ndarray)]
+        held += [x for part in lp if isinstance(part, tuple) for x in part]
+        assert all(x.size < min(grids) for x in held)
 
 
 @pytest.mark.parametrize("layers", [1, 2])
