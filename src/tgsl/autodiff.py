@@ -274,55 +274,33 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 # primitives
 
-def add(a, b):
-    try:
-        out = a.values + b.values
-    except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    return _record("add", (a, b), out,
-                   lambda g: (_unbroadcast(g, a.shape)
-                              if a.requires_grad else None,
-                              _unbroadcast(g, b.shape)
-                              if b.requires_grad else None))
+def _broadcasting(name, fn, grad_a, grad_b):
+    """A binary primitive `fn(a, b)` under numpy broadcasting; grad_a and
+    grad_b map (g, a, b) values to each input's gradient before it is
+    summed down to that input's shape."""
+    def op(a, b):
+        try:
+            out = fn(a.values, b.values)
+        except ValueError:
+            raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do "
+                             "not broadcast")
+        return _record(name, (a, b), out, lambda g: (
+            _unbroadcast(grad_a(g, a.values, b.values), a.shape)
+            if a.requires_grad else None,
+            _unbroadcast(grad_b(g, a.values, b.values), b.shape)
+            if b.requires_grad else None))
+
+    op.__name__ = op.__qualname__ = name
+    return op
 
 
-def sub(a, b):
-    try:
-        out = a.values - b.values
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-    return _record("sub", (a, b), out,
-                   lambda g: (_unbroadcast(g, a.shape)
-                              if a.requires_grad else None,
-                              _unbroadcast(-g, b.shape)
-                              if b.requires_grad else None))
-
-
-def mul(a, b):
-    try:
-        out = a.values * b.values
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-    return _record("mul", (a, b), out,
-                   lambda g: (_unbroadcast(g * b.values, a.shape)
-                              if a.requires_grad else None,
-                              _unbroadcast(g * a.values, b.shape)
-                              if b.requires_grad else None))
-
-
-def div(a, b):
-    try:
-        out = a.values / b.values
-    except ValueError:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def bw(g):
-        ga = _unbroadcast(g / b.values, a.shape) if a.requires_grad else None
-        gb = (_unbroadcast(-g * a.values / (b.values * b.values), b.shape)
-              if b.requires_grad else None)
-        return ga, gb
-
-    return _record("div", (a, b), out, bw)
+add = _broadcasting("add", np.add, lambda g, a, b: g, lambda g, a, b: g)
+sub = _broadcasting("sub", np.subtract, lambda g, a, b: g,
+                    lambda g, a, b: -g)
+mul = _broadcasting("mul", np.multiply, lambda g, a, b: g * b,
+                    lambda g, a, b: g * a)
+div = _broadcasting("div", np.true_divide, lambda g, a, b: g / b,
+                    lambda g, a, b: -g * a / (b * b))
 
 
 def scale(a, c):
@@ -493,27 +471,22 @@ def clip(a, lo, hi):
     return _record("clip", (a,), out, lambda g: (g * inside,))
 
 
+def _spread(g, a, axis, keepdims):
+    """A reduction's output gradient broadcast back over its input."""
+    if not keepdims and axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.shape)
+
+
 def sum_(a, axis=None, keepdims=False):
-    out = a.values.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape),)
-
-    return _record("sum", (a,), out, bw)
+    return _record("sum", (a,), a.values.sum(axis=axis, keepdims=keepdims),
+                   lambda g: (_spread(g, a, axis, keepdims),))
 
 
 def mean(a, axis=None, keepdims=False):
-    out = a.values.mean(axis=axis, keepdims=keepdims)
     n = a.values.size if axis is None else a.shape[axis]
-
-    def bw(g):
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / n,)
-
-    return _record("mean", (a,), out, bw)
+    return _record("mean", (a,), a.values.mean(axis=axis, keepdims=keepdims),
+                   lambda g: (_spread(g, a, axis, keepdims) / n,))
 
 
 def logsumexp(a, axis=None, keepdims=False):
@@ -748,15 +721,16 @@ def temporal_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv, heads,
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Per-parameter moment grids plus the shared step counter."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
@@ -771,16 +745,15 @@ def adam_step(state):
             raise ValueError(f"adam_step: missing grad for parameter {p.name!r}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.values -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p.values -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
         p.zero_grad()
 
 
@@ -798,12 +771,18 @@ class GradCheckResult:
                 f"checked={self.n_checked}, skipped={len(self.skipped)})")
 
 
-def grad_check(fn, point, h=1e-5, kink_tol=1e-3):
-    """Compare reverse-mode gradients of a scalar fn against central finite
-    differences at `point` (a list of tensors or arrays), in float64.
+# grad_check's finite-difference step, and the relative gap between the
+# one-sided differences past which a coordinate counts as a kink
+_H, _KINK_TOL = 1e-5, 1e-3
 
-    Coordinates where the two one-sided differences disagree (relu-style
-    kinks) are skipped and reported in the result.
+
+def grad_check(fn, point):
+    """Compare reverse-mode gradients of a scalar fn against central finite
+    differences of step _H at `point` (a list of tensors or arrays), in
+    float64.
+
+    Coordinates where the two one-sided differences disagree by more than
+    _KINK_TOL (relu-style kinks) are skipped and reported in the result.
     """
     xs = [param(np.asarray(p.values if isinstance(p, Tensor) else p,
                            dtype=np.float64).copy(), name=f"x{i}")
@@ -835,15 +814,15 @@ def grad_check(fn, point, h=1e-5, kink_tol=1e-3):
             aflat = analytic[i].reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
-                flat[j] = orig + h
+                flat[j] = orig + _H
                 fp = feval()
-                flat[j] = orig - h
+                flat[j] = orig - _H
                 fm = feval()
                 flat[j] = orig
-                central = (fp - fm) / (2 * h)
-                d_plus = (fp - f0) / h
-                d_minus = (f0 - fm) / h
-                if abs(d_plus - d_minus) > kink_tol * max(1.0, abs(d_plus), abs(d_minus)):
+                central = (fp - fm) / (2 * _H)
+                d_plus = (fp - f0) / _H
+                d_minus = (f0 - fm) / _H
+                if abs(d_plus - d_minus) > _KINK_TOL * max(1.0, abs(d_plus), abs(d_minus)):
                     skipped.append((i, j))
                     continue
                 err = abs(aflat[j] - central) / max(1.0, abs(central))

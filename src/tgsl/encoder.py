@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .graph import by_ids
+from .graph import by_ids, runs
 
 __all__ = [
     "time_frequencies", "time_encode", "time_context",
@@ -99,8 +99,8 @@ def time_encode(t, d, dtype=np.float64):
     """cos(t * omega) with omega = time_frequencies(d). Accepts scalars or
     arrays; the omega axis is appended last. cos is evaluated once per
     distinct value of t and gathered (cos is even, so -0.0 and 0.0 may
-    merge); a strictly increasing 1-D t (the ET-GNN's event times) is its
-    own set of distinct values, so one comparison replaces the sort. In
+    merge); a strictly increasing 1-D t (as event times without ties are) is
+    its own set of distinct values, so one comparison replaces the sort. In
     float64 the values are the direct form's; in float32 cos runs in
     float32 on the argument reduced exactly to one period in float64, which
     is within 3e-7 of the float64 value rounded once, and beyond the exact
@@ -198,20 +198,6 @@ class EncodePlan(NamedTuple):
     layers: list
 
 
-def _distinct_pairs(nodes, ts):
-    """The distinct (node, t) pairs in (node, t) order and each pair's
-    index among them: the rows and inverse of np.unique over the stacked
-    pairs with axis=0, from a stable sort by t and then an id order by
-    node."""
-    order = by_ids(np.argsort(ts, kind="stable"), nodes)
-    n_s, t_s = nodes[order], ts[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (n_s[1:] != n_s[:-1]) | (t_s[1:] != t_s[:-1])
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return n_s[new], t_s[new], inverse
-
-
 class TgatEncoder:
     """Multi-head temporal attention over a graph view.
 
@@ -240,8 +226,8 @@ class TgatEncoder:
                     f"{params.d_model}; raise d_model")
         # kept at their raw widths: the attention reads a narrow input as
         # itself zero-padded to d_model
-        self.node_feat = store.node_features.astype(self.dtype)
-        self.edge_feat = store.edge_features.astype(self.dtype)
+        self.node_feat = store.node_features.astype(self.dtype, copy=False)
+        self.edge_feat = store.edge_features.astype(self.dtype, copy=False)
         self.feat_ids = store.feat_ids
 
     # -- embedding: a parameter-free plan, then the layers applied to it
@@ -284,20 +270,19 @@ class TgatEncoder:
             ts = np.concatenate([ts, tss.ravel()])
             inverse = None
             if layer > 1:
-                nodes, ts, inverse = _distinct_pairs(nodes, ts)
+                # np.unique(axis=0) of the (node, t) pairs, from id orders
+                order = by_ids(np.argsort(ts, kind="stable"), nodes)
+                starts, inverse = runs(order, nodes, ts)
+                nodes, ts = nodes[order[starts]], ts[order[starts]]
             tops.append((inverse, mask, e_rows, pos, -1 - eids[pos]))
-        layers = []
-        if gaps:
-            table, te_inv = _time_table(np.concatenate(gaps),
-                                        self.params.d_model, self.dtype)
-            end = len(te_inv)
-            for inverse, mask, e_rows, pos, j in reversed(tops):
-                start = end - mask.size
-                rows = te_inv[start:end].reshape(mask.shape)
-                layers.append(LayerPlan(inverse, mask, e_rows,
-                                        (table, rows.astype(np.int32)),
-                                        pos, j))
-                end = start
+        table, te_inv = _time_table(np.concatenate(gaps),
+                                    self.params.d_model, self.dtype)
+        rows = np.split(te_inv.astype(np.int32),
+                        np.cumsum([len(g) for g in gaps])[:-1])
+        layers = [LayerPlan(inverse, mask, e_rows,
+                            (table, r.reshape(mask.shape)), pos, j)
+                  for (inverse, mask, e_rows, pos, j), r in zip(
+                      tops[::-1], rows[::-1])]
         return EncodePlan(view, q_nodes, q_ts, nodes, layers)
 
     def apply(self, plan):

@@ -18,7 +18,8 @@ import numpy as np
 __all__ = [
     "EventStore", "NeighborIndex", "SplitSpec", "load_events", "save_events",
     "chronological_split", "sparsify", "synth_generate",
-    "sample_negatives", "id_order", "by_ids", "id_presence", "node_set",
+    "sample_negatives", "id_order", "by_ids", "runs", "ranks", "top_k",
+    "id_presence", "node_set",
 ]
 
 
@@ -53,6 +54,32 @@ def by_ids(order, *keys):
     for key in keys:
         order = order[id_order(key[order])]
     return order
+
+
+def runs(order, *keys):
+    """The runs of equal rows along `order`, a sort of the rows by `keys`:
+    the positions in `order` where a run starts, and each row's run."""
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for key in keys:
+        k = key[order]
+        head[1:] |= k[1:] != k[:-1]
+    run = np.empty(len(order), dtype=np.intp)
+    run[order] = np.cumsum(head) - 1
+    return np.flatnonzero(head), run
+
+
+def ranks(group):
+    """Rank of each entry inside its run of a non-decreasing group array."""
+    return np.arange(len(group)) - np.searchsorted(group, group)
+
+
+def top_k(score, group, k):
+    """The sorted indices of each group's k highest scores, the earlier
+    index first on ties: a stable sort by -score, then an id order by the
+    (non-negative int) group, keeping each group's first k."""
+    order = by_ids(np.argsort(-score, kind="stable"), group)
+    return np.sort(order[ranks(group[order]) < k])
 
 
 def id_presence(bound, *ids):
@@ -417,7 +444,7 @@ def load_events(path):
                 fv = [float(x) for x in parts[4:]]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric field")
-            if u != int(u) or v != int(v) or u < 0 or v < 0:
+            if not all(0 <= x < math.inf and x == int(x) for x in (u, v)):
                 raise DataError(f"{path}:{lineno}: node ids must be "
                                 "non-negative integers")
             if t < 0 or not math.isfinite(t):

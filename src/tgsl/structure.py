@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import time_context, time_encode
 from .graph import (NeighborIndex, by_ids, edge_entries, id_order,
-                    id_presence, node_set)
+                    id_presence, node_set, ranks, runs, top_k)
 
 __all__ = [
     "TgslParams", "EtgnnOutput", "etgnn_forward", "context_predict_batch",
@@ -123,8 +123,9 @@ def etgnn_forward(event_ids, store, params):
     local[nodes] = np.arange(len(nodes))
     s_l, d_l = local[src], local[dst]
 
-    h = ad.constant(store.node_features[nodes].astype(dtype))
-    f = ad.constant(store.edge_features[store.feat_ids[event_ids]].astype(dtype))
+    h = ad.constant(store.node_features[nodes].astype(dtype, copy=False))
+    f = ad.constant(store.edge_features[store.feat_ids[event_ids]].astype(
+        dtype, copy=False))
     te = ad.constant(time_encode(store.ts[event_ids], params.d_model, dtype))
     last = params.layers - 1
     if last > 0:
@@ -227,7 +228,7 @@ def _draw(nodes, index, n, rng, t_ref):
     pos = (lo[row] + np.concatenate(perm)) if perm else row
     first = _first_of_each(row * np.int64(index.num_nodes) + index.nbr[pos])
     row, pos = row[first], pos[first]
-    keep = _ranks(row) < max(n, 1)
+    keep = ranks(row) < max(n, 1)
     return row[keep], pos[keep]
 
 
@@ -235,17 +236,9 @@ def _first_of_each(key):
     """Positions of the first occurrence of every (non-negative) key, in
     order: the heads of the groups of a stable id order."""
     order = id_order(key)
-    k_o = key[order]
-    head = np.ones(len(key), dtype=bool)
-    head[1:] = k_o[1:] != k_o[:-1]
     first = np.zeros(len(key), dtype=bool)
-    first[order[head]] = True
+    first[order[runs(order, key)[0]]] = True
     return np.flatnonzero(first)
-
-
-def _ranks(group):
-    """Rank of each entry inside its run of a non-decreasing group array."""
-    return np.arange(len(group)) - np.searchsorted(group, group)
 
 
 def _partial_draw(rows, size, m, rng):
@@ -315,18 +308,19 @@ def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
         keep = head != src_nodes[:, None]
         keep &= np.cumsum(keep, axis=1) <= n_can
         row, col = np.nonzero(keep)
-        t_new = rng.uniform(0.0, t_max, size=len(row))
-        return CandidateBatch(src_nodes[row], head[row, col], t_new,
-                              t_new.copy(), np.full(len(row), -1))
-    if strategy == "one-hop":
-        row, pos = _draw(src_nodes, index, n_can, rng, t_ref)
+        dst, t_sample, feat_eid = head[row, col], None, np.full(len(row), -1)
     else:
-        row, pos = _walk(src_nodes, index, fanouts, rng, t_ref)
-        keep = _ranks(row) < n_can
-        row, pos = row[keep], pos[keep]
+        if strategy == "one-hop":
+            row, pos = _draw(src_nodes, index, n_can, rng, t_ref)
+        else:
+            row, pos = _walk(src_nodes, index, fanouts, rng, t_ref)
+            keep = ranks(row) < n_can
+            row, pos = row[keep], pos[keep]
+        dst, t_sample, feat_eid = index.nbr[pos], index.ts[pos], index.eid[pos]
     t_new = rng.uniform(0.0, t_max, size=len(row))
-    return CandidateBatch(src_nodes[row], index.nbr[pos], t_new,
-                          index.ts[pos], index.eid[pos])
+    return CandidateBatch(src_nodes[row], dst, t_new,
+                          t_new.copy() if t_sample is None else t_sample,
+                          feat_eid)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +359,8 @@ def gumbel_topk_select(zhat, fhat, src_of, k, tau, seed,
         noise = np.zeros(c)
     rho = ad.sigmoid(ad.scale(ad.add(m, ad.constant(noise.astype(
         zhat.dtype))), 1.0 / tau))
-    src_of = np.asarray(src_of)
-    # per-source top-K, vectorized: sort by (source, -rho, index), keep the
-    # first K ranks of every group; ties resolve to the earlier candidate
-    order = by_ids(np.argsort(-rho.values, kind="stable"), src_of)
-    sel = np.sort(order[_ranks(src_of[order]) < k])
-    return m, rho, sel
+    # ties resolve to the earlier candidate
+    return m, rho, top_k(rho.values, np.asarray(src_of), k)
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +442,10 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho):
         return AugmentedView(base)
     sel = np.asarray(selected_idx, dtype=np.int64)
     src, dst, t = cands.src[sel], cands.dst[sel], cands.t_new[sel]
-    order = by_ids(np.argsort(t, kind="stable"), dst, src)
-    s_o, d_o, t_o = src[order], dst[order], t[order]
-    new = np.ones(len(sel), dtype=bool)
-    new[1:] = (s_o[1:] != s_o[:-1]) | (d_o[1:] != d_o[:-1]) | (
-        t_o[1:] != t_o[:-1])
-    if not new.all():
-        inv = np.empty(len(sel), dtype=np.int64)
-        inv[order] = np.cumsum(new) - 1
-        order = by_ids(np.argsort(-rho.values[sel], kind="stable"), inv)
-        sel = sel[np.sort(order[_ranks(inv[order]) == 0])]
+    starts, triple = runs(by_ids(np.argsort(t, kind="stable"), dst, src),
+                          src, dst, t)
+    if len(starts) < len(sel):
+        sel = sel[top_k(rho.values[sel], triple, 1)]
     fh = ad.take(fhat, sel)
     rh = ad.take(rho, sel)
     return AugmentedView(base, cands.src[sel], cands.dst[sel],

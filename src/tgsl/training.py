@@ -117,9 +117,10 @@ class RunConfig:
             if not 0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be finite and > 0, got "
                                   f"{getattr(self, key)}")
-        if not 0 <= self.synth_jitter < math.inf:
-            raise ConfigError(f"synth_jitter must be finite and >= 0, got "
-                              f"{self.synth_jitter}")
+        for key in ("synth_jitter", "tolerance"):
+            if not 0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got "
+                                  f"{getattr(self, key)}")
         for key in ("alpha", "moco_momentum", "synth_noise"):
             if not (0.0 <= getattr(self, key) <= 1.0):
                 raise ConfigError(f"{key} must be in [0, 1], got "

@@ -328,7 +328,8 @@ def test_train_determinism_byte_identical_metrics(tmp_path):
     "mask_frac=1.0", "moco_momentum=2", "synth_events=0",
     "synth_communities=20", "lr=-0.01", "lr=0", "lr=nan", "lr=inf",
     "synth_noise=1.5", "synth_noise=nan", "synth_jitter=-1",
-    "synth_jitter=inf", "tau_gumbel=inf", "tau_cl=inf"])
+    "synth_jitter=inf", "tau_gumbel=inf", "tau_cl=inf", "tolerance=nan",
+    "tolerance=inf", "tolerance=-1"])
 def test_train_bad_value_exits_config(tmp_path, capsys, bad):
     """`bad` is one or more space-separated --set pairs; the last one names
     the key the error must mention."""

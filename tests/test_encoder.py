@@ -7,8 +7,8 @@ import pytest
 
 from tgsl import autodiff as ad
 from tgsl import encoder as te
-from tgsl.graph import (EventStore, NeighborIndex, chronological_split,
-                        sparsify, synth_generate)
+from tgsl.graph import (EventStore, NeighborIndex, by_ids,
+                        chronological_split, runs, sparsify, synth_generate)
 from tgsl.structure import AugmentedView
 
 
@@ -877,6 +877,18 @@ def test_hand_set_head_matches_manual():
     assert abs(score(enc, [0.8], [0.3]) - want) < 1e-12
 
 
+def test_float32_encoder_shares_the_store_feature_tables():
+    """The store's float32 tables are read in place; a float64 encoder
+    holds its own converted copies."""
+    store = synth_generate(2, 8, 8, 40, 0.0, seed=0)
+    for dtype, shared in ((np.float32, True), (np.float64, False)):
+        enc = te.TgatEncoder(te.EncoderParams(4, layers=1, heads=1,
+                                              d_hidden=4, dtype=dtype), store)
+        assert np.shares_memory(enc.node_feat, store.node_features) == shared
+        assert np.shares_memory(enc.edge_feat, store.edge_features) == shared
+        assert enc.edge_feat.dtype == dtype
+
+
 def test_feature_dim_exceeding_model_dim_rejected():
     store = synth_generate(4, 8, 8, 20, 0.0, seed=0)   # 4-dim features
     with pytest.raises(ValueError, match="d_model"):
@@ -886,6 +898,14 @@ def test_feature_dim_exceeding_model_dim_rejected():
 
 # ---------------------------------------------------------------------------
 # the encode plan
+
+def distinct_pairs(nodes, ts):
+    """The plan's (node, t) dedup: a stable sort by t, an id order by
+    node, then the runs of equal pairs along that order."""
+    order = by_ids(np.argsort(ts, kind="stable"), nodes)
+    starts, inverse = runs(order, nodes, ts)
+    return nodes[order[starts]], ts[order[starts]], inverse
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_distinct_pairs_match_unique_rows_and_inverse(seed):
@@ -897,11 +917,11 @@ def test_distinct_pairs_match_unique_rows_and_inverse(seed):
         ts[::7] = 0.0
         pairs = np.stack([nodes.astype(np.float64), ts], axis=1)
         uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        got_n, got_t, got_inv = te._distinct_pairs(nodes, ts)
+        got_n, got_t, got_inv = distinct_pairs(nodes, ts)
         assert np.array_equal(got_n, uniq[:, 0].astype(np.int64))
         assert got_t.tobytes() == uniq[:, 1].tobytes()
         assert np.array_equal(got_inv, inverse.reshape(-1))
-        empty = te._distinct_pairs(nodes[:0], ts[:0])
+        empty = distinct_pairs(nodes[:0], ts[:0])
         assert [len(x) for x in empty] == [0, 0, 0]
 
 

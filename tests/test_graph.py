@@ -51,6 +51,9 @@ def test_load_out_of_order_equals_presorted(tmp_path):
     ("0,0,1.0,0,0.5", "ragged"),
     ("0,x,1.0,0,0.5,0.5", "non-numeric"),
     ("0,0,-1.0,0,0.5,0.5", "negative"),
+    # int(nan) and int(inf) used to raise past the row checks
+    ("nan,0,1.0,0,0.5,0.5", "node ids"),
+    ("0,inf,1.0,0,0.5,0.5", "node ids"),
 ])
 def test_load_rejects_bad_rows_with_line_number(tmp_path, row, msg):
     p = write_csv(tmp_path / "bad.csv", ["0,0,1.0,0,0.5,0.5", row])
@@ -198,6 +201,64 @@ def test_by_ids_after_a_float_sort_is_the_lexsort(high):
         got = tg.by_ids(np.argsort(f, kind="stable"), a, b)
         want = np.lexsort((f, a, b))
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in id_cases()])
+def test_runs_of_one_id_key_match_unique(name):
+    keys = dict(id_cases())[name]
+    order = tg.id_order(keys)
+    starts, run = tg.runs(order, keys)
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    assert np.array_equal(order[starts], first)
+    assert np.array_equal(run, inverse.reshape(-1))
+
+
+@pytest.mark.parametrize("first_id", [0, 2**16 - 3])
+def test_runs_of_id_and_float_keys_match_unique_rows(first_id):
+    """Rows (a, b, f) ordered by a stable float sort of f and an id order
+    by b, then a; ids from 0 and across a 16-bit digit, ties in every key:
+    the run heads are np.unique's first indices, the runs its inverse."""
+    rng = np.random.default_rng(first_id)
+    for m in (0, 1, 3000):
+        a = first_id + rng.integers(0, 6, size=m)
+        b = rng.integers(0, 3, size=m)
+        f = rng.choice([0.0, 0.25, 1.5, -2.0], size=m)
+        order = tg.by_ids(np.argsort(f, kind="stable"), b, a)
+        starts, run = tg.runs(order, a, b, f)
+        rows = np.stack([a, b, f], axis=1).astype(np.float64)
+        _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+        assert np.array_equal(order[starts], first)
+        assert np.array_equal(run, inverse.reshape(-1))
+        assert len(starts) == len(first) and run.dtype == np.intp
+
+
+def lexsort_top_k(score, group, k):
+    """Each group's first k entries of one (group, -score, index) lexsort,
+    sorted: the reference for graph.top_k."""
+    order = np.lexsort((np.arange(len(score)), -score, group))
+    seen = {}
+    keep = []
+    for i in order:
+        seen[group[i]] = seen.get(group[i], 0) + 1
+        if seen[group[i]] <= k:
+            keep.append(i)
+    return np.sort(np.array(keep, dtype=np.intp))
+
+
+@pytest.mark.parametrize("high", [4, 2**16 + 7])
+def test_top_k_matches_lexsort_form(high):
+    """Scores from few values, so they tie inside groups; k = 1, k inside
+    the groups and k past every group's size."""
+    rng = np.random.default_rng(high)
+    for m in (0, 1, 900):
+        group = rng.choice(rng.integers(0, high, size=9), size=m)
+        score = rng.choice([0.1, 0.5, 0.5, 0.9], size=m).astype(np.float32)
+        for k in (1, 3, 1000):
+            got = tg.top_k(score, group, k)
+            want = lexsort_top_k(score, group, k)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bound", [1, 5, 2**16 - 1, 2**16, 2**16 + 1])

@@ -4,7 +4,8 @@ import pytest
 from tgsl import autodiff as ad
 from tgsl import structure as ts
 from tgsl.encoder import EncoderParams, TgatEncoder, time_frequencies
-from tgsl.graph import EventStore, NeighborIndex, chronological_split, synth_generate
+from tgsl.graph import (EventStore, NeighborIndex, chronological_split, ranks,
+                        synth_generate)
 from tgsl.training import RunConfig, Trainer
 
 
@@ -361,7 +362,7 @@ def lexsort_topk(rho, src_of, k):
     """Per-source top-K through one (source, -rho, index) lexsort: the
     reference for the float sort followed by an id order."""
     order = np.lexsort((np.arange(len(rho)), -rho, src_of))
-    return np.sort(order[ts._ranks(src_of[order]) < k])
+    return np.sort(order[ranks(src_of[order]) < k])
 
 
 @pytest.mark.parametrize("high", [5, 2**16 + 30, 2**33])
@@ -568,7 +569,7 @@ def unique_dedupe(cands, sel, rho):
     inv = inv.reshape(-1)
     if len(first) != len(sel):
         order = np.lexsort((np.arange(len(sel)), -rho[sel], inv))
-        sel = sel[np.sort(order[ts._ranks(inv[order]) == 0])]
+        sel = sel[np.sort(order[ranks(inv[order]) == 0])]
     return sel
 
 
