@@ -308,9 +308,6 @@ def cmd_eval(args):
     except FileNotFoundError as e:
         print(f"missing snapshot: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
     augmented = trainer.learner is not None and not args.original_graph
     rep = trainer.evaluate(args.setting, "test", seed=manifest["seed"],
                            use_augmented=augmented)
@@ -323,15 +320,13 @@ def cmd_eval(args):
 
 def cmd_synth(args):
     cfg = parse_config(args.config, args.set or [])
+    cfg.dataset = "synth"
     if args.seed is not None:
         cfg.synth_seed = args.seed
     cfg.validate()
     try:
-        store = synth_generate(cfg.synth_communities, cfg.synth_users,
-                               cfg.synth_items, cfg.synth_events,
-                               cfg.synth_noise, cfg.synth_seed,
-                               jitter=cfg.synth_jitter)
-        out = args.out or "synth.csv"
+        store = build_store(cfg)
+        out = args.out
         parent = os.path.dirname(os.path.abspath(out))
         if (os.path.isdir(out) or not os.path.isdir(parent)
                 or not os.access(parent, os.W_OK)):

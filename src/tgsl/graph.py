@@ -320,19 +320,16 @@ def _split_spec(store, n_train, n_val, mask_frac, seed):
     )
 
 
-def chronological_split(store, ratios=(0.70, 0.15, 0.15), mask_frac=0.0,
-                        seed=0):
+def chronological_split(store, mask_frac=0.0, seed=0):
     """First 70% of events train, next 15% val, rest test (floor/floor/
     remainder). Masked nodes never contribute usable training events."""
     if len(store) == 0:
         raise DataError("cannot split an empty store")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios}")
     if not (0.0 <= mask_frac < 1.0):
         raise ValueError(f"mask_frac must be in [0, 1), got {mask_frac}")
     n = len(store)
-    n_train = int(math.floor(ratios[0] * n))
-    n_val = int(math.floor(ratios[1] * n))
+    n_train = int(math.floor(0.70 * n))
+    n_val = int(math.floor(0.15 * n))
     if n_train == 0:
         raise DataError("train split is empty")
     return _split_spec(store, n_train, n_val, mask_frac, seed)

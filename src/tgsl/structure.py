@@ -278,7 +278,11 @@ def _walk(src, index, fanouts, rng, t_ref):
 def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
                       t_max, random_pool=None, fanouts=(10, 3, 3)):
     """Up to n_can candidate destinations per source node, grouped by
-    source in source order, from one seeded generator.
+    source in source order, from one seeded generator. Given distinct
+    sources (as `propose` passes them) and a pool of distinct nodes, each
+    call yields distinct (src, dst) pairs: a draw keeps each neighbor's
+    first occurrence per row, a walk drops repeated and visited (source,
+    node) rows, and random takes distinct pool positions.
 
     Every neighbor draw is `_draw`: per row, one permutation of the row's
     history before t_ref, first occurrence of each neighbor, the first n.
@@ -435,21 +439,15 @@ class AugmentedView:
 
 
 def build_augmented_view(base, cands, selected_idx, fhat, rho):
-    """Insert the selected candidates into the neighbor structure at their
-    t_new, deduplicating (src, dst, t_new) triples by the larger rho (the
-    earlier candidate on ties)."""
+    """Insert every selected candidate into the neighbor structure at its
+    t_new, with its fhat row and rho. The candidates must hold distinct
+    (src, dst) pairs, as `sample_candidates` guarantees."""
     if len(selected_idx) == 0:
         return AugmentedView(base)
     sel = np.asarray(selected_idx, dtype=np.int64)
-    src, dst, t = cands.src[sel], cands.dst[sel], cands.t_new[sel]
-    starts, triple = runs(by_ids(np.argsort(t, kind="stable"), dst, src),
-                          src, dst, t)
-    if len(starts) < len(sel):
-        sel = sel[top_k(rho.values[sel], triple, 1)]
-    fh = ad.take(fhat, sel)
-    rh = ad.take(rho, sel)
     return AugmentedView(base, cands.src[sel], cands.dst[sel],
-                         cands.t_new[sel], fh, rh)
+                         cands.t_new[sel], ad.take(fhat, sel),
+                         ad.take(rho, sel))
 
 
 # ---------------------------------------------------------------------------

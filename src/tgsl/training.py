@@ -210,10 +210,6 @@ def _l2_rows(x):
     return ad.div(x, norm)
 
 
-def _l2_rows_np(x):
-    return x / np.sqrt((x * x).sum(axis=1, keepdims=True) + 1e-24)
-
-
 def info_nce_batch(q, k_pos, queue, tau):
     """Batched InfoNCE: queries [B, d] (differentiable), positive keys
     [B, d] and queue [M, d] as constants; all rows L2-normalized; the
@@ -223,10 +219,11 @@ def info_nce_batch(q, k_pos, queue, tau):
     if k_pos.shape[1] != q.shape[1]:
         raise ValueError("query/key dimension mismatch")
     qn = _l2_rows(q)
-    kp = ad.constant(_l2_rows_np(k_pos))
+    kp = _l2_rows(ad.constant(k_pos))
     pos = ad.reshape(ad.sum_(ad.mul(qn, kp), axis=1), (b, 1))
     if queue is not None and len(queue) > 0:
-        qmat = ad.constant(_l2_rows_np(np.asarray(queue, dtype=q.dtype)).T)
+        qmat = ad.constant(_l2_rows(ad.constant(
+            np.asarray(queue, dtype=q.dtype))).values.T)
         logits = ad.concat([pos, ad.matmul(qn, qmat)], axis=1)
     else:
         if ad.verify_active():
@@ -426,7 +423,7 @@ class Trainer:
             if self.moco is not None:
                 with ad.no_grad():
                     k_emb = self.k_enc.apply(plan)
-                keys = _l2_rows_np(k_emb.values[:2 * len(batch)])
+                keys = _l2_rows(ad.narrow(k_emb, 0, 0, 2 * len(batch))).values
                 queue = self.moco.queue
             with ad.Tape() as tape:
                 loss_ori, loss_aug, loss_cl, total = batch_loss(

@@ -23,6 +23,13 @@ from .training import (RunConfig, accuracy_score, average_precision,
 __all__ = ["Check", "grad_suite", "gumbel_suite", "metrics_suite",
            "leakage_suite", "run_suites", "SUITES"]
 
+# The suites' fixed sizes, seeds and thresholds
+GRAD_INSTANCES, GRAD_SEED, GRAD_TOL = 100, 0, 1e-4
+TOY_D_MODEL, TOY_SEED = 8, 13
+GUMBEL_DRAWS, GUMBEL_N, GUMBEL_K, GUMBEL_TOL = 100_000, 10, 3, 0.01
+METRICS_MAX_N, METRICS_SEED = 12, 5
+LEAKAGE_TRIALS, LEAKAGE_SEED = 50, 11
+
 
 @dataclass
 class Check:
@@ -123,21 +130,22 @@ def _primitive_cases(rng):
     ]
 
 
-def grad_primitives(n_instances=100, seed=0):
-    """The worst relative gradient error over n_instances cases, cycling
+def grad_primitives():
+    """The worst relative gradient error over GRAD_INSTANCES cases, cycling
     through the primitive set with fresh random instances each cycle."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GRAD_SEED)
     cases = itertools.chain.from_iterable(
         _primitive_cases(rng) for _ in itertools.count())
     return max((ad.grad_check(fn, args).max_rel_err
-                for _, fn, args in itertools.islice(cases, n_instances)),
+                for _, fn, args in itertools.islice(cases, GRAD_INSTANCES)),
                default=0.0)
 
 
-def toy_mtl_setup(d_model=8, seed=13):
+def toy_mtl_setup():
     """The 6-node, 10-event toy graph with the training loss
     (`training.batch_loss`, alpha 0.5), float64 throughout; returns
     (loss_fn, start_values) for grad_check."""
+    d_model, seed = TOY_D_MODEL, TOY_SEED
     store = synth_generate(2, 3, 3, 10, 0.2, seed=seed)
     split = chronological_split(store)
     batch = split.usable_train_ids[-3:]
@@ -171,17 +179,18 @@ def toy_mtl_setup(d_model=8, seed=13):
     return loss_fn, start
 
 
-def grad_suite(n_instances=100, tol=1e-4):
+def grad_suite():
     checks = []
     t0 = time.time()
-    worst = grad_primitives(n_instances=n_instances)
-    checks.append(Check("grad/primitives-100-random-instances",
-                        worst <= tol, worst, tol))
+    worst = grad_primitives()
+    checks.append(Check(f"grad/primitives-{GRAD_INSTANCES}-random-instances",
+                        worst <= GRAD_TOL, worst, GRAD_TOL))
     fn, start = toy_mtl_setup()
     res = ad.grad_check(fn, start)
     note = f"{res.n_checked} coords, {len(res.skipped)} kinks skipped"
     checks.append(Check("grad/composite-mtl-toy-graph",
-                        res.max_rel_err <= tol, res.max_rel_err, tol, note))
+                        res.max_rel_err <= GRAD_TOL, res.max_rel_err,
+                        GRAD_TOL, note))
     checks.append(Check("grad/runtime-seconds", time.time() - t0 < 60,
                         time.time() - t0, 60.0))
     return checks
@@ -190,7 +199,8 @@ def grad_suite(n_instances=100, tol=1e-4):
 # ---------------------------------------------------------------------------
 # Gumbel suite
 
-def gumbel_suite(draws=100_000, n=10, k=3, tol=0.01):
+def gumbel_suite():
+    draws, n, k, tol = GUMBEL_DRAWS, GUMBEL_N, GUMBEL_K, GUMBEL_TOL
     t0 = time.time()
     c = draws * n
     src = np.repeat(np.arange(draws), n)
@@ -263,11 +273,11 @@ def _brute_acc(labels, scores):
     return hits / len(labels)
 
 
-def metrics_suite(max_n=12, seed=5):
-    rng = np.random.default_rng(seed)
+def metrics_suite():
+    rng = np.random.default_rng(METRICS_SEED)
     worst_ap = 0.0
     worst_acc = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, METRICS_MAX_N + 1):
         scores = np.round(rng.random(n), 1)   # coarse grid forces ties
         for pattern in range(1, 2 ** n):
             labels = np.array([(pattern >> i) & 1 for i in range(n)])
@@ -279,7 +289,7 @@ def metrics_suite(max_n=12, seed=5):
                                                         scores.tolist())))
     checks = [
         Check("metrics/ap-brute-force-max-abs-diff", worst_ap <= 1e-12,
-              worst_ap, 1e-12, f"all label patterns, n <= {max_n}"),
+              worst_ap, 1e-12, f"all label patterns, n <= {METRICS_MAX_N}"),
         Check("metrics/acc-brute-force-max-abs-diff", worst_acc <= 1e-12,
               worst_acc, 1e-12),
     ]
@@ -299,17 +309,17 @@ def metrics_suite(max_n=12, seed=5):
 # ---------------------------------------------------------------------------
 # leakage suite
 
-def leakage_suite(trials=50, seed=11):
+def leakage_suite():
     """Outputs at time t must not move when events at or after t change:
     the encoder on the plain index, ET-GNN and the LSTM context over the
     visible window, and the structure learner's proposal (stochastic and
     noise-free, the strategy cycling per trial, with learner inputs built
     per batch and once at t) with the encoder on the augmented view it
     builds."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LEAKAGE_SEED)
     pool = np.arange(16)            # random-strategy pool no perturbation moves
     worst = 0.0
-    for trial in range(trials):
+    for trial in range(LEAKAGE_TRIALS):
         store = synth_generate(2, 8, 8, 120, 0.2, seed=int(rng.integers(1e6)))
         t = float(store.ts[70])
         nodes = rng.integers(0, store.num_nodes, size=4)
@@ -376,7 +386,7 @@ def leakage_suite(trials=50, seed=11):
                 worst = max(worst, float(np.abs(a - b).max())
                             if a.shape == b.shape else np.inf)
     return [Check("leakage/future-perturbation-max-delta", worst == 0.0,
-                  worst, 0.0, f"{trials} randomized trials")]
+                  worst, 0.0, f"{LEAKAGE_TRIALS} randomized trials")]
 
 
 SUITES = {

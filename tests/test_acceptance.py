@@ -31,28 +31,18 @@ def report(criterion, ok, detail):
 # 1. gradient correctness (primitives + composite loss, 64-bit, <60 s)
 
 def test_criterion_1_gradients():
-    t0 = time.time()
-    worst_prim = verify.grad_primitives(n_instances=100)
-    fn, start = verify.toy_mtl_setup()
-    res = verify.ad.grad_check(fn, start)
-    took = time.time() - t0
-    ok = worst_prim <= 1e-4 and res.max_rel_err <= 1e-4 and took < 60
-    report(1, ok,
-           f"primitives max rel err {worst_prim:.3e}, composite "
-           f"{res.max_rel_err:.3e} over {res.n_checked} coords "
-           f"({len(res.skipped)} kinks skipped), {took:.1f}s")
+    checks = verify.grad_suite()
+    report(1, all(c.passed for c in checks),
+           "; ".join(f"{c.name}={c.measured:.4g}" for c in checks))
 
 
 # ---------------------------------------------------------------------------
 # 2. Gumbel-Top-K selection frequencies (<30 s)
 
 def test_criterion_2_gumbel_distribution():
-    t0 = time.time()
-    checks = verify.gumbel_suite(draws=100_000, n=10, k=3, tol=0.01)
-    took = time.time() - t0
-    ok = all(c.passed for c in checks) and took < 30
-    report(2, ok, "; ".join(f"{c.name}={c.measured:.4g}" for c in checks)
-           + f", {took:.1f}s")
+    checks = verify.gumbel_suite()
+    report(2, all(c.passed for c in checks),
+           "; ".join(f"{c.name}={c.measured:.4g}" for c in checks))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +69,7 @@ def test_criterion_3_closed_forms():
 # 4. chronological leakage invariance (50 randomized trials)
 
 def test_criterion_4_leakage():
-    checks = verify.leakage_suite(trials=50)
+    checks = verify.leakage_suite()
     ok = all(c.passed for c in checks)
     report(4, ok, f"max output delta under future perturbation: "
                   f"{checks[0].measured}")
@@ -89,7 +79,7 @@ def test_criterion_4_leakage():
 # 5. metric oracles (exhaustive label patterns up to n = 12)
 
 def test_criterion_5_metric_oracles():
-    checks = verify.metrics_suite(max_n=12)
+    checks = verify.metrics_suite()
     ok = all(c.passed for c in checks)
     report(5, ok, "; ".join(f"{c.name}={c.measured:.3g}" for c in checks))
 

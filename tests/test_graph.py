@@ -94,8 +94,10 @@ def test_split_mask_reproducible_and_clean():
 
 def test_split_rejects_empty_and_bad_args():
     store = tg.synth_generate(2, 4, 4, 10, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        tg.chronological_split(store, ratios=(0.5, 0.2, 0.2))
+    empty = EventStore([], [], [], [], store.node_features,
+                       store.edge_features)
+    with pytest.raises(DataError, match="empty"):
+        tg.chronological_split(empty)
     with pytest.raises(ValueError):
         tg.chronological_split(store, mask_frac=1.0)
 
@@ -432,8 +434,8 @@ def test_sparsify_n1_is_identity():
 
 
 def test_sparsify_positions_and_count():
-    store = tg.synth_generate(2, 5, 5, 14, 0.0, seed=4)   # 10 train events
-    sp = tg.chronological_split(store, ratios=(10 / 14, 2 / 14, 2 / 14))
+    store = tg.synth_generate(2, 5, 5, 15, 0.0, seed=4)   # 10 train events
+    sp = tg.chronological_split(store)
     assert sp.train_range == (0, 10)
     thin, sp2 = tg.sparsify(store, sp, 3)
     assert sp2.train_range == (0, 4)                      # ceil(10/3)

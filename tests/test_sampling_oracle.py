@@ -252,28 +252,6 @@ def ref_visible_window(index, nodes, t_ref, levels=2, max_eid=None):
     return np.unique(np.concatenate(eids))
 
 
-def ref_dedupe(cands, sel, rho_values):
-    """Positions kept by build_augmented_view's duplicate resolution."""
-    sel = np.asarray(sel, dtype=np.int64)
-    key = np.stack([cands.src[sel].astype(np.float64),
-                    cands.dst[sel].astype(np.float64),
-                    cands.t_new[sel]], axis=1)
-    _, first, inv = np.unique(key, axis=0, return_index=True,
-                              return_inverse=True)
-    inv = inv.reshape(-1)
-    if len(first) != len(sel):
-        keep = np.zeros(len(first), dtype=np.int64)
-        best = np.full(len(first), -np.inf)
-        rv = rho_values[sel]
-        for pos in range(len(sel)):
-            g = inv[pos]
-            if rv[pos] > best[g]:
-                best[g] = rv[pos]
-                keep[g] = pos
-        sel = sel[np.sort(keep)]
-    return sel
-
-
 # ---------------------------------------------------------------------------
 # random stores and queries
 
@@ -599,26 +577,3 @@ def test_random_candidates_are_uniform_ordered_pairs():
                                t_ref=0.0, t_max=1.0, random_pool=pool)
     freq = np.bincount(got.dst, minlength=4)
     assert np.all(np.abs(freq - n / 4) < 5 * np.sqrt(n / 4))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dedupe_matches_loop(seed):
-    """Forced duplicate (src, dst, t_new) keys, with tied rho inside some
-    groups: the larger rho wins, the earlier candidate on ties."""
-    rng = np.random.default_rng(500 + seed)
-    store = random_store(seed)
-    idx = NeighborIndex.build(store)
-    c = 60
-    src = rng.integers(0, 4, size=c)
-    dst = rng.integers(0, 3, size=c)
-    t_new = rng.integers(0, 3, size=c).astype(float)
-    cands = ts.CandidateBatch(src, dst, t_new, t_new, np.full(c, -1))
-    rho = rng.choice([0.2, 0.5, 0.9], size=c).astype(np.float32)
-    sel = np.sort(rng.choice(c, size=40, replace=False))
-    fhat = ad.constant(np.arange(c, dtype=np.float64)[:, None])
-    view = ts.build_augmented_view(idx, cands, sel, fhat, ad.constant(rho))
-    want = ref_dedupe(cands, sel, rho)
-    assert len(want) < len(sel)
-    assert_same([view.cand_features.values[:, 0].astype(np.int64),
-                 view.rho.values],
-                [want, rho[want]])

@@ -266,6 +266,35 @@ def test_isolated_node_yields_no_neighbor_candidates():
     assert len(cands) == 0
 
 
+@pytest.mark.parametrize("strategy", ts.STRATEGIES)
+def test_candidates_are_distinct_and_the_view_inserts_all(strategy):
+    """Distinct sources on stores that repeat (user, item) pairs, at cuts
+    mid-stream and after the last event: every call yields distinct
+    (src, dst) pairs, and the view of a selection holds every selected
+    edge with its fhat row and rho, in selection order."""
+    for seed in range(4):
+        store = synth_generate(2, 6, 6, 300, 0.2, seed=seed)
+        pairs = store.src * store.num_nodes + store.dst
+        assert len(np.unique(pairs)) < len(store)
+        idx = NeighborIndex.build(store)
+        nodes = np.arange(store.num_nodes)
+        for t in (float(store.ts[150]), float(store.ts[-1]) + 1.0):
+            cands = ts.sample_candidates(
+                nodes, strategy, idx, 8, seed, t_ref=t, t_max=t,
+                random_pool=nodes, fanouts=(3, 2, 2))
+            assert len(cands) > store.num_nodes
+            key = cands.src * store.num_nodes + cands.dst
+            assert len(np.unique(key)) == len(key)
+            sel = np.arange(0, len(cands), 2)
+            rows = np.arange(len(cands), dtype=np.float64)
+            fhat, rho = ad.constant(rows[:, None]), ad.constant(rows / 1e3)
+            view = ts.build_augmented_view(idx, cands, sel, fhat, rho)
+            assert np.array_equal(view.cand_features.values[:, 0], sel)
+            assert np.array_equal(view.rho.values, rho.values[sel])
+            assert np.array_equal(np.sort(view.added.eid),
+                                  np.repeat(np.arange(len(sel)), 2))
+
+
 def test_unknown_strategy_rejected():
     store, split, idx, pool = candidate_fixture()
     with pytest.raises(ValueError, match="strategy"):
@@ -490,18 +519,6 @@ def test_inserted_edge_visible_after_its_time():
     assert np.all(eids2 >= 0)
 
 
-def test_dedupe_keeps_larger_rho():
-    store = synth_generate(2, 8, 8, 100, 0.1, seed=1)
-    idx = NeighborIndex.build(store)
-    cands = ts.CandidateBatch([0, 0], [9, 9], [40.0, 40.0], [40.0, 40.0],
-                              [-1, -1])
-    fhat = ad.constant(np.ones((2, 4)))
-    rho = ad.constant(np.array([0.3, 0.8]))
-    view = ts.build_augmented_view(idx, cands, np.array([0, 1]), fhat, rho)
-    assert view.num_added == 1
-    assert view.rho.values[0] == np.float64(0.8)
-
-
 def lexsort_batch_neighbors(view, nodes, ts_, n):
     """The augmented merge as a four-key lexsort (pads first, then t, then
     base before added, then column or j): the reference for the stable
@@ -555,51 +572,6 @@ def test_augmented_merge_matches_lexsort_form(seed):
             want = lexsort_batch_neighbors(view, nodes, tq, n)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
             assert [x.dtype for x in got] == [x.dtype for x in want]
-
-
-def unique_dedupe(cands, sel, rho):
-    """The selection build_augmented_view keeps, deduplicated through
-    np.unique over the float64 (src, dst, t_new) stack: the reference for
-    the one-lexsort dedup."""
-    key = np.stack([cands.src[sel].astype(np.float64),
-                    cands.dst[sel].astype(np.float64),
-                    cands.t_new[sel]], axis=1)
-    _, first, inv = np.unique(key, axis=0, return_index=True,
-                              return_inverse=True)
-    inv = inv.reshape(-1)
-    if len(first) != len(sel):
-        order = np.lexsort((np.arange(len(sel)), -rho[sel], inv))
-        sel = sel[np.sort(order[ranks(inv[order]) == 0])]
-    return sel
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_dedupe_matches_unique_form(seed):
-    """Duplicate triples with equal rho inside groups, and a selection
-    with no duplicates, on ids from 0 and across a 16-bit digit: the same
-    edges, rows and rho as np.unique."""
-    for first_id in (0, 2**16 - 2):
-        rng = np.random.default_rng(seed)
-        store = synth_generate(2, first_id + 8, 8, 100, 0.1, seed=1)
-        idx = NeighborIndex.build(store)
-        c = 80
-        cands = ts.CandidateBatch(first_id + rng.integers(0, 4, size=c),
-                                  first_id + rng.integers(0, 3, size=c),
-                                  rng.integers(0, 3, size=c).astype(float),
-                                  np.zeros(c), np.full(c, -1))
-        rho = rng.choice([0.4, 0.4, 0.7], size=c).astype(np.float32)
-        fhat = ad.constant(np.arange(c, dtype=np.float64)[:, None])
-        for sel in (np.sort(rng.choice(c, size=50, replace=False)),
-                    np.arange(c), np.array([3])):
-            view = ts.build_augmented_view(idx, cands, sel, fhat,
-                                           ad.constant(rho))
-            want = unique_dedupe(cands, sel, rho)
-            got = view.cand_features.values[:, 0].astype(np.int64)
-            assert got.tobytes() == want.tobytes()
-            assert view.rho.values.tobytes() == rho[want].tobytes()
-            assert view.added.eid.tobytes() == ts.AugmentedView(
-                idx, cands.src[want], cands.dst[want],
-                cands.t_new[want]).added.eid.tobytes()
 
 
 def test_min_k_candidate_count_added_per_source():
