@@ -40,7 +40,7 @@ print("3-hop endpoints (with the borrowed final-hop edge):",
       list(zip(cands.dst.tolist(), cands.feat_eid.tolist())))
 
 # --- sparsification keeps every N-th training event --------------------------
-thin, thin_split = tg.sparsify(store, split, 4)
+thin, thin_split = tg.sparsify(store, 4, mask_frac=0.1, seed=1)
 print(f"sparsify N=4: {thin_split.train_range[1]} of "
       f"{split.train_range[1]} train events kept; "
       f"val/test untouched: "

@@ -97,11 +97,11 @@ def build_store(cfg):
 
 
 def build_split(cfg, store):
-    split = chronological_split(store, mask_frac=cfg.mask_frac,
-                                seed=cfg.split_seed)
     if cfg.sparsify_n > 1:
-        store, split = sparsify(store, split, cfg.sparsify_n)
-    return store, split
+        return sparsify(store, cfg.sparsify_n, mask_frac=cfg.mask_frac,
+                        seed=cfg.split_seed)
+    return store, chronological_split(store, mask_frac=cfg.mask_frac,
+                                      seed=cfg.split_seed)
 
 
 def make_trainer(cfg, store, split, seed):
@@ -356,7 +356,8 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     """Train over a strategy x K grid (one run per cell per seed). Every
-    cell's config is checked before the first cell trains."""
+    cell's config, and that no cell repeats, is checked before the first
+    cell trains."""
     strategies = (args.strategies.split(",") if args.strategies
                   else list(STRATEGIES))
     try:
@@ -365,6 +366,10 @@ def cmd_sweep(args):
     except ValueError:
         raise ConfigError(f"--k-grid expects comma-separated integers, "
                           f"got {args.k_grid!r}")
+    for flag, grid in (("--strategies", strategies), ("--k-grid", k_grid)):
+        if len(set(grid)) < len(grid):
+            raise ConfigError(f"{flag} must not repeat a value, got "
+                              f"{','.join(map(str, grid))}")
     cells = [list(args.set or []) + [f"strategy={s}", f"k={k}"]
              for s in strategies for k in k_grid]
     cfgs = [_train_config(argparse.Namespace(

@@ -12,18 +12,19 @@ most recent neighbors, where augmented edges contribute value vectors
 scaled by their relaxed selection weight. Each layer's attention is one
 `autodiff.temporal_attention` op: with one query per (node, t) row, the
 query is folded into W_k and the slots are pooled before W_v, so no
-per-slot key or value is ever formed. The node and edge feature tables keep
-their raw widths; the op reads a narrow input as itself zero-padded to
-d_model, touching only the weight rows it fills. Added edges reach it as
-their slot positions with one cand_features row and one rho weight each, so
-only those positions cost added-slot work; a real slot weighs 1 and a pad
-0, as the mask says. The slots' time encodings reach it as a table of the
-distinct gaps' rows and an int32 inverse; it gathers the [B, n, d] block
-in its forward and backward and keeps it on no tape. Its backward returns
-no gradient for a constant input (the time encodings, the real events'
-edge rows, the bottom layer's neighbor states). Those constants, the
-neighbor blocks and the (node, t) dedup form a parameter-free EncodePlan,
-built once and applied by any encoder of the same config.
+per-slot key or value is ever formed. Event e's feature row is row e of the
+edge table. The node and edge feature tables keep their raw widths; the op
+reads a narrow input as itself zero-padded to d_model, touching only the
+weight rows it fills. Added edges reach it as their slot positions with one
+cand_features row and one rho weight each, so only those positions cost
+added-slot work; a real slot weighs 1 and a pad 0, as the mask says. The
+slots' time encodings reach it as a table of the distinct gaps' rows and an
+int32 inverse; it gathers the [B, n, d] block in its forward and backward
+and keeps it on no tape. Its backward returns no gradient for a constant
+input (the time encodings, the real events' edge rows, the bottom layer's
+neighbor states). Those constants, the neighbor blocks and the (node, t)
+dedup form a parameter-free EncodePlan, built once and applied by any
+encoder of the same config.
 """
 
 import math
@@ -98,14 +99,12 @@ def _periodic(u, d, fn, dtype):
 def time_encode(t, d, dtype=np.float64):
     """cos(t * omega) with omega = time_frequencies(d). Accepts scalars or
     arrays; the omega axis is appended last. cos is evaluated once per
-    distinct value of t and gathered (cos is even, so -0.0 and 0.0 may
-    merge); a strictly increasing 1-D t (as event times without ties are) is
-    its own set of distinct values, so one comparison replaces the sort. In
-    float64 the values are the direct form's; in float32 cos runs in
-    float32 on the argument reduced exactly to one period in float64, which
-    is within 3e-7 of the float64 value rounded once, and beyond the exact
-    reduction's range (|t * omega| > 2*pi * 2**26, about 4.2e8) it is that
-    value."""
+    distinct value of t, found by np.unique, and gathered (cos is even, so
+    -0.0 and 0.0 may merge). In float64 the values are the direct form's;
+    in float32 cos runs in float32 on the argument reduced exactly to one
+    period in float64, which is within 3e-7 of the float64 value rounded
+    once, and beyond the exact reduction's range (|t * omega| > 2*pi *
+    2**26, about 4.2e8) it is that value."""
     table, inverse = _time_table(np.asarray(t, dtype=np.float64), d, dtype)
     return table[inverse]
 
@@ -115,10 +114,7 @@ def _time_table(t, d, dtype):
     values and each element's row among them, shaped like t."""
     if not np.all(np.isfinite(t)):
         raise ValueError("time_encode: non-finite timestamp")
-    if t.ndim == 1 and np.all(t[1:] > t[:-1]):
-        u, inv = t, np.arange(len(t))
-    else:
-        u, inv = np.unique(t, return_inverse=True)
+    u, inv = np.unique(t, return_inverse=True)
     return _periodic(u, d, np.cos, dtype), inv.reshape(t.shape)
 
 
@@ -204,7 +200,7 @@ class TgatEncoder:
     A view is anything whose batch_neighbors(nodes, ts, n) returns (ids,
     eids, tss, mask) blocks: a NeighborIndex or an AugmentedView.
     Slots with event ids >= 0 are real events, whose feature rows are
-    edge_features[feat_ids[eid]]; a slot with id -1 - j is the view's added
+    edge_features[eid]; a slot with id -1 - j is the view's added
     edge j, with feature row cand_features[j] and weight rho[j].
 
     encode_batch is apply(plan(...)): plan() gathers everything that does
@@ -228,7 +224,6 @@ class TgatEncoder:
         # itself zero-padded to d_model
         self.node_feat = store.node_features.astype(self.dtype, copy=False)
         self.edge_feat = store.edge_features.astype(self.dtype, copy=False)
-        self.feat_ids = store.feat_ids
 
     # -- embedding: a parameter-free plan, then the layers applied to it
 
@@ -262,7 +257,7 @@ class TgatEncoder:
             # is a position that brings cand_features[j] and rho[j] in
             # apply; pads bring zeros
             real_m = mask * (eids >= 0)
-            e_rows = self.edge_feat[self.feat_ids[np.where(real_m > 0, eids, 0)]]
+            e_rows = self.edge_feat[np.where(real_m > 0, eids, 0)]
             e_rows[real_m == 0] = 0
             pos = np.nonzero((mask > 0) & (eids < 0))
             gaps.append((ts[:, None] - tss).ravel())

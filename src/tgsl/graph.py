@@ -110,15 +110,15 @@ def edge_entries(src, dst, eids, ts):
 class EventStore:
     """Chronologically sorted interaction events plus feature tables.
 
-    Columns are kept as flat numpy arrays. Immutable after construction.
+    Columns are kept as flat numpy arrays; event e's feature row is
+    edge_features[e]. Immutable after construction.
     """
 
-    def __init__(self, src, dst, ts, feat_ids, node_features, edge_features,
+    def __init__(self, src, dst, ts, node_features, edge_features,
                  num_users=None):
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
         self.ts = np.asarray(ts, dtype=np.float64)
-        self.feat_ids = np.asarray(feat_ids, dtype=np.int64)
         self.node_features = np.asarray(node_features, dtype=np.float32)
         self.edge_features = np.asarray(edge_features, dtype=np.float32)
         self.num_users = num_users
@@ -126,8 +126,11 @@ class EventStore:
 
     def _validate(self):
         n = len(self.src)
-        if not (len(self.dst) == len(self.ts) == len(self.feat_ids) == n):
+        if not (len(self.dst) == len(self.ts) == n):
             raise DataError("event columns have inconsistent lengths")
+        if len(self.edge_features) != n:
+            raise DataError(f"{len(self.edge_features)} edge feature rows "
+                            f"for {n} events")
         if n and np.any(np.diff(self.ts) < 0):
             raise DataError("events not sorted by timestamp")
         if n and (self.ts.min() < 0 or not np.all(np.isfinite(self.ts))):
@@ -136,9 +139,6 @@ class EventStore:
         if n and (self.src.min() < 0 or self.dst.min() < 0
                   or self.src.max() >= v or self.dst.max() >= v):
             raise DataError("node ids outside the feature table")
-        if n and (self.feat_ids.min() < 0
-                  or self.feat_ids.max() >= len(self.edge_features)):
-            raise DataError("edge_feature_id outside the edge feature table")
         if not np.all(np.isfinite(self.node_features)):
             raise DataError("non-finite node features")
         if not np.all(np.isfinite(self.edge_features)):
@@ -271,8 +271,6 @@ class SplitSpec:
     t_max_train: float
     masked_nodes: np.ndarray    # sorted node ids excluded from training
     usable_train_ids: np.ndarray  # train events touching no masked node
-    mask_frac: float = 0.0
-    mask_seed: int = 0
 
     def is_masked(self, nodes):
         return np.isin(np.asarray(nodes), self.masked_nodes)
@@ -315,43 +313,46 @@ def _split_spec(store, n_train, n_val, mask_frac, seed):
         t_max_train=float(store.ts[n_train - 1]),
         masked_nodes=masked,
         usable_train_ids=usable,
-        mask_frac=mask_frac,
-        mask_seed=seed,
     )
 
 
-def chronological_split(store, mask_frac=0.0, seed=0):
-    """First 70% of events train, next 15% val, rest test (floor/floor/
-    remainder). Masked nodes never contribute usable training events."""
+def _split_sizes(store, mask_frac):
+    """The train and val sizes of the chronological split, floor(0.70 n)
+    and floor(0.15 n); the test range takes the rest."""
     if len(store) == 0:
         raise DataError("cannot split an empty store")
     if not (0.0 <= mask_frac < 1.0):
         raise ValueError(f"mask_frac must be in [0, 1), got {mask_frac}")
     n = len(store)
     n_train = int(math.floor(0.70 * n))
-    n_val = int(math.floor(0.15 * n))
     if n_train == 0:
         raise DataError("train split is empty")
+    return n_train, int(math.floor(0.15 * n))
+
+
+def chronological_split(store, mask_frac=0.0, seed=0):
+    """First 70% of events train, next 15% val, rest test (floor/floor/
+    remainder). Masked nodes never contribute usable training events."""
+    n_train, n_val = _split_sizes(store, mask_frac)
     return _split_spec(store, n_train, n_val, mask_frac, seed)
 
 
-def sparsify(store, split, n_keep_every):
-    """Keep train events at positions 0, N, 2N, ... of the train range;
-    val and test events are untouched. Returns the thinned store plus a
-    recomputed SplitSpec (ranges shift, the mask is re-derived with the
-    original mask_frac and seed)."""
+def sparsify(store, n_keep_every, mask_frac=0.0, seed=0):
+    """The chronological split with its train range thinned: train events
+    at positions 0, N, 2N, ... are kept, val and test events untouched.
+    Returns the thinned store, holding the kept events' feature rows, and
+    its SplitSpec, whose mask is drawn on the thinned store."""
     if n_keep_every < 1:
         raise ValueError("N must be >= 1")
-    tr0, tr1 = split.train_range
-    keep_train = np.arange(tr0, tr1, n_keep_every, dtype=np.int64)
-    rest = np.arange(tr1, len(store), dtype=np.int64)
-    keep = np.concatenate([keep_train, rest])
+    n_train, n_val = _split_sizes(store, mask_frac)
+    keep_train = np.arange(0, n_train, n_keep_every, dtype=np.int64)
+    keep = np.concatenate([keep_train,
+                           np.arange(n_train, len(store), dtype=np.int64)])
     thinned = EventStore(store.src[keep], store.dst[keep], store.ts[keep],
-                         store.feat_ids[keep], store.node_features,
-                         store.edge_features, num_users=store.num_users)
-    n_val = split.val_range[1] - split.val_range[0]
-    return thinned, _split_spec(thinned, len(keep_train), n_val,
-                                split.mask_frac, split.mask_seed)
+                         store.node_features, store.edge_features[keep],
+                         num_users=store.num_users)
+    return thinned, _split_spec(thinned, len(keep_train), n_val, mask_frac,
+                                seed)
 
 
 def sample_negatives(pos_dst, pool, seed):
@@ -399,9 +400,8 @@ def synth_generate(n_communities, n_users, n_items, n_events, noise_rate,
     feats[np.arange(n_events), comm] = 1.0
     feats += (jitter * rng.standard_normal((n_events, c))).astype(np.float32)
     node_features = np.zeros((n_users + n_items, c), dtype=np.float32)
-    return EventStore(users, n_users + items, ts,
-                      np.arange(n_events, dtype=np.int64),
-                      node_features, feats, num_users=n_users)
+    return EventStore(users, n_users + items, ts, node_features, feats,
+                      num_users=n_users)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +470,6 @@ def load_events(path):
     feats = np.asarray(feats, dtype=np.float32).reshape(len(users), n_feat)
     order = np.argsort(tss, kind="stable")
     return EventStore(users[order], num_users + items[order], tss[order],
-                      np.arange(len(users), dtype=np.int64),
                       node_features, feats[order], num_users=num_users)
 
 
@@ -485,7 +484,7 @@ def save_events(store, path):
         for i in range(len(store)):
             u = int(store.src[i])
             v = int(store.dst[i] - store.num_users)
-            row = store.edge_features[store.feat_ids[i]]
-            feat_txt = ",".join(repr(float(x)) for x in row)
+            feat_txt = ",".join(repr(float(x))
+                                for x in store.edge_features[i])
             f.write(f"{u},{v},{float(store.ts[i])!r},0"
                     + ("," + feat_txt if d else "") + "\n")

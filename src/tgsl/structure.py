@@ -124,8 +124,7 @@ def etgnn_forward(event_ids, store, params):
     s_l, d_l = local[src], local[dst]
 
     h = ad.constant(store.node_features[nodes].astype(dtype, copy=False))
-    f = ad.constant(store.edge_features[store.feat_ids[event_ids]].astype(
-        dtype, copy=False))
+    f = ad.constant(store.edge_features[event_ids].astype(dtype, copy=False))
     te = ad.constant(time_encode(store.ts[event_ids], params.d_model, dtype))
     last = params.layers - 1
     if last > 0:

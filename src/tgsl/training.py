@@ -135,8 +135,10 @@ class RunConfig:
             except ValueError:
                 raise ConfigError(f"{key} must be comma-separated integers, "
                                   f"got {getattr(self, key)!r}")
-        if not self.seed_list():
-            raise ConfigError("seeds must name at least one seed")
+        # a run's directory is keyed by its config and seed
+        if not 0 < len(set(self.seed_list())) == len(self.seed_list()):
+            raise ConfigError(f"seeds must name one or more seeds, none "
+                              f"repeated, got {self.seeds!r}")
         for key, low in (("seeds", min(self.seed_list())),
                          ("synth_seed", self.synth_seed),
                          ("split_seed", self.split_seed)):

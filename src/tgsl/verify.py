@@ -361,16 +361,16 @@ def leakage_suite():
         pick = int(rng.choice(future))
         if kind == 0:      # modify a future event's features
             feats = store.edge_features.copy()
-            feats[store.feat_ids[pick]] += rng.standard_normal(
+            feats[pick] += rng.standard_normal(
                 feats.shape[1]).astype(np.float32)
-            mut = EventStore(store.src, store.dst, store.ts, store.feat_ids,
+            mut = EventStore(store.src, store.dst, store.ts,
                              store.node_features, feats, store.num_users)
         elif kind == 1:    # delete a future event
             keep = np.ones(len(store), dtype=bool)
             keep[pick] = False
             mut = EventStore(store.src[keep], store.dst[keep], store.ts[keep],
-                             store.feat_ids[keep], store.node_features,
-                             store.edge_features, store.num_users)
+                             store.node_features, store.edge_features[keep],
+                             store.num_users)
         else:              # append a brand-new future event
             feats = np.concatenate([store.edge_features,
                                     rng.standard_normal(
@@ -378,7 +378,6 @@ def leakage_suite():
             mut = EventStore(np.append(store.src, rng.integers(8)),
                              np.append(store.dst, 8 + rng.integers(8)),
                              np.append(store.ts, store.ts[-1] + 1.0),
-                             np.append(store.feat_ids, len(feats) - 1),
                              store.node_features, feats, store.num_users)
         after = outputs(mut)
         for a, b in zip(base, after):

@@ -93,8 +93,8 @@ ACCEPT = dict(d_model=16, layers=1, heads=2, d_hidden=32, etgnn_layers=1,
 EPOCHS_BY_N = {1: 4, 2: 9, 4: 18}     # roughly 250 optimizer steps each
 
 
-def _train_eval(store, split, n_sparse, use_tgsl, seed):
-    s2, sp2 = sparsify(store, split, n_sparse)
+def _train_eval(store, n_sparse, use_tgsl, seed):
+    s2, sp2 = sparsify(store, n_sparse, mask_frac=0.1, seed=42)
     cfg = tt.RunConfig(**ACCEPT, max_epochs=EPOCHS_BY_N[n_sparse],
                        use_tgsl=use_tgsl)
     tr = tt.Trainer(s2, sp2, cfg, seed)
@@ -109,15 +109,14 @@ def _train_eval(store, split, n_sparse, use_tgsl, seed):
 def synthetic_matrix():
     t0 = time.time()
     store = synth_generate(2, 400, 400, 20_000, 0.1, seed=42)
-    split = chronological_split(store, mask_frac=0.1, seed=42)
     out = {"n2": [], "gap_n1": None, "gap_n4": None}
     for seed in (0, 1, 2):
-        ap_t, ogi = _train_eval(store, split, 2, True, seed)
-        ap_b, _ = _train_eval(store, split, 2, False, seed)
+        ap_t, ogi = _train_eval(store, 2, True, seed)
+        ap_b, _ = _train_eval(store, 2, False, seed)
         out["n2"].append({"tgsl": ap_t, "ogi": ogi, "base": ap_b})
     for n, key in ((1, "gap_n1"), (4, "gap_n4")):
-        ap_t, _ = _train_eval(store, split, n, True, 0)
-        ap_b, _ = _train_eval(store, split, n, False, 0)
+        ap_t, _ = _train_eval(store, n, True, 0)
+        ap_b, _ = _train_eval(store, n, False, 0)
         out[key] = ap_t - ap_b
     out["wall"] = time.time() - t0
     return out

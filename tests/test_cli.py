@@ -329,7 +329,9 @@ def test_train_determinism_byte_identical_metrics(tmp_path):
     "synth_communities=20", "lr=-0.01", "lr=0", "lr=nan", "lr=inf",
     "synth_noise=1.5", "synth_noise=nan", "synth_jitter=-1",
     "synth_jitter=inf", "tau_gumbel=inf", "tau_cl=inf", "tolerance=nan",
-    "tolerance=inf", "tolerance=-1"])
+    "tolerance=inf", "tolerance=-1",
+    # a repeated seed would train twice into one run directory
+    "seeds=0,0", "seeds=3,1,3"])
 def test_train_bad_value_exits_config(tmp_path, capsys, bad):
     """`bad` is one or more space-separated --set pairs; the last one names
     the key the error must mention."""
@@ -366,7 +368,13 @@ def test_negative_seed_exits_config(tmp_path, capsys, argv, key):
 @pytest.mark.parametrize("grid", [["--strategies", "one-hop,bogus",
                                    "--k-grid", "3"],
                                   ["--strategies", "one-hop",
-                                   "--k-grid", "3,0"]])
+                                   "--k-grid", "3,0"],
+                                  # a repeated cell would train twice into
+                                  # one run directory
+                                  ["--strategies", "one-hop,one-hop",
+                                   "--k-grid", "3"],
+                                  ["--strategies", "one-hop",
+                                   "--k-grid", "3,3"]])
 def test_sweep_checks_every_cell_before_the_first_trains(tmp_path, grid):
     rc = cli.main(["sweep", "--out", str(tmp_path)] + grid
                   + _set_args(fast_overrides()))

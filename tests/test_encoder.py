@@ -156,8 +156,8 @@ def time_grids():
     yield "python-scalar", 12.5
     yield "0-d-array", np.array(-4.25)
     yield "empty-grid", np.zeros((0, 20))
-    # 1-D event times as the ET-GNN passes them: strictly increasing, then
-    # sorted with ties and with -0.0 before 0.0, which take the sort
+    # 1-D event times as the ET-GNN passes them: strictly increasing,
+    # sorted with ties, and with -0.0 before 0.0
     yield "increasing-1d", np.cumsum(rng.uniform(0.5, 900.0, 3000))
     yield "sorted-with-ties-1d", np.sort(rng.integers(0, 50, 300)).astype(
         np.float64)
@@ -171,18 +171,6 @@ def test_time_encode_matches_direct_form_bytes(case, dtype):
     got = te.time_encode(t, 100, dtype=dtype)
     want = direct_time_encode(t, 100, dtype=dtype)
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-def test_time_encode_sorts_nothing_for_increasing_times(monkeypatch):
-    t = np.cumsum(np.random.default_rng(2).uniform(0.5, 9.0, 500))
-    want = direct_time_encode(t, 16)
-
-    def no_sort(*args, **kwargs):
-        raise AssertionError("np.unique called on increasing times")
-
-    monkeypatch.setattr(np, "unique", no_sort)
-    got = te.time_encode(t, 16)
     assert got.tobytes() == want.tobytes()
 
 
@@ -204,7 +192,7 @@ def test_encodings_bit_reproducible():
 
 def two_neighbor_store(dm=2):
     # node 0 interacts with 1 at t=1 and with 2 at t=2
-    return EventStore([0, 0], [1, 2], [1.0, 2.0], [0, 1],
+    return EventStore([0, 0], [1, 2], [1.0, 2.0],
                       np.array([[0.3, -0.1], [0.2, 0.0], [-0.4, 0.5]],
                                dtype=np.float32),
                       np.array([[1.0, 0.5], [-0.5, 0.25]], dtype=np.float32))
@@ -268,8 +256,8 @@ def test_leakage_future_event_perturbation():
 
     feats = store.edge_features.copy()
     feats[60:] += 5.0
-    mut = EventStore(store.src, store.dst, store.ts, store.feat_ids,
-                     store.node_features, feats, store.num_users)
+    mut = EventStore(store.src, store.dst, store.ts, store.node_features,
+                     feats, store.num_users)
     enc2 = te.TgatEncoder(p, mut, n_nb=5)
     after = enc2.encode_batch(NeighborIndex.build(mut), nodes,
                               np.full(6, t)).values
@@ -290,23 +278,25 @@ def test_view_without_additions_encodes_as_its_base(layers):
         assert np.array_equal(got, want)
 
 
-def test_sparsified_store_reads_features_through_feat_ids():
-    """A sparsified store keeps the original feature table and maps its
-    events to rows by feat_ids; encoding must match the same events with
-    feat_ids = arange and the rows gathered up front."""
+def test_sparsified_store_holds_the_kept_rows():
+    """A sparsified store holds the kept events' feature rows, event e's
+    at row e; encoding it must match encoding the original store on the
+    index over the kept events, whose ids and rows are the original ones."""
     store = synth_generate(2, 6, 6, 200, 0.1, seed=4)
-    thin, split = sparsify(store, chronological_split(store), 2)
-    assert not np.array_equal(thin.feat_ids, np.arange(len(thin)))
-    flat = EventStore(thin.src, thin.dst, thin.ts, np.arange(len(thin)),
-                      thin.node_features, thin.edge_features[thin.feat_ids],
-                      thin.num_users)
+    thin, _ = sparsify(store, 2)
+    n_train = chronological_split(store).train_range[1]
+    keep = np.concatenate([np.arange(0, n_train, 2),
+                           np.arange(n_train, len(store))])
+    assert thin.edge_features.tobytes() == store.edge_features[keep].tobytes()
+    assert np.array_equal(thin.src, store.src[keep])
+    assert np.array_equal(thin.ts, store.ts[keep])
     p = te.EncoderParams(8, layers=2, heads=2, d_hidden=8, seed=5)
     nodes = np.concatenate([thin.src[-20:], thin.dst[-20:]])
     tss = np.concatenate([thin.ts[-20:], thin.ts[-20:]])
     got = te.TgatEncoder(p, thin, n_nb=5).encode_batch(
         NeighborIndex.build(thin), nodes, tss).values
-    want = te.TgatEncoder(p, flat, n_nb=5).encode_batch(
-        NeighborIndex.build(flat), nodes, tss).values
+    want = te.TgatEncoder(p, store, n_nb=5).encode_batch(
+        NeighborIndex.build(store, keep), nodes, tss).values
     assert np.array_equal(got, want)
 
 
@@ -738,7 +728,7 @@ def padded_dense_embed(enc, view, nodes, ts, layer):
     h_nbr = ad.reshape(ad.narrow(emb, 0, b, b * n), (b, n, dm))
     real_m = mask * (eids >= 0)
     added_m = mask * (eids < 0)
-    e_rows = padded(enc.edge_feat)[enc.feat_ids[np.where(real_m > 0, eids, 0)]]
+    e_rows = padded(enc.edge_feat)[np.where(real_m > 0, eids, 0)]
     e_slot = ad.constant(e_rows * (real_m[:, :, None] > 0))
     w_dense = ad.constant(real_m)
     if added_m.any():
@@ -766,7 +756,7 @@ def test_encode_batch_matches_padded_dense_oracle(widths, additions, layers):
     base = synth_generate(2, 6, 6, 80, 0.1, seed=4)
     rng = np.random.default_rng(layers)
     wn, we = widths
-    store = EventStore(base.src, base.dst, base.ts, base.feat_ids,
+    store = EventStore(base.src, base.dst, base.ts,
                        rng.standard_normal((base.num_nodes, wn)),
                        rng.standard_normal((len(base.edge_features), we)),
                        base.num_users)
@@ -863,8 +853,7 @@ def test_score_is_directional_and_deterministic():
 
 def test_hand_set_head_matches_manual():
     # 1-dim embeddings, hand-set 2-layer head evaluated by hand
-    store = EventStore([0], [1], [1.0], [0], np.zeros((2, 1)),
-                       np.zeros((1, 1)))
+    store = EventStore([0], [1], [1.0], np.zeros((2, 1)), np.zeros((1, 1)))
     p = te.EncoderParams(1, layers=1, heads=1, d_hidden=1, seed=0,
                          dtype=np.float64)
     enc = te.TgatEncoder(p, store, n_nb=2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,8 +45,7 @@ def test_load_out_of_order_equals_presorted(tmp_path):
     assert np.array_equal(a.src, b.src)
     assert np.array_equal(a.dst, b.dst)
     assert np.array_equal(a.ts, b.ts)
-    assert np.array_equal(a.edge_features[a.feat_ids],
-                          b.edge_features[b.feat_ids])
+    assert np.array_equal(a.edge_features, b.edge_features)
 
 
 @pytest.mark.parametrize("row,msg", [
@@ -94,8 +95,8 @@ def test_split_mask_reproducible_and_clean():
 
 def test_split_rejects_empty_and_bad_args():
     store = tg.synth_generate(2, 4, 4, 10, 0.0, seed=0)
-    empty = EventStore([], [], [], [], store.node_features,
-                       store.edge_features)
+    empty = EventStore([], [], [], store.node_features,
+                       store.edge_features[:0])
     with pytest.raises(DataError, match="empty"):
         tg.chronological_split(empty)
     with pytest.raises(ValueError):
@@ -108,8 +109,8 @@ def gapped(store, at, gap):
     def shift(ids):
         return np.where(ids >= at, ids + gap, ids)
     feats = np.zeros((store.num_nodes + gap, store.node_dim), np.float32)
-    return EventStore(shift(store.src), shift(store.dst), store.ts,
-                      store.feat_ids, feats, store.edge_features), shift
+    return EventStore(shift(store.src), shift(store.dst), store.ts, feats,
+                      store.edge_features), shift
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -285,7 +286,7 @@ def test_neighbors_before_zero_time_empty():
 
 
 def test_neighbors_before_strict_inequality():
-    store = EventStore([0, 0, 0], [1, 2, 3], [1.0, 2.0, 3.0], [0, 1, 2],
+    store = EventStore([0, 0, 0], [1, 2, 3], [1.0, 2.0, 3.0],
                        np.zeros((4, 1)), np.zeros((3, 1)))
     idx = NeighborIndex.build(store)
     nb, ei, ts = idx.neighbors_before(0, 3.0, 5)
@@ -347,8 +348,8 @@ def random_store(rng, num_nodes, n_events):
     dst[::9] = src[::9]
     ts = np.sort(rng.integers(0, n_events // 4 + 1, size=n_events)
                  ).astype(np.float64)
-    return EventStore(src, dst, ts, np.arange(n_events),
-                      np.zeros((num_nodes, 1)), np.zeros((n_events, 1)))
+    return EventStore(src, dst, ts, np.zeros((num_nodes, 1)),
+                      np.zeros((n_events, 1)))
 
 
 @pytest.mark.parametrize("num_nodes,n_events", [
@@ -394,7 +395,7 @@ def third_hop(idx, node, t, fanouts, seed):
 
 def path_store():
     # 0 - 1 - 2 - 3 chain
-    return EventStore([0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0], [0, 1, 2],
+    return EventStore([0, 1, 2], [1, 2, 3], [1.0, 2.0, 3.0],
                       np.zeros((4, 1)), np.zeros((3, 1)))
 
 
@@ -406,7 +407,7 @@ def test_khop_path_graph_reaches_far_end():
 
 def test_khop_star_graph_returns_empty():
     store = EventStore([0, 0, 0, 0], [1, 2, 3, 4],
-                       [1.0, 2.0, 3.0, 4.0], [0, 1, 2, 3],
+                       [1.0, 2.0, 3.0, 4.0],
                        np.zeros((5, 1)), np.zeros((4, 1)))
     idx = NeighborIndex.build(store)
     got = third_hop(idx, 0, 10.0, (4, 4, 4), seed=1)
@@ -427,7 +428,7 @@ def test_khop_seed_determinism():
 def test_sparsify_n1_is_identity():
     store = tg.synth_generate(2, 10, 10, 100, 0.1, seed=4)
     sp = tg.chronological_split(store)
-    thin, sp2 = tg.sparsify(store, sp, 1)
+    thin, sp2 = tg.sparsify(store, 1)
     assert np.array_equal(thin.src, store.src)
     assert np.array_equal(thin.ts, store.ts)
     assert sp2.train_range == sp.train_range
@@ -437,7 +438,7 @@ def test_sparsify_positions_and_count():
     store = tg.synth_generate(2, 5, 5, 15, 0.0, seed=4)   # 10 train events
     sp = tg.chronological_split(store)
     assert sp.train_range == (0, 10)
-    thin, sp2 = tg.sparsify(store, sp, 3)
+    thin, sp2 = tg.sparsify(store, 3)
     assert sp2.train_range == (0, 4)                      # ceil(10/3)
     kept_ts = thin.ts[:4]
     assert list(kept_ts) == [store.ts[i] for i in (0, 3, 6, 9)]
@@ -447,13 +448,61 @@ def test_sparsify_keeps_val_test_untouched():
     store = tg.synth_generate(2, 10, 10, 200, 0.1, seed=6)
     sp = tg.chronological_split(store)
     for n in (2, 5, 9):
-        thin, sp2 = tg.sparsify(store, sp, n)
+        thin, sp2 = tg.sparsify(store, n)
         assert np.array_equal(thin.src[sp2.val_range[0]:],
                               store.src[sp.val_range[0]:])
         assert np.array_equal(thin.ts[sp2.val_range[0]:],
                               store.ts[sp.val_range[0]:])
         n_tr = sp.train_range[1]
         assert sp2.train_range[1] == -(-n_tr // n)        # ceil rule
+
+
+def two_step_sparsify(store, n_keep_every, mask_frac, seed):
+    """The reference: split the full store, thin its train range through
+    feature ids into the full table, gather the rows, then build the
+    thinned split by hand with the set-ops mask."""
+    split = tg.chronological_split(store, mask_frac=mask_frac, seed=seed)
+    tr0, tr1 = split.train_range
+    keep_train = np.arange(tr0, tr1, n_keep_every)
+    keep = np.concatenate([keep_train, np.arange(tr1, len(store))])
+    feat_ids = np.arange(len(store))[keep]
+    thin = EventStore(store.src[keep], store.dst[keep], store.ts[keep],
+                      store.node_features, store.edge_features[feat_ids],
+                      num_users=store.num_users)
+    n_train = len(keep_train)
+    n_val = split.val_range[1] - split.val_range[0]
+    masked, usable = set_ops_mask(thin, n_train, mask_frac, seed)
+    return thin, tg.SplitSpec(
+        train_range=(0, n_train), val_range=(n_train, n_train + n_val),
+        test_range=(n_train + n_val, len(thin)),
+        t_max_train=float(thin.ts[n_train - 1]), masked_nodes=masked,
+        usable_train_ids=usable)
+
+
+@pytest.mark.parametrize("n_keep_every", [1, 2, 3, 9])
+def test_sparsify_matches_two_step_form(n_keep_every):
+    store = tg.synth_generate(3, 30, 30, 500, 0.2, seed=n_keep_every)
+    for mask_frac in (0.0, 0.1):
+        for seed in (0, 1):
+            got = tg.sparsify(store, n_keep_every, mask_frac, seed)
+            want = two_step_sparsify(store, n_keep_every, mask_frac, seed)
+            for col in ("src", "dst", "ts", "node_features",
+                        "edge_features"):
+                a, b = getattr(got[0], col), getattr(want[0], col)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got[0].num_users == want[0].num_users
+            for f in dataclasses.fields(tg.SplitSpec):
+                a, b = getattr(got[1], f.name), getattr(want[1], f.name)
+                assert np.array_equal(a, b), f.name
+                assert type(a) is type(b), f.name
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_store_rejects_an_edge_table_of_another_length(extra):
+    store = tg.synth_generate(2, 4, 4, 10, 0.0, seed=0)
+    feats = np.zeros((len(store) + extra, store.edge_dim), np.float32)
+    with pytest.raises(DataError, match="edge feature rows"):
+        EventStore(store.src, store.dst, store.ts, store.node_features, feats)
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,8 @@ def random_store(seed, num_nodes=14, num_events=120, t_span=25):
     dst[::11] = src[::11]                                  # self-loops
     tss = np.sort(rng.integers(0, t_span, size=num_events)).astype(float)
     feats = rng.standard_normal((num_events, 3)).astype(np.float32)
-    return EventStore(src, dst, tss, np.arange(num_events),
-                      np.zeros((num_nodes, 3), np.float32), feats)
+    return EventStore(src, dst, tss, np.zeros((num_nodes, 3), np.float32),
+                      feats)
 
 
 def indexes(store, rng):
@@ -484,7 +484,7 @@ def star_store(leaves=5):
     """Node 0 joined to every leaf: every walk folds back onto it. Node
     leaves + 1 has no history."""
     return EventStore(np.zeros(leaves, np.int64), np.arange(1, leaves + 1),
-                      np.arange(1.0, leaves + 1), np.arange(leaves),
+                      np.arange(1.0, leaves + 1),
                       np.zeros((leaves + 2, 1), np.float32),
                       np.zeros((leaves, 1), np.float32))
 
@@ -492,7 +492,7 @@ def star_store(leaves=5):
 def path_store(n=6):
     """0 - 1 - ... - n-1: a walk reaches hop 3 only along the path."""
     return EventStore(np.arange(n - 1), np.arange(1, n),
-                      np.arange(1.0, n), np.arange(n - 1),
+                      np.arange(1.0, n),
                       np.zeros((n, 1), np.float32),
                       np.zeros((n - 1, 1), np.float32))
 

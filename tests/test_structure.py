@@ -10,7 +10,7 @@ from tgsl.training import RunConfig, Trainer
 
 
 def single_edge_store(t=0.0):
-    return EventStore([0], [1], [t], [0],
+    return EventStore([0], [1], [t],
                       np.zeros((2, 2), dtype=np.float32),
                       np.zeros((1, 2), dtype=np.float32))
 
@@ -42,8 +42,8 @@ def test_etgnn_hand_computed_two_layers():
     per-node loops."""
     rng = np.random.default_rng(0)
     src, dst, t = [0, 0, 1], [1, 2, 2], [0.5, 1.5, 4.0]
-    store = EventStore(src, dst, t, [2, 0, 1], rng.standard_normal((3, 2)),
-                       rng.standard_normal((3, 3)))
+    store = EventStore(src, dst, t, rng.standard_normal((3, 2)),
+                       rng.standard_normal((3, 3))[[2, 0, 1]])
     dm = 4
     params = ts.TgslParams(dm, 2, 3, layers=2, seed=3, dtype=np.float64)
     out = ts.etgnn_forward(np.arange(3), store, params)
@@ -51,7 +51,7 @@ def test_etgnn_hand_computed_two_layers():
     relu = lambda v: np.maximum(v, 0.0)
     w = {p.name: p.values for p in params.parameters()}
     h0 = store.node_features
-    f0 = store.edge_features[store.feat_ids]
+    f0 = store.edge_features
     te = [np.cos(ti * time_frequencies(dm)) for ti in t]
     h1 = []
     for v in range(3):
@@ -72,10 +72,9 @@ def test_etgnn_duplicate_neighbors_mean_idempotent():
     # k identical events contribute the same mean message as one of them,
     # so every layer-2 edge row equals the single event's row
     feats = np.array([[0.5, -0.2]], dtype=np.float32)
-    one = EventStore([0], [1], [2.0], [0], np.zeros((2, 2), np.float32),
-                     feats)
-    three = EventStore([0, 0, 0], [1, 1, 1], [2.0, 2.0, 2.0], [0, 0, 0],
-                       np.zeros((2, 2), np.float32), feats)
+    one = EventStore([0], [1], [2.0], np.zeros((2, 2), np.float32), feats)
+    three = EventStore([0, 0, 0], [1, 1, 1], [2.0, 2.0, 2.0],
+                       np.zeros((2, 2), np.float32), feats[[0, 0, 0]])
     params = ts.TgslParams(4, 2, 2, layers=2, seed=1)
     f1 = ts.etgnn_forward(np.array([0]), one, params).edge_f.values
     f3 = ts.etgnn_forward(np.arange(3), three, params).edge_f.values
@@ -177,9 +176,9 @@ def test_context_depends_only_on_last_n_rnn_edges():
     # perturb the feature of an edge OLDER than the last 3: no effect
     old_eid = int(ei[-4])
     feats = store.edge_features.copy()
-    feats[store.feat_ids[old_eid]] += 7.0
-    mut = EventStore(store.src, store.dst, store.ts, store.feat_ids,
-                     store.node_features, feats, store.num_users)
+    feats[old_eid] += 7.0
+    mut = EventStore(store.src, store.dst, store.ts, store.node_features,
+                     feats, store.num_users)
     et2 = ts.etgnn_forward(np.arange(len(mut)), mut, params)
     after = context(node, et2, NeighborIndex.build(mut), 3, params,
                     t_cut=t_cut)
@@ -232,7 +231,7 @@ def test_random_strategy_candidates():
 
 def test_one_hop_distinct_destination_bound():
     store = EventStore([0, 0, 0, 0, 0], [1, 2, 3, 1, 2],
-                       [1.0, 2.0, 3.0, 4.0, 5.0], np.arange(5),
+                       [1.0, 2.0, 3.0, 4.0, 5.0],
                        np.zeros((4, 1), np.float32),
                        np.zeros((5, 1), np.float32))
     idx = NeighborIndex.build(store)
@@ -432,7 +431,7 @@ def test_added_csr_matches_lexsort_form(num_nodes):
     destination at one t, and self-loops: the (owner, t, j) lexsort."""
     rng = np.random.default_rng(num_nodes)
     base = NeighborIndex.build(EventStore(
-        [0], [1], [1.0], [0], np.zeros((num_nodes, 1)), np.zeros((1, 1))))
+        [0], [1], [1.0], np.zeros((num_nodes, 1)), np.zeros((1, 1))))
     ids = rng.integers(0, num_nodes, size=5)
     for c in (0, 1, 300):
         add_src, add_dst = rng.choice(ids, size=c), rng.choice(ids, size=c)

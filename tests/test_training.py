@@ -414,10 +414,10 @@ def test_earlier_batches_unaffected_by_later_event_change():
     split = chronological_split(store, mask_frac=0.1, seed=2)
     pick = int(split.usable_train_ids[150])   # sits inside batch 1
     feats = store.edge_features.copy()
-    feats[store.feat_ids[pick]] += 9.0
+    feats[pick] += 9.0
     from tgsl.graph import EventStore
-    mut = EventStore(store.src, store.dst, store.ts, store.feat_ids,
-                     store.node_features, feats, store.num_users)
+    mut = EventStore(store.src, store.dst, store.ts, store.node_features,
+                     feats, store.num_users)
     recs = []
     for st in (store, mut):
         sp = chronological_split(st, mask_frac=0.1, seed=2)
