@@ -728,7 +728,7 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Per-parameter moment grids plus the shared step counter."""
 
-    def __init__(self, params, lr=1e-4):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
         self.step_count = 0

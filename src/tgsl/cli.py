@@ -1,9 +1,12 @@
 """Batch entry points: train, eval, synth, verify, sweep.
 
-Configuration is a flat key=value file with # comments; --set overrides win
-over file values. Every run writes an atomic manifest sufficient to
-reproduce it bit-for-bit (resolved config + seed + code fingerprint), a
-deterministic metrics JSON, a per-epoch CSV, and a parameter snapshot.
+Configuration is a flat key=value file with # comments, then --set pairs,
+then a sweep cell's strategy= and k=, then the flags that are shorthand for
+a key (--seed for seeds=, or synth_seed= in synth; --out for out_dir=;
+--sparsify for sparsify_n=): a later pair wins, and the config is validated
+once. Every run writes an atomic manifest sufficient to reproduce it
+bit-for-bit (resolved config + seed + code fingerprint), a deterministic
+metrics JSON, a per-epoch CSV, and a parameter snapshot.
 
 Exit codes: 0 success, 1 check/metric failure, 2 configuration error,
 3 data error.
@@ -54,21 +57,25 @@ def _coerce(key, raw):
 
 
 def parse_config(path=None, overrides=()):
-    """Flat key=value file plus repeatable key=value overrides."""
+    """Flat key=value file plus repeatable key=value overrides, applied in
+    order (a later pair wins) and validated once. A file that cannot be
+    read or decoded is a ConfigError."""
     cfg = RunConfig()
     pairs = []
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                k, v = line.split("=", 1)
-                pairs.append((k.strip(), v))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                lines = f.readlines()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config {path}: {e}")
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            k, v = line.split("=", 1)
+            pairs.append((k.strip(), v))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -82,6 +89,18 @@ def parse_config(path=None, overrides=()):
         setattr(cfg, k, _coerce(k, v))
     cfg.validate()
     return cfg
+
+
+def _check_writable(path, directory):
+    """ConfigError unless `path` can be written: as a file in an existing
+    directory, or as a directory that os.makedirs can make."""
+    target = os.path.abspath(path)
+    head = target if directory else os.path.dirname(target)
+    while directory and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if (not directory and os.path.isdir(target)) or not (
+            os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise ConfigError(f"unwritable path: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,32 +159,31 @@ def _json(obj):
 # ---------------------------------------------------------------------------
 # commands
 
-def _train_config(args):
-    cfg = parse_config(args.config, args.set or [])
-    if args.seed is not None:
-        cfg.seeds = str(args.seed)
-    if args.out:
-        cfg.out_dir = args.out
-    if args.sparsify is not None:
-        cfg.sparsify_n = args.sparsify
-    cfg.validate()
-    return cfg
+def _config(args, *pairs):
+    """The config of the file, then --set, then `pairs`, then each given
+    flag whose dest is a config key, as its key=value pair."""
+    flags = [f"{k}={v}" for k, v in vars(args).items()
+             if k in _FIELD_TYPES and v is not None]
+    return parse_config(args.config, [*(args.set or []), *pairs, *flags])
 
 
 def cmd_train(args):
-    return _train_runs(_train_config(args))
+    return _train_runs([_config(args)])
 
 
-def _train_runs(cfg):
-    try:
-        store = build_store(cfg)
-        store, split = build_split(cfg, store)
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
+def _train_runs(cfgs):
+    for cfg in cfgs:            # every output is checked before any data
+        _check_writable(cfg.out_dir, directory=True)
     statuses = []
-    for seed in cfg.seed_list():
-        statuses.append(_train_one(cfg, store, split, seed))
+    for cfg in cfgs:
+        try:
+            store, split = build_split(cfg, build_store(cfg))
+        except DataError as e:
+            print(f"data error: {e}", file=sys.stderr)
+            statuses.append(EXIT_DATA)
+        else:
+            statuses += [_train_one(cfg, store, split, seed)
+                         for seed in cfg.seed_list()]
     return max(statuses)
 
 
@@ -229,12 +247,9 @@ def _train_one(cfg, store, split, seed):
     atomic_write(csv_path, "".join(rows))
 
     params_path = os.path.join(out, "params.npz")
-    snap = trainer.snapshot()
-    flat = {}
-    for group, d in snap.items():
-        for name, arr in d.items():
-            flat[f"{group}|{name}"] = arr
-    np.savez(params_path + ".tmp.npz", **flat)
+    np.savez(params_path + ".tmp.npz", **{
+        f"{group}|{name}": arr for group, d in trainer.snapshot().items()
+        for name, arr in d.items()})
     os.replace(params_path + ".tmp.npz", params_path)
 
     tr0, tr1 = split.train_range
@@ -267,11 +282,10 @@ def _train_one(cfg, store, split, seed):
 
 def load_run(manifest_path):
     """Read a run's manifest and parameter snapshot, then rebuild its
-    trainer. The files and the config are checked before any data is
-    built: a malformed manifest, config or snapshot raises ConfigError, a
-    missing snapshot FileNotFoundError. A snapshot that does not fit the
-    rebuilt model (a missing group, or a tensor name or shape that
-    differs) raises ConfigError once the model exists."""
+    trainer. A file that cannot be read or is malformed raises ConfigError
+    before any data is built; a snapshot that does not fit the rebuilt
+    model (a missing group, or a tensor name or shape that differs), once
+    the model exists."""
     run_dir = os.path.dirname(os.path.abspath(manifest_path))
     try:
         with open(manifest_path, "r", encoding="utf-8") as f:
@@ -287,7 +301,8 @@ def load_run(manifest_path):
             for key in z.files:
                 group, name = key.split("|", 1)
                 snap.setdefault(group, {})[name] = z[key]
-    except (ValueError, TypeError, KeyError, zipfile.BadZipFile) as e:
+    except (OSError, ValueError, TypeError, KeyError,
+            zipfile.BadZipFile) as e:
         raise ConfigError(f"bad manifest {manifest_path}: {e}")
     store = build_store(cfg)
     store, split = build_split(cfg, store)
@@ -300,14 +315,7 @@ def load_run(manifest_path):
 
 
 def cmd_eval(args):
-    if not os.path.exists(args.manifest):
-        print(f"manifest not found: {args.manifest}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        manifest, cfg, trainer = load_run(args.manifest)
-    except FileNotFoundError as e:
-        print(f"missing snapshot: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    manifest, cfg, trainer = load_run(args.manifest)
     augmented = trainer.learner is not None and not args.original_graph
     rep = trainer.evaluate(args.setting, "test", seed=manifest["seed"],
                            use_augmented=augmented)
@@ -319,24 +327,15 @@ def cmd_eval(args):
 
 
 def cmd_synth(args):
-    cfg = parse_config(args.config, args.set or [])
-    cfg.dataset = "synth"
-    if args.seed is not None:
-        cfg.synth_seed = args.seed
-    cfg.validate()
+    cfg = _config(args, "dataset=synth")
+    _check_writable(args.out, directory=False)
     try:
         store = build_store(cfg)
-        out = args.out
-        parent = os.path.dirname(os.path.abspath(out))
-        if (os.path.isdir(out) or not os.path.isdir(parent)
-                or not os.access(parent, os.W_OK)):
-            print(f"unwritable path: {out}", file=sys.stderr)
-            return EXIT_CONFIG
-        save_events(store, out)
+        save_events(store, args.out)
     except (ValueError, OSError) as e:
         print(f"synth error: {e}", file=sys.stderr)
         return EXIT_DATA
-    print(f"wrote {len(store)} events to {out}")
+    print(f"wrote {len(store)} events to {args.out}")
     return EXIT_OK
 
 
@@ -370,12 +369,8 @@ def cmd_sweep(args):
         if len(set(grid)) < len(grid):
             raise ConfigError(f"{flag} must not repeat a value, got "
                               f"{','.join(map(str, grid))}")
-    cells = [list(args.set or []) + [f"strategy={s}", f"k={k}"]
-             for s in strategies for k in k_grid]
-    cfgs = [_train_config(argparse.Namespace(
-        config=args.config, set=cell, seed=args.seed, out=args.out,
-        sparsify=args.sparsify)) for cell in cells]
-    return max(_train_runs(cfg) for cfg in cfgs)
+    return _train_runs([_config(args, f"strategy={s}", f"k={k}")
+                        for s in strategies for k in k_grid])
 
 
 def main(argv=None):
@@ -389,10 +384,13 @@ def main(argv=None):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-        p.add_argument("--seed", type=int, help="single training seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--sparsify", type=int, metavar="N",
-                       help="keep one train event in every N")
+        p.add_argument("--seed", type=int, dest="seeds", metavar="SEED",
+                       help="one training seed: shorthand for seeds=")
+        p.add_argument("--out", dest="out_dir", metavar="DIR",
+                       help="output directory: shorthand for out_dir=")
+        p.add_argument("--sparsify", type=int, dest="sparsify_n",
+                       metavar="N", help="keep one train event in every N: "
+                                         "shorthand for sparsify_n=")
 
     p_train = sub.add_parser("train", help="train and evaluate one config")
     common(p_train)
@@ -410,7 +408,8 @@ def main(argv=None):
     p_synth = sub.add_parser("synth", help="write a synthetic jodie-csv file")
     p_synth.add_argument("--config", help="flat key=value config file")
     p_synth.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_synth.add_argument("--seed", type=int, help="generator seed")
+    p_synth.add_argument("--seed", type=int, dest="synth_seed", metavar="SEED",
+                         help="generator seed: shorthand for synth_seed=")
     p_synth.add_argument("--out", help="output csv path", required=True)
     p_synth.set_defaults(fn=cmd_synth)
 

@@ -133,7 +133,7 @@ def time_context(delta, d, dtype=np.float64):
 class EncoderParams(ad.ParamSet):
     """Attention projections, merge MLPs, and the link-scoring head."""
 
-    def __init__(self, d_model, layers=2, heads=2, d_hidden=100, seed=0,
+    def __init__(self, d_model, layers, heads, d_hidden, seed=0,
                  dtype=np.float32):
         if d_model % heads:
             raise ValueError(f"d_model {d_model} not divisible by heads {heads}")
@@ -210,7 +210,7 @@ class TgatEncoder:
     encoder share the plan of its original view.
     """
 
-    def __init__(self, params, store, n_nb=20):
+    def __init__(self, params, store, n_nb):
         self.params = params
         self.n_nb = n_nb
         self.dtype = params.dtype

@@ -414,43 +414,43 @@ def load_events(path):
     users, items, tss, feats = [], [], [], []
     n_feat = None
     try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as e:
+        with open(path, "r", encoding="utf-8") as f:
+            header = f.readline()
+            if header == "":
+                raise DataError(f"{path}: empty file")
+            for lineno, line in enumerate(f, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) < 4:
+                    raise DataError(f"{path}:{lineno}: expected at least "
+                                    "4 fields")
+                if n_feat is None:
+                    n_feat = len(parts) - 4
+                elif len(parts) - 4 != n_feat:
+                    raise DataError(f"{path}:{lineno}: ragged row "
+                                    f"({len(parts) - 4} features, expected "
+                                    f"{n_feat})")
+                try:
+                    u = float(parts[0])
+                    v = float(parts[1])
+                    t = float(parts[2])
+                    fv = [float(x) for x in parts[4:]]
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: non-numeric field")
+                if not all(0 <= x < math.inf and x == int(x) for x in (u, v)):
+                    raise DataError(f"{path}:{lineno}: node ids must be "
+                                    "non-negative integers")
+                if t < 0 or not math.isfinite(t):
+                    raise DataError(f"{path}:{lineno}: negative or non-finite "
+                                    "timestamp")
+                users.append(int(u))
+                items.append(int(v))
+                tss.append(t)
+                feats.append(fv)
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {path}: {e}")
-    with handle as f:
-        header = f.readline()
-        if header == "":
-            raise DataError(f"{path}: empty file")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 4:
-                raise DataError(f"{path}:{lineno}: expected at least 4 fields")
-            if n_feat is None:
-                n_feat = len(parts) - 4
-            elif len(parts) - 4 != n_feat:
-                raise DataError(
-                    f"{path}:{lineno}: ragged row ({len(parts) - 4} features, "
-                    f"expected {n_feat})")
-            try:
-                u = float(parts[0])
-                v = float(parts[1])
-                t = float(parts[2])
-                fv = [float(x) for x in parts[4:]]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric field")
-            if not all(0 <= x < math.inf and x == int(x) for x in (u, v)):
-                raise DataError(f"{path}:{lineno}: node ids must be "
-                                "non-negative integers")
-            if t < 0 or not math.isfinite(t):
-                raise DataError(f"{path}:{lineno}: negative or non-finite "
-                                "timestamp")
-            users.append(int(u))
-            items.append(int(v))
-            tss.append(t)
-            feats.append(fv)
     if not users:
         raise DataError(f"{path}: no data rows")
     num_users = max(users) + 1

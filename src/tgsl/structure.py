@@ -50,7 +50,7 @@ class TgslParams(ad.ParamSet):
     raw feature dims at layer 1 and the model dim afterwards; the time
     block is d_model wide, the encoder's time encoding at that width."""
 
-    def __init__(self, d_model, d_node, d_edge, layers=2, seed=0,
+    def __init__(self, d_model, d_node, d_edge, layers, seed=0,
                  dtype=np.float32):
         super().__init__()
         self.d_model = d_model
@@ -452,7 +452,7 @@ def build_augmented_view(base, cands, selected_idx, fhat, rho):
 # ---------------------------------------------------------------------------
 # window collection and the end-to-end proposer
 
-def visible_window(index, nodes, t_ref, levels=2):
+def visible_window(index, nodes, t_ref, levels):
     """Event ids incident to the sources and their first (levels-1) rings,
     strictly before t_ref on `index` (and before its cut, if a prefix),
     sorted. Each ring is the sorted set of the last ring's neighbors not

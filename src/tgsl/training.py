@@ -270,7 +270,7 @@ class MoCoState:
     """Momentum copy of the query encoder plus the FIFO key queue; a
     Trainer builds one only when use_tgsl is on and alpha > 0."""
 
-    def __init__(self, key_params, momentum=0.999, capacity=512):
+    def __init__(self, key_params, momentum, capacity):
         self.key_params = key_params
         for p in key_params.parameters():
             p.requires_grad = False
@@ -302,9 +302,9 @@ def moco_step(state, query_params, new_keys):
 
 @dataclass
 class EarlyStopState:
-    patience: int = 3
-    tolerance: float = 1e-3
-    max_epochs: int = 50
+    patience: int
+    tolerance: float
+    max_epochs: int
     best: float = -np.inf
     best_epoch: int = -1
     epochs_since: int = 0

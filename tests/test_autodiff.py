@@ -378,7 +378,7 @@ def test_adam_identical_params_identical_updates():
 def test_adam_missing_grad_names_parameter():
     p = ad.param(np.array([1.0]), name="enc.w")
     p._grad = None
-    st = ad.AdamState([p])
+    st = ad.AdamState([p], lr=1e-4)
     with pytest.raises(ValueError, match="enc.w"):
         ad.adam_step(st)
 

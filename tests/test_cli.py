@@ -550,3 +550,153 @@ def test_train_non_finite_loss_exits_check_fail(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert "non-finite loss" in err[-1]
     assert not list(tmp_path.glob("run-*"))
+
+
+# ---------------------------------------------------------------------------
+# --seed, --out and --sparsify are shorthand for seeds=, out_dir= and
+# sparsify_n=, applied after --set: the value they replace is never checked
+
+def _no_data(cfg):
+    raise AssertionError("data built before the paths were checked")
+
+
+def _taken(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    return str(path)
+
+
+@pytest.mark.parametrize("replaced", ["seeds=-1", "seeds=0,0"])
+def test_seed_flag_wins_over_set_seeds(tmp_path, replaced):
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--seed", "3", "--out", str(out)]
+                  + _set_args(fast_overrides([replaced])))
+    assert rc == 0
+    # the run of seeds=3, under the id that config gets without the flag
+    rid = cli.run_id_for(parse_config(None, fast_overrides()), 3)
+    assert os.listdir(out) == [f"run-{rid}"]
+
+
+def test_sparsify_flag_wins_over_set_sparsify_n(tmp_path):
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--sparsify", "2", "--out", str(out)]
+                  + _set_args(fast_overrides(["sparsify_n=0"])))
+    assert rc == 0
+    (run,) = os.listdir(out)
+    manifest = json.load(open(out / run / "manifest.json"))
+    assert manifest["config"]["sparsify_n"] == 2
+
+
+def test_out_flag_wins_over_set_out_dir(tmp_path, monkeypatch):
+    taken, runs = _taken(tmp_path), tmp_path / "runs"
+    assert cli.main(["train", "--out", str(runs)]
+                    + _set_args(fast_overrides([f"out_dir={taken}"]))) == 0
+    assert len(os.listdir(runs)) == 1
+    # a file named by --out is refused though out_dir names a directory
+    monkeypatch.setattr(cli, "build_store", _no_data)
+    rc = cli.main(["train", "--out", str(taken)]
+                  + _set_args(fast_overrides([f"out_dir={runs}"])))
+    assert rc == cli.EXIT_CONFIG
+
+
+def test_synth_seed_flag_wins_over_set_synth_seed(tmp_path):
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    small = ["--set", "synth_users=10", "--set", "synth_items=10",
+             "--set", "synth_events=200", "--seed", "4"]
+    assert cli.main(["synth", "--out", a] + small) == 0
+    assert cli.main(["synth", "--out", b, "--set", "synth_seed=-1"]
+                    + small) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# ---------------------------------------------------------------------------
+# unreadable inputs and unwritable outputs exit 2 (3 for a dataset file)
+# with one line, before any data is built or any epoch trains
+
+def _bad_bytes(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode() + b"\xff\n")
+    return str(path)
+
+
+def _config_dir(tmp_path, request):
+    return ["train", "--config", str(tmp_path)]
+
+
+def _config_bytes(tmp_path, request):
+    return ["train", "--config", _bad_bytes(tmp_path, "a.cfg", "k=4\n")]
+
+
+def _synth_config_dir(tmp_path, request):
+    return ["synth", "--out", str(tmp_path / "s.csv"),
+            "--config", str(tmp_path)]
+
+
+def _eval_dir(tmp_path, request):
+    return ["eval", str(tmp_path)]
+
+
+def _eval_params_dir(tmp_path, request):
+    run_dir = tmp_path / "run"
+    shutil.copytree(request.getfixturevalue("trained_run"), run_dir)
+    manifest = json.load(open(run_dir / "manifest.json"))
+    manifest["params"] = "."
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    return ["eval", str(run_dir / "manifest.json")]
+
+
+def _dataset_bytes(tmp_path, request):
+    csv = _bad_bytes(tmp_path, "bytes.csv",
+                     "user_id,item_id,timestamp,state_label\n0,0,1.0,0\n")
+    return ["train", "--out", str(tmp_path / "runs"),
+            "--set", f"dataset={csv}"]
+
+
+def _train_out_file(tmp_path, request):
+    return ["train", "--out", _taken(tmp_path)]
+
+
+def _sweep_out_file(tmp_path, request):
+    return ["sweep", "--out", _taken(tmp_path), "--strategies", "one-hop",
+            "--k-grid", "3"]
+
+
+def _train_out_under_file(tmp_path, request):
+    return ["train", "--out", os.path.join(_taken(tmp_path), "runs")]
+
+
+def _train_out_read_only(tmp_path, request):
+    # permission bits do not bind root, so the check's access call is
+    # told that the directory is read-only
+    read_only = str(tmp_path / "ro")
+    os.mkdir(read_only)
+    access = os.access
+    request.getfixturevalue("monkeypatch").setattr(
+        os, "access", lambda p, mode: p != read_only and access(p, mode))
+    return ["train", "--out", os.path.join(read_only, "runs")]
+
+
+@pytest.mark.parametrize("case, code, text", [
+    (_config_dir, cli.EXIT_CONFIG, "cannot read config"),
+    (_config_bytes, cli.EXIT_CONFIG, "cannot read config"),
+    (_synth_config_dir, cli.EXIT_CONFIG, "cannot read config"),
+    (_eval_dir, cli.EXIT_CONFIG, "bad manifest"),
+    (_eval_params_dir, cli.EXIT_CONFIG, "bad manifest"),
+    (_dataset_bytes, cli.EXIT_DATA, "bytes.csv"),
+    (_train_out_file, cli.EXIT_CONFIG, "unwritable path"),
+    (_sweep_out_file, cli.EXIT_CONFIG, "unwritable path"),
+    (_train_out_under_file, cli.EXIT_CONFIG, "unwritable path"),
+    (_train_out_read_only, cli.EXIT_CONFIG, "unwritable path")])
+def test_unreadable_or_unwritable_path_exits_before_any_work(
+        tmp_path, capsys, monkeypatch, request, case, code, text):
+    argv = case(tmp_path, request)
+    if argv[0] in ("train", "sweep"):   # the case's own --set comes last
+        argv[1:1] = _set_args(fast_overrides())
+    if case is not _dataset_bytes:      # that one fails in the reading
+        monkeypatch.setattr(cli, "build_store", _no_data)
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and text in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("**/run-*"))

@@ -872,7 +872,8 @@ def test_float32_encoder_shares_the_store_feature_tables():
     store = synth_generate(2, 8, 8, 40, 0.0, seed=0)
     for dtype, shared in ((np.float32, True), (np.float64, False)):
         enc = te.TgatEncoder(te.EncoderParams(4, layers=1, heads=1,
-                                              d_hidden=4, dtype=dtype), store)
+                                              d_hidden=4, dtype=dtype),
+                             store, n_nb=20)
         assert np.shares_memory(enc.node_feat, store.node_features) == shared
         assert np.shares_memory(enc.edge_feat, store.edge_features) == shared
         assert enc.edge_feat.dtype == dtype
@@ -882,7 +883,7 @@ def test_feature_dim_exceeding_model_dim_rejected():
     store = synth_generate(4, 8, 8, 20, 0.0, seed=0)   # 4-dim features
     with pytest.raises(ValueError, match="d_model"):
         te.TgatEncoder(te.EncoderParams(2, layers=1, heads=1, d_hidden=2),
-                       store)
+                       store, n_nb=20)
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +942,8 @@ def test_plan_keeps_time_encodings_as_a_distinct_gap_table():
         np.sort(rng.uniform(store.ts[400], store.ts[499], 20)),
         cand_features=ad.param(rng.standard_normal((20, 4))),
         rho=ad.param(rng.uniform(0.1, 0.9, 20)))
-    enc = te.TgatEncoder(te.EncoderParams(100, layers=2, heads=2, seed=3),
+    enc = te.TgatEncoder(te.EncoderParams(100, layers=2, heads=2, d_hidden=100,
+                                          seed=3),
                          store, n_nb=20)
     batch = np.arange(500, 560)
     nodes = np.concatenate([store.src[batch], store.dst[batch]])

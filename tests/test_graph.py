@@ -62,6 +62,19 @@ def test_load_rejects_bad_rows_with_line_number(tmp_path, row, msg):
         tg.load_events(p)
 
 
+@pytest.mark.parametrize("good_rows", [0, 2000])
+def test_load_undecodable_bytes_is_a_data_error_naming_the_file(
+        tmp_path, good_rows):
+    """A byte that is not UTF-8 in the header's read, or in a row read
+    inside the line loop, well past the first buffered chunk."""
+    path = tmp_path / "bytes.csv"
+    write_csv(path, ["0,0,1.0,0,0.5,0.5"] * good_rows)
+    with open(path, "ab") as f:
+        f.write(b"1,1,2.0,0,0.5,\xff\n")
+    with pytest.raises(DataError, match="cannot read .*bytes.csv"):
+        tg.load_events(str(path))
+
+
 # ---------------------------------------------------------------------------
 # chronological split
 

@@ -151,13 +151,13 @@ def test_moco_queue_fifo_against_list_oracle():
 
 
 def test_moco_rejects_dimension_mismatch():
-    st = tt.MoCoState(key_params(), capacity=8)
+    st = tt.MoCoState(key_params(), momentum=0.999, capacity=8)
     with pytest.raises(ValueError, match="dimension"):
         tt.moco_step(st, query_like(st.key_params), np.ones((2, 7)))
 
 
 def test_key_params_never_require_grad():
-    st = tt.MoCoState(key_params())
+    st = tt.MoCoState(key_params(), momentum=0.999, capacity=512)
     assert all(not p.requires_grad for p in st.key_params.parameters())
 
 
@@ -165,14 +165,14 @@ def test_key_params_never_require_grad():
 # early stopping
 
 def test_early_stop_improving_sequence_continues():
-    st = tt.EarlyStopState()
+    st = tt.EarlyStopState(patience=3, tolerance=1e-3, max_epochs=50)
     for ap in (0.5, 0.6, 0.7):
         assert tt.early_stop_update(st, ap) == "continue"
     assert st.best == 0.7
 
 
 def test_early_stop_sub_tolerance_plateau():
-    st = tt.EarlyStopState()
+    st = tt.EarlyStopState(patience=3, tolerance=1e-3, max_epochs=50)
     decisions = [tt.early_stop_update(st, ap)
                  for ap in (0.7, 0.7005, 0.7005, 0.7005, 0.7005)]
     assert decisions == ["continue"] * 4 + ["stop"]
@@ -180,7 +180,7 @@ def test_early_stop_sub_tolerance_plateau():
 
 
 def test_early_stop_epoch_cap():
-    st = tt.EarlyStopState(max_epochs=50)
+    st = tt.EarlyStopState(patience=3, tolerance=1e-3, max_epochs=50)
     out = None
     for e in range(50):
         out = tt.early_stop_update(st, 0.5 + 0.005 * e)   # always improving
