@@ -2,10 +2,12 @@
 
 A Tape records primitive ops in execution order; Tape.backward() replays
 the record in exact reverse order and accumulates gradients additively
-(fan-out sum rule). `.grad` lives on leaves only (params and other tensors
-no recorded op produced); each intermediate's work gradient is freed at its
-last use, when the op that produced it is replayed. A backward closure
-returns None for an input that does not require a gradient, so no
+(fan-out sum rule). A tape is replayed once: each entry is popped as it is
+replayed, so the forward arrays its closure holds are freed then, and a
+second backward raises. `.grad` lives on leaves only (params and other
+tensors no recorded op produced); each intermediate's work gradient is
+freed at its last use, when the op that produced it is replayed. A backward
+closure returns None for an input that does not require a gradient, so no
 gradient is ever formed for a constant. `matmul` takes an N-D lhs and a
 2-D rhs only, and computes each gradient as one 2-D GEMM over the folded
 leading axes. The primitives are the ones the model calls. Training
@@ -14,6 +16,7 @@ unreliable in float32.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +68,7 @@ class Tape:
 
     def __init__(self):
         self.entries = []
+        self._replayed = False
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -84,15 +88,27 @@ class Tape:
         entry of this tape produced; .grad lives on leaves only, never on
         intermediates. Each output's work gradient is popped, used and
         freed when its entry is replayed: every consumer of the output
-        comes later on the tape, so by then the gradient is complete. Each
-        call contributes one full pass, so repeated calls accumulate
-        additively."""
+        comes later on the tape, so by then the gradient is complete.
+
+        A tape is replayed once: each entry is popped as it is replayed,
+        so the forward arrays its closure holds are freed then, not when
+        the tape is dropped, and a second call raises RuntimeError. To
+        accumulate gradients over several passes, record a tape per
+        pass."""
+        if self._replayed:
+            raise RuntimeError("Tape.backward: this tape was already "
+                               "replayed; record a new tape for each pass")
         if loss.values.size != 1:
             raise ShapeError(
                 f"backward needs a scalar loss, got shape {loss.values.shape}")
-        # id -> (tensor, grad); per-pass work grads keep repeated calls exact
+        self._replayed = True
+        # id -> (tensor, grad)
         work = {id(loss): (loss, np.ones_like(loss.values))}
-        for inputs, out, bw in reversed(self.entries):
+        entries = self.entries
+        while entries:
+            # rebinding the names drops the last entry's closure before
+            # this one runs
+            inputs, out, bw = entries.pop()
             hit = work.pop(id(out), None)
             if hit is None:
                 continue            # not on a path to the loss
@@ -520,6 +536,37 @@ def _row_groups(rows):
     return rows[starts], group, rank, int(rank.max()) + 1
 
 
+# slot elements (rows x n x d) per row block of temporal_attention: its
+# forward and backward gather and multiply one block's slots at a time,
+# so their transients do not grow with the batch. Replaying the training
+# calls of a paper-default pass (d=100, n=20; one BLAS thread of a 2-CPU
+# VM) took a median 0.234 CPU-s at 2^18, 0.289 at 2^15, 0.240 at 2^20
+# and 0.272 in one block
+_ATTN_BLOCK = 1 << 18
+
+
+class _AddedBlock(NamedTuple):
+    """A row block's added positions: their slice of the P positions, the
+    block's rows with additions (batch row ids), and the positions' (row,
+    slot) and (group, rank) coordinates, local to the block."""
+    pos: slice
+    at: np.ndarray
+    slots: tuple
+    packs: tuple
+
+
+def _put(out, lo, part, total):
+    """`out` with `part` written at rows lo:lo + len(part). A None `out`
+    is made [total, ...] of part's dtype, or is part itself when part
+    spans all total rows, so a one-block call copies nothing."""
+    if out is None:
+        if len(part) == total:
+            return part
+        out = np.empty((total,) + part.shape[1:], dtype=part.dtype)
+    out[lo:lo + len(part)] = part
+    return out
+
+
 def temporal_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv, heads,
                        added=None):
     """One multi-head temporal attention layer over n slots per row
@@ -535,26 +582,36 @@ def temporal_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv, heads,
     value is formed, and the layer costs O(B n 3d heads), not O(B n 3d
     heads d_k).
 
+    The slot work runs in blocks of consecutive rows, each at most
+    _ATTN_BLOCK slot elements (rows x n x d): a block gathers its time
+    rows, forms its logits, softmax, u and pooled parts, and writes them
+    into [B, ...] arrays; the backward forms each block's slot gradients
+    the same way. Every row's arithmetic is the same in any block, so
+    results do not depend on the block size, and the transients are one
+    block's, not the batch's. The products that reduce over rows (the
+    output and the weight, query and h_self gradients) take the whole
+    [B, ...] arrays, and a call of one block runs no extra pass.
+
     `te` is the slots' time encodings as a pair (table, inverse): a
     [U, d] table of distinct rows and a [B, n] integer array, so that
-    te_s = table[inverse[b, s]]. The op gathers the [B, n, d] block in its
-    forward and again in its backward, and keeps neither on the tape; a
-    table that requires a gradient gets the slots' rows scatter-added.
-    `h_self`, `h_nbr` and `e_slot` may be narrower than d (the table is d
-    wide): an input of width w stands for itself zero-padded to d, so it
-    reads only the top w rows of its block of wq, wk and wv, and the rows
-    it does not read get an exactly zero gradient. `mask` is a [B, n]
-    array, 1 for a filled slot and 0 for a pad, and is also each slot's
-    value weight w. `added`, if given, is (positions, rows, weights): P
-    distinct filled (row, slot) positions in row-major order, as
-    np.nonzero gives them, with [P, d] rows that add to e there and [P]
-    weights written over w there. Their logits, pooled terms and gradients
-    are formed at those P positions only: each row's added positions are
-    packed into a [R, k, .] block (R rows with additions, k the most in
-    one row), so each of their products is one batched matmul. A row with
-    every slot padded outputs zero. The backward follows the same
-    reassociation and returns None for any input that does not require a
-    gradient."""
+    te_s = table[inverse[b, s]]. Each block gathers its rows of the time
+    block in the forward and again in the backward, and the tape keeps
+    none of them; a table that requires a gradient gets the slots' rows
+    scatter-added, all in one pass. `h_self`, `h_nbr` and `e_slot` may be
+    narrower than d (the table is d wide): an input of width w stands for
+    itself zero-padded to d, so it reads only the top w rows of its block
+    of wq, wk and wv, and the rows it does not read get an exactly zero
+    gradient. `mask` is a [B, n] array, 1 for a filled slot and 0 for a
+    pad, and is also each slot's value weight w. `added`, if given, is
+    (positions, rows, weights): P distinct filled (row, slot) positions in
+    row-major order, as np.nonzero gives them, with [P, d] rows that add
+    to e there and [P] weights written over w there. Their logits, pooled
+    terms and gradients are formed at those P positions only: each row's
+    added positions are packed into a [R, k, .] block (R rows with
+    additions, k the most in one row, over the whole batch), so each of
+    their products is one batched matmul per row block. A row with every
+    slot padded outputs zero. The backward follows the same reassociation
+    and returns None for any input that does not require a gradient."""
     b, n = mask.shape
     table, te_inv = te
     te_inv = np.asarray(te_inv)
@@ -596,7 +653,6 @@ def temporal_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv, heads,
             inputs += (e_add, w_add)
     dk = hk // heads
     c = 1.0 / math.sqrt(dk)
-    xs = (h_nbr.values, e_slot.values, table.values[te_inv])
     # the rows of wk and wv read: each block's top rows, the whole e block
     # when added rows are present; spans index the read rows
     we_r = d if sparse else we
@@ -616,40 +672,70 @@ def temporal_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv, heads,
     # qt[b, :, h] = W_k,h q_h / sqrt(d_k), over the read rows
     qt = np.ascontiguousarray(
         (q3 @ wk3.transpose(0, 2, 1)).transpose(1, 2, 0)) * c  # [B, r, h]
-    logits = xs[0] @ qt[:, spans[0]]
-    logits += xs[1] @ qt[:, spans[1]]
+
+    # the row blocks; an empty batch is one empty block
+    step = max(1, _ATTN_BLOCK // max(n * d, 1))
+    cuts = np.r_[np.arange(0, max(b, 1), step), b].tolist()
+    blocks = [(lo, hi, None) for lo, hi in zip(cuts[:-1], cuts[1:])]
     if sparse:
+        # added positions are row-major, so a block's are one contiguous
+        # range; k is the whole batch's, so every block packs to the same
+        # length of sum
         at, group, rank, k = _row_groups(rows)
+        pcut = np.searchsorted(rows, cuts).tolist()
+        gcut = np.searchsorted(at, cuts).tolist()
+        for i, (lo, hi, _) in enumerate(blocks):
+            ps = slice(pcut[i], pcut[i + 1])
+            blocks[i] = (lo, hi, _AddedBlock(
+                ps, at[gcut[i]:gcut[i + 1]], (rows[ps] - lo, cols[ps]),
+                (group[ps] - gcut[i], rank[ps])))
 
-        def packed(vals):
-            # [P, ...] -> [R, k, ...], zero where a row has fewer than k
-            out = np.zeros((len(at), k) + vals.shape[1:], dtype=vals.dtype)
-            out[group, rank] = vals
-            return out
+    def gather(lo, hi):
+        # a block's slot inputs, its time rows gathered from the table
+        return (h_nbr.values[lo:hi], e_slot.values[lo:hi],
+                table.values[te_inv[lo:hi]])
 
-        e_pk = packed(e_add.values)                           # [R, k, d]
-        logits[rows, cols] += (e_pk @ qt[at, e_span])[group, rank]
-    logits += xs[2] @ qt[:, spans[2]]
-    logits += ((mask - 1.0) * 1e9)[:, :, None].astype(logits.dtype)
-    attn = np.exp(logits - logits.max(axis=1, keepdims=True))
-    attn /= attn.sum(axis=1, keepdims=True)                   # [B, n, h]
-    w_all = np.array(mask, dtype=attn.dtype)
-    if sparse:
-        w_all[rows, cols] = w_add.values
-    u = attn * w_all[:, :, None]
-    ut = u.transpose(0, 2, 1)
-    parts = [ut @ x for x in xs]                              # [B, h, w]
+    def packed(vals, ab):
+        # a block's [P, ...] -> [R, k, ...], zero where a row has fewer
+        # than k
+        out = np.zeros((len(ab.at), k) + vals.shape[1:], dtype=vals.dtype)
+        out[ab.packs] = vals
+        return out
 
-    def pad_e(part, w_pos, e_pk):
+    def pad_e(part, w_pos, e_pk, ab, lo):
         # the e block d wide: the real rows' part plus each row's added
         # rows pooled by their [P, h] weights
-        full = np.zeros((b, heads, d), dtype=part.dtype)
+        full = np.zeros((len(part), heads, d), dtype=part.dtype)
         full[:, :, :we] = part
-        full[at] += packed(w_pos).transpose(0, 2, 1) @ e_pk
+        full[ab.at - lo] += packed(w_pos, ab).transpose(0, 2, 1) @ e_pk
         return full
 
-    if sparse:
-        parts[1] = pad_e(parts[1], u[rows, cols], e_pk)
+    attn = u = w_all = None
+    parts = [None] * 3
+    for lo, hi, ab in blocks:
+        xs = gather(lo, hi)
+        qb = qt[lo:hi]
+        logits = xs[0] @ qb[:, spans[0]]
+        logits += xs[1] @ qb[:, spans[1]]
+        if sparse:
+            e_pk = packed(e_add.values[ab.pos], ab)           # [R, k, d]
+            logits[ab.slots] += (e_pk @ qt[ab.at, e_span])[ab.packs]
+        logits += xs[2] @ qb[:, spans[2]]
+        logits += ((mask[lo:hi] - 1.0) * 1e9)[:, :, None].astype(
+            logits.dtype)
+        a = np.exp(logits - logits.max(axis=1, keepdims=True))
+        a /= a.sum(axis=1, keepdims=True)                     # [rows, n, h]
+        w = np.array(mask[lo:hi], dtype=a.dtype)
+        if sparse:
+            w[ab.slots] = w_add.values[ab.pos]
+        ub = a * w[:, :, None]
+        ut = ub.transpose(0, 2, 1)
+        pb = [ut @ x for x in xs]                             # [rows, h, w]
+        if sparse:
+            pb[1] = pad_e(pb[1], ub[ab.slots], e_pk, ab, lo)
+        attn, u, w_all = (_put(attn, lo, a, b), _put(u, lo, ub, b),
+                          _put(w_all, lo, w, b))
+        parts = [_put(o, lo, x, b) for o, x in zip(parts, pb)]
     pooled = np.concatenate(parts, axis=2)                    # [B, h, r]
     out = (pooled.transpose(1, 0, 2) @ wv3).transpose(1, 0, 2).reshape(b, hk)
 
@@ -660,38 +746,52 @@ def temporal_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv, heads,
 
     def bw(g):
         g3 = g.reshape(b, heads, dk).transpose(1, 0, 2)       # [h, B, d_k]
-        g_wv = g_wk = g_wq = g_self = None
+        g_wv = g_wk = g_wq = g_self = g_e = g_w = None
         if wv.requires_grad:
             g_wv = scatter_rows((pooled.transpose(1, 2, 0) @ g3)
                                 .transpose(1, 0, 2).reshape(r, hk), wv)
         g_pool = np.ascontiguousarray(
             (g3 @ wv3.transpose(0, 2, 1)).transpose(1, 0, 2))  # [B, h, r]
-        # the slots' inputs, the time block gathered again
-        xs = (h_nbr.values, e_slot.values, table.values[te_inv])
-        g_u = sum(x @ g_pool[:, :, sp].transpose(0, 2, 1)
-                  for x, sp in zip(xs, spans))                 # [B, n, h]
-        if sparse:
-            # packed again, not kept on the tape
-            e_pk = packed(e_add.values)
-            gp_e = g_pool[at, :, e_span]                      # [R, h, d]
-            g_u[rows, cols] += (e_pk @ gp_e.transpose(0, 2, 1))[group, rank]
-        g_a = g_u * w_all[:, :, None]
-        g_l = attn * (g_a - (g_a * attn).sum(axis=1, keepdims=True))
-        g_lt = g_l.transpose(0, 2, 1)
-        g_x = [
-            u @ g_pool[:, :, sp] + g_l @ qt[:, sp].transpose(0, 2, 1)
-            if t.requires_grad else None
-            for t, sp in zip((h_nbr, e_slot, table), spans)]
+        g_x = [None] * 3
+        g_parts = [None] * 3
+        for lo, hi, ab in blocks:
+            # the block's slot inputs, its time rows gathered again
+            xs = gather(lo, hi)
+            gp = g_pool[lo:hi]
+            g_u = sum(x @ gp[:, :, sp].transpose(0, 2, 1)
+                      for x, sp in zip(xs, spans))             # [rows, n, h]
+            if sparse:
+                # packed again, not kept on the tape
+                e_pk = packed(e_add.values[ab.pos], ab)
+                gp_e = g_pool[ab.at, :, e_span]               # [R, h, d]
+                g_u[ab.slots] += (e_pk @ gp_e.transpose(0, 2, 1))[ab.packs]
+            a, ub, qb = attn[lo:hi], u[lo:hi], qt[lo:hi]
+            g_a = g_u * w_all[lo:hi, :, None]
+            g_l = a * (g_a - (g_a * a).sum(axis=1, keepdims=True))
+            g_lt = g_l.transpose(0, 2, 1)
+            for j, (t, sp) in enumerate(zip((h_nbr, e_slot, table), spans)):
+                if t.requires_grad:
+                    g_x[j] = _put(g_x[j], lo, ub @ gp[:, :, sp]
+                                  + g_l @ qb[:, sp].transpose(0, 2, 1), b)
+            # qt's gradient pools the slots by g_l, as the forward pools
+            # by u
+            gpb = [g_lt @ x for x in xs]
+            # the block's time rows are not needed again: free them
+            # before the added slots' [R, k, d] products
+            del xs
+            if sparse:
+                gpb[1] = pad_e(gpb[1], g_l[ab.slots], e_pk, ab, lo)
+                if e_add.requires_grad:
+                    g_e = _put(g_e, ab.pos.start, (
+                        packed(ub[ab.slots], ab) @ gp_e
+                        + packed(g_l[ab.slots], ab)
+                        @ qt[ab.at, e_span].transpose(0, 2, 1))[ab.packs], p)
+                if w_add.requires_grad:
+                    g_w = _put(g_w, ab.pos.start,
+                               (g_u[ab.slots] * a[ab.slots]).sum(axis=1), p)
+            g_parts = [_put(o, lo, x, b) for o, x in zip(g_parts, gpb)]
         if g_x[2] is not None:
             g_x[2] = _scatter_add(np.zeros_like(table.values), te_inv, g_x[2])
-        # qt's gradient pools the slots by g_l, as the forward pools by u
-        g_parts = [g_lt @ x for x in xs]
-        # the time block is not needed again: free it before the added
-        # slots' [R, k, d] products below
-        del xs
-        if sparse:
-            g_parts[1] = pad_e(g_parts[1], g_l[rows, cols], e_pk)
-            del e_pk
         g_qt = np.concatenate(g_parts, axis=2)
         g_qt = g_qt.transpose(1, 0, 2) * c                     # [h, B, r]
         if wk.requires_grad:
@@ -707,12 +807,6 @@ def temporal_attention(h_self, h_nbr, e_slot, te, mask, wq, wk, wv, heads,
         grads = (g_self, *g_x, g_wq, g_wk, g_wv)
         if not sparse:
             return grads
-        g_e = g_w = None
-        if e_add.requires_grad:
-            g_e = (packed(u[rows, cols]) @ gp_e + packed(g_l[rows, cols])
-                   @ qt[at, e_span].transpose(0, 2, 1))[group, rank]
-        if w_add.requires_grad:
-            g_w = (g_u[rows, cols] * attn[rows, cols]).sum(axis=1)
         return grads + (g_e, g_w)
 
     return _record("temporal_attention", inputs, out, bw)

@@ -19,12 +19,14 @@ weight rows it fills. Added edges reach it as their slot positions with one
 cand_features row and one rho weight each, so only those positions cost
 added-slot work; a real slot weighs 1 and a pad 0, as the mask says. The
 slots' time encodings reach it as a table of the distinct gaps' rows and an
-int32 inverse; it gathers the [B, n, d] block in its forward and backward
-and keeps it on no tape. Its backward returns no gradient for a constant
-input (the time encodings, the real events' edge rows, the bottom layer's
-neighbor states). Those constants, the neighbor blocks and the (node, t)
-dedup form a parameter-free EncodePlan, built once and applied by any
-encoder of the same config.
+int32 inverse. It works in blocks of rows of at most
+`autodiff._ATTN_BLOCK` slot elements, each gathering its rows of the
+[B, n, d] time block in the forward and again in the backward, so no tape
+keeps them and a layer's transients do not grow with B. Its backward
+returns no gradient for a constant input (the time encodings, the real
+events' edge rows, the bottom layer's neighbor states). Those constants,
+the neighbor blocks and the (node, t) dedup form a parameter-free
+EncodePlan, built once and applied by any encoder of the same config.
 """
 
 import math

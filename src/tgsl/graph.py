@@ -18,8 +18,8 @@ import numpy as np
 __all__ = [
     "EventStore", "NeighborIndex", "SplitSpec", "load_events", "save_events",
     "chronological_split", "sparsify", "synth_generate",
-    "sample_negatives", "id_order", "by_ids", "runs", "ranks", "top_k",
-    "id_presence", "node_set",
+    "sample_negatives", "id_order", "by_ids", "run_heads", "runs", "ranks",
+    "top_k", "id_presence", "node_set",
 ]
 
 
@@ -56,14 +56,21 @@ def by_ids(order, *keys):
     return order
 
 
-def runs(order, *keys):
-    """The runs of equal rows along `order`, a sort of the rows by `keys`:
-    the positions in `order` where a run starts, and each row's run."""
+def run_heads(order, *keys):
+    """Where the runs of equal rows start along `order`, a sort of the rows
+    by `keys`: a bool mask over the positions in `order`."""
     head = np.zeros(len(order), dtype=bool)
     head[:1] = True
     for key in keys:
         k = key[order]
         head[1:] |= k[1:] != k[:-1]
+    return head
+
+
+def runs(order, *keys):
+    """The runs of equal rows along `order`, a sort of the rows by `keys`:
+    the positions in `order` where a run starts, and each row's run."""
+    head = run_heads(order, *keys)
     run = np.empty(len(order), dtype=np.intp)
     run[order] = np.cumsum(head) - 1
     return np.flatnonzero(head), run
@@ -407,6 +414,21 @@ def synth_generate(n_communities, n_users, n_items, n_events, noise_rate,
 # ---------------------------------------------------------------------------
 # jodie-csv io: header line, then `user_id,item_id,timestamp,state_label,f...`
 
+def _text_lines(path, f):
+    """(line number, text) of each line of binary file f, decoded from
+    UTF-8 one line at a time, so that a byte that is not UTF-8 is a
+    DataError naming its line. As in text mode, a line ends at \\n, \\r\\n
+    or \\r (no UTF-8 sequence holds either byte)."""
+    lineno = 0
+    for raw in f:
+        for piece in raw.splitlines() or [b""]:
+            lineno += 1
+            try:
+                yield lineno, piece.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"cannot read {path}:{lineno}: {e}") from None
+
+
 def load_events(path):
     """Parse a jodie-csv interaction file into an EventStore. Item ids are
     offset by the user count (max user id + 1, identical for the contiguous
@@ -414,11 +436,11 @@ def load_events(path):
     users, items, tss, feats = [], [], [], []
     n_feat = None
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline()
-            if header == "":
+        with open(path, "rb") as f:
+            lines = _text_lines(path, f)
+            if next(lines, None) is None:
                 raise DataError(f"{path}: empty file")
-            for lineno, line in enumerate(f, start=2):
+            for lineno, line in lines:
                 line = line.strip()
                 if not line:
                     continue
@@ -449,7 +471,7 @@ def load_events(path):
                 items.append(int(v))
                 tss.append(t)
                 feats.append(fv)
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:
         raise DataError(f"cannot read {path}: {e}")
     if not users:
         raise DataError(f"{path}: no data rows")

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import time_context, time_encode
 from .graph import (NeighborIndex, by_ids, edge_entries, id_order,
-                    id_presence, node_set, ranks, runs, top_k)
+                    id_presence, node_set, ranks, run_heads, top_k)
 
 __all__ = [
     "TgslParams", "EtgnnOutput", "etgnn_forward", "context_predict_batch",
@@ -236,7 +236,7 @@ def _first_of_each(key):
     order: the heads of the groups of a stable id order."""
     order = id_order(key)
     first = np.zeros(len(key), dtype=bool)
-    first[order[runs(order, key)[0]]] = True
+    first[order[run_heads(order, key)]] = True
     return np.flatnonzero(first)
 
 

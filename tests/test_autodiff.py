@@ -97,12 +97,12 @@ def test_backward_requires_scalar():
 
 def test_backward_accumulates_additively():
     x = ad.param(np.array([0.3]))
-    with ad.Tape() as t:
-        y = ad.sigmoid(x)
-        t.backward(y)
-        g1 = x.grad.copy()
-        t.backward(y)
-    assert np.allclose(x.grad, 2 * g1)
+    grads = []
+    for _ in range(2):
+        with ad.Tape() as t:
+            t.backward(ad.sigmoid(x))
+        grads.append(x.grad.copy())
+    assert np.allclose(grads[1], 2 * grads[0])
 
 
 def test_off_path_tensor_gets_zero_grid():
@@ -141,6 +141,32 @@ def test_backward_frees_work_grads_at_last_use():
             y = ad.tanh(y)
         peak = _backward_peak(ad.sum_(y), t)
     assert peak < 5 * x.values.nbytes
+
+
+def test_backward_frees_each_entry_as_it_replays_it():
+    """The tape is replayed once: its entries, and the forward values
+    their closures hold, are freed by backward while the tape object
+    lives on, and a second backward raises."""
+    x = ad.param(np.random.default_rng(0).standard_normal(1 << 18))   # 2 MB
+    tracemalloc.start()
+    try:
+        with ad.Tape() as t:
+            y = x
+            for _ in range(40):
+                y = ad.tanh(y)
+            loss = ad.sum_(y)
+            del y
+            held = tracemalloc.get_traced_memory()[0]
+            t.backward(loss)
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 0
+    assert freed > 0.9 * 40 * x.values.nbytes
+    g = x.grad.copy()
+    with pytest.raises(RuntimeError, match="already replayed"):
+        t.backward(loss)
+    assert x.grad.tobytes() == g.tobytes()
 
 
 def _batched_matmul_grads(a, b, g):
@@ -330,8 +356,9 @@ def test_no_primitive_writes_into_its_inputs(case):
         return run
 
     tape.entries = [(i, o, checked(i, bw)) for i, o, bw in tape.entries]
+    recorded = len(tape.entries)
     tape.backward(loss)
-    assert len(calls) == len(tape.entries)
+    assert len(calls) == recorded
     assert [a.tobytes() for a in arrays] == before
 
 

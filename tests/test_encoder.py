@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -545,6 +546,101 @@ def test_temporal_attention_time_table_matches_gathered_rows(sparse, heads,
     for k in want_g:
         assert got_g[k].dtype == dtype, k
         assert got_g[k].tobytes() == want_g[k].tobytes(), k
+
+
+def blocked_case(rng, widths, sparse, dtype):
+    """A 24-row attention_case whose rows 10-14 have every slot padded.
+    If `sparse`, every row with a filled slot has at least one added
+    position."""
+    arrays, mask, _ = attention_case(rng, b=24, dtype=dtype, widths=widths,
+                                     distinct=True)
+    mask[10:15] = 0.0
+    if not sparse:
+        return arrays, mask, None
+    added = mask * (rng.random(mask.shape) < 0.4)
+    filled = mask.any(axis=1)
+    added[filled, mask[filled].argmax(axis=1)] = 1.0
+    pos = np.nonzero(added)
+    arrays["e_add"] = rng.standard_normal(
+        (len(pos[0]), arrays["te"].shape[1])).astype(dtype)
+    arrays["w_add"] = rng.uniform(0.05, 0.95, len(pos[0])).astype(dtype)
+    return arrays, mask, pos
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("widths", ["full", "mixed"])
+def test_temporal_attention_row_blocks_match_one_block(monkeypatch, widths,
+                                                       sparse, heads, dtype):
+    """Blocks of 1, 2, 5 and 7 rows give, bit for bit, the output and
+    every gradient of the one-block call, with every input requiring a
+    gradient: added positions fall on both sides of block edges, and the
+    all-pad rows 10-14 make blocks with no added position."""
+    rng = np.random.default_rng(40 + heads)
+    arrays, mask, pos = blocked_case(rng, WIDTHS[widths], sparse, dtype)
+    b, n = mask.shape
+    dm = arrays["te"].shape[1]
+    weight = rng.standard_normal((b, arrays["wq"].shape[1])).astype(dtype)
+    assert b * n * dm <= ad._ATTN_BLOCK
+    want, want_g = run_attention(ad.temporal_attention, arrays, mask, heads,
+                                 pos, weight=weight)
+    for step in (1, 2, 5, 7):
+        monkeypatch.setattr(ad, "_ATTN_BLOCK", step * n * dm)
+        if sparse and step > 1:
+            edges = np.arange(step, b, step)
+            with_added = set(pos[0].tolist())
+            assert any(e - 1 in with_added and e in with_added
+                       for e in edges), step
+        got, got_g = run_attention(ad.temporal_attention, arrays, mask,
+                                   heads, pos, weight=weight)
+        assert got.tobytes() == want.tobytes(), step
+        assert got_g.keys() == want_g.keys()
+        for k in want_g:
+            assert got_g[k].tobytes() == want_g[k].tobytes(), (k, step)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_temporal_attention_transients_are_one_blocks_not_the_batchs(sparse):
+    """With the [B, n, d] slot block 16 times _ATTN_BLOCK, what the
+    forward and backward allocate above what they keep or return stays
+    under half that block; gathering the whole block once would take
+    all of it."""
+    rng = np.random.default_rng(9)
+    b, n, dm = 2048, 128, 16
+    whole = b * n * dm * 4
+    assert whole >= 16 * 4 * ad._ATTN_BLOCK
+    mask = (rng.random((b, n)) < 0.7).astype(np.float32)
+
+    def arr(*shape):
+        return ad.param(rng.standard_normal(shape).astype(np.float32))
+
+    pos = np.nonzero(mask * (rng.random((b, n)) < 0.3))
+    added = ((pos, arr(len(pos[0]), dm),
+              ad.param(rng.uniform(0.1, 0.9, len(pos[0])).astype(np.float32)))
+             if sparse else None)
+    args = (arr(b, dm), arr(b, n, dm), ad.constant(np.zeros((b, n, 4),
+                                                            np.float32)),
+            (ad.constant(rng.standard_normal((500, dm)).astype(np.float32)),
+             rng.integers(0, 500, (b, n))), mask,
+            arr(2 * dm, dm), arr(3 * dm, dm), arr(3 * dm, dm), 2, added)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            tracemalloc.reset_peak()
+            out = ad.temporal_attention(*args)
+            kept, peak = tracemalloc.get_traced_memory()
+            assert peak - kept < whole / 2
+        (_, _, bw), = tape.entries
+        g = np.ones_like(out.values)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = bw(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        returned = sum(x.nbytes for x in grads if x is not None)
+        assert peak - before - returned < whole / 2
+    finally:
+        tracemalloc.stop()
 
 
 def shape_cases():

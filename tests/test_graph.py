@@ -75,6 +75,37 @@ def test_load_undecodable_bytes_is_a_data_error_naming_the_file(
         tg.load_events(str(path))
 
 
+def test_load_undecodable_byte_names_its_line(tmp_path):
+    """A 32,948-byte file whose only bad byte is its second-last, far past
+    the first 8 KiB a text reader decodes ahead: the error names the
+    line, and the position inside it."""
+    path = tmp_path / "bytes.csv"
+    write_csv(path, ["0,0,1.0,0,0.5,0.5"] * 1828)
+    data = bytearray(path.read_bytes())
+    assert len(data) == 32_948
+    data[-2] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError,
+                       match=r"cannot read .*bytes\.csv:1829: 'utf-8' codec "
+                             r"can't decode byte 0xff in position 16"):
+        tg.load_events(str(path))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_load_takes_crlf_and_cr_line_ends_as_text_mode_does(tmp_path, end):
+    rows = ["0,0,1.0,0,0.5,0.25", "", "1,1,2.0,0,0.1,0.2"]
+    want = tg.load_events(write_csv(tmp_path / "lf.csv", rows))
+    text = (tmp_path / "lf.csv").read_text().replace("\n", end)
+    (tmp_path / "other.csv").write_bytes(text.encode())
+    got = tg.load_events(str(tmp_path / "other.csv"))
+    for field in ("src", "dst", "ts", "edge_features", "node_features"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    bad = text.replace("2.0", "x", 1).encode()
+    (tmp_path / "bad.csv").write_bytes(bad)
+    with pytest.raises(DataError, match=r"bad\.csv:4: non-numeric"):
+        tg.load_events(str(tmp_path / "bad.csv"))
+
+
 # ---------------------------------------------------------------------------
 # chronological split
 
