@@ -47,18 +47,19 @@ for strategy in ("one-hop", "third-hop", "random"):
               f"{view.num_added} edges added "
               f"(rho in [{rho.values.min():.3f}, {rho.values.max():.3f}])")
         # the relaxed selection weight keeps the whole pipeline trainable
-        if learner.learns:
+        learned = learner.parameters()      # the tensors that reach rho
+        if learned:
             tape.backward(ad.sum_(view.rho))
-    if not learner.learns:
+    if not learned:
         # random candidates borrow no edge row, so their score is 0 and
         # rho is the squashed noise alone: the ET-GNN and the LSTM do not
         # run, and no gradient could reach them
         print("  gradient mass reaching the learner parameters: none "
               "(the learner does not run under random)")
         continue
-    gsum = sum(float(np.abs(p.grad).sum()) for p in tgsl_params.parameters())
+    gsum = sum(float(np.abs(p.grad).sum()) for p in learned)
     print(f"  gradient mass reaching the learner parameters: {gsum:.3f}")
-    for p in tgsl_params.parameters():
+    for p in learned:
         p.zero_grad()
 
 # --- the encoder sees added edges as weighted neighbors ----------------------

@@ -335,13 +335,3 @@ class TgatEncoder:
         hid = ad.relu(ad.add(ad.matmul(x, p["score.w1"]), p["score.b1"]))
         out = ad.add(ad.matmul(hid, p["score.w2"]), p["score.b2"])
         return ad.reshape(ad.sigmoid(out), (x.shape[0],))
-
-    def score_links(self, emb, b):
-        """Link scores of stacked [src | dst | neg] embedding rows (3b of
-        them): returns (s_pos, s_neg), the [b] scores of (src, dst) and
-        (src, neg)."""
-        s_pos = self.score_batch(ad.narrow(emb, 0, 0, b),
-                                 ad.narrow(emb, 0, b, b))
-        s_neg = self.score_batch(ad.narrow(emb, 0, 0, b),
-                                 ad.narrow(emb, 0, 2 * b, b))
-        return s_pos, s_neg

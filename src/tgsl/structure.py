@@ -12,16 +12,16 @@ the encoder's value aggregation.
 One draw rule serves both graph strategies, batched over all rows: per
 row, one permutation of its history, the first occurrence of each
 neighbor, the first n. One-hop applies it once to the sources, third-hop
-once per fanout to a frontier of (source, node) rows. In training the
-ET-GNN runs over a visible window of `layers + (len(fanouts) - 1 if
-third-hop else 0)` rings, exactly as deep as the edge rows the learner
-reads, so those rows equal the ones computed over the whole visible prefix.
+once per fanout to a frontier of (source, node) rows. The ET-GNN runs
+over its nodes' visible window of `layers + (len(fanouts) - 1 if third-hop
+else 0)` rings, exactly as deep as the edge rows the learner reads, so
+those rows equal the ones computed over the whole visible prefix.
 The learner reads only edge rows, so the ET-GNN's last layer updates edges
 only: `tgsl.l{l}.wh` exists for l < L-1, `tgsl.l{l}.wf` for every l. The
 learner reads the ET-GNN and context rows by node from one
-`LearnerInputs`: built per batch in training, and at inference, where the
-cut and the parameters are fixed, once per evaluation over the training
-events and every scored node.
+`LearnerInputs`, which `StructureLearner.inputs` alone builds: per batch
+in training, and at inference, where the cut and the parameters are
+fixed, once per evaluation over every scored node.
 """
 
 from typing import NamedTuple
@@ -492,12 +492,13 @@ class StructureLearner:
     Reads strategy, k, n_can, n_rnn, tau_gumbel and fanouts from the run
     config. `propose` reads its ET-GNN and context rows from `inputs`,
     built per batch in training, its cut moving with the batch, and once
-    per evaluation at inference.
+    per evaluation over every scored node at inference.
     Random candidates borrow no edge row, so their feature rows are
     zero, their score m = zhat . fhat is exactly 0 and rho is the squashed
-    noise alone: no parameter reaches it. So under `random`, `learns` is
-    False: propose runs neither the ET-GNN nor the LSTM, and the context
-    rows it maps are zero as well."""
+    noise alone: no parameter reaches it. So under `random` the learner
+    does not learn: `parameters()` is empty, `inputs()` is None, and
+    propose runs neither the ET-GNN nor the LSTM; the context rows it
+    maps are zero as well."""
 
     def __init__(self, params, store, cfg, random_pool=None):
         self.params = params
@@ -506,14 +507,25 @@ class StructureLearner:
         self.random_pool = random_pool
         self.learns = cfg.strategy != "random"
 
-    def inputs(self, index, event_ids, nodes, t_ref):
-        """The ET-GNN over `event_ids` and one LSTM context call over the
-        distinct `nodes`, at cut t_ref on `index`, for every `propose` of
-        these nodes at that cut."""
-        et = etgnn_forward(event_ids, self.store, self.params)
+    def parameters(self):
+        """The tensors that reach rho: none when the learner does not learn."""
+        return self.params.parameters() if self.learns else []
+
+    def inputs(self, index, nodes, t_ref):
+        """The ET-GNN over the distinct `nodes`' visible window at cut t_ref
+        on `index` (as deep as the rows read: the nodes' own edges and a
+        walk's last hop), and one LSTM context call over them, for every
+        `propose` of these nodes at that cut; None if it does not learn."""
+        if not self.learns:
+            return None
+        cfg = self.cfg
+        levels = self.params.layers + (
+            len(cfg.fanout_list()) - 1 if cfg.strategy == "third-hop" else 0)
         nodes = node_set(self.store.num_nodes, nodes)
+        et = etgnn_forward(visible_window(index, nodes, t_ref, levels),
+                           self.store, self.params)
         z = context_predict_batch(self.params, et, index, nodes, t_ref,
-                                  self.cfg.n_rnn)
+                                  cfg.n_rnn)
         return LearnerInputs(et, nodes, z)
 
     def propose(self, index, src_nodes, *, t_ref, t_max, seed, view_base,
@@ -522,7 +534,7 @@ class StructureLearner:
         come from `index`; the view inserts the selected ones into
         `view_base`. The ET-GNN and context rows are read by node from
         `inputs` (by `inputs()` at this t_ref and index, holding every
-        source), by default built over the sources' visible window.
+        source), by default `inputs()` of the sources alone.
         Returns (view, detail dict) — the view is ephemeral to this batch;
         the detail's context (rows of the inputs' nodes) and etgnn are
         None when the learner does not learn."""
@@ -530,27 +542,18 @@ class StructureLearner:
         src_nodes = node_set(index.num_nodes, src_nodes)
         if cfg.k == 0:
             return AugmentedView(view_base), {}
-        fanouts = cfg.fanout_list()
-        et = z = None
-        if self.learns:
-            if inputs is None:
-                # an L-layer edge row reads the edges of its endpoints'
-                # L-1 rings; the rows read belong to the sources' own edges
-                # and to a walk's last hop, len(fanouts) - 1 rings away
-                levels = self.params.layers + (
-                    len(fanouts) - 1 if cfg.strategy == "third-hop" else 0)
-                inputs = self.inputs(
-                    index, visible_window(index, src_nodes, t_ref, levels),
-                    src_nodes, t_ref)
-            et, nodes, z = inputs
-            if not np.isin(src_nodes, nodes).all():
-                raise KeyError("source node outside the learner inputs")
+        if inputs is None:
+            inputs = self.inputs(index, src_nodes, t_ref)
+        et, nodes, z = inputs or (None, None, None)
+        if et is not None and not np.isin(src_nodes, nodes).all():
+            raise KeyError("source node outside the learner inputs")
         cands = sample_candidates(
             src_nodes, cfg.strategy, index, cfg.n_can, seed, t_ref=t_ref,
-            t_max=t_max, random_pool=self.random_pool, fanouts=fanouts)
+            t_max=t_max, random_pool=self.random_pool,
+            fanouts=cfg.fanout_list())
         if len(cands) == 0:
             return AugmentedView(view_base), {"candidates": cands}
-        if self.learns:
+        if et is not None:
             # one-hop and third-hop borrow an edge row for every candidate
             z_rows = ad.take(z, np.searchsorted(nodes, cands.src))
             feat_rows = ad.take(et.edge_f, et.event_rows(cands.feat_eid))

@@ -1,13 +1,14 @@
 """Multi-task training and evaluation.
 
-Per batch: the structure learner proposes an augmented view; the query
-encoder scores links on both the original and augmented views (binary cross
-entropy each); at alpha > 0, queries from the augmented view are contrasted
-against momentum-encoder keys from the original view through a FIFO key
-queue (InfoNCE). Evaluation scores each positive against one seeded negative,
-reporting accuracy at 0.5 and average precision, under transductive or
-inductive protocols, with inference on the augmented view in noise-free
-mode.
+Per batch: the query encoder scores links on the original view and, via
+`score_view`, on the augmented view the structure learner proposes (binary
+cross entropy each); at alpha > 0, queries from the augmented view are
+contrasted against momentum-encoder keys from the original view through a
+FIFO key queue (InfoNCE). Evaluation scores each positive against one
+seeded negative through the same `score_view`, reporting accuracy at 0.5
+and average precision, under transductive or inductive protocols, with
+inference on the augmented view in noise-free mode. Only this module knows
+a batch's stacked [src | dst | neg] rows.
 """
 
 import copy
@@ -29,8 +30,8 @@ from .structure import etgnn_forward  # noqa: F401
 __all__ = [
     "ConfigError", "EmptySetError", "RunConfig", "MetricsReport",
     "EarlyStopState", "early_stop_update", "MoCoState", "moco_step",
-    "bce_link_loss", "info_nce_batch", "batch_loss", "accuracy_score",
-    "average_precision", "Trainer",
+    "bce_link_loss", "info_nce_batch", "score_view", "batch_loss",
+    "accuracy_score", "average_precision", "Trainer",
 ]
 
 
@@ -237,24 +238,45 @@ def info_nce_batch(q, k_pos, queue, tau):
     return ad.mean(ad.sub(lse, p0))
 
 
+def _score_rows(enc, emb, b):
+    """(s_pos, s_neg) of stacked [src | dst | neg] embedding rows, b each."""
+    return tuple(enc.score_batch(ad.narrow(emb, 0, 0, b),
+                                 ad.narrow(emb, 0, at, b))
+                 for at in (b, 2 * b))
+
+
+def score_view(enc, learner, index, view, nodes, ts, *, t_ref, t_max, seed,
+               mode, inputs):
+    """The one scoring path of a batch of stacked [src | dst | neg] rows
+    `nodes` at times `ts`: with a learner, its `propose` for the [src | dst]
+    rows from `index` inserts edges into `view` first. Returns (s_pos,
+    s_neg, emb), emb being the rows' embeddings on the view scored."""
+    b = len(nodes) // 3
+    if learner is not None:
+        view, _ = learner.propose(
+            index, nodes[:2 * b], t_ref=t_ref, t_max=t_max, seed=seed,
+            view_base=view, mode=mode, inputs=inputs)
+    emb = enc.encode_batch(view, nodes, ts)
+    return (*_score_rows(enc, emb, b), emb)
+
+
 def batch_loss(enc, learner, plan, *, t_max, seed, keys, queue, alpha, tau):
     """The multi-task loss of one training batch, given as `plan`, the
     encode plan of its [src | dst | neg] pairs on the original view (the
     index cut before the batch): link BCE on that view, and with a
-    structure learner also link BCE on the view it proposes into it, and
-    with `keys` alpha times the InfoNCE of that view's [src | dst]
-    embeddings against `keys` and `queue`. Returns (loss_ori, loss_aug,
-    loss_cl, total), None for each absent term; total sums the others."""
+    structure learner also link BCE on its `score_view`, and with `keys`
+    alpha times the InfoNCE of that view's [src | dst] embeddings against
+    `keys` and `queue`. Returns (loss_ori, loss_aug, loss_cl, total),
+    None for each absent term; total sums the others."""
     b = len(plan.nodes) // 3
-    emb_ori = enc.apply(plan)
-    loss_ori = bce_link_loss(*enc.score_links(emb_ori, b))
+    loss_ori = bce_link_loss(*_score_rows(enc, enc.apply(plan), b))
     if learner is None:
         return loss_ori, None, None, loss_ori
-    view, _ = learner.propose(
-        plan.view, plan.nodes[:2 * b], t_ref=float(plan.ts[0]), t_max=t_max,
-        seed=seed, view_base=plan.view, mode="stochastic")
-    emb_aug = enc.encode_batch(view, plan.nodes, plan.ts)
-    loss_aug = bce_link_loss(*enc.score_links(emb_aug, b))
+    s_pos, s_neg, emb_aug = score_view(
+        enc, learner, plan.view, plan.view, plan.nodes, plan.ts,
+        t_ref=float(plan.ts[0]), t_max=t_max, seed=seed, mode="stochastic",
+        inputs=None)
+    loss_aug = bce_link_loss(s_pos, s_neg)
     if keys is None:
         return loss_ori, loss_aug, None, ad.add(loss_ori, loss_aug)
     loss_cl = info_nce_batch(ad.narrow(emb_aug, 0, 0, 2 * b), keys, queue,
@@ -350,10 +372,10 @@ class Trainer:
     encode plan of its [src | dst | neg] pairs on the train index cut
     before the batch, which the query's original-view pass and the key
     encoder, if any, apply; the plan and the batch's tape are dropped
-    before the next batch. Under strategy=random the learner does not
-    learn, so its tensors are kept out of Adam (they stay in the
-    snapshot). With use_tgsl off it is the plain encoder baseline (single
-    supervised loss, no augmentation at inference)."""
+    before the next batch. Adam gets the learner's `parameters()`, none
+    under strategy=random (its tensors still stay in the snapshot). With
+    use_tgsl off it is the plain encoder baseline (single supervised loss,
+    no augmentation at inference)."""
 
     def __init__(self, store, split, cfg, seed):
         self.store = store
@@ -391,10 +413,7 @@ class Trainer:
                                           seed=_seed(seed, 2))
             self.learner = StructureLearner(self.tgsl_params, store, cfg,
                                             self.train_nodes)
-            # no tgsl tensor reaches the loss when the learner does not
-            # learn (random candidates): they stay at init, out of Adam
-            if self.learner.learns:
-                params = params + self.tgsl_params.parameters()
+            params = params + self.learner.parameters()
         else:
             self.tgsl_params = None
             self.learner = None
@@ -472,14 +491,14 @@ class Trainer:
 
     def evaluate(self, setting, subset="test", seed=None, use_augmented=True,
                  limit=None):
-        """Score each positive against one seeded negative; inference on the
-        augmented view in noise-free mode (or the original graph when
-        use_augmented is off / no learner is attached). The cut, the train
-        index and the parameters are fixed for the whole call, so a
-        learning learner's ET-GNN over the training events and the context
-        rows of every scored source and destination are built once, as
-        the learner inputs that every batch's proposal reads and that are
-        dropped when the call returns."""
+        """Score each positive against one seeded negative, one
+        `score_view` call per batch; inference on the augmented view in
+        noise-free mode (or the original graph when use_augmented is off /
+        no learner is attached). The cut, the train index and the
+        parameters are fixed for the whole call, so the learner inputs of
+        every scored source and destination (its ET-GNN over their visible
+        window and their context rows) are built once, read by every
+        batch's proposal and dropped when the call returns."""
         cfg = self.cfg
         store = self.store
         seed = self.seed if seed is None else seed
@@ -487,36 +506,24 @@ class Trainer:
         neg = sample_negatives(store.dst[ids], self.eval_dst_pool,
                                _seed(seed, 7, len(ids)))
         t_ref = self.split.t_max_train + 1.0
-        augmented = self.learner is not None and use_augmented
+        learner = self.learner if use_augmented else None
         scores, labels = [], []
         bs = cfg.batch_size
         with ad.no_grad():
-            inputs = None
-            if augmented and self.learner.learns:
-                inputs = self.learner.inputs(
-                    self.train_index, self.split.usable_train_ids,
-                    np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
+            inputs = None if learner is None else learner.inputs(
+                self.train_index,
+                np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
             for bi in range(0, len(ids), bs):
                 batch = ids[bi:bi + bs]
-                src, dst = store.src[batch], store.dst[batch]
-                tss = store.ts[batch]
-                nb = neg[bi:bi + bs]
-                b = len(batch)
-                if augmented:
-                    view, _ = self.learner.propose(
-                        self.train_index, np.concatenate([src, dst]),
-                        t_ref=t_ref, t_max=self.split.t_max_train,
-                        seed=_seed(seed, 5, bi), view_base=self.full_index,
-                        mode="noise-free", inputs=inputs)
-                else:
-                    view = self.full_index
-                emb = self.q_enc.encode_batch(
-                    view, np.concatenate([src, dst, nb]),
-                    np.concatenate([tss, tss, tss]))
-                s_pos, s_neg = self.q_enc.score_links(emb, b)
-                scores.extend(s_pos.values.tolist())
-                scores.extend(s_neg.values.tolist())
-                labels.extend([1] * b + [0] * b)
+                s_pos, s_neg, _ = score_view(
+                    self.q_enc, learner, self.train_index, self.full_index,
+                    np.concatenate([store.src[batch], store.dst[batch],
+                                    neg[bi:bi + bs]]),
+                    np.tile(store.ts[batch], 3), t_ref=t_ref,
+                    t_max=self.split.t_max_train, seed=_seed(seed, 5, bi),
+                    mode="noise-free", inputs=inputs)
+                scores += s_pos.values.tolist() + s_neg.values.tolist()
+                labels.extend([1] * len(batch) + [0] * len(batch))
         scores = np.asarray(scores)
         labels = np.asarray(labels)
         return MetricsReport(setting=setting,

@@ -18,7 +18,7 @@ from .structure import (STRATEGIES, StructureLearner, TgslParams,
                         context_predict_batch, etgnn_forward,
                         gumbel_topk_select)
 from .training import (RunConfig, accuracy_score, average_precision,
-                       batch_loss)
+                       batch_loss, score_view)
 
 __all__ = ["Check", "grad_suite", "gumbel_suite", "metrics_suite",
            "leakage_suite", "run_suites", "SUITES"]
@@ -314,8 +314,8 @@ def leakage_suite():
     the encoder on the plain index, ET-GNN and the LSTM context over the
     visible window, and the structure learner's proposal (stochastic and
     noise-free, the strategy cycling per trial, with learner inputs built
-    per batch and once at t) with the encoder on the augmented view it
-    builds."""
+    per batch and once at t) with the encoder and `score_view` on the
+    augmented view it builds."""
     rng = np.random.default_rng(LEAKAGE_SEED)
     pool = np.arange(16)            # random-strategy pool no perturbation moves
     worst = 0.0
@@ -324,6 +324,7 @@ def leakage_suite():
         t = float(store.ts[70])
         nodes = rng.integers(0, store.num_nodes, size=4)
         tss = np.full(4, t)
+        rows = np.concatenate([nodes, np.roll(nodes, 1), np.roll(nodes, 2)])
         d = 8
         enc_p = EncoderParams(d, layers=2, heads=2, d_hidden=8,
                               seed=int(rng.integers(1e6)))
@@ -341,18 +342,19 @@ def leakage_suite():
             z = context_predict_batch(tg_p, et, idx, nodes, t, 4).values
             out = [emb, et.edge_f.values, z]
             learner = StructureLearner(tg_p, st, run_cfg, pool)
-            # inputs built per batch, and once at t
-            given = [None]
-            if learner.learns:
-                given.append(learner.inputs(idx, visible, nodes, t))
-            for inputs in given:
+            # inputs built per batch, and once at t; a scored batch of
+            # [nodes | rolled | rolled] proposes for the nodes again
+            for inputs in (None, learner.inputs(idx, nodes, t)):
                 for mode in ("stochastic", "noise-free"):
-                    view, _ = learner.propose(
-                        idx, nodes, t_ref=t, t_max=t, seed=trial,
-                        view_base=idx, mode=mode, inputs=inputs)
-                    out.append(np.zeros(0) if view.rho is None
-                               else view.rho.values)
-                    out.append(enc.encode_batch(view, nodes, tss).values)
+                    kw = dict(t_ref=t, t_max=t, seed=trial, mode=mode,
+                              inputs=inputs)
+                    view, _ = learner.propose(idx, nodes, view_base=idx, **kw)
+                    s_pos, s_neg, _ = score_view(enc, learner, idx, idx, rows,
+                                                 np.tile(tss, 3), **kw)
+                    out += [np.zeros(0) if view.rho is None
+                            else view.rho.values,
+                            enc.encode_batch(view, nodes, tss).values,
+                            s_pos.values, s_neg.values]
             return out
 
         base = outputs(store)

@@ -677,9 +677,11 @@ def test_visible_window_respects_cutoffs():
 def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
     """Every ET-GNN edge row `propose` reads (each source's last n_rnn
     events for the context, and the borrowed candidate features) equals the
-    row computed over the whole visible prefix, as inference computes it.
-    A sparse store keeps the L-hop neighborhoods short of the full graph,
-    so a window one ring too shallow shows."""
+    row computed over the whole visible prefix. Three training batches
+    build their inputs per batch; an evaluation builds them once over
+    every scored node at t_max_train + 1 on the train index. A sparse
+    store keeps the L-hop neighborhoods short of the full graph, so a
+    window one ring too shallow shows."""
     store = synth_generate(2, 2000, 2000, 12_000, 0.1, seed=21)
     idx = NeighborIndex.build(store)
     params = ts.TgslParams(8, store.node_dim, store.edge_dim,
@@ -688,24 +690,35 @@ def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
                     fanouts="3,2,2", etgnn_layers=etgnn_layers)
     learner = ts.StructureLearner(params, store, cfg,
                                   np.arange(store.num_nodes))
-    borrowed = 0
+    cases = []  # (index, sources, t_ref, seed, visible prefix, inputs)
     for start in (6000, 9000, 11_990):
         batch = np.arange(start, start + 5)
         t_ref = float(store.ts[start])
         sources = np.unique(np.concatenate([store.src[batch],
                                             store.dst[batch]]))
-        cut = idx.prefix(start)
+        prefix = np.unique(idx.eid[(idx.ts < t_ref) & (idx.eid < start)])
+        cases.append((idx.prefix(start), sources, t_ref, start, prefix,
+                      None))
+    split = chronological_split(store)
+    train = NeighborIndex.build(store, split.usable_train_ids)
+    scored = np.concatenate([store.src[split.test_ids],
+                             store.dst[split.test_ids]])
+    t_ref = split.t_max_train + 1.0
+    cases.append((train, scored, t_ref, 0, split.usable_train_ids,
+                  learner.inputs(train, scored, t_ref)))
+    borrowed = 0
+    for cut, sources, t_ref, seed, prefix, inputs in cases:
         _, det = learner.propose(cut, sources, t_ref=t_ref, t_max=t_ref,
-                                 seed=start, view_base=cut)
+                                 seed=seed, view_base=cut, inputs=inputs)
         _, ctx, _, mask = cut.batch_neighbors(sources, t_ref, cfg.n_rnn)
         feat = det["candidates"].feat_eid
         borrowed += int((feat >= 0).sum())
         if strategy == "random":
             # no row reaches rho, so propose runs no ET-GNN to read
+            assert inputs is None
             assert det["etgnn"] is None and det["context"] is None
             continue
         rows = np.unique(np.concatenate([ctx[mask > 0], feat[feat >= 0]]))
-        prefix = np.unique(idx.eid[(idx.ts < t_ref) & (idx.eid < start)])
         full = ts.etgnn_forward(prefix, store, params)
         et = det["etgnn"]
         got = et.edge_f.values[et.event_rows(rows)]
@@ -770,7 +783,7 @@ def test_cached_propose_matches_per_batch_propose(strategy, etgnn_layers):
         ids = tr._eval_ids(setting, "test")
         with ad.no_grad():
             inputs = tr.learner.inputs(
-                tr.train_index, split.usable_train_ids,
+                tr.train_index,
                 np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
             hist = tr.train_index.batch_neighbors(
                 inputs.nodes, t_ref, cfg.n_rnn)[3].sum(axis=1)

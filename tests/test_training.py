@@ -479,7 +479,8 @@ def test_random_strategy_runs_no_learner_and_keeps_it_out_of_adam(
 def test_evaluate_builds_contexts_once(strategy, setting, monkeypatch):
     """The cut and the parameters are fixed over an evaluate call, so a
     learning learner builds every scored node's context in one LSTM call
-    and the ET-GNN in one forward; under random neither runs."""
+    and the ET-GNN in one forward over one visible window of them all;
+    under random none of them runs."""
     from tgsl import structure
     calls = []
 
@@ -501,4 +502,62 @@ def test_evaluate_builds_contexts_once(strategy, setting, monkeypatch):
     assert len(tr._eval_ids(setting, "test")) > cfg.batch_size
     tr.evaluate(setting, "test")
     once = 1 if strategy != "random" else 0
-    assert calls == ["etgnn_forward", "context_predict_batch"] * once
+    assert calls == ["visible_window", "etgnn_forward",
+                     "context_predict_batch"] * once
+
+
+def test_training_and_evaluation_score_through_one_path(monkeypatch):
+    """Every scored batch takes one `score_view` call, in training and in
+    evaluation with and without the augmented view; `encode_batch` is
+    entered only from inside it, and `propose` gets its sources from the
+    stacked rows by one rule in both."""
+    from tgsl.encoder import TgatEncoder
+    from tgsl.structure import StructureLearner
+
+    def proposed(nodes):        # the rows a scored batch proposes for
+        return nodes[:2 * (len(nodes) // 3)]
+
+    log, inside = [], []
+    score_view = tt.score_view
+    propose = StructureLearner.propose
+    encode_batch = TgatEncoder.encode_batch
+
+    def spy_score(enc, learner, index, view, nodes, ts, **kw):
+        log.append(("score", learner is not None, np.array(nodes)))
+        inside.append(True)
+        try:
+            return score_view(enc, learner, index, view, nodes, ts, **kw)
+        finally:
+            inside.pop()
+
+    def spy_propose(self, index, src_nodes, **kw):
+        log.append(("propose", np.array(src_nodes)))
+        return propose(self, index, src_nodes, **kw)
+
+    def spy_encode(self, *args, **kw):
+        assert inside, "encode_batch entered outside score_view"
+        log.append(("encode",))
+        return encode_batch(self, *args, **kw)
+
+    monkeypatch.setattr(tt, "score_view", spy_score)
+    monkeypatch.setattr(StructureLearner, "propose", spy_propose)
+    monkeypatch.setattr(TgatEncoder, "encode_batch", spy_encode)
+    tr, _, _ = tiny_setup()
+    n_eval = math.ceil(len(tr._eval_ids("transductive", "val"))
+                       / tr.cfg.batch_size)
+    for run, batches, augmented in (
+            (lambda: tr.train_epoch(0), len(tr._batches()), True),
+            (lambda: tr.evaluate("transductive", "val"), n_eval, True),
+            (lambda: tr.evaluate("transductive", "val",
+                                 use_augmented=False), n_eval, False)):
+        log.clear()
+        run()
+        per_batch = 3 if augmented else 2
+        assert len(log) == batches * per_batch
+        for i in range(0, len(log), per_batch):
+            kind, with_learner, nodes = log[i]
+            assert kind == "score" and with_learner == augmented
+            if augmented:
+                assert log[i + 1][0] == "propose"
+                assert np.array_equal(log[i + 1][1], proposed(nodes))
+            assert log[i + per_batch - 1] == ("encode",)
