@@ -31,8 +31,9 @@ print(f"node {node}, five most recent neighbors before t=500:",
       list(zip(nbrs.tolist(), times.tolist())))
 
 # --- third-hop walks find similar-taste destinations -------------------------
-# Each hop draws, per frontier row, distinct neighbors from one permutation
-# of its history and drops nodes the source already visited.
+# Each hop is one permutation over every frontier row's history; each row
+# keeps its distinct neighbors in that order, and drops the nodes its
+# source already visited.
 cands = sample_candidates(np.array([node]), "third-hop", index, n_can=5,
                           seed=3, t_ref=500.0, t_max=split.t_max_train,
                           fanouts=(5, 3, 3))

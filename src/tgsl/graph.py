@@ -77,8 +77,14 @@ def runs(order, *keys):
 
 
 def ranks(group):
-    """Rank of each entry inside its run of a non-decreasing group array."""
-    return np.arange(len(group)) - np.searchsorted(group, group)
+    """Rank of each entry inside its run of a non-decreasing group array:
+    its position less its run's head, the heads carried forward by a
+    running maximum. Linear; equal to `arange - searchsorted(group, group)`."""
+    group = np.asarray(group)
+    head = np.flatnonzero(group[1:] != group[:-1]) + 1
+    start = np.zeros(len(group), dtype=np.intp)
+    start[head] = head
+    return np.arange(len(group)) - np.maximum.accumulate(start)
 
 
 def top_k(score, group, k):

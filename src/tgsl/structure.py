@@ -9,8 +9,8 @@ context embedding, and the K largest relaxed weights survive. The surviving
 weight rho stays attached to each added edge so gradients flow back through
 the encoder's value aggregation.
 
-One draw rule serves both graph strategies, batched over all rows: per
-row, one permutation of its history, the first occurrence of each
+One draw rule serves both graph strategies, one permutation per call over
+every row's history: per row, in that order, the first occurrence of each
 neighbor, the first n. One-hop applies it once to the sources, third-hop
 once per fanout to a frontier of (source, node) rows. The ET-GNN runs
 over its nodes' visible window of `layers + (len(fanouts) - 1 if third-hop
@@ -215,19 +215,21 @@ def _flat_ranges(lo, cut):
 
 
 def _draw(nodes, index, n, rng, t_ref):
-    """The one draw rule: per row of `nodes` with history, in row order,
-    one permutation of its history before t_ref on `index`; the first
-    occurrence of each neighbor in permutation order is kept, up to n per
-    row (at least one). Returns (row, CSR position) pairs in row order,
-    then permutation order."""
+    """The one draw rule, for every row of `nodes` at once: one permutation
+    of the rows' histories before t_ref on `index`, concatenated in row
+    order; per row, the first occurrence of each neighbor in permutation
+    order, up to n. Restricted to one row, a uniform permutation of the
+    whole is a uniform permutation of that row's history, independent of
+    the other rows'. Returns (row, CSR position) pairs in row order, then
+    permutation order."""
     lo, cut = index.ranges_before(nodes, t_ref)
-    has = np.flatnonzero(cut > lo)
-    perm = [rng.permutation(int(cut[i] - lo[i])) for i in has]
-    row = np.repeat(has, cut[has] - lo[has])
-    pos = (lo[row] + np.concatenate(perm)) if perm else row
+    perm = rng.permutation(int((cut - lo).sum()))
+    row = np.repeat(np.arange(len(lo)), cut - lo)[perm]
+    pos = _flat_ranges(lo, cut)[perm]
     first = _first_of_each(row * np.int64(index.num_nodes) + index.nbr[pos])
-    row, pos = row[first], pos[first]
-    keep = ranks(row) < max(n, 1)
+    order = first[id_order(row[first])]
+    row, pos = row[order], pos[order]
+    keep = ranks(row) < n
     return row[keep], pos[keep]
 
 
@@ -283,8 +285,9 @@ def sample_candidates(src_nodes, strategy, index, n_can, seed, *, t_ref,
     first occurrence per row, a walk drops repeated and visited (source,
     node) rows, and random takes distinct pool positions.
 
-    Every neighbor draw is `_draw`: per row, one permutation of the row's
-    history before t_ref, first occurrence of each neighbor, the first n.
+    Every neighbor draw is `_draw`: one permutation per call over every
+    row's history before t_ref, then per row, in that order, the first
+    occurrence of each neighbor, the first n.
     one-hop: one draw from the sources, feature = the source's own edge
     with the neighbor. third-hop: len(fanouts) draws, hop h keeping
     fanouts[h] per frontier row and dropping nodes the source already

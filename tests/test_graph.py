@@ -281,6 +281,26 @@ def test_runs_of_id_and_float_keys_match_unique_rows(first_id):
         assert len(starts) == len(first) and run.dtype == np.intp
 
 
+def ranks_cases():
+    """(name, group): empty, single, all-equal, all-distinct and random
+    non-decreasing int arrays, with long and one-entry runs."""
+    rng = np.random.default_rng(1)
+    yield "empty", np.zeros(0, dtype=np.int64)
+    yield "single", np.array([5], dtype=np.int64)
+    yield "all-equal", np.full(400, 9, dtype=np.int64)
+    yield "all-distinct", np.arange(3, 903, dtype=np.int64) * 7
+    for high in (2, 50, 2**40):
+        yield f"random-below-{high}", np.sort(rng.integers(0, high, 2000))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ranks_cases()])
+def test_ranks_match_the_searchsorted_form(name):
+    group = dict(ranks_cases())[name]
+    got = tg.ranks(group)
+    want = np.arange(len(group)) - np.searchsorted(group, group)
+    assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+
 def lexsort_top_k(score, group, k):
     """Each group's first k entries of one (group, -score, index) lexsort,
     sorted: the reference for graph.top_k."""

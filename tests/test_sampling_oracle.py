@@ -147,22 +147,25 @@ def ref_history(index, node, t, max_eid=None):
     return ref_neighbors_before(index, node, t, len(index.nbr), max_eid)
 
 
-def ref_draw(index, node, t_ref, n, rng, max_eid=None):
-    """One row of the draw rule: a permutation of the node's history, the
-    first occurrence of each neighbor, the first n (at least one), as
-    (neighbor, event id, time) triples."""
-    nb, ei, tt = ref_history(index, node, t_ref, max_eid)
-    if len(nb) == 0:
-        return []
-    out, seen = [], set()
-    for j in rng.permutation(len(nb)):
-        v = int(nb[j])
-        if v in seen:
-            continue
-        seen.add(v)
-        out.append((v, int(ei[j]), float(tt[j])))
-        if len(out) >= max(n, 1):
-            break
+def ref_draw(index, nodes, t_ref, n, rng, max_eid=None):
+    """The draw rule over rows `nodes`: one permutation of their histories
+    concatenated in row order; then, per row, a walk over that order
+    keeping the row's first occurrence of each neighbor, the first n, as
+    (neighbor, event id, time) triples. One list per row."""
+    hist = [(i, int(v), int(e), float(t))
+            for i, u in enumerate(nodes)
+            for v, e, t in zip(*ref_history(index, int(u), t_ref, max_eid))]
+    perm = rng.permutation(len(hist))
+    out = []
+    for i in range(len(nodes)):
+        picks, seen = [], set()
+        for j in perm:
+            row, v, e, t = hist[j]
+            if row != i or v in seen or len(picks) >= n:
+                continue
+            seen.add(v)
+            picks.append((v, e, t))
+        out.append(picks)
     return out
 
 
@@ -180,32 +183,32 @@ def ref_candidates(src_nodes, ends, rng, t_max):
 def ref_one_hop_candidates(src_nodes, index, n_can, seed, *, t_ref, t_max,
                            max_eid=None):
     rng = np.random.default_rng(seed)
-    ends = [ref_draw(index, int(u), t_ref, n_can, rng, max_eid)
-            for u in src_nodes]
+    ends = ref_draw(index, src_nodes, t_ref, n_can, rng, max_eid)
     return ref_candidates(src_nodes, ends, rng, t_max)
 
 
 def ref_third_hop_candidates(src_nodes, index, n_can, seed, *, t_ref, t_max,
                              fanouts, max_eid=None):
-    """Hop-major walk: at each hop every source, in order, draws from each
-    of its frontier nodes, in order, and keeps the nodes it has not
-    visited yet (itself included)."""
+    """Hop-major walk: each hop is one draw over every (source, frontier
+    node) row, sources in order and each source's frontier in order; each
+    source then keeps the nodes it has not visited yet (itself
+    included)."""
     rng = np.random.default_rng(seed)
     src_nodes = [int(u) for u in src_nodes]
     visited = [{u} for u in src_nodes]
     frontier = [[u] for u in src_nodes]
     ends = [[] for _ in src_nodes]
     for fanout in fanouts:
-        for i in range(len(src_nodes)):
-            nxt = []
-            for w in frontier[i]:
-                for v, e, t in ref_draw(index, w, t_ref, fanout, rng,
-                                        max_eid):
-                    if v not in visited[i]:
-                        visited[i].add(v)
-                        nxt.append((v, e, t))
-            frontier[i] = [v for v, _, _ in nxt]
-            ends[i] = nxt
+        rows = [(i, w) for i in range(len(src_nodes)) for w in frontier[i]]
+        draws = ref_draw(index, [w for _, w in rows], t_ref, fanout, rng,
+                         max_eid)
+        ends = [[] for _ in src_nodes]
+        for (i, _), picks in zip(rows, draws):
+            for v, e, t in picks:
+                if v not in visited[i]:
+                    visited[i].add(v)
+                    ends[i].append((v, e, t))
+        frontier = [[v for v, _, _ in nxt] for nxt in ends]
     return ref_candidates(src_nodes, [e[:n_can] for e in ends], rng, t_max)
 
 
@@ -577,3 +580,36 @@ def test_random_candidates_are_uniform_ordered_pairs():
                                t_ref=0.0, t_max=1.0, random_pool=pool)
     freq = np.bincount(got.dst, minlength=4)
     assert np.all(np.abs(freq - n / 4) < 5 * np.sqrt(n / 4))
+
+
+def test_one_hop_draw_is_uniform_per_row_and_independent_across_rows():
+    # node 0's history holds a = 1 twice and b = 2 once, node 3's holds
+    # 4 twice and 5 once: a uniform permutation of a row's history puts an
+    # a first 2/3 of the time, so at n=1 a is picked and at n=2 (a, b) is
+    # the order 2/3 of the time; two rows of one call pick independently
+    store = EventStore([0, 0, 0, 3, 3, 3], [1, 2, 1, 4, 5, 4],
+                       np.arange(1.0, 7.0), np.zeros((6, 1), np.float32),
+                       np.zeros((6, 1), np.float32))
+    idx = NeighborIndex.build(store)
+    n = 60000
+
+    def within(count, total, p):
+        return abs(count - total * p) < 5 * np.sqrt(total * p * (1 - p))
+
+    rng = np.random.default_rng(0)
+    row, pos = ts._draw(np.zeros(n, np.int64), idx, 1, rng, 10.0)
+    assert np.array_equal(row, np.arange(n))
+    assert within(np.sum(idx.nbr[pos] == 1), n, 2 / 3)
+    row, pos = ts._draw(np.zeros(n, np.int64), idx, 2, rng, 10.0)
+    assert np.array_equal(row, np.repeat(np.arange(n), 2))
+    pair = idx.nbr[pos].reshape(n, 2)
+    assert np.all(np.sort(pair, axis=1) == [1, 2])
+    assert within(np.sum(pair[:, 0] == 1), n, 2 / 3)
+    row, pos = ts._draw(np.tile([0, 3], n // 2), idx, 1, rng, 10.0)
+    assert np.array_equal(row, np.arange(n))
+    joint = idx.nbr[pos].reshape(n // 2, 2)
+    share = {1: 2 / 3, 2: 1 / 3, 4: 2 / 3, 5: 1 / 3}
+    for first, second in itertools.product((1, 2), (4, 5)):
+        p = share[first] * share[second]
+        hits = np.sum((joint[:, 0] == first) & (joint[:, 1] == second))
+        assert within(hits, n // 2, p)

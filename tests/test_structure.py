@@ -269,8 +269,8 @@ def test_isolated_node_yields_no_neighbor_candidates():
 def test_candidates_are_distinct_and_the_view_inserts_all(strategy):
     """Distinct sources on stores that repeat (user, item) pairs, at cuts
     mid-stream and after the last event: every call yields distinct
-    (src, dst) pairs, and the view of a selection holds every selected
-    edge with its fhat row and rho, in selection order."""
+    (src, dst) pairs, none at n_can=0, and the view of a selection holds
+    every selected edge with its fhat row and rho, in selection order."""
     for seed in range(4):
         store = synth_generate(2, 6, 6, 300, 0.2, seed=seed)
         pairs = store.src * store.num_nodes + store.dst
@@ -282,6 +282,9 @@ def test_candidates_are_distinct_and_the_view_inserts_all(strategy):
                 nodes, strategy, idx, 8, seed, t_ref=t, t_max=t,
                 random_pool=nodes, fanouts=(3, 2, 2))
             assert len(cands) > store.num_nodes
+            assert len(ts.sample_candidates(
+                nodes, strategy, idx, 0, seed, t_ref=t, t_max=t,
+                random_pool=nodes, fanouts=(3, 2, 2))) == 0
             key = cands.src * store.num_nodes + cands.dst
             assert len(np.unique(key)) == len(key)
             sel = np.arange(0, len(cands), 2)
