@@ -107,12 +107,17 @@ def _check_writable(path, directory):
 # shared assembly
 
 def build_store(cfg):
-    if cfg.dataset == "synth":
+    if cfg.dataset != "synth":
+        return load_events(cfg.dataset)
+    try:
         return synth_generate(cfg.synth_communities, cfg.synth_users,
                               cfg.synth_items, cfg.synth_events,
                               cfg.synth_noise, cfg.synth_seed,
                               jitter=cfg.synth_jitter)
-    return load_events(cfg.dataset)
+    except MemoryError:         # a size numpy refuses to allocate
+        raise ConfigError(f"synth_users={cfg.synth_users}, synth_items="
+                          f"{cfg.synth_items} and synth_events="
+                          f"{cfg.synth_events} cannot be allocated") from None
 
 
 def build_split(cfg, store):
@@ -329,8 +334,8 @@ def cmd_eval(args):
 def cmd_synth(args):
     cfg = _config(args, "dataset=synth")
     _check_writable(args.out, directory=False)
+    store = build_store(cfg)
     try:
-        store = build_store(cfg)
         save_events(store, args.out)
     except (ValueError, OSError) as e:
         print(f"synth error: {e}", file=sys.stderr)

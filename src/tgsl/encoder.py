@@ -16,17 +16,18 @@ per-slot key or value is ever formed. Event e's feature row is row e of the
 edge table. The node and edge feature tables keep their raw widths; the op
 reads a narrow input as itself zero-padded to d_model, touching only the
 weight rows it fills. Added edges reach it as their slot positions with one
-cand_features row and one rho weight each, so only those positions cost
-added-slot work; a real slot weighs 1 and a pad 0, as the mask says. The
-slots' time encodings reach it as a table of the distinct gaps' rows and an
-int32 inverse. It works in blocks of rows of at most
-`autodiff._ATTN_BLOCK` slot elements, each gathering its rows of the
-[B, n, d] time block in the forward and again in the backward, so no tape
-keeps them and a layer's transients do not grow with B. Its backward
-returns no gradient for a constant input (the time encodings, the real
-events' edge rows, the bottom layer's neighbor states). Those constants,
-the neighbor blocks and the (node, t) dedup form a parameter-free
-EncodePlan, built once and applied by any encoder of the same config.
+cand_features row and one rho weight each, gathered by candidate index
+from the view's candidate tensors, so only those positions cost added-slot
+work; a real slot weighs 1 and a pad 0, as the mask says. The slots' time
+encodings reach it as a table of the distinct gaps' rows and an int32
+inverse. It works in blocks of rows of at most `autodiff._ATTN_BLOCK` slot
+elements, each gathering its rows of the [B, n, d] time block in the
+forward and again in the backward, so no tape keeps them and a layer's
+transients do not grow with B. Its backward returns no gradient for a
+constant input (the time encodings, the real events' edge rows, the
+bottom layer's neighbor states). Those constants, the neighbor blocks and
+the (node, t) dedup form a parameter-free EncodePlan, built once and
+applied by any encoder of the same config.
 """
 
 import math
@@ -173,7 +174,7 @@ class LayerPlan(NamedTuple):
     mask; the real events' edge rows at their raw width; the time
     encodings as a pair (table, int32 [b, n] inverse), the table holding
     one (U, d) row per distinct gap of the plan's layers, shared by them;
-    and the added slots' np.nonzero positions with their added-edge
+    and the added slots' np.nonzero positions with their candidate
     indices."""
     inverse: object
     mask: np.ndarray
@@ -202,8 +203,8 @@ class TgatEncoder:
     A view is anything whose batch_neighbors(nodes, ts, n) returns (ids,
     eids, tss, mask) blocks: a NeighborIndex or an AugmentedView.
     Slots with event ids >= 0 are real events, whose feature rows are
-    edge_features[eid]; a slot with id -1 - j is the view's added
-    edge j, with feature row cand_features[j] and weight rho[j].
+    edge_features[eid]; a slot with id -1 - j holds the view's candidate
+    j, with feature row cand_features[j] and weight rho[j].
 
     encode_batch is apply(plan(...)): plan() gathers everything that does
     not depend on the parameters into an EncodePlan, and apply() runs the
@@ -255,7 +256,7 @@ class TgatEncoder:
         tops, gaps = [], []
         for layer in range(self.params.layers, 0, -1):
             ids, eids, tss, mask = view.batch_neighbors(nodes, ts, self.n_nb)
-            # real events bring their edge row and weight 1; added edge j
+            # real events bring their edge row and weight 1; candidate j
             # is a position that brings cand_features[j] and rho[j] in
             # apply; pads bring zeros
             real_m = mask * (eids >= 0)
@@ -287,7 +288,7 @@ class TgatEncoder:
         returns a [B, d_model] tensor. Layer 0 is the node feature rows at
         their raw width; each layer above is one ad.temporal_attention op
         over the layer below's self and slot rows, whose slot values are
-        scaled by 1 for a real event, rho[j] for added edge j and 0 for a
+        scaled by 1 for a real event, rho[j] for candidate j and 0 for a
         pad, then the merge MLP. The op gets the real events' edge rows at
         their raw width, the mask as the slot weights, and the added slots
         as positions with their cand_features rows and rho weights. Tape

@@ -18,7 +18,7 @@ else 0)` rings, exactly as deep as the edge rows the learner reads, so
 those rows equal the ones computed over the whole visible prefix.
 The learner reads only edge rows, so the ET-GNN's last layer updates edges
 only: `tgsl.l{l}.wh` exists for l < L-1, `tgsl.l{l}.wf` for every l. The
-learner reads the ET-GNN and context rows by node from one
+learner reads its cut and the ET-GNN and context rows by node from one
 `LearnerInputs`, which `StructureLearner.inputs` alone builds: per batch
 in training, and at inference, where the cut and the parameters are
 fixed, once per evaluation over every scored node.
@@ -375,19 +375,19 @@ def gumbel_topk_select(zhat, fhat, src_of, k, tau, seed,
 class AugmentedView:
     """A neighbor index plus weighted candidate edges inserted at their
     sampled timestamps. Original events carry implicit weight 1; added
-    edge j resolves to the differentiable feature row cand_features[j] and
-    weight rho[j]. Ephemeral: valid only for the batch that built it.
-    `AugmentedView(base)` adds nothing and answers as `base` does.
+    edge i is candidate j = rows[i], read by index from the candidate
+    tensors: feature row cand_features[j], weight rho[j]. Ephemeral: valid
+    only for the batch that built it. `AugmentedView(base)` adds nothing
+    and answers as `base` does.
 
     Its `batch_neighbors` answers with the same four columns as
-    `NeighborIndex.batch_neighbors`; a slot holding added edge j carries
+    `NeighborIndex.batch_neighbors`; a slot holding candidate j carries
     event id -1 - j, so real events are exactly the slots with ids >= 0.
     The added edges form a second, small CSR (`added`, a NeighborIndex)
-    in which both endpoints own each edge j, sorted by (owner, t, j); its
-    eid column holds j. A query merges the base window with the matching
-    window of added edges."""
+    in which both endpoints own each edge, sorted by (owner, t, j); its
+    eid column holds j. `rows` ascends, so j orders as the edges do."""
 
-    def __init__(self, base, add_src=(), add_dst=(), add_t=(),
+    def __init__(self, base, add_src=(), add_dst=(), add_t=(), rows=(),
                  cand_features=None, rho=None):
         self.base = base
         self.cand_features = cand_features
@@ -396,22 +396,19 @@ class AugmentedView:
         add_dst = np.asarray(add_dst, dtype=np.int64)
         add_t = np.asarray(add_t, dtype=np.float64)
         owners, peers, js, ts = edge_entries(
-            add_src, add_dst, np.arange(len(add_src), dtype=np.int64), add_t)
+            add_src, add_dst, np.asarray(rows, dtype=np.int64), add_t)
         # entries stand in (j, side) order, so a stable sort by t and then
         # by owner gives (owner, t, j)
         self.added = NeighborIndex.from_order(
             base.num_nodes, by_ids(np.argsort(ts, kind="stable"), owners),
             owners, peers, js, ts)
-
-    @property
-    def num_added(self):
-        return 0 if self.cand_features is None else self.cand_features.shape[0]
+        self.num_added = len(add_src)
 
     def batch_neighbors(self, nodes, ts, n):
         """The base block merged with the added edges strictly before each
         row's time: the n most recent of both, ascending and left-aligned.
         At equal t base entries come first, base ones by column and added
-        ones by j. Added edge j sits in its slot with event id -1 - j."""
+        ones by j. Candidate j sits in its slot with event id -1 - j."""
         ids, eids, tss, mask = self.base.batch_neighbors(nodes, ts, n)
         a_ids, a_j, a_ts, a_mask = self.added.batch_neighbors(nodes, ts, n)
         if not a_mask.any():
@@ -442,14 +439,13 @@ class AugmentedView:
 
 def build_augmented_view(base, cands, selected_idx, fhat, rho):
     """Insert every selected candidate into the neighbor structure at its
-    t_new, with its fhat row and rho. The candidates must hold distinct
-    (src, dst) pairs, as `sample_candidates` guarantees."""
-    if len(selected_idx) == 0:
-        return AugmentedView(base)
+    t_new; the view reads its fhat row and rho by candidate index. The
+    candidates must hold distinct (src, dst) pairs, as `sample_candidates`
+    guarantees, and `selected_idx` must be ascending, as
+    `gumbel_topk_select` returns it."""
     sel = np.asarray(selected_idx, dtype=np.int64)
     return AugmentedView(base, cands.src[sel], cands.dst[sel],
-                         cands.t_new[sel], ad.take(fhat, sel),
-                         ad.take(rho, sel))
+                         cands.t_new[sel], sel, fhat, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +476,14 @@ def visible_window(index, nodes, t_ref, levels):
 
 
 class LearnerInputs(NamedTuple):
-    """What `propose` reads per node: the ET-GNN output over some events,
-    the sorted node ids, and their context rows (one row per node, in node
-    order). Valid only while the parameters and the cut do not change."""
-    etgnn: EtgnnOutput
+    """What `propose` reads: the index and cut t_ref it draws from, the
+    sorted node ids it may propose for, and (None unless the learner
+    learns) the ET-GNN output over their window and their context rows,
+    one per node. Valid only while the parameters do not change."""
+    index: NeighborIndex
+    t_ref: float
     nodes: np.ndarray
+    etgnn: EtgnnOutput
     context: ad.Tensor
 
 
@@ -493,21 +492,23 @@ class StructureLearner:
     candidates -> time mapping -> Gumbel-Top-K -> augmented view.
 
     Reads strategy, k, n_can, n_rnn, tau_gumbel and fanouts from the run
-    config. `propose` reads its ET-GNN and context rows from `inputs`,
-    built per batch in training, its cut moving with the batch, and once
-    per evaluation over every scored node at inference.
+    config; draws random candidates from `random_pool`, t_new to t_max.
+    `propose` reads its cut and its ET-GNN and context rows from one
+    `LearnerInputs`, built per batch in training, its cut moving with the
+    batch, and once per evaluation over every scored node at inference.
     Random candidates borrow no edge row, so their feature rows are
     zero, their score m = zhat . fhat is exactly 0 and rho is the squashed
     noise alone: no parameter reaches it. So under `random` the learner
-    does not learn: `parameters()` is empty, `inputs()` is None, and
-    propose runs neither the ET-GNN nor the LSTM; the context rows it
-    maps are zero as well."""
+    does not learn: `parameters()` is empty, `inputs()` runs neither the
+    ET-GNN nor the LSTM, and the context rows propose maps are zero as
+    well."""
 
-    def __init__(self, params, store, cfg, random_pool=None):
+    def __init__(self, params, store, cfg, random_pool, t_max):
         self.params = params
         self.store = store
         self.cfg = cfg
         self.random_pool = random_pool
+        self.t_max = t_max
         self.learns = cfg.strategy != "random"
 
     def parameters(self):
@@ -515,44 +516,37 @@ class StructureLearner:
         return self.params.parameters() if self.learns else []
 
     def inputs(self, index, nodes, t_ref):
-        """The ET-GNN over the distinct `nodes`' visible window at cut t_ref
-        on `index` (as deep as the rows read: the nodes' own edges and a
-        walk's last hop), and one LSTM context call over them, for every
-        `propose` of these nodes at that cut; None if it does not learn."""
+        """The inputs of every `propose` for the distinct `nodes` at cut
+        t_ref on `index`: when the learner learns, the ET-GNN over the
+        nodes' visible window (as deep as the rows read: the nodes' own
+        edges and a walk's last hop) and one LSTM context call over them."""
+        nodes = node_set(self.store.num_nodes, nodes)
         if not self.learns:
-            return None
+            return LearnerInputs(index, t_ref, nodes, None, None)
         cfg = self.cfg
         levels = self.params.layers + (
             len(cfg.fanout_list()) - 1 if cfg.strategy == "third-hop" else 0)
-        nodes = node_set(self.store.num_nodes, nodes)
         et = etgnn_forward(visible_window(index, nodes, t_ref, levels),
                            self.store, self.params)
         z = context_predict_batch(self.params, et, index, nodes, t_ref,
                                   cfg.n_rnn)
-        return LearnerInputs(et, nodes, z)
+        return LearnerInputs(index, t_ref, nodes, et, z)
 
-    def propose(self, index, src_nodes, *, t_ref, t_max, seed, view_base,
-                mode="stochastic", inputs=None):
-        """Build the augmented view for a batch of source nodes. Candidates
-        come from `index`; the view inserts the selected ones into
-        `view_base`. The ET-GNN and context rows are read by node from
-        `inputs` (by `inputs()` at this t_ref and index, holding every
-        source), by default `inputs()` of the sources alone.
-        Returns (view, detail dict) — the view is ephemeral to this batch;
-        the detail's context (rows of the inputs' nodes) and etgnn are
-        None when the learner does not learn."""
+    def propose(self, inputs, src_nodes, *, seed, view_base, mode):
+        """Build the augmented view for a batch of source nodes, all of them
+        among `inputs.nodes` (KeyError otherwise): candidates come from
+        `inputs.index` at `inputs.t_ref`, their ET-GNN and context rows
+        from `inputs`, and the view inserts the selected ones into
+        `view_base`. Returns (view, detail dict) — the view is ephemeral to
+        this batch."""
         cfg = self.cfg
+        index, t_ref, nodes, et, z = inputs
         src_nodes = node_set(index.num_nodes, src_nodes)
-        if cfg.k == 0:
-            return AugmentedView(view_base), {}
-        if inputs is None:
-            inputs = self.inputs(index, src_nodes, t_ref)
-        et, nodes, z = inputs or (None, None, None)
-        if et is not None and not np.isin(src_nodes, nodes).all():
+        if not np.isin(src_nodes, nodes).all():
             raise KeyError("source node outside the learner inputs")
         cands = sample_candidates(
             src_nodes, cfg.strategy, index, cfg.n_can, seed, t_ref=t_ref,
-            t_max=t_max, random_pool=self.random_pool,
+            t_max=self.t_max, random_pool=self.random_pool,
             fanouts=cfg.fanout_list())
         if len(cands) == 0:
             return AugmentedView(view_base), {"candidates": cands}
@@ -563,11 +557,10 @@ class StructureLearner:
         else:
             z_rows = feat_rows = ad.constant(np.zeros(
                 (len(cands), self.params.d_model), dtype=self.params.dtype))
-        zhat, fhat = time_map_batch(z_rows, feat_rows, cands.t_new, t_max,
-                                    cands.t_sample)
+        zhat, fhat = time_map_batch(z_rows, feat_rows, cands.t_new,
+                                    self.t_max, cands.t_sample)
         m, rho, sel = gumbel_topk_select(
             zhat, fhat, cands.src, cfg.k, cfg.tau_gumbel, seed + 1, mode)
         view = build_augmented_view(view_base, cands, sel, fhat, rho)
-        detail = {"candidates": cands, "m": m, "rho": rho, "selected": sel,
-                  "context": z, "etgnn": et}
-        return view, detail
+        return view, {"candidates": cands, "m": m, "rho": rho,
+                      "selected": sel}

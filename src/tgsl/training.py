@@ -245,26 +245,25 @@ def _score_rows(enc, emb, b):
                  for at in (b, 2 * b))
 
 
-def score_view(enc, learner, index, view, nodes, ts, *, t_ref, t_max, seed,
-               mode, inputs):
+def score_view(enc, learner, inputs, view, nodes, ts, *, seed, mode):
     """The one scoring path of a batch of stacked [src | dst | neg] rows
     `nodes` at times `ts`: with a learner, its `propose` for the [src | dst]
-    rows from `index` inserts edges into `view` first. Returns (s_pos,
+    rows from `inputs` inserts edges into `view` first. Returns (s_pos,
     s_neg, emb), emb being the rows' embeddings on the view scored."""
     b = len(nodes) // 3
     if learner is not None:
-        view, _ = learner.propose(
-            index, nodes[:2 * b], t_ref=t_ref, t_max=t_max, seed=seed,
-            view_base=view, mode=mode, inputs=inputs)
+        view, _ = learner.propose(inputs, nodes[:2 * b], seed=seed,
+                                  view_base=view, mode=mode)
     emb = enc.encode_batch(view, nodes, ts)
     return (*_score_rows(enc, emb, b), emb)
 
 
-def batch_loss(enc, learner, plan, *, t_max, seed, keys, queue, alpha, tau):
+def batch_loss(enc, learner, plan, *, seed, keys, queue, alpha, tau):
     """The multi-task loss of one training batch, given as `plan`, the
     encode plan of its [src | dst | neg] pairs on the original view (the
     index cut before the batch): link BCE on that view, and with a
-    structure learner also link BCE on its `score_view`, and with `keys`
+    structure learner also link BCE on its `score_view` (the learner
+    inputs of [src | dst] at the batch's first time), and with `keys`
     alpha times the InfoNCE of that view's [src | dst] embeddings against
     `keys` and `queue`. Returns (loss_ori, loss_aug, loss_cl, total),
     None for each absent term; total sums the others."""
@@ -272,10 +271,10 @@ def batch_loss(enc, learner, plan, *, t_max, seed, keys, queue, alpha, tau):
     loss_ori = bce_link_loss(*_score_rows(enc, enc.apply(plan), b))
     if learner is None:
         return loss_ori, None, None, loss_ori
+    inputs = learner.inputs(plan.view, plan.nodes[:2 * b], plan.ts[0])
     s_pos, s_neg, emb_aug = score_view(
-        enc, learner, plan.view, plan.view, plan.nodes, plan.ts,
-        t_ref=float(plan.ts[0]), t_max=t_max, seed=seed, mode="stochastic",
-        inputs=None)
+        enc, learner, inputs, plan.view, plan.nodes, plan.ts, seed=seed,
+        mode="stochastic")
     loss_aug = bce_link_loss(s_pos, s_neg)
     if keys is None:
         return loss_ori, loss_aug, None, ad.add(loss_ori, loss_aug)
@@ -412,7 +411,8 @@ class Trainer:
                                           layers=cfg.etgnn_layers,
                                           seed=_seed(seed, 2))
             self.learner = StructureLearner(self.tgsl_params, store, cfg,
-                                            self.train_nodes)
+                                            self.train_nodes,
+                                            split.t_max_train)
             params = params + self.learner.parameters()
         else:
             self.tgsl_params = None
@@ -449,7 +449,6 @@ class Trainer:
             with ad.Tape() as tape:
                 loss_ori, loss_aug, loss_cl, total = batch_loss(
                     self.q_enc, self.learner, plan,
-                    t_max=self.split.t_max_train,
                     seed=_seed(self.seed, epoch, bi, 1), keys=keys,
                     queue=queue, alpha=cfg.alpha, tau=cfg.tau_cl)
                 if not np.isfinite(total.values):
@@ -505,23 +504,22 @@ class Trainer:
         ids = self._eval_ids(setting, subset, limit)
         neg = sample_negatives(store.dst[ids], self.eval_dst_pool,
                                _seed(seed, 7, len(ids)))
-        t_ref = self.split.t_max_train + 1.0
         learner = self.learner if use_augmented else None
         scores, labels = [], []
         bs = cfg.batch_size
         with ad.no_grad():
             inputs = None if learner is None else learner.inputs(
                 self.train_index,
-                np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
+                np.concatenate([store.src[ids], store.dst[ids]]),
+                self.split.t_max_train + 1.0)
             for bi in range(0, len(ids), bs):
                 batch = ids[bi:bi + bs]
                 s_pos, s_neg, _ = score_view(
-                    self.q_enc, learner, self.train_index, self.full_index,
+                    self.q_enc, learner, inputs, self.full_index,
                     np.concatenate([store.src[batch], store.dst[batch],
                                     neg[bi:bi + bs]]),
-                    np.tile(store.ts[batch], 3), t_ref=t_ref,
-                    t_max=self.split.t_max_train, seed=_seed(seed, 5, bi),
-                    mode="noise-free", inputs=inputs)
+                    np.tile(store.ts[batch], 3), seed=_seed(seed, 5, bi),
+                    mode="noise-free")
                 scores += s_pos.values.tolist() + s_neg.values.tolist()
                 labels.extend([1] * len(batch) + [0] * len(batch))
         scores = np.asarray(scores)

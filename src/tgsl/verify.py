@@ -158,7 +158,7 @@ def toy_mtl_setup():
                       seed=seed + 2, dtype=np.float64)
     learner = StructureLearner(tg_p, store,
                                RunConfig(strategy="one-hop", k=2, n_can=4,
-                                         n_rnn=3))
+                                         n_rnn=3), None, split.t_max_train)
     rng = np.random.default_rng(seed + 3)
     queue = rng.standard_normal((4, d_model))
     keys = rng.standard_normal((2 * len(batch), d_model))  # frozen positives
@@ -171,9 +171,8 @@ def toy_mtl_setup():
     def loss_fn(*probes):
         enc_p.replace_tensors(probes[:n_enc])
         tg_p.replace_tensors(probes[n_enc:])
-        return batch_loss(enc, learner, plan, t_max=split.t_max_train,
-                          seed=seed + 4, keys=keys, queue=queue, alpha=0.5,
-                          tau=0.2)[3]
+        return batch_loss(enc, learner, plan, seed=seed + 4, keys=keys,
+                          queue=queue, alpha=0.5, tau=0.2)[3]
 
     start = [p.values.copy() for p in enc_p.parameters() + tg_p.parameters()]
     return loss_fn, start
@@ -313,9 +312,9 @@ def leakage_suite():
     """Outputs at time t must not move when events at or after t change:
     the encoder on the plain index, ET-GNN and the LSTM context over the
     visible window, and the structure learner's proposal (stochastic and
-    noise-free, the strategy cycling per trial, with learner inputs built
-    per batch and once at t) with the encoder and `score_view` on the
-    augmented view it builds."""
+    noise-free, the strategy cycling per trial, with learner inputs over
+    the batch's sources and over every scored node) with the encoder and
+    `score_view` on the augmented view it builds."""
     rng = np.random.default_rng(LEAKAGE_SEED)
     pool = np.arange(16)            # random-strategy pool no perturbation moves
     worst = 0.0
@@ -341,16 +340,17 @@ def leakage_suite():
             et = etgnn_forward(visible, st, tg_p)
             z = context_predict_batch(tg_p, et, idx, nodes, t, 4).values
             out = [emb, et.edge_f.values, z]
-            learner = StructureLearner(tg_p, st, run_cfg, pool)
-            # inputs built per batch, and once at t; a scored batch of
-            # [nodes | rolled | rolled] proposes for the nodes again
-            for inputs in (None, learner.inputs(idx, nodes, t)):
+            learner = StructureLearner(tg_p, st, run_cfg, pool, t)
+            # a scored batch of [nodes | rolled | rolled] proposes for the
+            # nodes again
+            for inputs in (learner.inputs(idx, nodes, t),
+                           learner.inputs(idx, rows, t)):
                 for mode in ("stochastic", "noise-free"):
-                    kw = dict(t_ref=t, t_max=t, seed=trial, mode=mode,
-                              inputs=inputs)
-                    view, _ = learner.propose(idx, nodes, view_base=idx, **kw)
-                    s_pos, s_neg, _ = score_view(enc, learner, idx, idx, rows,
-                                                 np.tile(tss, 3), **kw)
+                    kw = dict(seed=trial, mode=mode)
+                    view, _ = learner.propose(inputs, nodes, view_base=idx,
+                                              **kw)
+                    s_pos, s_neg, _ = score_view(enc, learner, inputs, idx,
+                                                 rows, np.tile(tss, 3), **kw)
                     out += [np.zeros(0) if view.rho is None
                             else view.rho.values,
                             enc.encode_batch(view, nodes, tss).values,

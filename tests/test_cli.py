@@ -147,6 +147,21 @@ def test_train_huge_node_id_exits_data(tmp_path, capsys, user_id):
     assert not os.path.exists(out)
 
 
+# arrays of 7.28 TiB (the events) and 745 GiB (the node table): numpy
+# refuses both at once, so no memory is touched
+@pytest.mark.parametrize("key_value", ["synth_events=1000000000000",
+                                       "synth_users=100000000000"])
+def test_unallocatable_synth_size_exits_config(tmp_path, capsys, key_value):
+    out = tmp_path / "runs"
+    csv = tmp_path / "s.csv"
+    for argv in (["train", "--out", str(out)], ["synth", "--out", str(csv)]):
+        assert cli.main(argv + ["--set", key_value]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key_value in err
+        assert "synth_items=400" in err and "cannot be allocated" in err
+    assert not out.exists() and not csv.exists()
+
+
 def test_train_invalid_key_exit_code(tmp_path):
     rc = cli.main(["train", "--set", "bogus=1", "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG

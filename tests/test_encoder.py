@@ -739,7 +739,7 @@ def test_encode_batch_tape_entries_per_layer():
     rng = np.random.default_rng(0)
     t_add = float(store.ts[55])
     view = AugmentedView(
-        idx, store.src[50:56], store.dst[:6], np.full(6, t_add),
+        idx, store.src[50:56], store.dst[:6], np.full(6, t_add), np.arange(6),
         cand_features=ad.param(rng.standard_normal((6, 8)).astype(np.float32)),
         rho=ad.param(rng.uniform(0.1, 0.9, 6).astype(np.float32)))
     nodes = np.concatenate([store.src[56:60], store.dst[56:60]])
@@ -765,7 +765,7 @@ def test_encode_batch_matches_direct_time_encode(monkeypatch):
         enc = te.TgatEncoder(p, store, n_nb=5)
         view = AugmentedView(
             idx, store.src[50:56], store.dst[:6], np.full(6, t_add),
-            cand_features=ad.param(
+            np.arange(6), cand_features=ad.param(
                 rng.standard_normal((6, 8)).astype(np.float32)),
             rho=ad.param(rng.uniform(0.1, 0.9, 6).astype(np.float32)))
         assert (view.batch_neighbors(nodes, tss, 5)[1] < 0).any()
@@ -789,6 +789,57 @@ def test_encode_batch_matches_direct_time_encode(monkeypatch):
     for g, want in zip(grads, want_grads):
         assert np.any(want != 0)
         assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_view_reading_candidates_by_index_matches_a_view_of_copies(layers,
+                                                                   dtype):
+    """A view that reads the selected rows of the candidate tensors by
+    index against one that holds `take` copies of them (rows 0..k-1), as
+    the view once did: the encoder output and the fhat and rho gradients
+    are bitwise equal. fhat also feeds a score, as in `propose`, so the
+    gradients meet at fhat in the same order; several added edges share a
+    time, and slots of both layers read the same candidates."""
+    store = synth_generate(2, 6, 6, 80, 0.1, seed=4)
+    idx = NeighborIndex.build(store, np.arange(60))
+    c = 12
+    src, dst = store.src[44:56], store.dst[:c]
+    t_new = np.sort(np.random.default_rng(2).uniform(
+        store.ts[40], store.ts[55], c))
+    t_new[3:6] = t_new[3]
+    sel = np.array([0, 1, 3, 4, 5, 8, 9, 11])
+    nodes = np.concatenate([store.src[56:60], store.dst[56:60], src[sel]])
+    tss = np.full(len(nodes), float(store.ts[58]))
+
+    def run(copies):
+        rng = np.random.default_rng(0)
+        p = te.EncoderParams(8, layers=layers, heads=2, d_hidden=8, seed=5,
+                             dtype=dtype)
+        enc = te.TgatEncoder(p, store, n_nb=5)
+        fhat = ad.param(rng.standard_normal((c, 8)).astype(dtype))
+        rho = ad.param(rng.uniform(0.1, 0.9, c).astype(dtype))
+        z = ad.constant(rng.standard_normal((c, 8)).astype(dtype))
+        w = ad.constant(rng.standard_normal((len(nodes), 8)).astype(dtype))
+        with ad.Tape() as tape:
+            m = ad.sum_(ad.mul(z, fhat))
+            if copies:
+                view = AugmentedView(idx, src[sel], dst[sel], t_new[sel],
+                                     np.arange(len(sel)), ad.take(fhat, sel),
+                                     ad.take(rho, sel))
+            else:
+                view = AugmentedView(idx, src[sel], dst[sel], t_new[sel], sel,
+                                     fhat, rho)
+            out = enc.encode_batch(view, nodes, tss)
+            tape.backward(ad.add(ad.sum_(ad.mul(out, w)), m))
+        eids = view.batch_neighbors(nodes, tss, 5)[1]
+        return eids, out.values, fhat.grad, rho.grad
+
+    (eids, *got), (_, *want) = run(False), run(True)
+    assert len(np.unique(eids[eids < 0])) < (eids < 0).sum()
+    for g, wnt in zip(got, want):
+        assert g.dtype == dtype and np.any(wnt != 0)
+        assert g.tobytes() == wnt.tobytes()
 
 
 def padded_dense_embed(enc, view, nodes, ts, layer):
@@ -842,6 +893,9 @@ def padded_dense_embed(enc, view, nodes, ts, layer):
     return ad.add(ad.matmul(hid, p[pre + "w2"]), p[pre + "b2"])
 
 
+SELECTED = np.array([0, 2, 3, 5, 7, 9])
+
+
 @pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("additions", [False, True])
 @pytest.mark.parametrize("widths", [(3, 2), (8, 8)])
@@ -868,11 +922,12 @@ def test_encode_batch_matches_padded_dense_oracle(widths, additions, layers):
         r = np.random.default_rng(0)
         view = AugmentedView(idx)
         if additions:
+            # six of ten candidates, read by index
             view = AugmentedView(
                 idx, store.src[50:56], store.dst[:6],
-                np.full(6, float(store.ts[55])),
-                cand_features=ad.param(r.standard_normal((6, dm))),
-                rho=ad.param(r.uniform(0.1, 0.9, 6)))
+                np.full(6, float(store.ts[55])), SELECTED,
+                cand_features=ad.param(r.standard_normal((10, dm))),
+                rho=ad.param(r.uniform(0.1, 0.9, 10)))
         assert (view.batch_neighbors(nodes, tss, 5)[1] < 0).any() == additions
         w = ad.constant(r.standard_normal((len(nodes), dm)))
         with ad.Tape() as tape:
@@ -893,6 +948,11 @@ def test_encode_batch_matches_padded_dense_oracle(widths, additions, layers):
     for k in got_g:
         assert np.any(want_g[k] != 0), k
         assert close(got_g[k], want_g[k], 1e-12), k
+    if additions:
+        # candidates the view does not hold get exactly zero
+        unread = np.setdiff1d(np.arange(10), SELECTED)
+        assert np.all(got_g["cand"][unread] == 0)
+        assert np.all(got_g["rho"][unread] == 0)
     hk = dm                      # heads * d_k
     for k in ("wq", "wk", "wv"):
         g = got_g["enc.l0." + k]
@@ -1035,7 +1095,7 @@ def test_plan_keeps_time_encodings_as_a_distinct_gap_table():
     rng = np.random.default_rng(1)
     view = AugmentedView(
         idx, store.src[480:500], store.dst[:20],
-        np.sort(rng.uniform(store.ts[400], store.ts[499], 20)),
+        np.sort(rng.uniform(store.ts[400], store.ts[499], 20)), np.arange(20),
         cand_features=ad.param(rng.standard_normal((20, 4))),
         rho=ad.param(rng.uniform(0.1, 0.9, 20)))
     enc = te.TgatEncoder(te.EncoderParams(100, layers=2, heads=2, d_hidden=100,

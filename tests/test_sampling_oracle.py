@@ -376,7 +376,8 @@ def random_additions(store, rng, n_add=30):
 
 def augmented(base, adds):
     n_add = len(adds[0])
-    return ts.AugmentedView(base, *adds, ad.constant(np.ones((n_add, 2))),
+    return ts.AugmentedView(base, *adds, np.arange(n_add),
+                            ad.constant(np.ones((n_add, 2))),
                             ad.constant(np.full(n_add, 0.5)))
 
 

@@ -270,7 +270,8 @@ def test_candidates_are_distinct_and_the_view_inserts_all(strategy):
     """Distinct sources on stores that repeat (user, item) pairs, at cuts
     mid-stream and after the last event: every call yields distinct
     (src, dst) pairs, none at n_can=0, and the view of a selection holds
-    every selected edge with its fhat row and rho, in selection order."""
+    every selected edge by its candidate index, reading fhat and rho
+    themselves."""
     for seed in range(4):
         store = synth_generate(2, 6, 6, 300, 0.2, seed=seed)
         pairs = store.src * store.num_nodes + store.dst
@@ -291,10 +292,18 @@ def test_candidates_are_distinct_and_the_view_inserts_all(strategy):
             rows = np.arange(len(cands), dtype=np.float64)
             fhat, rho = ad.constant(rows[:, None]), ad.constant(rows / 1e3)
             view = ts.build_augmented_view(idx, cands, sel, fhat, rho)
-            assert np.array_equal(view.cand_features.values[:, 0], sel)
-            assert np.array_equal(view.rho.values, rho.values[sel])
+            assert view.cand_features is fhat and view.rho is rho
+            assert view.num_added == len(sel)
             assert np.array_equal(np.sort(view.added.eid),
-                                  np.repeat(np.arange(len(sel)), 2))
+                                  np.repeat(sel, 2))
+            # each entry is its candidate's edge, seen from either end
+            j, added = view.added.eid, view.added
+            owner = np.repeat(np.arange(store.num_nodes),
+                              np.diff(added.offsets))
+            ends = np.sort(np.stack([owner, added.nbr]), axis=0)
+            want = np.sort(np.stack([cands.src[j], cands.dst[j]]), axis=0)
+            assert np.array_equal(ends, want)
+            assert np.array_equal(added.ts, cands.t_new[j])
 
 
 def test_unknown_strategy_rejected():
@@ -414,10 +423,9 @@ def test_topk_matches_lexsort_form(high, mode):
         assert sel.tobytes() == lexsort_topk(rho.values, src, k).tobytes()
 
 
-def lexsort_added_csr(num_nodes, add_src, add_dst, add_t):
+def lexsort_added_csr(num_nodes, add_src, add_dst, add_t, j):
     """The added edges' CSR with both endpoint lists stacked and one
     (owner, t, j) lexsort: the reference for AugmentedView's."""
-    j = np.arange(len(add_src), dtype=np.int64)
     owners = np.concatenate([add_src, add_dst])
     order = np.lexsort((np.concatenate([j, j]),
                         np.concatenate([add_t, add_t]), owners))
@@ -439,9 +447,11 @@ def test_added_csr_matches_lexsort_form(num_nodes):
     for c in (0, 1, 300):
         add_src, add_dst = rng.choice(ids, size=c), rng.choice(ids, size=c)
         add_t = rng.integers(0, 4, size=c).astype(np.float64)
-        added = ts.AugmentedView(base, add_src, add_dst, add_t).added
+        # ascending candidate indices with gaps, as a selection gives them
+        rows = np.sort(rng.choice(3 * c, size=c, replace=False))
+        added = ts.AugmentedView(base, add_src, add_dst, add_t, rows).added
         got = (added.nbr, added.eid, added.ts, added.offsets)
-        want = lexsort_added_csr(num_nodes, add_src, add_dst, add_t)
+        want = lexsort_added_csr(num_nodes, add_src, add_dst, add_t, rows)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
         assert [x.dtype for x in got] == [x.dtype for x in want]
 
@@ -464,15 +474,16 @@ def test_gradient_reaches_learner_parameters(etgnn_layers):
     params = ts.TgslParams(8, 2, 2, layers=etgnn_layers, seed=4)
     learner = ts.StructureLearner(params, store,
                                   RunConfig(strategy="one-hop", k=3, n_can=5,
-                                            n_rnn=4))
+                                            n_rnn=4), None, split.t_max_train)
     with ad.Tape() as tape:
         cut = idx.prefix(100)
-        view, det = learner.propose(cut, store.src[100:130],
-                                    t_ref=float(store.ts[100]),
-                                    t_max=split.t_max_train, seed=6,
-                                    view_base=cut)
-        loss = ad.add(ad.sum_(view.rho),
-                      ad.sum_(ad.mul(view.cand_features, view.cand_features)))
+        sources = store.src[100:130]
+        view, det = learner.propose(
+            learner.inputs(cut, sources, float(store.ts[100])), sources,
+            seed=6, view_base=cut, mode="stochastic")
+        rows = ad.take(view.cand_features, det["selected"])
+        loss = ad.add(ad.sum_(ad.take(view.rho, det["selected"])),
+                      ad.sum_(ad.mul(rows, rows)))
         tape.backward(loss)
     dead = [p.name for p in params.parameters()
             if p.grad is None or not np.abs(p.grad).sum() > 0]
@@ -501,7 +512,7 @@ def view_with_one_edge(t_new):
     fhat = ad.constant(np.ones((1, 4)))
     rho = ad.constant(np.array([0.75]))
     view = ts.AugmentedView(idx, np.array([0]), np.array([9]),
-                            np.array([t_new]), fhat, rho)
+                            np.array([t_new]), np.array([0]), fhat, rho)
     return view, idx
 
 
@@ -512,7 +523,7 @@ def test_inserted_edge_visible_after_its_time():
     hit = np.flatnonzero((mask > 0) & (eids < 0))
     assert len(hit) == 1
     row, col = 0, hit[0] % 50
-    assert eids[row, col] == -1         # added edge j = 0
+    assert eids[row, col] == -1         # candidate j = 0
     assert ids[row, col] == 9
     assert tss[row, col] == 40.0
     # invisible to queries at or before t_new
@@ -565,10 +576,11 @@ def test_augmented_merge_matches_lexsort_form(seed):
     nodes = np.repeat(np.arange(store.num_nodes), 3)
     tq = np.concatenate([add_t[:len(nodes) // 2], np.full(
         len(nodes) - len(nodes) // 2, store.ts[-1] + 1.0)])
+    rows = np.sort(rng.choice(2 * c, size=c, replace=False))
     for base in (idx, idx.prefix(50)):
-        view = ts.AugmentedView(base, add_src, add_dst, add_t,
-                                ad.constant(np.ones((c, 2))),
-                                ad.constant(np.full(c, 0.5)))
+        view = ts.AugmentedView(base, add_src, add_dst, add_t, rows,
+                                ad.constant(np.ones((2 * c, 2))),
+                                ad.constant(np.full(2 * c, 0.5)))
         for n in (1, 2, 3, 8, 40):
             got = view.batch_neighbors(nodes, tq, n)
             want = lexsort_batch_neighbors(view, nodes, tq, n)
@@ -583,12 +595,12 @@ def test_min_k_candidate_count_added_per_source():
     params = ts.TgslParams(8, 2, 2, layers=1, seed=4)
     learner = ts.StructureLearner(params, store,
                                   RunConfig(strategy="one-hop", k=2, n_can=6,
-                                            n_rnn=4))
+                                            n_rnn=4), None, split.t_max_train)
     cut = idx.prefix(150)
-    view, det = learner.propose(cut, store.src[150:190],
-                                t_ref=float(store.ts[150]),
-                                t_max=split.t_max_train, seed=5,
-                                view_base=cut)
+    sources = store.src[150:190]
+    view, det = learner.propose(
+        learner.inputs(cut, sources, float(store.ts[150])), sources, seed=5,
+        view_base=cut, mode="stochastic")
     cands = det["candidates"]
     sel = det["selected"]
     per_source_cand = {s: np.count_nonzero(cands.src == s)
@@ -618,13 +630,13 @@ def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch, strategy):
     learner = ts.StructureLearner(ts.TgslParams(8, 2, 2, layers=1, seed=4),
                                   store, RunConfig(strategy=strategy, k=2,
                                                    n_can=6, n_rnn=4),
-                                  np.arange(store.num_nodes))
+                                  np.arange(store.num_nodes),
+                                  split.t_max_train)
     batch = np.arange(150, 190)
     cut = idx.prefix(150)
-    view, _ = learner.propose(cut, store.src[batch],
-                              t_ref=float(store.ts[150]),
-                              t_max=split.t_max_train, seed=5,
-                              view_base=cut)
+    inputs = learner.inputs(cut, store.src[batch], float(store.ts[150]))
+    view, _ = learner.propose(inputs, store.src[batch], seed=5,
+                              view_base=cut, mode="stochastic")
     assert view.num_added > 0
     enc = TgatEncoder(EncoderParams(8, layers=2, heads=2, d_hidden=8),
                       store, n_nb=5)
@@ -692,38 +704,39 @@ def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
     cfg = RunConfig(strategy=strategy, k=2, n_can=6, n_rnn=4,
                     fanouts="3,2,2", etgnn_layers=etgnn_layers)
     learner = ts.StructureLearner(params, store, cfg,
-                                  np.arange(store.num_nodes))
-    cases = []  # (index, sources, t_ref, seed, visible prefix, inputs)
+                                  np.arange(store.num_nodes),
+                                  float(store.ts[-1]))
+    cases = []  # (sources, seed, visible prefix, inputs)
     for start in (6000, 9000, 11_990):
         batch = np.arange(start, start + 5)
         t_ref = float(store.ts[start])
         sources = np.unique(np.concatenate([store.src[batch],
                                             store.dst[batch]]))
         prefix = np.unique(idx.eid[(idx.ts < t_ref) & (idx.eid < start)])
-        cases.append((idx.prefix(start), sources, t_ref, start, prefix,
-                      None))
+        cases.append((sources, start, prefix,
+                      learner.inputs(idx.prefix(start), sources, t_ref)))
     split = chronological_split(store)
     train = NeighborIndex.build(store, split.usable_train_ids)
     scored = np.concatenate([store.src[split.test_ids],
                              store.dst[split.test_ids]])
     t_ref = split.t_max_train + 1.0
-    cases.append((train, scored, t_ref, 0, split.usable_train_ids,
+    cases.append((scored, 0, split.usable_train_ids,
                   learner.inputs(train, scored, t_ref)))
     borrowed = 0
-    for cut, sources, t_ref, seed, prefix, inputs in cases:
-        _, det = learner.propose(cut, sources, t_ref=t_ref, t_max=t_ref,
-                                 seed=seed, view_base=cut, inputs=inputs)
+    for sources, seed, prefix, inputs in cases:
+        cut, t_ref = inputs.index, inputs.t_ref
+        _, det = learner.propose(inputs, sources, seed=seed, view_base=cut,
+                                 mode="stochastic")
         _, ctx, _, mask = cut.batch_neighbors(sources, t_ref, cfg.n_rnn)
         feat = det["candidates"].feat_eid
         borrowed += int((feat >= 0).sum())
         if strategy == "random":
-            # no row reaches rho, so propose runs no ET-GNN to read
-            assert inputs is None
-            assert det["etgnn"] is None and det["context"] is None
+            # no row reaches rho, so the inputs hold no ET-GNN to read
+            assert inputs.etgnn is None and inputs.context is None
             continue
         rows = np.unique(np.concatenate([ctx[mask > 0], feat[feat >= 0]]))
         full = ts.etgnn_forward(prefix, store, params)
-        et = det["etgnn"]
+        et = inputs.etgnn
         got = et.edge_f.values[et.event_rows(rows)]
         want = full.edge_f.values[full.event_rows(rows)]
         assert len(rows) and np.abs(want).max() > 0
@@ -741,7 +754,7 @@ def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
     learner = ts.StructureLearner(
         params, store,
         RunConfig(strategy=strategy, k=2, n_can=4, n_rnn=3, fanouts="3,2,2"),
-        pool)
+        pool, split.t_max_train)
     seen = []
 
     def spy(z_rows, f_rows, *args):
@@ -752,10 +765,11 @@ def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
     monkeypatch.setattr(ts, "time_map_batch", spy)
     t_ref = float(store.ts[300])
     cut = idx.prefix(300)
-    _, det = learner.propose(cut, store.src[300:330], t_ref=t_ref,
-                             t_max=split.t_max_train, seed=6, view_base=cut)
+    inputs = learner.inputs(cut, store.src[300:330], t_ref)
+    _, det = learner.propose(inputs, store.src[300:330], seed=6,
+                             view_base=cut, mode="stochastic")
     (f_rows,) = seen
-    feat, et = det["candidates"].feat_eid, det["etgnn"]
+    feat, et = det["candidates"].feat_eid, inputs.etgnn
     assert f_rows.shape == (len(feat), 8) and len(feat)
     assert f_rows.dtype == np.float32
     if strategy == "random":
@@ -769,9 +783,10 @@ def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
 @pytest.mark.parametrize("etgnn_layers", [1, 2])
 @pytest.mark.parametrize("strategy", ["one-hop", "third-hop"])
 def test_cached_propose_matches_per_batch_propose(strategy, etgnn_layers):
-    """Evaluation's proposals from one set of learner inputs equal the
-    per-batch path (window ET-GNN, then the batch's own contexts) byte for
-    byte: selection, rho and the view's neighbor blocks, in both settings.
+    """Evaluation's proposals from one set of learner inputs over every
+    scored node equal those from inputs over each batch's own sources
+    (window ET-GNN, then the batch's own contexts) byte for byte:
+    selection, rho and the view's neighbor blocks, in both settings.
     The inputs' LSTM starts at the earliest column over all their nodes,
     so a batch whose nodes have short histories runs extra masked steps."""
     store = synth_generate(2, 30, 30, 1500, 0.1, seed=11)
@@ -796,12 +811,11 @@ def test_cached_propose_matches_per_batch_propose(strategy, etgnn_layers):
                                         store.dst[b][::-1]])
                 tss = np.tile(store.ts[b], 3)
                 out = []
-                for given in (inputs, None):
+                for given in (inputs, tr.learner.inputs(
+                        tr.train_index, nodes[:2 * len(b)], t_ref)):
                     view, det = tr.learner.propose(
-                        tr.train_index, nodes[:2 * len(b)], t_ref=t_ref,
-                        t_max=split.t_max_train, seed=bi,
-                        view_base=tr.full_index, mode="noise-free",
-                        inputs=given)
+                        given, nodes[:2 * len(b)], seed=bi,
+                        view_base=tr.full_index, mode="noise-free")
                     out.append([x.tobytes() for x in (
                         det["selected"], det["rho"].values,
                         *view.batch_neighbors(nodes, tss, cfg.n_nb))])
@@ -810,8 +824,26 @@ def test_cached_propose_matches_per_batch_propose(strategy, etgnn_layers):
                 own = hist[np.isin(inputs.nodes, nodes)]
                 extra_steps += int(own.max() < hist.max())
     assert extra_steps > 0 and added > 0
+
+
+@pytest.mark.parametrize("strategy", ts.STRATEGIES)
+def test_propose_refuses_a_source_outside_its_inputs(strategy):
+    """Every strategy proposes only for nodes its inputs were built for;
+    random builds no ET-GNN or context rows but checks all the same."""
+    store, split, idx, pool = candidate_fixture()
+    learner = ts.StructureLearner(
+        ts.TgslParams(8, store.node_dim, store.edge_dim, layers=1, seed=4),
+        store, RunConfig(strategy=strategy, k=2, n_can=4, n_rnn=3,
+                         fanouts="3,2,2"), pool, split.t_max_train)
+    cut, t_ref = idx.prefix(300), float(store.ts[300])
+    sources = store.src[300:330]
+    inputs = learner.inputs(cut, sources, t_ref)
+    assert np.array_equal(inputs.nodes, np.unique(sources))
+    assert (inputs.index, inputs.t_ref) == (cut, t_ref)
+    learner.propose(inputs, sources, seed=0, view_base=cut, mode="noise-free")
     outside = np.setdiff1d(np.arange(store.num_nodes), inputs.nodes)[:1]
-    with pytest.raises(KeyError, match="learner inputs"):
-        tr.learner.propose(tr.train_index, outside, t_ref=t_ref,
-                           t_max=split.t_max_train, seed=0,
-                           view_base=tr.full_index, inputs=inputs)
+    assert len(outside) == 1
+    for src in (outside, np.concatenate([sources, outside])):
+        with pytest.raises(KeyError, match="learner inputs"):
+            learner.propose(inputs, src, seed=0, view_base=cut,
+                            mode="noise-free")

@@ -291,15 +291,14 @@ def test_no_moco_state_without_a_weighted_contrastive_term(use_tgsl, alpha):
 
 
 def test_batch_loss_without_keys_has_no_contrastive_term():
-    tr, store, split = tiny_setup(alpha=0.5)
+    tr, store, _ = tiny_setup(alpha=0.5)
     batch = tr._batches()[1]
     src, dst, tss = store.src[batch], store.dst[batch], store.ts[batch]
     neg = dst[::-1].copy()
     args = (tr.q_enc, tr.learner, tr.q_enc.plan(
         tr.train_index.prefix(int(batch[0])), np.concatenate([src, dst, neg]),
         np.concatenate([tss, tss, tss])))
-    kw = dict(t_max=split.t_max_train, seed=5, queue=None, alpha=0.5,
-              tau=0.2)
+    kw = dict(seed=5, queue=None, alpha=0.5, tau=0.2)
     ori, aug, cl, total = tt.batch_loss(*args, keys=None, **kw)
     assert cl is None
     assert np.float32(total.values) == (np.float32(ori.values)
@@ -343,19 +342,12 @@ def test_batch_loss_on_a_prefix_equals_the_index_below_the_batch(strategy,
         with ad.Tape() as tape:
             plan = tr.q_enc.plan(index, np.concatenate([src, dst, neg]),
                                  np.concatenate([tss, tss, tss]))
-            losses = tt.batch_loss(tr.q_enc, tr.learner, plan,
-                                   t_max=split.t_max_train, seed=5,
+            losses = tt.batch_loss(tr.q_enc, tr.learner, plan, seed=5,
                                    keys=keys, queue=queue, alpha=0.5, tau=0.2)
             tape.backward(losses[3])
         runs.append([x.values.tobytes() for x in losses]
                     + [p.grad.tobytes() for p in tr.opt.params])
     assert runs[0] == runs[1]
-
-
-def test_k_zero_degenerates_to_original_graph():
-    tr, _, _ = tiny_setup(alpha=0.0, k=0)
-    rec = tr.train_epoch(0)
-    assert np.allclose(rec["loss_ori"], rec["loss_aug"], rtol=1e-6)
 
 
 def test_two_epochs_decrease_training_loss():
@@ -522,17 +514,17 @@ def test_training_and_evaluation_score_through_one_path(monkeypatch):
     propose = StructureLearner.propose
     encode_batch = TgatEncoder.encode_batch
 
-    def spy_score(enc, learner, index, view, nodes, ts, **kw):
+    def spy_score(enc, learner, inputs, view, nodes, ts, **kw):
         log.append(("score", learner is not None, np.array(nodes)))
         inside.append(True)
         try:
-            return score_view(enc, learner, index, view, nodes, ts, **kw)
+            return score_view(enc, learner, inputs, view, nodes, ts, **kw)
         finally:
             inside.pop()
 
-    def spy_propose(self, index, src_nodes, **kw):
+    def spy_propose(self, inputs, src_nodes, **kw):
         log.append(("propose", np.array(src_nodes)))
-        return propose(self, index, src_nodes, **kw)
+        return propose(self, inputs, src_nodes, **kw)
 
     def spy_encode(self, *args, **kw):
         assert inside, "encode_batch entered outside score_view"
