@@ -42,18 +42,18 @@ for strategy in ("one-hop", "third-hop", "random"):
         # the learner inputs carry the cut: the index and t0 candidates are
         # drawn at, and (unless random) the ET-GNN and context rows
         inputs = learner.inputs(cut, sources, t0)
-        view, detail = learner.propose(inputs, sources, seed=5,
-                                       view_base=cut, mode="stochastic")
-        cands, rho, sel = (detail[k] for k in ("candidates", "rho",
-                                                "selected"))
-        print(f"\n{strategy}: {len(cands)} candidates -> "
+        # the view keeps the candidates and the ascending indices of the
+        # selected ones, and reads their rho by index
+        view = learner.propose(inputs, sources, seed=5, view_base=cut,
+                               mode="stochastic")
+        rho = view.rho.values
+        print(f"\n{strategy}: {len(view.candidates)} candidates -> "
               f"{view.num_added} edges added "
-              f"(rho in [{rho.values.min():.3f}, {rho.values.max():.3f}])")
-        # the relaxed selection weight keeps the whole pipeline trainable;
-        # the view reads the added edges' rho from the candidates' by index
+              f"(rho in [{rho.min():.3f}, {rho.max():.3f}])")
+        # the relaxed selection weight keeps the whole pipeline trainable
         learned = learner.parameters()      # the tensors that reach rho
         if learned:
-            tape.backward(ad.sum_(ad.take(view.rho, sel)))
+            tape.backward(ad.sum_(ad.take(view.rho, view.selected)))
     if not learned:
         # random candidates borrow no edge row, so their score is 0 and
         # rho is the squashed noise alone: the ET-GNN and the LSTM do not
@@ -72,8 +72,8 @@ enc = TgatEncoder(enc_params, store, n_nb=10)
 learner = StructureLearner(tgsl_params, store,
                            RunConfig(strategy="one-hop", k=4, n_can=8, n_rnn=6),
                            train_nodes, split.t_max_train)
-view, _ = learner.propose(learner.inputs(cut, sources, t0), sources, seed=5,
-                          view_base=cut, mode="noise-free")
+view = learner.propose(learner.inputs(cut, sources, t0), sources, seed=5,
+                       view_base=cut, mode="noise-free")
 plain = enc.encode_batch(cut, sources[:6], np.full(6, t0))
 augmented = enc.encode_batch(view, sources[:6], np.full(6, t0))
 delta = np.abs(plain.values - augmented.values).max(axis=1)

@@ -22,7 +22,10 @@ history = trainer.fit(log=lambda e: print(
     f"epoch {e['epoch']}: task(ori)={e['loss_task_ori']:.4f} "
     f"task(aug)={e['loss_task_aug']:.4f} contrastive={e['loss_cl']:.4f} "
     f"val AP={e['val_ap']:.4f}"))
-print(f"\nbest epoch by validation AP: {trainer.best_epoch}")
+# best_epoch indexes the history: its parameters are the ones restored
+best = history[trainer.best_epoch]
+print(f"\nbest epoch by validation AP: {best['epoch']} "
+      f"(val AP={best['val_ap']:.4f})")
 
 trans = trainer.evaluate("transductive", "test")
 induc = trainer.evaluate("inductive", "test")

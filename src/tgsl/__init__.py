@@ -10,7 +10,7 @@ evaluation.
 
 from . import autodiff, encoder, graph, structure, training, verify
 from .autodiff import (AdamState, GradCheckResult, ParamSet, Tape, Tensor,
-                       adam_step, grad_check, no_grad, verification_mode)
+                       adam_step, grad_check, verification_mode)
 from .encoder import (EncoderParams, TgatEncoder, time_context, time_encode,
                       time_frequencies)
 from .graph import (EventStore, NeighborIndex, SplitSpec, chronological_split,
@@ -20,8 +20,8 @@ from .structure import (AugmentedView, StructureLearner, TgslParams,
                         build_augmented_view, context_predict_batch,
                         etgnn_forward, gumbel_topk_select, sample_candidates,
                         time_map_batch)
-from .training import (ConfigError, EarlyStopState, MetricsReport, MoCoState,
-                       RunConfig, Trainer, average_precision, bce_link_loss,
-                       early_stop_update, info_nce_batch, moco_step)
+from .training import (ConfigError, MetricsReport, MoCoState, RunConfig,
+                       Trainer, average_precision, bce_link_loss,
+                       info_nce_batch, moco_step)
 
 __version__ = "0.1.0"

@@ -2,17 +2,20 @@
 
 A Tape records primitive ops in execution order; Tape.backward() replays
 the record in exact reverse order and accumulates gradients additively
-(fan-out sum rule). A tape is replayed once: each entry is popped as it is
-replayed, so the forward arrays its closure holds are freed then, and a
-second backward raises. `.grad` lives on leaves only (params and other
-tensors no recorded op produced); each intermediate's work gradient is
-freed at its last use, when the op that produced it is replayed. A backward
-closure returns None for an input that does not require a gradient, so no
-gradient is ever formed for a constant. `matmul` takes an N-D lhs and a
-2-D rhs only, and computes each gradient as one 2-D GEMM over the folded
-leading axes. The primitives are the ones the model calls. Training
-runs in float32, verification suites in float64 — gradient checks are
-unreliable in float32.
+(fan-out sum rule). An op records exactly when a tape is open and one of
+its inputs requires a gradient, and only then does its output require one:
+with no tape open nothing is recorded, so a forward-only pass needs no
+switch, it just runs outside a tape. A tape is replayed once: each entry
+is popped as it is replayed, so the forward arrays its closure holds are
+freed then, and a second backward raises. `.grad` lives on leaves only
+(params and other tensors no recorded op produced); each intermediate's
+work gradient is freed at its last use, when the op that produced it is
+replayed. A backward closure returns None for an input that does not
+require a gradient, so no gradient is ever formed for a constant.
+`matmul` takes an N-D lhs and a 2-D rhs only, and computes each gradient
+as one 2-D GEMM over the folded leading axes. The primitives are the ones
+the model calls. Training runs in float32, verification suites in
+float64 — gradient checks are unreliable in float32.
 """
 
 import math
@@ -21,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "Tensor", "Tape", "no_grad", "verification_mode", "ParamSet",
+    "Tensor", "Tape", "verification_mode", "ParamSet",
     "AdamState", "adam_step", "GradCheckResult", "grad_check",
     "param", "constant", "init_uniform",
     "add", "sub", "mul", "div", "scale", "matmul", "concat", "narrow",
@@ -121,19 +124,6 @@ class Tape:
         for t, g in work.values():
             t._ensure_grad()
             t._grad += g
-
-
-class no_grad:
-    """Suspend recording: ops executed inside produce requires_grad=False
-    outputs and leave the active tape untouched."""
-
-    def __enter__(self):
-        _TAPE_STACK.append(None)
-        return self
-
-    def __exit__(self, *exc):
-        _TAPE_STACK.pop()
-        return False
 
 
 _TAPE_STACK = []
@@ -891,9 +881,10 @@ def grad_check(fn, point):
         analytic = [x.grad.copy() for x in xs]
 
         def feval():
-            # perturbed points may step outside a domain; the typed error
-            # below replaces numpy's warning
-            with no_grad(), np.errstate(invalid="ignore", divide="ignore"):
+            # runs with the tape closed, so records nothing; perturbed
+            # points may step outside a domain, and the typed error below
+            # replaces numpy's warning
+            with np.errstate(invalid="ignore", divide="ignore"):
                 out = fn(*xs).values
             if not np.all(np.isfinite(out)):
                 raise NonFiniteError("grad_check: fn non-finite at perturbed point")

@@ -375,28 +375,32 @@ def gumbel_topk_select(zhat, fhat, src_of, k, tau, seed,
 class AugmentedView:
     """A neighbor index plus weighted candidate edges inserted at their
     sampled timestamps. Original events carry implicit weight 1; added
-    edge i is candidate j = rows[i], read by index from the candidate
+    edge i is candidate j = selected[i], read by index from the candidate
     tensors: feature row cand_features[j], weight rho[j]. Ephemeral: valid
     only for the batch that built it. `AugmentedView(base)` adds nothing
-    and answers as `base` does.
+    and answers as `base` does. `build_augmented_view` also keeps the
+    `candidates` (a CandidateBatch) that `selected` indexes; a view built
+    directly has None there.
 
     Its `batch_neighbors` answers with the same four columns as
     `NeighborIndex.batch_neighbors`; a slot holding candidate j carries
     event id -1 - j, so real events are exactly the slots with ids >= 0.
     The added edges form a second, small CSR (`added`, a NeighborIndex)
     in which both endpoints own each edge, sorted by (owner, t, j); its
-    eid column holds j. `rows` ascends, so j orders as the edges do."""
+    eid column holds j. `selected` ascends, so j orders as the edges do."""
 
-    def __init__(self, base, add_src=(), add_dst=(), add_t=(), rows=(),
+    def __init__(self, base, add_src=(), add_dst=(), add_t=(), selected=(),
                  cand_features=None, rho=None):
         self.base = base
+        self.candidates = None
+        self.selected = np.asarray(selected, dtype=np.int64)
         self.cand_features = cand_features
         self.rho = rho
         add_src = np.asarray(add_src, dtype=np.int64)
         add_dst = np.asarray(add_dst, dtype=np.int64)
         add_t = np.asarray(add_t, dtype=np.float64)
         owners, peers, js, ts = edge_entries(
-            add_src, add_dst, np.asarray(rows, dtype=np.int64), add_t)
+            add_src, add_dst, self.selected, add_t)
         # entries stand in (j, side) order, so a stable sort by t and then
         # by owner gives (owner, t, j)
         self.added = NeighborIndex.from_order(
@@ -439,13 +443,15 @@ class AugmentedView:
 
 def build_augmented_view(base, cands, selected_idx, fhat, rho):
     """Insert every selected candidate into the neighbor structure at its
-    t_new; the view reads its fhat row and rho by candidate index. The
-    candidates must hold distinct (src, dst) pairs, as `sample_candidates`
-    guarantees, and `selected_idx` must be ascending, as
-    `gumbel_topk_select` returns it."""
+    t_new; the view reads its fhat row and rho by candidate index, and
+    keeps `cands` and `selected_idx`. The candidates must hold distinct
+    (src, dst) pairs, as `sample_candidates` guarantees, and
+    `selected_idx` must be ascending, as `gumbel_topk_select` returns it."""
     sel = np.asarray(selected_idx, dtype=np.int64)
-    return AugmentedView(base, cands.src[sel], cands.dst[sel],
+    view = AugmentedView(base, cands.src[sel], cands.dst[sel],
                          cands.t_new[sel], sel, fhat, rho)
+    view.candidates = cands
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +543,9 @@ class StructureLearner:
         among `inputs.nodes` (KeyError otherwise): candidates come from
         `inputs.index` at `inputs.t_ref`, their ET-GNN and context rows
         from `inputs`, and the view inserts the selected ones into
-        `view_base`. Returns (view, detail dict) — the view is ephemeral to
-        this batch."""
+        `view_base`. Returns the view, ephemeral to this batch; it keeps
+        the batch's `candidates` and their ascending `selected` indices.
+        Zero candidates pass through every stage and add no edge."""
         cfg = self.cfg
         index, t_ref, nodes, et, z = inputs
         src_nodes = node_set(index.num_nodes, src_nodes)
@@ -548,8 +555,6 @@ class StructureLearner:
             src_nodes, cfg.strategy, index, cfg.n_can, seed, t_ref=t_ref,
             t_max=self.t_max, random_pool=self.random_pool,
             fanouts=cfg.fanout_list())
-        if len(cands) == 0:
-            return AugmentedView(view_base), {"candidates": cands}
         if et is not None:
             # one-hop and third-hop borrow an edge row for every candidate
             z_rows = ad.take(z, np.searchsorted(nodes, cands.src))
@@ -559,8 +564,6 @@ class StructureLearner:
                 (len(cands), self.params.d_model), dtype=self.params.dtype))
         zhat, fhat = time_map_batch(z_rows, feat_rows, cands.t_new,
                                     self.t_max, cands.t_sample)
-        m, rho, sel = gumbel_topk_select(
+        _, rho, sel = gumbel_topk_select(
             zhat, fhat, cands.src, cfg.k, cfg.tau_gumbel, seed + 1, mode)
-        view = build_augmented_view(view_base, cands, sel, fhat, rho)
-        return view, {"candidates": cands, "m": m, "rho": rho,
-                      "selected": sel}
+        return build_augmented_view(view_base, cands, sel, fhat, rho)

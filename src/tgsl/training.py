@@ -29,7 +29,7 @@ from .structure import etgnn_forward  # noqa: F401
 
 __all__ = [
     "ConfigError", "EmptySetError", "RunConfig", "MetricsReport",
-    "EarlyStopState", "early_stop_update", "MoCoState", "moco_step",
+    "MoCoState", "moco_step",
     "bce_link_loss", "info_nce_batch", "score_view", "batch_loss",
     "accuracy_score", "average_precision", "Trainer",
 ]
@@ -252,8 +252,8 @@ def score_view(enc, learner, inputs, view, nodes, ts, *, seed, mode):
     s_neg, emb), emb being the rows' embeddings on the view scored."""
     b = len(nodes) // 3
     if learner is not None:
-        view, _ = learner.propose(inputs, nodes[:2 * b], seed=seed,
-                                  view_base=view, mode=mode)
+        view = learner.propose(inputs, nodes[:2 * b], seed=seed,
+                               view_base=view, mode=mode)
     emb = enc.encode_batch(view, nodes, ts)
     return (*_score_rows(enc, emb, b), emb)
 
@@ -316,35 +316,6 @@ def moco_step(state, query_params, new_keys):
         kp.values[...] = mom * kp.values + (1.0 - mom) * qp.values
     state.queue = np.concatenate(
         [state.queue, new_keys.astype(np.float32)])[-state.capacity:]
-
-
-# ---------------------------------------------------------------------------
-# early stopping
-
-@dataclass
-class EarlyStopState:
-    patience: int
-    tolerance: float
-    max_epochs: int
-    best: float = -np.inf
-    best_epoch: int = -1
-    epochs_since: int = 0
-    epoch: int = 0
-
-
-def early_stop_update(state, val_ap):
-    """Improvement means val AP > best + tolerance; stop once the
-    non-improvement streak exceeds the patience or the epoch cap is hit."""
-    state.epoch += 1
-    if val_ap > state.best + state.tolerance:
-        state.best = val_ap
-        state.best_epoch = state.epoch
-        state.epochs_since = 0
-    else:
-        state.epochs_since += 1
-    if state.epochs_since > state.patience or state.epoch >= state.max_epochs:
-        return "stop"
-    return "continue"
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +413,8 @@ class Trainer:
                                    np.concatenate([tss, tss, tss]))
             keys = queue = None
             if self.moco is not None:
-                with ad.no_grad():
-                    k_emb = self.k_enc.apply(plan)
+                # before the tape opens, so the key pass records nothing
+                k_emb = self.k_enc.apply(plan)
                 keys = _l2_rows(ad.narrow(k_emb, 0, 0, 2 * len(batch))).values
                 queue = self.moco.queue
             with ad.Tape() as tape:
@@ -497,7 +468,8 @@ class Trainer:
         parameters are fixed for the whole call, so the learner inputs of
         every scored source and destination (its ET-GNN over their visible
         window and their context rows) are built once, read by every
-        batch's proposal and dropped when the call returns."""
+        batch's proposal and dropped when the call returns. Called with no
+        tape open, as `fit` calls it, it records nothing."""
         cfg = self.cfg
         store = self.store
         seed = self.seed if seed is None else seed
@@ -507,21 +479,20 @@ class Trainer:
         learner = self.learner if use_augmented else None
         scores, labels = [], []
         bs = cfg.batch_size
-        with ad.no_grad():
-            inputs = None if learner is None else learner.inputs(
-                self.train_index,
-                np.concatenate([store.src[ids], store.dst[ids]]),
-                self.split.t_max_train + 1.0)
-            for bi in range(0, len(ids), bs):
-                batch = ids[bi:bi + bs]
-                s_pos, s_neg, _ = score_view(
-                    self.q_enc, learner, inputs, self.full_index,
-                    np.concatenate([store.src[batch], store.dst[batch],
-                                    neg[bi:bi + bs]]),
-                    np.tile(store.ts[batch], 3), seed=_seed(seed, 5, bi),
-                    mode="noise-free")
-                scores += s_pos.values.tolist() + s_neg.values.tolist()
-                labels.extend([1] * len(batch) + [0] * len(batch))
+        inputs = None if learner is None else learner.inputs(
+            self.train_index,
+            np.concatenate([store.src[ids], store.dst[ids]]),
+            self.split.t_max_train + 1.0)
+        for bi in range(0, len(ids), bs):
+            batch = ids[bi:bi + bs]
+            s_pos, s_neg, _ = score_view(
+                self.q_enc, learner, inputs, self.full_index,
+                np.concatenate([store.src[batch], store.dst[batch],
+                                neg[bi:bi + bs]]),
+                np.tile(store.ts[batch], 3), seed=_seed(seed, 5, bi),
+                mode="noise-free")
+            scores += s_pos.values.tolist() + s_neg.values.tolist()
+            labels.extend([1] * len(batch) + [0] * len(batch))
         scores = np.asarray(scores)
         labels = np.asarray(labels)
         return MetricsReport(setting=setting,
@@ -549,18 +520,20 @@ class Trainer:
             self.moco.key_params.load_state_dict(snap["key"])
 
     def fit(self, log=None, early_stop=True, val_limit=None):
-        """Train with early stopping on transductive validation AP; restores
-        the best-epoch parameters. Returns the per-epoch history.
+        """Train with early stopping on transductive validation AP, then
+        restore the parameters of the best epoch, `best_epoch`: the 0-based
+        index of that epoch in the returned per-epoch history. An epoch is
+        the best so far when its val AP beats the last best by more than
+        `tolerance`; training stops once more than `patience` epochs in a
+        row are not, or after max_epochs.
 
         early_stop=False runs all max_epochs (best-epoch restore still
         applies); val_limit caps the validation events used for selection.
         """
-        stop = EarlyStopState(patience=self.cfg.patience,
-                              tolerance=self.cfg.tolerance,
-                              max_epochs=self.cfg.max_epochs)
-        best_snap = self.snapshot()
+        cfg = self.cfg
+        best_snap, best_ap, best_epoch = self.snapshot(), -np.inf, -1
         history = []
-        for epoch in range(self.cfg.max_epochs):
+        for epoch in range(cfg.max_epochs):
             t0 = time.time()
             rec = self.train_epoch(epoch)
             # fixed per-run negatives keep the early-stopping signal smooth
@@ -578,11 +551,10 @@ class Trainer:
             history.append(entry)
             if log:
                 log(entry)
-            decision = early_stop_update(stop, val.ap)
-            if stop.epochs_since == 0:
-                best_snap = self.snapshot()
-            if decision == "stop" and early_stop:
+            if val.ap > best_ap + cfg.tolerance:
+                best_snap, best_ap, best_epoch = self.snapshot(), val.ap, epoch
+            elif early_stop and epoch - best_epoch > cfg.patience:
                 break
         self.restore(best_snap)
-        self.best_epoch = stop.best_epoch
+        self.best_epoch = best_epoch
         return history

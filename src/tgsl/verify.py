@@ -347,12 +347,10 @@ def leakage_suite():
                            learner.inputs(idx, rows, t)):
                 for mode in ("stochastic", "noise-free"):
                     kw = dict(seed=trial, mode=mode)
-                    view, _ = learner.propose(inputs, nodes, view_base=idx,
-                                              **kw)
+                    view = learner.propose(inputs, nodes, view_base=idx, **kw)
                     s_pos, s_neg, _ = score_view(enc, learner, inputs, idx,
                                                  rows, np.tile(tss, 3), **kw)
-                    out += [np.zeros(0) if view.rho is None
-                            else view.rho.values,
+                    out += [view.rho.values,
                             enc.encode_batch(view, nodes, tss).values,
                             s_pos.values, s_neg.values]
             return out

@@ -362,13 +362,20 @@ def test_no_primitive_writes_into_its_inputs(case):
     assert [a.tobytes() for a in arrays] == before
 
 
-def test_no_grad_suppresses_recording():
+def test_an_op_records_only_on_an_open_tape():
+    """An op records exactly when a tape is open and an input requires a
+    gradient; with no tape open, an op on a param yields a constant."""
     x = ad.param(np.ones(2))
     with ad.Tape() as t:
-        with ad.no_grad():
-            y = ad.relu(x)
-        assert not y.requires_grad
-        assert len(t) == 0
+        pass
+    y = ad.relu(ad.mul(x, x))
+    assert not y.requires_grad
+    assert len(t) == 0
+    with ad.Tape() as t:
+        y = ad.relu(x)
+        c = ad.relu(ad.constant(np.ones(2)))
+    assert y.requires_grad and not c.requires_grad
+    assert len(t) == 1
 
 
 # ---------------------------------------------------------------------------

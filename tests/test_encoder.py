@@ -1138,10 +1138,9 @@ def test_key_rows_of_a_shared_plan_match_their_own_encode(layers):
     b = len(src)
     plan = q_enc.plan(idx, np.concatenate([src, dst, neg]),
                       np.concatenate([tss, tss, tss]))
-    with ad.no_grad():
-        got = k_enc.apply(plan).values[:2 * b]
-        want = k_enc.encode_batch(idx, np.concatenate([src, dst]),
-                                  np.concatenate([tss, tss])).values
+    got = k_enc.apply(plan).values[:2 * b]
+    want = k_enc.encode_batch(idx, np.concatenate([src, dst]),
+                              np.concatenate([tss, tss])).values
     assert got.tobytes() == want.tobytes()
 
 

@@ -450,8 +450,7 @@ def test_context_predict_matches_loop(seed):
         w = rng.standard_normal((len(nodes), 4)).astype(dtype)
         for max_eid in cutoffs(store):
             window = ref_visible_window(idx, nodes, t_cut, 1, max_eid)
-            with ad.no_grad():
-                et = ts.etgnn_forward(window, store, params)
+            et = ts.etgnn_forward(window, store, params)
             for n_rnn in (1, 3, 50):
                 assert_same(
                     context_and_grads(ts.context_predict_batch, params, et,

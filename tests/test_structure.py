@@ -193,8 +193,7 @@ def test_context_records_19_tape_entries_per_step():
     store = synth_generate(2, 6, 6, 120, 0.1, seed=7)
     idx = NeighborIndex.build(store)
     params = ts.TgslParams(4, 2, 2, layers=1, seed=2)
-    with ad.no_grad():
-        et = ts.etgnn_forward(np.arange(len(store)), store, params)
+    et = ts.etgnn_forward(np.arange(len(store)), store, params)
     et = ts.EtgnnOutput(et.event_ids, ad.param(et.edge_f.values))
     t_cut = float(store.ts[-1]) + 1.0
     for n_rnn in (1, 3, 5):
@@ -478,11 +477,11 @@ def test_gradient_reaches_learner_parameters(etgnn_layers):
     with ad.Tape() as tape:
         cut = idx.prefix(100)
         sources = store.src[100:130]
-        view, det = learner.propose(
+        view = learner.propose(
             learner.inputs(cut, sources, float(store.ts[100])), sources,
             seed=6, view_base=cut, mode="stochastic")
-        rows = ad.take(view.cand_features, det["selected"])
-        loss = ad.add(ad.sum_(ad.take(view.rho, det["selected"])),
+        rows = ad.take(view.cand_features, view.selected)
+        loss = ad.add(ad.sum_(ad.take(view.rho, view.selected)),
                       ad.sum_(ad.mul(rows, rows)))
         tape.backward(loss)
     dead = [p.name for p in params.parameters()
@@ -598,11 +597,10 @@ def test_min_k_candidate_count_added_per_source():
                                             n_rnn=4), None, split.t_max_train)
     cut = idx.prefix(150)
     sources = store.src[150:190]
-    view, det = learner.propose(
+    view = learner.propose(
         learner.inputs(cut, sources, float(store.ts[150])), sources, seed=5,
         view_base=cut, mode="stochastic")
-    cands = det["candidates"]
-    sel = det["selected"]
+    cands, sel = view.candidates, view.selected
     per_source_cand = {s: np.count_nonzero(cands.src == s)
                        for s in np.unique(cands.src)}
     per_source_sel = {s: np.count_nonzero(cands.src[sel] == s)
@@ -635,8 +633,8 @@ def test_one_hop_hot_path_makes_no_single_row_queries(monkeypatch, strategy):
     batch = np.arange(150, 190)
     cut = idx.prefix(150)
     inputs = learner.inputs(cut, store.src[batch], float(store.ts[150]))
-    view, _ = learner.propose(inputs, store.src[batch], seed=5,
-                              view_base=cut, mode="stochastic")
+    view = learner.propose(inputs, store.src[batch], seed=5,
+                           view_base=cut, mode="stochastic")
     assert view.num_added > 0
     enc = TgatEncoder(EncoderParams(8, layers=2, heads=2, d_hidden=8),
                       store, n_nb=5)
@@ -725,10 +723,10 @@ def test_etgnn_rows_propose_reads_match_full_prefix(strategy, etgnn_layers):
     borrowed = 0
     for sources, seed, prefix, inputs in cases:
         cut, t_ref = inputs.index, inputs.t_ref
-        _, det = learner.propose(inputs, sources, seed=seed, view_base=cut,
-                                 mode="stochastic")
+        view = learner.propose(inputs, sources, seed=seed, view_base=cut,
+                               mode="stochastic")
         _, ctx, _, mask = cut.batch_neighbors(sources, t_ref, cfg.n_rnn)
-        feat = det["candidates"].feat_eid
+        feat = view.candidates.feat_eid
         borrowed += int((feat >= 0).sum())
         if strategy == "random":
             # no row reaches rho, so the inputs hold no ET-GNN to read
@@ -766,10 +764,10 @@ def test_propose_feature_rows_are_borrowed_edge_rows(strategy, monkeypatch):
     t_ref = float(store.ts[300])
     cut = idx.prefix(300)
     inputs = learner.inputs(cut, store.src[300:330], t_ref)
-    _, det = learner.propose(inputs, store.src[300:330], seed=6,
-                             view_base=cut, mode="stochastic")
+    view = learner.propose(inputs, store.src[300:330], seed=6,
+                           view_base=cut, mode="stochastic")
     (f_rows,) = seen
-    feat, et = det["candidates"].feat_eid, inputs.etgnn
+    feat, et = view.candidates.feat_eid, inputs.etgnn
     assert f_rows.shape == (len(feat), 8) and len(feat)
     assert f_rows.dtype == np.float32
     if strategy == "random":
@@ -799,30 +797,29 @@ def test_cached_propose_matches_per_batch_propose(strategy, etgnn_layers):
     extra_steps = added = 0
     for setting in ("transductive", "inductive"):
         ids = tr._eval_ids(setting, "test")
-        with ad.no_grad():
-            inputs = tr.learner.inputs(
-                tr.train_index,
-                np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
-            hist = tr.train_index.batch_neighbors(
-                inputs.nodes, t_ref, cfg.n_rnn)[3].sum(axis=1)
-            for bi in range(0, len(ids), 16):
-                b = ids[bi:bi + 16]
-                nodes = np.concatenate([store.src[b], store.dst[b],
-                                        store.dst[b][::-1]])
-                tss = np.tile(store.ts[b], 3)
-                out = []
-                for given in (inputs, tr.learner.inputs(
-                        tr.train_index, nodes[:2 * len(b)], t_ref)):
-                    view, det = tr.learner.propose(
-                        given, nodes[:2 * len(b)], seed=bi,
-                        view_base=tr.full_index, mode="noise-free")
-                    out.append([x.tobytes() for x in (
-                        det["selected"], det["rho"].values,
-                        *view.batch_neighbors(nodes, tss, cfg.n_nb))])
-                assert out[0] == out[1]
-                added += view.num_added
-                own = hist[np.isin(inputs.nodes, nodes)]
-                extra_steps += int(own.max() < hist.max())
+        inputs = tr.learner.inputs(
+            tr.train_index,
+            np.concatenate([store.src[ids], store.dst[ids]]), t_ref)
+        hist = tr.train_index.batch_neighbors(
+            inputs.nodes, t_ref, cfg.n_rnn)[3].sum(axis=1)
+        for bi in range(0, len(ids), 16):
+            b = ids[bi:bi + 16]
+            nodes = np.concatenate([store.src[b], store.dst[b],
+                                    store.dst[b][::-1]])
+            tss = np.tile(store.ts[b], 3)
+            out = []
+            for given in (inputs, tr.learner.inputs(
+                    tr.train_index, nodes[:2 * len(b)], t_ref)):
+                view = tr.learner.propose(
+                    given, nodes[:2 * len(b)], seed=bi,
+                    view_base=tr.full_index, mode="noise-free")
+                out.append([x.tobytes() for x in (
+                    view.selected, view.rho.values,
+                    *view.batch_neighbors(nodes, tss, cfg.n_nb))])
+            assert out[0] == out[1]
+            added += view.num_added
+            own = hist[np.isin(inputs.nodes, nodes)]
+            extra_steps += int(own.max() < hist.max())
     assert extra_steps > 0 and added > 0
 
 
@@ -847,3 +844,31 @@ def test_propose_refuses_a_source_outside_its_inputs(strategy):
         with pytest.raises(KeyError, match="learner inputs"):
             learner.propose(inputs, src, seed=0, view_base=cut,
                             mode="noise-free")
+
+
+@pytest.mark.parametrize("strategy", ["one-hop", "third-hop"])
+def test_propose_on_an_empty_index_adds_nothing(strategy):
+    """The first training batch's prefix holds no event: its zero
+    candidates pass through every stage, and the view answers as the
+    prefix does."""
+    store, split, idx, pool = candidate_fixture()
+    learner = ts.StructureLearner(
+        ts.TgslParams(8, store.node_dim, store.edge_dim, layers=2, seed=4),
+        store, RunConfig(strategy=strategy, k=2, n_can=4, n_rnn=3,
+                         fanouts="3,2,2"), pool, split.t_max_train)
+    batch = split.usable_train_ids[:30]
+    cut = idx.prefix(int(batch[0]))
+    t_ref = float(store.ts[batch[0]])
+    sources = np.concatenate([store.src[batch], store.dst[batch]])
+    inputs = learner.inputs(cut, sources, t_ref)
+    assert len(inputs.etgnn.event_ids) == 0
+    enc = TgatEncoder(EncoderParams(8, layers=2, heads=2, d_hidden=8),
+                      store, n_nb=5)
+    want = enc.encode_batch(cut, sources, store.ts[np.tile(batch, 2)])
+    for mode in ("stochastic", "noise-free"):
+        view = learner.propose(inputs, sources, seed=3, view_base=cut,
+                               mode=mode)
+        assert len(view.candidates) == len(view.selected) == 0
+        assert view.num_added == 0
+        got = enc.encode_batch(view, sources, store.ts[np.tile(batch, 2)])
+        assert got.values.tobytes() == want.values.tobytes()

@@ -164,28 +164,71 @@ def test_key_params_never_require_grad():
 # ---------------------------------------------------------------------------
 # early stopping
 
+def stubbed_fit(val_aps, max_epochs, early_stop=True):
+    """Trainer.fit (patience 3, tolerance 1e-3) with train_epoch and
+    evaluate stubbed: epoch e writes e into every query parameter and
+    scores val AP val_aps[e]. Returns (history, best_epoch, the epoch
+    whose parameters fit restored)."""
+    tr, _, _ = tiny_setup()
+    tr.cfg.max_epochs = max_epochs
+    epoch = []
+
+    def train_epoch(e):
+        epoch[:] = [e]
+        for p in tr.q_params.parameters():
+            p.values[...] = e
+        return {"loss_ori": [0.0], "loss_aug": [0.0], "loss_cl": [0.0],
+                "total": [0.0]}
+
+    tr.train_epoch = train_epoch
+    tr.evaluate = lambda *args, **kwargs: tt.MetricsReport(
+        "transductive", 0.5, val_aps[epoch[0]])
+    history = tr.fit(early_stop=early_stop)
+    assert [h["val_ap"] for h in history] == list(val_aps[:len(history)])
+    restored = {float(p.values.flat[0]) for p in tr.q_params.parameters()}
+    assert len(restored) == 1
+    return history, tr.best_epoch, int(restored.pop())
+
+
 def test_early_stop_improving_sequence_continues():
-    st = tt.EarlyStopState(patience=3, tolerance=1e-3, max_epochs=50)
-    for ap in (0.5, 0.6, 0.7):
-        assert tt.early_stop_update(st, ap) == "continue"
-    assert st.best == 0.7
+    history, best, restored = stubbed_fit((0.5, 0.6, 0.7, 0.7), 4)
+    assert len(history) == 4
+    assert best == restored == 2
 
 
 def test_early_stop_sub_tolerance_plateau():
-    st = tt.EarlyStopState(patience=3, tolerance=1e-3, max_epochs=50)
-    decisions = [tt.early_stop_update(st, ap)
-                 for ap in (0.7, 0.7005, 0.7005, 0.7005, 0.7005)]
-    assert decisions == ["continue"] * 4 + ["stop"]
-    assert st.best == 0.7          # 0.0005 never cleared the tolerance
+    # 0.0005 never clears the tolerance: the fifth epoch is the fourth
+    # without a gain, one more than the patience
+    history, best, restored = stubbed_fit(
+        (0.7, 0.7005, 0.7005, 0.7005, 0.7005, 0.9), 50)
+    assert len(history) == 5
+    assert best == restored == 0
 
 
 def test_early_stop_epoch_cap():
-    st = tt.EarlyStopState(patience=3, tolerance=1e-3, max_epochs=50)
-    out = None
-    for e in range(50):
-        out = tt.early_stop_update(st, 0.5 + 0.005 * e)   # always improving
-    assert out == "stop"
-    assert st.epoch == 50
+    history, best, restored = stubbed_fit(
+        [0.5 + 0.005 * e for e in range(60)], 50)    # always improving
+    assert len(history) == 50
+    assert best == restored == 49
+
+
+def test_without_early_stop_every_epoch_runs_and_the_best_is_restored():
+    history, best, restored = stubbed_fit(
+        (0.7, 0.8, 0.75, 0.75, 0.75, 0.75, 0.75, 0.75), 8, early_stop=False)
+    assert len(history) == 8
+    assert best == restored == 1
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_best_epoch_indexes_the_restored_epoch(early_stop):
+    """After a real fit, `best_epoch` indexes the history, and the
+    parameters fit restored score that epoch's val AP again."""
+    tr, _, _ = tiny_setup(alpha=0.0)
+    tr.cfg.max_epochs, tr.cfg.patience = 5, 1
+    history = tr.fit(early_stop=early_stop)
+    assert 0 <= tr.best_epoch < len(history)
+    val = tr.evaluate("transductive", subset="val", seed=tt._seed(tr.seed, 11))
+    assert val.ap == history[tr.best_epoch]["val_ap"]
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +479,16 @@ def test_evaluate_reports_both_settings():
         assert 0.0 <= rep.acc <= 1.0
         assert 0.0 <= rep.ap <= 1.0
     assert trans.setting == "transductive"
+
+
+@pytest.mark.parametrize("use_augmented", [True, False])
+def test_evaluate_records_nothing(use_augmented):
+    """Evaluation runs with no tape open: no op records, so every
+    parameter's gradient stays at zero."""
+    tr, _, _ = tiny_setup(alpha=0.5)
+    tr.evaluate("transductive", "val", use_augmented=use_augmented)
+    grads = [p.grad for p in tr.opt.params]
+    assert len(grads) and all(not g.any() for g in grads)
 
 
 def test_random_strategy_runs_no_learner_and_keeps_it_out_of_adam(
